@@ -25,9 +25,32 @@ TWO_PI = 2.0 * math.pi
 _SAFETY = 1.0e-2
 
 
+def _divide(factors, k: int) -> tuple[tuple[int, int], ...]:
+    """The factors of x^E / x_k, for a variable x_k that divides x^E."""
+    return tuple((m, e - 1 if m == k else e) for m, e in factors if (m, e) != (k, 1))
+
+
+def _factor_table(monomials, stride: int) -> np.ndarray:
+    """Monomials as rows of indices ``variable * stride + power`` into the
+    flattened table of powers; short rows are padded with x_0**0."""
+    width = max((len(f) for f in monomials), default=0)
+    table = np.zeros((len(monomials), width), dtype=np.intp)
+    for row, factors in enumerate(monomials):
+        for col, (k, e) in enumerate(factors):
+            table[row, col] = k * stride + e
+    return table
+
+
 @dataclass(frozen=True)
 class PolynomialHamiltonian:
-    """Polynomial H on R^(2N) as (coefficient, exponent vector) terms."""
+    """Polynomial H on R^(2N) as (coefficient, exponent vector) terms.
+
+    The terms are compiled once into numpy tables.  A monomial is stored as
+    its nonzero (variable, power) factors, so the tables grow with the number
+    of terms and their degree, never with the dimension.  Each derivative is
+    the distinct derivative monomials plus a sparse coefficient matrix of
+    (output index, monomial, coefficient) triplets.
+    """
 
     dim: int
     terms: tuple[tuple[float, tuple[int, ...]], ...]
@@ -46,6 +69,50 @@ class PolynomialHamiltonian:
             if coeff != 0.0:
                 cleaned.append((coeff, exps))
         object.__setattr__(self, "terms", tuple(cleaned))
+        self._compile()
+
+    def _compile(self) -> None:
+        dim = self.dim
+        # a monomial as its (variable, power) factors with nonzero power
+        monomials = [tuple((k, e) for k, e in enumerate(exps) if e) for _, exps in self.terms]
+        first: dict = {}
+        second: dict = {}
+        grad_rows, grad_cols, grad_coeffs = [], [], []
+        hess_rows, hess_cols, hess_coeffs = [], [], []
+        for (coeff, _), factors in zip(self.terms, monomials):
+            for k, ek in factors:
+                d1 = _divide(factors, k)
+                grad_rows.append(k)
+                grad_cols.append(first.setdefault(d1, len(first)))
+                grad_coeffs.append(coeff * ek)
+                # both orders (k, l) and (l, k), each with the same integer
+                # factor, so the assembled hessian is exactly symmetric
+                for l, el in d1:
+                    hess_rows.append(k * dim + l)
+                    hess_cols.append(second.setdefault(_divide(d1, l), len(second)))
+                    hess_coeffs.append(coeff * (ek * el))
+        degrees = np.arange(max((max(e) for _, e in self.terms), default=0) + 1)
+        stride = degrees.size
+        tables = {
+            "coeffs": np.array([c for c, _ in self.terms], dtype=float),
+            "value_monomials": _factor_table(monomials, stride),
+            "grad_monomials": _factor_table(list(first), stride),
+            "grad_rows": np.array(grad_rows, dtype=np.intp),
+            "grad_cols": np.array(grad_cols, dtype=np.intp),
+            "grad_coeffs": np.array(grad_coeffs, dtype=float),
+            "hess_monomials": _factor_table(list(second), stride),
+            "hess_rows": np.array(hess_rows, dtype=np.intp),
+            "hess_cols": np.array(hess_cols, dtype=np.intp),
+            "hess_coeffs": np.array(hess_coeffs, dtype=float),
+            "degrees": degrees,
+        }
+        for name, table in tables.items():
+            object.__setattr__(self, f"_{name}", table)
+
+    def _monomials(self, table, x) -> np.ndarray:
+        """The monomials of ``table`` at x, over x's last axis."""
+        powers = (x[..., None] ** self._degrees).reshape(x.shape[:-1] + (-1,))
+        return powers[..., table].prod(axis=-1)
 
     @classmethod
     def from_quadratic(cls, A) -> "PolynomialHamiltonian":
@@ -63,46 +130,22 @@ class PolynomialHamiltonian:
                     terms.append((coeff, tuple(e)))
         return cls(dim=dim, terms=tuple(terms))
 
-    def value(self, x) -> float:
+    def value(self, x):
+        """H(x); for an array of points (last axis of length dim), H at each."""
         x = np.asarray(x, dtype=float)
-        total = 0.0
-        for coeff, exps in self.terms:
-            total += coeff * np.prod([x[k] ** e for k, e in enumerate(exps) if e])
-        return float(total)
+        values = self._monomials(self._value_monomials, x) @ self._coeffs
+        return float(values) if x.ndim == 1 else values
 
     def gradient(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        g = np.zeros(self.dim)
-        for coeff, exps in self.terms:
-            for k, ek in enumerate(exps):
-                if ek == 0:
-                    continue
-                prod = coeff * ek
-                for m, em in enumerate(exps):
-                    p = em - 1 if m == k else em
-                    if p:
-                        prod *= x[m] ** p
-                g[k] += prod
-        return g
+        m = self._monomials(self._grad_monomials, np.asarray(x, dtype=float))
+        return np.bincount(self._grad_rows, weights=self._grad_coeffs * m[self._grad_cols],
+                           minlength=self.dim)
 
     def hessian(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        H = np.zeros((self.dim, self.dim))
-        for coeff, exps in self.terms:
-            for k, ek in enumerate(exps):
-                if ek == 0:
-                    continue
-                for l, el in enumerate(exps):
-                    factor = ek * (ek - 1) if l == k else ek * el
-                    if factor == 0:
-                        continue
-                    prod = coeff * factor
-                    for m, em in enumerate(exps):
-                        p = em - (2 if (m == k and l == k) else (1 if m in (k, l) else 0))
-                        if p:
-                            prod *= x[m] ** p
-                    H[k, l] += prod
-        return 0.5 * (H + H.T)
+        m = self._monomials(self._hess_monomials, np.asarray(x, dtype=float))
+        flat = np.bincount(self._hess_rows, weights=self._hess_coeffs * m[self._hess_cols],
+                           minlength=self.dim * self.dim)
+        return flat.reshape(self.dim, self.dim)
 
 
 @dataclass(frozen=True)
@@ -111,14 +154,16 @@ class HamiltonianField:
 
     H: PolynomialHamiltonian
     lam: float
+    _lam_J: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_lam_J", self.lam * standard_symplectic(self.H.dim // 2))
 
     def __call__(self, x) -> np.ndarray:
-        J = standard_symplectic(self.H.dim // 2)
-        return self.lam * (J @ self.H.gradient(x))
+        return self._lam_J @ self.H.gradient(x)
 
     def jacobian(self, x) -> np.ndarray:
-        J = standard_symplectic(self.H.dim // 2)
-        return self.lam * (J @ self.H.hessian(x))
+        return self._lam_J @ self.H.hessian(x)
 
 
 @dataclass(frozen=True)
@@ -152,7 +197,8 @@ def flow(field, x0, T: float, rtol: float = 1e-10, atol: float = 1e-10,
          domain_bound: float = 1e6, dense: bool = False) -> FlowResult:
     """Integrate the field and its variational equations over [0, T].
 
-    Uses an adaptive embedded 5(4) pair.  Exceeding ``domain_bound`` in norm or
+    Uses the DOP853 embedded 8(5,3) pair of Dormand and Prince (Hairer,
+    Norsett and Wanner, Solving ODEs I).  Exceeding ``domain_bound`` in norm or
     an integrator failure raises :class:`IntegrationError` with the exit time.
     """
     x0 = np.asarray(x0, dtype=float)
@@ -179,7 +225,7 @@ def flow(field, x0, T: float, rtol: float = 1e-10, atol: float = 1e-10,
         rhs,
         (0.0, T),
         y0,
-        method="RK45",
+        method="DOP853",
         rtol=max(rtol * _SAFETY, 1e-13),
         atol=max(atol * _SAFETY, 1e-14),
         events=escape,
@@ -259,9 +305,7 @@ def _orbit_diagnostics(H, equilibrium, x0, lam, config, dense_sol):
     n = x0.size
     states = dense_sol(ts)[:n, :]
     amplitude = float(np.max(np.linalg.norm(states - equilibrium[:, None], axis=0)))
-    h0 = H.value(x0)
-    energies = np.array([H.value(states[:, k]) for k in range(ts.size)])
-    drift = float(np.max(np.abs(energies - h0)))
+    drift = float(np.max(np.abs(H.value(states.T) - H.value(x0))))
     return amplitude, drift
 
 
@@ -315,7 +359,7 @@ def correct_orbit(H: PolynomialHamiltonian, guess: PeriodicOrbit,
     residual = math.inf
     dense = None
     for _ in range(config.max_corrector_iters):
-        if not (config.lambda_min / 10.0 < lam < config.lambda_max * 10.0):
+        if not (max(config.lambda_min / 10.0, 0.0) < lam < config.lambda_max * 10.0):
             raise CorrectorError(f"lambda {lam:g} left the trust window", residual=residual)
         defect, monodromy, dlam, dense = _shoot(H, equilibrium, x0, lam, config)
         phase = float(f_ref @ (x0 - x_ref))
@@ -424,7 +468,6 @@ def continue_branch(H: PolynomialHamiltonian, seed: PeriodicOrbit,
         if not (config.lambda_min < current.lam < config.lambda_max):
             termination = "domain_boundary"
             break
-        assert current.lam > 0.0, "lambda reached the boundary of the admissible window"
 
         z_now = np.concatenate([current.x0, [current.lam]])
         z_prev = np.concatenate([previous.x0, [previous.lam]])
@@ -438,19 +481,21 @@ def continue_branch(H: PolynomialHamiltonian, seed: PeriodicOrbit,
         stepped = False
         while h >= config.min_step:
             z_pred = z_now + h * tangent
-            guess = PeriodicOrbit(
-                x0=z_pred[:n],
-                lam=float(z_pred[n]),
-                amplitude=max(current.amplitude, config.seed_amplitude),
-                residual=math.inf,
-                energy_drift=math.inf,
-            )
             try:
+                if z_pred[n] <= 0.0:
+                    raise CorrectorError("predicted lambda is not positive", residual=math.inf)
+                guess = PeriodicOrbit(
+                    x0=z_pred[:n],
+                    lam=float(z_pred[n]),
+                    amplitude=max(current.amplitude, config.seed_amplitude),
+                    residual=math.inf,
+                    energy_drift=math.inf,
+                )
                 nxt = correct_orbit(
                     H, guess, config, equilibrium,
                     constraint=_arclength_constraint(tangent, z_pred, n),
                 )
-            except (CorrectorError, IntegrationError, ValueError):
+            except (CorrectorError, IntegrationError):
                 h *= 0.5
                 streak = 0
                 continue

@@ -48,6 +48,108 @@ def guess(x0, lam, amplitude):
     )
 
 
+def reference_value(H, x):
+    """H(x) term by term, the definition the compiled tables must reproduce."""
+    return sum(c * math.prod(float(x[k]) ** e for k, e in enumerate(exps)) for c, exps in H.terms)
+
+
+def reference_gradient(H, x):
+    g = np.zeros(H.dim)
+    for c, exps in H.terms:
+        for k, ek in enumerate(exps):
+            if ek:
+                lowered = list(exps)
+                lowered[k] -= 1
+                g[k] += c * ek * math.prod(float(x[m]) ** p for m, p in enumerate(lowered))
+    return g
+
+
+def reference_hessian(H, x):
+    hess = np.zeros((H.dim, H.dim))
+    for c, exps in H.terms:
+        for k in range(H.dim):
+            for l in range(H.dim):
+                lowered = list(exps)
+                factor = lowered[k]
+                lowered[k] -= 1
+                factor *= lowered[l]
+                lowered[l] -= 1
+                if factor:
+                    hess[k, l] += c * factor * math.prod(float(x[m]) ** p for m, p in enumerate(lowered))
+    return hess
+
+
+def random_polynomial(rng, dim, count):
+    """Constant, linear and random terms of degree <= 5 with repeated monomials."""
+    terms = [(float(rng.normal()), (0,) * dim)]
+    for k in range(dim):
+        e = [0] * dim
+        e[k] = 1
+        terms.append((float(rng.normal()), tuple(e)))
+    for _ in range(count):
+        e = [0] * dim
+        for k in rng.choice(dim, size=int(rng.integers(1, min(dim, 3) + 1)), replace=False):
+            e[k] = int(rng.integers(1, 4))
+        terms.append((float(rng.normal()), tuple(e)))
+    terms.append(terms[-1])  # the same monomial twice
+    return PolynomialHamiltonian(dim, tuple(terms))
+
+
+def table_bytes(H):
+    """Bytes held by the compiled numpy tables of H."""
+    return sum(v.nbytes for v in vars(H).values() if isinstance(v, np.ndarray))
+
+
+class TestCompiledPolynomial:
+    def test_matches_reference_loop(self, rng):
+        for dim in (2, 4, 6):
+            for _ in range(4):
+                H = random_polynomial(rng, dim, count=8)
+                points = rng.uniform(-1.5, 1.5, (6, dim))
+                points[1] = 0.0  # every 0**0
+                points[2, ::2] = 0.0
+                for x in points:
+                    v = reference_value(H, x)
+                    assert H.value(x) == pytest.approx(v, rel=1e-12, abs=1e-12)
+                    assert isinstance(H.value(x), float)
+                    g = reference_gradient(H, x)
+                    assert np.allclose(H.gradient(x), g, rtol=1e-12, atol=1e-12)
+                    hess = reference_hessian(H, x)
+                    assert np.allclose(H.hessian(x), hess, rtol=1e-12, atol=1e-12)
+                    assert np.array_equal(H.hessian(x), H.hessian(x).T)
+
+    def test_batched_value_matches_pointwise(self, rng):
+        H = random_polynomial(rng, 4, count=10)
+        points = rng.uniform(-1.0, 1.0, (256, 4))
+        points[:5] = 0.0
+        batched = H.value(points)
+        assert batched.shape == (256,)
+        assert np.allclose(batched, [reference_value(H, x) for x in points], rtol=1e-12, atol=1e-12)
+        assert np.allclose(H.value(points.reshape(16, 16, 4)), batched.reshape(16, 16))
+
+    def test_constant_and_empty_polynomials(self):
+        const = PolynomialHamiltonian(2, ((2.5, (0, 0)),))
+        assert const.value([-1.0, 3.0]) == 2.5
+        assert np.array_equal(const.gradient([-1.0, 3.0]), np.zeros(2))
+        assert np.array_equal(const.hessian([-1.0, 3.0]), np.zeros((2, 2)))
+        empty = PolynomialHamiltonian(2, ((0.0, (1, 1)),))
+        assert empty.terms == ()
+        assert empty.value([1.0, 1.0]) == 0.0
+        assert np.array_equal(empty.hessian([1.0, 1.0]), np.zeros((2, 2)))
+
+    def test_64_dim_quadratic_compiles_small(self, rng):
+        A = rng.uniform(-1, 1, (64, 64))
+        A = 0.5 * (A + A.T)
+        H = PolynomialHamiltonian.from_quadratic(A)
+        assert len(H.terms) == 64 * 65 // 2
+        # a dense (dim, dim, terms, dim) exponent table would take about 4 GB
+        assert table_bytes(H) < 2**20
+        x = rng.uniform(-1, 1, 64)
+        assert H.value(x) == pytest.approx(0.5 * x @ A @ x, rel=1e-12)
+        assert np.allclose(H.gradient(x), A @ x, rtol=1e-12, atol=1e-12)
+        assert np.allclose(H.hessian(x), A, rtol=1e-12, atol=1e-12)
+
+
 class TestPolynomialHamiltonian:
     def test_quadratic_roundtrip(self, rng):
         A = rng.uniform(-1, 1, (4, 4))
@@ -201,6 +303,29 @@ class TestBranch:
         branch = continue_branch(H, seed, ContinuationConfig(amplitude_target=0.3), beta0=1.0)
         assert all(o.lam > 0.0 for o in branch.orbits)
 
+    def test_nonpositive_predicted_lambda_halves_the_step(self, monkeypatch):
+        import hambif.continuation as continuation
+
+        # secant anchors heading down in lambda: the first prediction lands at lam < 0
+        anchors = [guess([0.01, 0.0], 0.02, 0.01), guess([0.02, 0.0], 0.01, 0.02)]
+        predicted = []
+
+        def fake_correct(H, g, config, equilibrium=None, constraint=None):
+            if anchors:
+                return anchors.pop(0)
+            predicted.append(g.lam)
+            return guess(g.x0, g.lam, 1.0)
+
+        monkeypatch.setattr(continuation, "correct_orbit", fake_correct)
+        H = quartic_radial()
+        seed = seed_from_linearization(np.eye(2), 1.0, 0.01)
+        config = ContinuationConfig(lambda_min=1e-6, amplitude_target=0.5)
+        branch = continue_branch(H, seed, config, beta0=1.0)
+        assert branch.termination == "amplitude_target"
+        assert len(branch.orbits) == 3
+        # h = 0.02 predicts lam = 0.01 - 0.02/sqrt(2) < 0; the halved step is accepted
+        assert predicted == [pytest.approx(0.01 - 0.01 / math.sqrt(2.0))]
+
     def test_hopeless_seed_gives_empty_branch(self):
         H = PolynomialHamiltonian.from_quadratic(np.eye(2))
         bad = guess([0.05, 0.0], 0.2, 0.05)  # far off the level grid
@@ -269,6 +394,20 @@ class TestOrbitInvariants:
         for orbit in branch.orbits:
             assert orbit.residual <= cfg.corrector_tol
             assert orbit.energy_drift <= 10.0 * cfg.integrator_atol * (1.0 + abs(H.value(orbit.x0)))
+
+    def test_accuracy_headroom_on_quartic_branch(self):
+        # the acceptance bounds are 1e-5 on lambda and 1e-8 on drift; the
+        # shooting layer holds both with orders of magnitude to spare
+        H = quartic_radial()
+        branch = continue_branch(
+            H, seed_from_linearization(np.eye(2), 1.0, 0.01),
+            ContinuationConfig(amplitude_target=0.35), beta0=1.0,
+        )
+        assert branch.termination == "amplitude_target"
+        assert branch.orbits[-1].amplitude >= 0.35
+        lam_error = max(abs(o.lam - 1.0 / (1.0 + o.amplitude ** 2)) for o in branch.orbits)
+        assert lam_error < 1e-9
+        assert max(o.energy_drift for o in branch.orbits) < 1e-10
 
     def test_reintegration_consistency(self):
         H = quartic_radial()

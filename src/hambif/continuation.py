@@ -10,10 +10,9 @@ pseudo-arclength steps in (x0, lambda).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import CorrectorError, EigenvalueNotFoundError, IntegrationError
 from .linalg import as_symmetric, standard_symplectic
@@ -23,6 +22,11 @@ TWO_PI = 2.0 * math.pi
 # solve_ivp controls the local error; run it below the advertised tolerance so
 # accumulated drift over one period stays within the 10x-tolerance contract
 _SAFETY = 1.0e-2
+
+# _orbit_diagnostics refines the amplitude over _ZOOMS grids of 2 * _ZOOM + 1
+# points, each _ZOOM times finer than the last
+_ZOOM = 8
+_ZOOMS = 6
 
 
 def _divide(factors, k: int) -> tuple[tuple[int, int], ...]:
@@ -72,47 +76,49 @@ class PolynomialHamiltonian:
         self._compile()
 
     def _compile(self) -> None:
-        dim = self.dim
+        dim, half = self.dim, self.dim // 2
         # a monomial as its (variable, power) factors with nonzero power
         monomials = [tuple((k, e) for k, e in enumerate(exps) if e) for _, exps in self.terms]
         first: dict = {}
         second: dict = {}
-        grad_rows, grad_cols, grad_coeffs = [], [], []
-        hess_rows, hess_cols, hess_coeffs = [], [], []
+        both: dict = {}
+        grad, hess, jet = [], [], []  # (output index, monomial, coefficient)
         for (coeff, _), factors in zip(self.terms, monomials):
             for k, ek in factors:
                 d1 = _divide(factors, k)
-                grad_rows.append(k)
-                grad_cols.append(first.setdefault(d1, len(first)))
-                grad_coeffs.append(coeff * ek)
+                grad.append((k, first.setdefault(d1, len(first)), coeff * ek))
+                # J = [[0, I], [-I, 0]] as a signed row permutation
+                row, sign = (k - half, 1.0) if k >= half else (k + half, -1.0)
+                jet.append((row, both.setdefault(d1, len(both)), sign * coeff * ek))
                 # both orders (k, l) and (l, k), each with the same integer
                 # factor, so the assembled hessian is exactly symmetric
                 for l, el in d1:
-                    hess_rows.append(k * dim + l)
-                    hess_cols.append(second.setdefault(_divide(d1, l), len(second)))
-                    hess_coeffs.append(coeff * (ek * el))
+                    d2 = _divide(d1, l)
+                    hess.append((k * dim + l, second.setdefault(d2, len(second)), coeff * (ek * el)))
+                    jet.append((dim + row * dim + l, both.setdefault(d2, len(both)),
+                                sign * coeff * (ek * el)))
         degrees = np.arange(max((max(e) for _, e in self.terms), default=0) + 1)
         stride = degrees.size
         tables = {
             "coeffs": np.array([c for c, _ in self.terms], dtype=float),
             "value_monomials": _factor_table(monomials, stride),
-            "grad_monomials": _factor_table(list(first), stride),
-            "grad_rows": np.array(grad_rows, dtype=np.intp),
-            "grad_cols": np.array(grad_cols, dtype=np.intp),
-            "grad_coeffs": np.array(grad_coeffs, dtype=float),
-            "hess_monomials": _factor_table(list(second), stride),
-            "hess_rows": np.array(hess_rows, dtype=np.intp),
-            "hess_cols": np.array(hess_cols, dtype=np.intp),
-            "hess_coeffs": np.array(hess_coeffs, dtype=float),
             "degrees": degrees,
         }
+        for name, found, triplets in (("grad", first, grad), ("hess", second, hess), ("jet", both, jet)):
+            tables[f"{name}_monomials"] = _factor_table(list(found), stride)
+            rows, cols, coeffs = zip(*triplets) if triplets else ((), (), ())
+            tables[f"{name}_rows"] = np.array(rows, dtype=np.intp)
+            tables[f"{name}_cols"] = np.array(cols, dtype=np.intp)
+            tables[f"{name}_coeffs"] = np.array(coeffs, dtype=float)
         for name, table in tables.items():
             object.__setattr__(self, f"_{name}", table)
 
     def _monomials(self, table, x) -> np.ndarray:
         """The monomials of ``table`` at x, over x's last axis."""
         powers = (x[..., None] ** self._degrees).reshape(x.shape[:-1] + (-1,))
-        return powers[..., table].prod(axis=-1)
+        # take and multiply.reduce: the same values as fancy indexing and
+        # prod, with less call overhead per right-hand side
+        return np.multiply.reduce(powers.take(table, axis=-1), axis=-1)
 
     @classmethod
     def from_quadratic(cls, A) -> "PolynomialHamiltonian":
@@ -138,32 +144,39 @@ class PolynomialHamiltonian:
 
     def gradient(self, x) -> np.ndarray:
         m = self._monomials(self._grad_monomials, np.asarray(x, dtype=float))
-        return np.bincount(self._grad_rows, weights=self._grad_coeffs * m[self._grad_cols],
+        return np.bincount(self._grad_rows, weights=self._grad_coeffs * m.take(self._grad_cols),
                            minlength=self.dim)
 
     def hessian(self, x) -> np.ndarray:
         m = self._monomials(self._hess_monomials, np.asarray(x, dtype=float))
-        flat = np.bincount(self._hess_rows, weights=self._hess_coeffs * m[self._hess_cols],
+        flat = np.bincount(self._hess_rows, weights=self._hess_coeffs * m.take(self._hess_cols),
                            minlength=self.dim * self.dim)
         return flat.reshape(self.dim, self.dim)
+
+    def symplectic_derivatives(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """J grad H(x) and J hess H(x) from one evaluation of the combined table."""
+        m = self._monomials(self._jet_monomials, np.asarray(x, dtype=float))
+        flat = np.bincount(self._jet_rows, weights=self._jet_coeffs * m.take(self._jet_cols),
+                           minlength=self.dim * (self.dim + 1))
+        return flat[:self.dim], flat[self.dim:].reshape(self.dim, self.dim)
 
 
 @dataclass(frozen=True)
 class HamiltonianField:
-    """x -> lam * J * grad H(x), with the matching Jacobian for variational runs."""
+    """x -> lam * J * grad H(x), with its variational equation for shooting."""
 
     H: PolynomialHamiltonian
     lam: float
-    _lam_J: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_lam_J", self.lam * standard_symplectic(self.H.dim // 2))
 
     def __call__(self, x) -> np.ndarray:
-        return self._lam_J @ self.H.gradient(x)
+        g = self.H.gradient(x)
+        half = g.size // 2
+        return self.lam * np.concatenate([g[half:], -g[:half]])  # lam * J g
 
-    def jacobian(self, x) -> np.ndarray:
-        return self._lam_J @ self.H.hessian(x)
+    def variational(self, x, Phi) -> tuple[np.ndarray, np.ndarray]:
+        """The field at x and its Jacobian applied to Phi."""
+        Jg, JH = self.H.symplectic_derivatives(x)
+        return self.lam * Jg, self.lam * (JH @ Phi)
 
 
 @dataclass(frozen=True)
@@ -175,8 +188,9 @@ class LinearField:
     def __call__(self, x) -> np.ndarray:
         return self.M @ np.asarray(x, dtype=float)
 
-    def jacobian(self, x) -> np.ndarray:
-        return np.asarray(self.M, dtype=float)
+    def variational(self, x, Phi) -> tuple[np.ndarray, np.ndarray]:
+        M = np.asarray(self.M, dtype=float)
+        return M @ x, M @ Phi
 
 
 def gradient_field(H: PolynomialHamiltonian, lam: float) -> HamiltonianField:
@@ -198,20 +212,26 @@ def flow(field, x0, T: float, rtol: float = 1e-10, atol: float = 1e-10,
     """Integrate the field and its variational equations over [0, T].
 
     Uses the DOP853 embedded 8(5,3) pair of Dormand and Prince (Hairer,
-    Norsett and Wanner, Solving ODEs I).  Exceeding ``domain_bound`` in norm or
-    an integrator failure raises :class:`IntegrationError` with the exit time.
+    Norsett and Wanner, Solving ODEs I).  The field's ``variational(x, Phi)``
+    returns the field at x and its Jacobian applied to Phi in one call; for a
+    :class:`HamiltonianField` both come from one evaluation of the combined
+    table of J grad H and J hess H.  The error is controlled per component:
+    the state runs ``_SAFETY`` below ``rtol``/``atol`` so that the energy
+    drift over a period stays within ten times the tolerance, while the
+    monodromy, which only steers Newton, runs at ``rtol``/``atol`` itself.
+    Exceeding ``domain_bound`` in norm or an integrator failure raises
+    :class:`IntegrationError` with the exit time.
     """
+    from scipy.integrate import solve_ivp  # the only user of scipy.integrate
+
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
-    jac = getattr(field, "jacobian", None)
-    if jac is None:
-        raise ValueError("field must expose a jacobian for variational integration")
+    variational = getattr(field, "variational", None)
+    if variational is None:
+        raise ValueError("field must expose variational(x, Phi) for variational integration")
 
     def rhs(t, y):
-        x = y[:n]
-        Phi = y[n:].reshape(n, n)
-        dx = field(x)
-        dPhi = jac(x) @ Phi
+        dx, dPhi = variational(y[:n], y[n:].reshape(n, n))
         return np.concatenate([dx, dPhi.ravel()])
 
     def escape(t, y):
@@ -220,14 +240,18 @@ def flow(field, x0, T: float, rtol: float = 1e-10, atol: float = 1e-10,
     escape.terminal = True
     escape.direction = 1.0
 
+    rtols = np.full(n + n * n, max(rtol, 1e-13))
+    atols = np.full(n + n * n, max(atol, 1e-14))
+    rtols[:n] = max(rtol * _SAFETY, 1e-13)
+    atols[:n] = max(atol * _SAFETY, 1e-14)
     y0 = np.concatenate([x0, np.eye(n).ravel()])
     sol = solve_ivp(
         rhs,
         (0.0, T),
         y0,
         method="DOP853",
-        rtol=max(rtol * _SAFETY, 1e-13),
-        atol=max(atol * _SAFETY, 1e-14),
+        rtol=rtols,
+        atol=atols,
         events=escape,
         dense_output=dense,
     )
@@ -296,17 +320,48 @@ class ContinuationConfig:
     domain_bound: float = 100.0
     sample_points: int = 256
 
+    def __post_init__(self):
+        """Refuse only settings with which no branch can be traced."""
+        positive = ("corrector_tol", "integrator_rtol", "integrator_atol", "seed_amplitude",
+                    "initial_step", "min_step", "max_step", "domain_bound")
+        for name in positive:
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
+        if not self.min_step <= self.max_step:
+            raise ValueError("min_step must not exceed max_step")
+        if not self.growth >= 1.0:
+            raise ValueError("growth must be at least 1")
+        if self.max_corrector_iters < 1:
+            raise ValueError("max_corrector_iters must be at least 1")
+        if not self.lambda_min < self.lambda_max:
+            raise ValueError("lambda_min must be below lambda_max")
+        if self.sample_points < 2:
+            raise ValueError("sample_points must be at least 2")
+
 
 DEFAULT_CONFIG = ContinuationConfig()
 
 
 def _orbit_diagnostics(H, equilibrium, x0, lam, config, dense_sol):
-    ts = np.linspace(0.0, TWO_PI, config.sample_points)
+    """Amplitude (largest distance from the equilibrium) and energy drift of
+    the orbit, read from its dense interpolant: the drift over
+    ``sample_points`` equally spaced samples, the amplitude from the best
+    sample refined by zooming in on its neighbourhood."""
     n = x0.size
+    ts = np.linspace(0.0, TWO_PI, config.sample_points)
     states = dense_sol(ts)[:n, :]
-    amplitude = float(np.max(np.linalg.norm(states - equilibrium[:, None], axis=0)))
     drift = float(np.max(np.abs(H.value(states.T) - H.value(x0))))
-    return amplitude, drift
+    distances = np.linalg.norm(states - equilibrium[:, None], axis=0)
+    best = int(np.argmax(distances))
+    t, amplitude, width = ts[best], distances[best], ts[1] - ts[0]
+    for _ in range(_ZOOMS):
+        # the grid keeps t at its centre, so the amplitude never decreases
+        grid = t + np.linspace(-width, width, 2 * _ZOOM + 1)
+        states = dense_sol(np.mod(grid, TWO_PI))[:n, :]
+        distances = np.linalg.norm(states - equilibrium[:, None], axis=0)
+        best = int(np.argmax(distances))
+        t, amplitude, width = grid[best], distances[best], width / _ZOOM
+    return float(amplitude), drift
 
 
 def _shoot(H, equilibrium, x0, lam, config):
@@ -414,6 +469,28 @@ def seed_from_linearization(A, beta0: float, amplitude: float,
     )
 
 
+def _extrapolate(points, s, h):
+    """Point and unit tangent at chord length ``s[-1] + h`` on the polynomial
+    that interpolates ``points`` at chord lengths ``s``: the secant through two
+    points, a quadratic through three (Allgower and Georg, Introduction to
+    Numerical Continuation Methods, ch. 6)."""
+    s = [float(v) for v in s]
+    t = s[-1] + h
+    weights, slopes = [], []  # the Lagrange basis and its derivative at t
+    for i, si in enumerate(s):
+        others = s[:i] + s[i + 1:]
+        denom = math.prod(si - sj for sj in others)
+        weights.append(math.prod(t - sj for sj in others) / denom)
+        slopes.append(sum(math.prod(t - sk for k, sk in enumerate(others) if k != j)
+                          for j in range(len(others))) / denom)
+    value = np.array(weights) @ points
+    slope = np.array(slopes) @ points
+    norm = np.linalg.norm(slope)
+    if not 0.0 < norm < math.inf:
+        raise CorrectorError("predictor tangent vanished", residual=math.inf)
+    return value, slope / norm
+
+
 def _arclength_constraint(tangent, z_pred, n):
     def constraint(x, lam_):
         z = np.concatenate([x, [lam_]])
@@ -458,7 +535,7 @@ def continue_branch(H: PolynomialHamiltonian, seed: PeriodicOrbit,
     streak = 0
     termination = "step_budget"
     for _ in range(config.max_steps):
-        current, previous = orbits[-1], orbits[-2]
+        current = orbits[-1]
         if current.amplitude >= config.amplitude_cap or (
             config.amplitude_target is not None
             and current.amplitude >= config.amplitude_target
@@ -469,19 +546,18 @@ def continue_branch(H: PolynomialHamiltonian, seed: PeriodicOrbit,
             termination = "domain_boundary"
             break
 
-        z_now = np.concatenate([current.x0, [current.lam]])
-        z_prev = np.concatenate([previous.x0, [previous.lam]])
-        tangent = z_now - z_prev
-        norm_t = np.linalg.norm(tangent)
-        if norm_t == 0.0:
+        # predict along the secant of the last two orbits, or along the
+        # quadratic in chord length through the last three once there are three
+        points = np.array([np.concatenate([o.x0, [o.lam]]) for o in orbits[-3:]])
+        chords = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(points, axis=0), axis=1))])
+        if not np.all(np.diff(chords) > 0.0):
             termination = "corrector_failure"
             break
-        tangent = tangent / norm_t
 
         stepped = False
         while h >= config.min_step:
-            z_pred = z_now + h * tangent
             try:
+                z_pred, tangent = _extrapolate(points, chords, h)
                 if z_pred[n] <= 0.0:
                     raise CorrectorError("predicted lambda is not positive", residual=math.inf)
                 guess = PeriodicOrbit(

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import hambif
 from hambif import (
     ContinuationConfig,
     CorrectorError,
@@ -137,6 +142,17 @@ class TestCompiledPolynomial:
         assert empty.value([1.0, 1.0]) == 0.0
         assert np.array_equal(empty.hessian([1.0, 1.0]), np.zeros((2, 2)))
 
+    def test_symplectic_derivatives_match_J_gradient_and_hessian(self, rng):
+        for dim in (2, 4, 6, 8):
+            J = standard_symplectic(dim // 2)
+            for _ in range(4):
+                H = random_polynomial(rng, dim, count=2 * dim)
+                for x in rng.uniform(-1.5, 1.5, (4, dim)):
+                    Jg, JH = H.symplectic_derivatives(x)
+                    for fused, reference in ((Jg, J @ H.gradient(x)), (JH, J @ H.hessian(x))):
+                        assert fused.shape == reference.shape
+                        assert np.linalg.norm(fused - reference) <= 1e-13 * np.linalg.norm(reference)
+
     def test_64_dim_quadratic_compiles_small(self, rng):
         A = rng.uniform(-1, 1, (64, 64))
         A = 0.5 * (A + A.T)
@@ -210,6 +226,42 @@ class TestFlow:
             result = flow(LinearField(M), rng.uniform(-0.5, 0.5, 2), TWO_PI)
             assert np.allclose(result.monodromy, scipy.linalg.expm(TWO_PI * M), atol=1e-7)
 
+    def test_hamiltonian_monodromy_is_exponential_and_symplectic(self, rng):
+        # the variational components run at the advertised tolerance, not
+        # below it like the state; the monodromy must stay accurate
+        for dim in (2, 4):
+            B = rng.uniform(-0.5, 0.5, (dim, dim))
+            A = B @ B.T + 0.5 * np.eye(dim)
+            lam = float(rng.uniform(0.5, 1.2))
+            J = standard_symplectic(dim // 2)
+            field = gradient_field(PolynomialHamiltonian.from_quadratic(A), lam)
+            Phi = flow(field, rng.uniform(-0.5, 0.5, dim), TWO_PI).monodromy
+            assert np.max(np.abs(Phi - scipy.linalg.expm(TWO_PI * lam * J @ A))) < 1e-8
+            assert np.max(np.abs(Phi.T @ J @ Phi - J)) < 1e-8
+
+    def test_quartic_period_rhs_budget(self):
+        class Counting:
+            def __init__(self, field):
+                self.field, self.calls = field, 0
+
+            def variational(self, x, Phi):
+                self.calls += 1
+                return self.field.variational(x, Phi)
+
+        field = Counting(gradient_field(quartic_radial(), 1.0))
+        flow(field, np.array([0.3, 0.0]), TWO_PI, dense=True)
+        # 557 when every component ran below the advertised tolerance
+        assert field.calls <= 470
+
+    def test_import_leaves_scipy_integrate_unloaded(self):
+        # flow imports scipy.integrate on first use; the package import must not
+        src = str(Path(hambif.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, hambif; print('scipy.integrate' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120).stdout
+        assert out.strip() == "False"
+
     def test_energy_conservation(self):
         H = quartic_radial()
         field = gradient_field(H, 1.0)
@@ -226,6 +278,32 @@ class TestFlow:
             flow(LinearField(M), np.array([1.0, 0.0]), 20.0, domain_bound=10.0)
         assert info.value.exit_time is not None
         assert 0.0 < info.value.exit_time < 20.0
+
+
+class TestContinuationConfig:
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"sample_points": 0},
+            {"sample_points": 1},
+            {"corrector_tol": 0.0},
+            {"integrator_rtol": -1e-10},
+            {"integrator_atol": 0.0},
+            {"seed_amplitude": 0.0},
+            {"initial_step": 0.0},
+            {"min_step": -1e-6},
+            {"max_step": 0.0},
+            {"domain_bound": 0.0},
+            {"min_step": 0.2, "max_step": 0.1},
+            {"growth": 0.9},
+            {"max_corrector_iters": 0},
+            {"lambda_min": 2.0, "lambda_max": 2.0},
+            {"corrector_tol": math.nan},
+        ],
+    )
+    def test_unusable_settings_rejected(self, settings):
+        with pytest.raises(ValueError):
+            ContinuationConfig(**settings)
 
 
 class TestCorrector:
@@ -249,6 +327,21 @@ class TestCorrector:
         with pytest.raises(CorrectorError) as info:
             correct_orbit(H, guess([0.1, 0.0], 0.2, 0.1), ContinuationConfig(max_corrector_iters=6))
         assert info.value.residual is None or info.value.residual >= 0.0
+
+
+class TestOrbitAmplitude:
+    def test_duffing_amplitude_is_reached_between_samples(self):
+        # H = (q^2 + p^2)/2 + q^4/4: on a level set q^2 + p^2 = 2H - q^4/2, so
+        # the largest distance from the origin is sqrt(2H), reached at q = 0;
+        # r is flat to fourth order there, so a coarse grid of 16 samples is
+        # what a missing refinement fails on (1.5e-6 low from (0.6, -0.3))
+        H = PolynomialHamiltonian(2, ((0.5, (2, 0)), (0.5, (0, 2)), (0.25, (4, 0))))
+        for x0 in ((0.4, 0.25), (0.6, -0.3), (0.2, 0.45), (0.55, 0.05)):
+            r = float(np.hypot(*x0))
+            for samples in (256, 16):
+                orbit = correct_orbit(H, guess(x0, 1.0 / (1.0 + 0.375 * r * r), r),
+                                      ContinuationConfig(sample_points=samples))
+                assert abs(orbit.amplitude - math.sqrt(2.0 * H.value(orbit.x0))) < 1e-10
 
 
 class TestSeeding:
@@ -325,6 +418,26 @@ class TestBranch:
         assert len(branch.orbits) == 3
         # h = 0.02 predicts lam = 0.01 - 0.02/sqrt(2) < 0; the halved step is accepted
         assert predicted == [pytest.approx(0.01 - 0.01 / math.sqrt(2.0))]
+
+    def test_predictor_is_secant_through_two_and_quadratic_through_three(self):
+        from hambif.continuation import _extrapolate
+
+        def chords(points):
+            return np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(points, axis=0), axis=1))])
+
+        two = np.array([[0.0, 1.0], [0.3, 0.6]])
+        z, tangent = _extrapolate(two, chords(two), 0.25)
+        assert np.allclose(tangent, [0.6, -0.8]) and np.allclose(z, [0.45, 0.4])
+        # through three points of a line the quadratic is that line
+        line = np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 4.0]])
+        z, tangent = _extrapolate(line, chords(line), math.sqrt(5.0))
+        assert np.allclose(z, [3.0, 6.0]) and np.allclose(tangent, np.array([1.0, 2.0]) / math.sqrt(5.0))
+        # on the parabola y = x^2 the quadratic lands much nearer the curve
+        curve = np.array([[t, t * t] for t in (0.0, 0.05, 0.1)])
+        s = chords(curve)
+        off_curve = [abs(z[1] - z[0] ** 2) for z in (_extrapolate(curve, s, 0.05)[0],
+                                                    _extrapolate(curve[1:], s[1:] - s[1], 0.05)[0])]
+        assert off_curve[0] < 0.1 * off_curve[1]
 
     def test_hopeless_seed_gives_empty_branch(self):
         H = PolynomialHamiltonian.from_quadratic(np.eye(2))

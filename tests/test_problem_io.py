@@ -91,6 +91,14 @@ class TestParsing:
         with pytest.raises(SpecError):
             parse_problem(json.dumps(data))
 
+    def test_unusable_continuation_settings_rejected(self):
+        data = json.loads(quartic_spec())
+        data["analysis"]["continuation"]["sample_points"] = 0
+        with pytest.raises(SpecError) as info:
+            parse_problem(json.dumps(data))
+        assert "sample_points" in str(info.value)
+        assert "analysis.continuation" in str(info.value)
+
     def test_problem_round_trip(self):
         spec = parse_problem(quartic_spec())
         text = emit_problem(spec)
@@ -216,6 +224,12 @@ class TestCli:
         data["analysis"]["betas"] = [7.0]  # not in the spectrum
         path = self.write(tmp_path, json.dumps(data))
         assert cli_main(["analyze", "--input", path]) == 3
+
+    def test_unusable_continuation_settings_exit_two(self, tmp_path):
+        data = json.loads(quartic_spec())
+        data["analysis"]["continuation"]["sample_points"] = 0
+        path = self.write(tmp_path, json.dumps(data))
+        assert cli_main(["analyze", "--input", path]) == 2
 
     def test_continue_requires_hamiltonian(self, tmp_path):
         path = self.write(tmp_path, oscillator_spec())

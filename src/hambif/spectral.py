@@ -126,8 +126,43 @@ def _kernel_profile(M: np.ndarray, beta: float, tol: TolerancePolicy, cap: int):
     return kernels, ranks, worst
 
 
+class _OneMatrixMemo:
+    """Results of the pure spectral steps for the most recent matrix only.
+
+    Every stage of an analysis asks again for the spectrum of the same
+    ``J A``; keeping the last matrix's results makes those repeats free,
+    while memory stays bounded by one matrix however many problems a process
+    analyzes.  A matrix is keyed by its bytes, so one changed in place is a
+    new matrix.  Values are pure functions of the key and are immutable, so
+    sharing them between callers is safe; failures are not stored.
+    """
+
+    def __init__(self):
+        self._entry: tuple = (None, {})
+
+    def lookup(self, M: np.ndarray, tol: TolerancePolicy, step, compute):
+        key = (M.shape, M.dtype.str, M.tobytes(), tol)
+        entry_key, results = self._entry
+        if entry_key != key:
+            results = {}
+            # a single reference swap: a concurrent caller never files its
+            # result under another matrix's key
+            self._entry = (key, results)
+        if step not in results:
+            results[step] = compute()
+        return results[step]
+
+
+_MEMO = _OneMatrixMemo()
+
+
 def _imaginary_clusters(M: np.ndarray, tol: TolerancePolicy):
     """Conjugate-pair frequencies (beta, multiplicity) plus leftover eigenvalues."""
+    clusters, others, band = _MEMO.lookup(M, tol, "clusters", lambda: _find_clusters(M, tol))
+    return clusters, np.array(others, dtype=complex), band
+
+
+def _find_clusters(M: np.ndarray, tol: TolerancePolicy):
     w = np.linalg.eigvals(M)
     N = M.shape[0] // 2
     scale = max(1.0, matrix_norm(M))
@@ -168,7 +203,7 @@ def _imaginary_clusters(M: np.ndarray, tol: TolerancePolicy):
         else:
             others.extend(members)
     others.extend(lower)
-    return sorted(clusters), np.array(others, dtype=complex), band
+    return tuple(sorted(clusters)), tuple(others), band
 
 
 def jordan_partition(
@@ -193,6 +228,17 @@ def jordan_partition(
             raise EigenvalueNotFoundError(f"i*{beta} is not an eigenvalue within tolerance")
         algebraic_mult = match[0][1]
 
+    sizes, note = _MEMO.lookup(
+        M, tol, ("staircase", beta, algebraic_mult),
+        lambda: _rank_staircase(M, beta, tol, algebraic_mult),
+    )
+    if note is not None:
+        warnings.warn(note, ConditioningWarning, stacklevel=2)
+    return sizes
+
+
+def _rank_staircase(M: np.ndarray, beta: float, tol: TolerancePolicy, algebraic_mult: int):
+    """Jordan block sizes of i*beta, plus the message of a marginal rank decision or None."""
     dim = M.shape[0]
     shifted = M.astype(complex) - 1j * beta * np.eye(dim)
     nrm = matrix_norm(shifted)
@@ -214,12 +260,11 @@ def jordan_partition(
         raise EigenvalueNotFoundError(
             f"rank staircase of i*{beta} never exhausted multiplicity {algebraic_mult}"
         )
+    note = None
     if worst_margin < MARGIN_FLOOR:
-        warnings.warn(
+        note = (
             f"rank decision within factor {worst_margin:.2f} of the cutoff "
-            f"while separating Jordan blocks at beta={beta}",
-            ConditioningWarning,
-            stacklevel=2,
+            f"while separating Jordan blocks at beta={beta}"
         )
 
     blocks_ge = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
@@ -227,7 +272,7 @@ def jordan_partition(
     for size in range(len(blocks_ge), 0, -1):
         exactly = blocks_ge[size - 1] - (blocks_ge[size] if size < len(blocks_ge) else 0)
         sizes.extend([size] * exactly)
-    return tuple(sizes)
+    return tuple(sizes), note
 
 
 def spectral_summary(M, tol: TolerancePolicy = DEFAULT_TOL) -> SpectralSummary:

@@ -390,3 +390,31 @@ class TestNonresonance:
         report = nonresonance_and_branch_count(np.eye(2))
         assert report.flags[0][1] is True
         assert report.lower_bound == 1
+
+    def test_undecided_frequency_is_left_out_of_the_bound(self, monkeypatch):
+        """A Morse jump that stays inside the zero band at one frequency
+        drops that frequency from the lower bound instead of escaping, and
+        the analysis records it as a failed condition check."""
+        import json
+
+        import hambif.bifurcation as bif
+        from hambif import parse_problem, run_analysis
+
+        morse_jump = bif._morse_jump
+
+        def degenerate_at_one(A, j, lam0, mu, tol):
+            if abs(lam0 - 1.0) < 1e-9:
+                raise DegeneracyError("morse_index: eigenvalue inside the zero band")
+            return morse_jump(A, j, lam0, mu, tol)
+
+        monkeypatch.setattr(bif, "_morse_jump", degenerate_at_one)
+        A = oscillators(1.0, np.sqrt(2.0))
+        report = nonresonance_and_branch_count(A)
+        assert all(f for _, f in report.flags)
+        assert report.lower_bound == 1
+
+        problem = {"dim": 4, "equilibria": [{"point": [0.0] * 4, "hessian": A.tolist()}]}
+        entry = run_analysis(parse_problem(json.dumps(problem)))["equilibria"][0]
+        assert entry["nonresonance"]["lower_bound"] == 1
+        assert [c["beta0"] for c in entry["conditions"]] == [pytest.approx(np.sqrt(2.0))]
+        assert any("condition check at beta=1 failed" in e for e in entry["errors"])

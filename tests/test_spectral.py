@@ -3,6 +3,7 @@ import pytest
 
 from hambif import (
     BlockSpec,
+    ConditioningWarning,
     EigenvalueClass,
     ImaginaryEigenvalue,
     NormalForm,
@@ -15,6 +16,7 @@ from hambif import (
     random_symplectic,
     spectral_summary,
     standard_symplectic,
+    TolerancePolicy,
 )
 from hambif.errors import EigenvalueNotFoundError, StructureError
 
@@ -154,3 +156,138 @@ class TestInvariants:
     def test_validation_of_dataclass(self):
         with pytest.raises(ValueError):
             ImaginaryEigenvalue(beta=1.0, algebraic_mult=2, geometric_mult=1, jordan_partition=(1,))
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """An empty spectral memo, and the calls that reach the uncached steps:
+    one matrix digest per cluster search, (digest, beta, mult) per staircase."""
+    import hashlib
+
+    from hambif import spectral
+
+    monkeypatch.setattr(spectral, "_MEMO", spectral._OneMatrixMemo())
+    calls = {"clusters": [], "staircase": []}
+    find_clusters, rank_staircase = spectral._find_clusters, spectral._rank_staircase
+
+    def digest(M):
+        return hashlib.sha256(M.tobytes()).hexdigest()
+
+    def clusters(M, tol):
+        calls["clusters"].append(digest(M))
+        return find_clusters(M, tol)
+
+    def staircase(M, beta, tol, algebraic_mult):
+        calls["staircase"].append((digest(M), beta, algebraic_mult))
+        return rank_staircase(M, beta, tol, algebraic_mult)
+
+    monkeypatch.setattr(spectral, "_find_clusters", clusters)
+    monkeypatch.setattr(spectral, "_rank_staircase", staircase)
+    return calls
+
+
+class TestSpectralMemo:
+    """The spectrum of the last matrix is kept; a hit must read like a miss."""
+
+    def worked_example(self):
+        nf = NormalForm((BlockSpec(1.0, 5, -1), BlockSpec(1.0, 3, +1), BlockSpec(1.3, 2, +1)))
+        return conjugate(assemble_normal_form(nf), seed=7)
+
+    def test_hit_equals_miss(self, counted):
+        from hambif import spectral
+        from hambif.linalg import DEFAULT_TOL
+
+        M = self.worked_example()
+        miss_summary = spectral_summary(M)
+        miss_partition = jordan_partition(M, 1.0)
+        miss_clusters = spectral._imaginary_clusters(M, DEFAULT_TOL)
+        assert len(counted["clusters"]) == 1
+        # the summary's two frequencies, then 1.0 itself, which differs from
+        # the summary's estimate of it in the last bits
+        assert len(counted["staircase"]) == 3
+
+        assert spectral_summary(M.copy()) == miss_summary
+        assert jordan_partition(M.copy(), 1.0) == miss_partition == (5, 3)
+        hit_clusters = spectral._imaginary_clusters(M.copy(), DEFAULT_TOL)
+        assert hit_clusters[0] == miss_clusters[0]
+        assert np.array_equal(hit_clusters[1], miss_clusters[1])
+        assert hit_clusters[2] == miss_clusters[2]
+        assert len(counted["clusters"]) == 1
+        assert len(counted["staircase"]) == 3
+
+    def test_hit_warns_again(self, counted):
+        M = assemble_normal_form(NormalForm((BlockSpec(1.0, 1, -1), BlockSpec(2.0, 1, -1))))
+        tol = TolerancePolicy(rank_tol=0.1)  # puts the kept singular values near the cutoff
+        with pytest.warns(ConditioningWarning, match="beta=1.0$"):
+            miss = jordan_partition(M, 1.0, tol)
+        with pytest.warns(ConditioningWarning, match="beta=1.0$"):
+            hit = jordan_partition(M, 1.0, tol)
+        assert miss == hit == (1,)
+        with pytest.warns(ConditioningWarning):
+            summary = spectral_summary(M, tol)
+        assert len(counted["staircase"]) == 2  # beta = 2 once, beta = 1 once
+        notes = {round(ev.beta, 6): ev.conditioning for ev in summary.imaginary}
+        assert notes == {
+            2.0: "rank decision within factor 2.50 of the cutoff while separating "
+                 "Jordan blocks at beta=2.0000000000000004",
+            1.0: "rank decision within factor 3.33 of the cutoff while separating "
+                 "Jordan blocks at beta=1.0",
+        }
+
+    def test_matrix_changed_in_place_is_recomputed(self, counted):
+        M = assemble_normal_form(NormalForm((BlockSpec(1.0, 2, +1),)))
+        before = spectral_summary(M)
+        M[:] = assemble_normal_form(NormalForm((BlockSpec(1.5, 1, -1), BlockSpec(0.5, 1, -1))))
+        after = spectral_summary(M)
+        assert before.betas == pytest.approx((1.0,))
+        assert after.betas == pytest.approx((1.5, 0.5))
+        assert len(counted["clusters"]) == 2
+
+    def test_second_matrix_evicts_the_first(self, counted):
+        M1 = assemble_normal_form(NormalForm((BlockSpec(1.0, 1, -1),)))
+        M2 = assemble_normal_form(NormalForm((BlockSpec(2.0, 1, -1),)))
+        first = spectral_summary(M1)
+        spectral_summary(M2)
+        assert spectral_summary(M1) == first
+        assert len(counted["clusters"]) == 3
+        assert len(set(counted["clusters"])) == 2
+
+    def test_returned_values_cannot_corrupt_the_memo(self, counted):
+        from hambif import spectral
+        from hambif.linalg import DEFAULT_TOL
+
+        A = np.diag([1.0, -1.0, 1.0, 1.0])  # an oscillator and a saddle
+        M = conjugate(standard_symplectic(2) @ A, seed=3)
+        clusters, others, band = spectral._imaginary_clusters(M, DEFAULT_TOL)
+        assert others.size == 2
+        kept = others.copy()
+        others[:] = 0.0
+        with pytest.raises(TypeError):
+            clusters[0] = (9.0, 1)
+        again = spectral._imaginary_clusters(M, DEFAULT_TOL)
+        assert again[0] == clusters
+        assert np.array_equal(again[1], kept)
+        assert len(counted["clusters"]) == 1
+
+
+def test_one_spectrum_per_equilibrium(counted):
+    """A full analysis of the conjugated 24-dim example searches the clusters
+    of its matrix once and climbs each rank staircase once."""
+    from hambif import AnalysisOptions, Equilibrium, ProblemSpec, assemble_hessian, run_analysis
+
+    blocks = (BlockSpec(0.7, 2, -1), BlockSpec(0.7, 1, 1), BlockSpec(1.1, 3, 1),
+              BlockSpec(1.1, 1, -1), BlockSpec(1.9, 5, -1))
+    S = random_symplectic(12, seed=6465, scale=0.5)
+    A = S.T @ assemble_hessian(NormalForm(blocks)) @ S
+    A = 0.5 * (A + A.T)
+    spec = ProblemSpec(dim=24, equilibria=(Equilibrium(point=np.zeros(24), hessian=A),),
+                       options=AnalysisOptions())
+    report = run_analysis(spec)
+    entry = report["equilibria"][0]
+    assert entry["errors"] == []
+    assert [(ev["beta"], ev["jordan_partition"]) for ev in entry["imaginary_spectrum"]] == [
+        (pytest.approx(1.9), [5]), (pytest.approx(1.1), [3, 1]), (pytest.approx(0.7), [2, 1]),
+    ]
+    assert len(counted["clusters"]) == 1
+    assert len(counted["staircase"]) == 3
+    assert len(set(counted["staircase"])) == 3

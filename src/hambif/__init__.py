@@ -15,8 +15,6 @@ from .bifurcation import (
     brouwer_planar,
     check_classical_assumptions,
     check_main_condition,
-    choose_mu,
-    eta_coordinate,
     gamma_block,
     gamma_jump,
     isolation_radius,
@@ -28,14 +26,12 @@ from .continuation import (
     Branch,
     ContinuationConfig,
     HamiltonianField,
-    LinearField,
     PeriodicOrbit,
     PolynomialHamiltonian,
     continue_branch,
     correct_orbit,
     flow,
     gradient_field,
-    minimal_period_estimate,
     seed_from_linearization,
     verify_period_limit,
 )
@@ -71,11 +67,8 @@ from .normal_forms import (
     assemble_normal_form,
     block_counts,
     block_hessian,
-    block_matrix,
-    even_block,
     even_block_hessian,
     interleave_permutation,
-    odd_block,
     odd_block_hessian,
     structural_decomposition,
 )
@@ -84,7 +77,6 @@ from .spectral import (
     ImaginaryEigenvalue,
     SpectralSummary,
     classify_eigenvalue,
-    imaginary_spectrum,
     jordan_partition,
     spectral_summary,
 )

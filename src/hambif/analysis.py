@@ -130,7 +130,7 @@ def run_analysis(spec: ProblemSpec, stages: frozenset[str] = ALL_STAGES) -> dict
         M = J @ A
         try:
             summary = spectral_summary(M, tol)
-        except Exception as exc:  # pragma: no cover - guarded upstream
+        except DecompositionError as exc:
             entry["errors"].append(f"spectral analysis failed: {exc}")
             continue
         entry["imaginary_spectrum"] = [

@@ -152,14 +152,6 @@ def isolation_radius(level: float, betas, tol: TolerancePolicy = DEFAULT_TOL) ->
     return 0.5 * _grid_distance(level, betas, exclude_self=True, tol=tol)
 
 
-def choose_mu(lambda0: float, ls: LambdaSet, tol: TolerancePolicy = DEFAULT_TOL) -> float:
-    """Half-gap isolation radius of a level that must belong to the set."""
-    band = tol.zero_band(max(1.0, lambda0))
-    if _grid_distance(lambda0, ls.betas, exclude_self=False, tol=tol) > band:
-        raise ValueError(f"lambda0={lambda0} is not a candidate level within tolerance")
-    return isolation_radius(lambda0, ls.betas, tol)
-
-
 # Off the characteristic levels the doubled family is provably nondegenerate,
 # but eigencurves of a half-dim-n block vanish like mu^n near a level, which
 # can undercut the generic zero band while still sitting far above the
@@ -248,22 +240,6 @@ def brouwer_planar(grad, center, radius: float, samples: int = 64,
         n *= 2
         if n > 2 ** 20:
             raise PlanarDegreeError("winding number did not stabilize under refinement")
-
-
-def eta_coordinate(A, brouwer: int, lambda0: float, j: int,
-                   tol: TolerancePolicy = DEFAULT_TOL) -> int:
-    """Brouwer-weighted Morse jump of the level-j family across lambda0."""
-    if j < 1:
-        raise ValueError("j must be a positive integer")
-    A = as_symmetric(A, tol)
-    betas = _spectrum_betas(A, tol)
-    band = tol.zero_band(max(1.0, lambda0))
-    if _grid_distance(lambda0, betas, exclude_self=False, tol=tol) > band:
-        raise ValueError(f"lambda0={lambda0} is not a candidate level within tolerance")
-    if brouwer == 0:
-        return 0
-    mu = isolation_radius(lambda0, betas, tol)
-    return brouwer * _morse_jump(A, j, lambda0, mu, tol)
 
 
 def bifurcation_index(A, brouwer: int, lambda0: float, j_max: int | None = None,

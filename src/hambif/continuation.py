@@ -179,20 +179,6 @@ class HamiltonianField:
         return self.lam * Jg, self.lam * (JH @ Phi)
 
 
-@dataclass(frozen=True)
-class LinearField:
-    """x -> M x; convenient for flow tests on linear systems."""
-
-    M: np.ndarray
-
-    def __call__(self, x) -> np.ndarray:
-        return self.M @ np.asarray(x, dtype=float)
-
-    def variational(self, x, Phi) -> tuple[np.ndarray, np.ndarray]:
-        M = np.asarray(self.M, dtype=float)
-        return M @ x, M @ Phi
-
-
 def gradient_field(H: PolynomialHamiltonian, lam: float) -> HamiltonianField:
     """The time-scaled Hamiltonian vector field lambda * J * grad H."""
     if lam <= 0.0:
@@ -598,27 +584,3 @@ def verify_period_limit(branch: Branch, beta0: float, epsilon: float, delta: flo
             if abs(TWO_PI * orbit.lam - TWO_PI / beta0) >= epsilon:
                 return False
     return True
-
-
-def minimal_period_estimate(orbit: PeriodicOrbit, H: PolynomialHamiltonian,
-                            config: ContinuationConfig = DEFAULT_CONFIG,
-                            k_max: int = 32) -> float:
-    """Smallest T = 2*pi/k at which the orbit returns to x0, else 2*pi."""
-    if orbit.amplitude <= 0.0:
-        raise ValueError("orbit must be nonstationary")
-    field = gradient_field(H, orbit.lam)
-    result = flow(
-        field,
-        orbit.x0,
-        TWO_PI,
-        rtol=config.integrator_rtol,
-        atol=config.integrator_atol,
-        domain_bound=config.domain_bound,
-        dense=True,
-    )
-    n = orbit.x0.size
-    for k in range(k_max, 1, -1):
-        point = result.solution(TWO_PI / k)[:n]
-        if np.linalg.norm(point - orbit.x0) <= 10.0 * config.corrector_tol:
-            return TWO_PI / k
-    return TWO_PI

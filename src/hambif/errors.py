@@ -20,7 +20,7 @@ class DegeneracyError(ArithmeticError):
 
 
 class DecompositionError(RuntimeError):
-    """Sign-characteristic extraction failed; carries rank-gap diagnostics."""
+    """Jordan or sign-characteristic extraction failed; may carry rank-gap diagnostics."""
 
     def __init__(self, message, rank_gaps=None):
         super().__init__(message)

@@ -109,13 +109,6 @@ def is_symplectic(S, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     return residual <= tol.residual_tol * (1.0 + matrix_norm(S) ** 2)
 
 
-def hessian_of(M) -> np.ndarray:
-    """Recover the symmetric factor A of a Hamiltonian matrix M = J A."""
-    M = as_matrix(M)
-    N = half_dimension(M)
-    return -standard_symplectic(N) @ M
-
-
 def _checked_spectrum(A, tol, allow_degenerate, caller):
     A = as_symmetric(A, tol, name=f"{caller} argument")
     w = np.linalg.eigvalsh(A)

@@ -173,22 +173,6 @@ def block_hessian(spec: BlockSpec) -> np.ndarray:
     return even_block_hessian(spec.half_dim, spec.beta, spec.epsilon)
 
 
-def odd_block(half_dim: int, beta: float, epsilon: int) -> np.ndarray:
-    """Indecomposable Hamiltonian block with odd half_dim and spectrum {+-i*beta}."""
-    A = odd_block_hessian(half_dim, beta, epsilon)
-    return standard_symplectic(half_dim) @ A
-
-
-def even_block(half_dim: int, beta: float, epsilon: int) -> np.ndarray:
-    """Indecomposable Hamiltonian block with even half_dim and spectrum {+-i*beta}."""
-    A = even_block_hessian(half_dim, beta, epsilon)
-    return standard_symplectic(half_dim) @ A
-
-
-def block_matrix(spec: BlockSpec) -> np.ndarray:
-    return standard_symplectic(spec.half_dim) @ block_hessian(spec)
-
-
 def interleave_permutation(half_dims) -> np.ndarray:
     """Permutation P mapping stacked per-block (x, y) coordinates to the
     interleaved layout (all x's first, then all y's): A_out = P A_in P^T.
@@ -213,39 +197,20 @@ def interleave_permutation(half_dims) -> np.ndarray:
     return P
 
 
-def assemble_hessian(nf: NormalForm, layout: str = "interleaved") -> np.ndarray:
-    """Hessian of the assembled normal form, in the requested layout."""
+def assemble_hessian(nf: NormalForm) -> np.ndarray:
+    """Hessian of the assembled normal form: the blocks' Hessians stacked, then
+    interleaved (all x coordinates first, all y coordinates second)."""
     hessians = [block_hessian(b) for b in nf.blocks]
     if nf.other_part is not None:
         other = nf.other_part
         hessians.append(-standard_symplectic(other.shape[0] // 2) @ other)
-    A = scipy.linalg.block_diag(*hessians)
-    if layout == "direct_sum":
-        return A
-    if layout == "interleaved":
-        P = interleave_permutation(nf.half_dims)
-        return P @ A @ P.T
-    raise ValueError(f"unknown layout {layout!r}")
+    P = interleave_permutation(nf.half_dims)
+    return P @ scipy.linalg.block_diag(*hessians) @ P.T
 
 
-def assemble_normal_form(nf: NormalForm, layout: str = "interleaved") -> np.ndarray:
-    """Assembled Hamiltonian matrix.
-
-    ``interleaved`` (default) groups all x coordinates first and all y
-    coordinates second, so the result is Hamiltonian for the standard J of the
-    full dimension.  ``direct_sum`` stacks the blocks verbatim; it is
-    Hamiltonian for the stacked block-diagonal symplectic structure and is the
-    natural layout for per-block computations.
-    """
-    A = assemble_hessian(nf, layout="direct_sum")
-    if layout == "direct_sum":
-        J = scipy.linalg.block_diag(*[standard_symplectic(n) for n in nf.half_dims])
-        return J @ A
-    if layout == "interleaved":
-        P = interleave_permutation(nf.half_dims)
-        N = sum(nf.half_dims)
-        return standard_symplectic(N) @ (P @ A @ P.T)
-    raise ValueError(f"unknown layout {layout!r}")
+def assemble_normal_form(nf: NormalForm) -> np.ndarray:
+    """Assembled Hamiltonian matrix J A for the standard J of the full dimension."""
+    return standard_symplectic(nf.dim // 2) @ assemble_hessian(nf)
 
 
 def block_counts(source, beta: float, tol: TolerancePolicy = DEFAULT_TOL) -> BlockCounts:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConditioningWarning, EigenvalueNotFoundError, StructureError
+from .errors import ConditioningWarning, DecompositionError, EigenvalueNotFoundError, StructureError
 from .linalg import (
     DEFAULT_TOL,
     TolerancePolicy,
@@ -73,8 +73,9 @@ class SpectralSummary:
 # A size-k Jordan block perturbed at machine precision scatters its eigenvalue
 # into a ring of radius ~ eps^(1/k).  Clustering therefore merges generously,
 # at the radius of the largest ring the dimension allows, and every candidate
-# cluster is then validated against the SVD rank staircase; clusters that the
-# staircase rejects are split and retried.
+# cluster is then validated against the SVD rank staircase that also yields
+# its Jordan partition; clusters that the staircase rejects are split and
+# retried.
 _RING_EPS = 1.0e4 * np.finfo(float).eps
 
 
@@ -96,34 +97,6 @@ def _single_linkage(points: list[complex], threshold: float) -> list[list[comple
                 merged = True
                 break
     return clusters
-
-
-def _kernel_profile(M: np.ndarray, beta: float, tol: TolerancePolicy, cap: int):
-    """Kernel dimensions of (M - i beta I)^k until they stabilize.
-
-    Returns (kernel dims, ranks, worst rank-decision margin).
-    """
-    dim = M.shape[0]
-    shifted = M.astype(complex) - 1j * beta * np.eye(dim)
-    nrm = matrix_norm(shifted)
-    if nrm == 0.0:
-        return [dim], [0], np.inf
-    B = shifted / nrm
-    kernels: list[int] = []
-    ranks = [dim]
-    power = np.eye(dim, dtype=complex)
-    worst = np.inf
-    for _ in range(dim):
-        power = power @ B
-        rank, margin = numeric_rank_with_gap(power, tol)
-        worst = min(worst, margin)
-        ranks.append(rank)
-        kernels.append(dim - rank)
-        if len(kernels) > 1 and kernels[-1] == kernels[-2]:
-            break
-        if kernels[-1] >= cap:
-            break
-    return kernels, ranks, worst
 
 
 class _OneMatrixMemo:
@@ -174,92 +147,77 @@ def _find_clusters(M: np.ndarray, tol: TolerancePolicy):
     clusters: list[tuple[float, int]] = []
     others: list[complex] = []
 
-    work = [(members, threshold) for members in _single_linkage(upper, threshold)] if upper else []
+    # a plausible candidate with no plausible ancestor is a root; a root that
+    # neither it nor any of its pieces confirms is an undecided stretch of the
+    # imaginary axis, and calling it imaginary or not would both be guesses
+    roots: list[tuple[float, int]] = []
+    confirmed: set[int] = set()
+    work = [(members, threshold, None) for members in _single_linkage(upper, threshold)] if upper else []
     while work:
-        members, level = work.pop()
+        members, level, root = work.pop()
         centroid = complex(np.mean(members))
         radius = max(abs(z - centroid) for z in members)
-        plausible = abs(centroid.real) <= band and centroid.imag > max(band, 1.5 * radius)
-        if plausible:
-            kernels, _, _ = _kernel_profile(M, centroid.imag, tol, cap=len(members))
-            if kernels[-1] == len(members):
-                clusters.append((float(centroid.imag), len(members)))
-                for _ in members:
-                    if lower:
-                        k = int(np.argmin([abs(z - centroid.conjugate()) for z in lower]))
-                        del lower[k]
-                continue
+        beta = centroid.imag
+        plausible = abs(centroid.real) <= band and beta > max(band, 1.5 * radius)
+        if plausible and root is None:
+            root = len(roots)
+            roots.append((beta, len(members)))
+        if plausible and _staircase(M, beta, tol, len(members)) is not None:
+            clusters.append((beta, len(members)))
+            confirmed.add(root)
+            for _ in members:
+                if lower:
+                    k = int(np.argmin([abs(z - centroid.conjugate()) for z in lower]))
+                    del lower[k]
+            continue
         # reject or split: shrink the linkage threshold until the cluster breaks
-        if len(members) > 1:
-            finer = level / 4.0
-            while finer > np.finfo(float).eps * scale:
-                pieces = _single_linkage(members, finer)
-                if len(pieces) > 1:
-                    work.extend((piece, finer) for piece in pieces)
-                    break
-                finer /= 4.0
-            else:
-                others.extend(members)
+        finer = level / 4.0
+        while len(members) > 1 and finer > np.finfo(float).eps * scale:
+            pieces = _single_linkage(members, finer)
+            if len(pieces) > 1:
+                work.extend((piece, finer, root) for piece in pieces)
+                break
+            finer /= 4.0
         else:
             others.extend(members)
+    for root, (beta, size) in enumerate(roots):
+        if root not in confirmed:
+            raise DecompositionError(
+                f"no rank staircase confirms the {size} eigenvalue(s) within the zero band "
+                f"of i*{beta:.9g}, nor any piece of them"
+            )
     others.extend(lower)
     return tuple(sorted(clusters)), tuple(others), band
 
 
-def jordan_partition(
-    M,
-    beta: float,
-    tol: TolerancePolicy = DEFAULT_TOL,
-    algebraic_mult: int | None = None,
-) -> tuple[int, ...]:
-    """Jordan block sizes of the eigenvalue i*beta, largest first.
+def _staircase(M: np.ndarray, beta: float, tol: TolerancePolicy, mult: int):
+    """The memoized rank staircase of i*beta at multiplicity mult; None when
+    it rejects the candidate (a result like any other, stored too)."""
+    return _MEMO.lookup(M, tol, ("staircase", beta, mult), lambda: _rank_staircase(M, beta, tol, mult))
 
-    Computed from the rank staircase r_k = rank((M - i beta I)^k): the number
-    of blocks of size >= k is r_{k-1} - r_k.  A marginal rank decision emits a
-    :class:`ConditioningWarning`.
+
+def _rank_staircase(M: np.ndarray, beta: float, tol: TolerancePolicy, mult: int):
+    """Jordan block sizes of i*beta and the message of a marginal rank decision
+    (or None), from the ranks r_k = rank((M - i beta I)^k): the number of
+    blocks of size >= k is r_{k-1} - r_k.  None when the kernel stalls short
+    of ``mult`` or overshoots it, so a rejected cluster costs no extra SVDs.
     """
-    M = as_matrix(M)
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
-    if algebraic_mult is None:
-        clusters, _, band = _imaginary_clusters(M, tol)
-        match = [c for c in clusters if abs(c[0] - beta) <= max(band, tol.zero_band(beta))]
-        if not match:
-            raise EigenvalueNotFoundError(f"i*{beta} is not an eigenvalue within tolerance")
-        algebraic_mult = match[0][1]
-
-    sizes, note = _MEMO.lookup(
-        M, tol, ("staircase", beta, algebraic_mult),
-        lambda: _rank_staircase(M, beta, tol, algebraic_mult),
-    )
-    if note is not None:
-        warnings.warn(note, ConditioningWarning, stacklevel=2)
-    return sizes
-
-
-def _rank_staircase(M: np.ndarray, beta: float, tol: TolerancePolicy, algebraic_mult: int):
-    """Jordan block sizes of i*beta, plus the message of a marginal rank decision or None."""
     dim = M.shape[0]
     shifted = M.astype(complex) - 1j * beta * np.eye(dim)
-    nrm = matrix_norm(shifted)
-    if nrm == 0.0:
-        raise EigenvalueNotFoundError("matrix is identically i*beta*I, no Jordan data")
-    B = shifted / nrm
+    B = shifted / matrix_norm(shifted)  # nonzero: M is real and beta > 0
 
     ranks = [dim]
     power = np.eye(dim, dtype=complex)
     worst_margin = np.inf
-    k = 0
-    while ranks[-1] > dim - algebraic_mult and k < dim:
-        k += 1
+    while ranks[-1] > dim - mult and len(ranks) <= dim:
         power = power @ B
         rank, margin = numeric_rank_with_gap(power, tol)
         worst_margin = min(worst_margin, margin)
+        if len(ranks) > 1 and rank == ranks[-1]:
+            return None
         ranks.append(rank)
-    if ranks[-1] != dim - algebraic_mult:
-        raise EigenvalueNotFoundError(
-            f"rank staircase of i*{beta} never exhausted multiplicity {algebraic_mult}"
-        )
+    if ranks[-1] != dim - mult:
+        return None
     note = None
     if worst_margin < MARGIN_FLOOR:
         note = (
@@ -275,6 +233,34 @@ def _rank_staircase(M: np.ndarray, beta: float, tol: TolerancePolicy, algebraic_
     return tuple(sizes), note
 
 
+def _jordan_data(M: np.ndarray, beta: float, tol: TolerancePolicy, mult: int):
+    """Partition and conditioning note of i*beta.  The one place that issues
+    the note as a warning, so the default filter shows each note once."""
+    result = _staircase(M, beta, tol, mult)
+    if result is None:
+        raise EigenvalueNotFoundError(f"rank staircase of i*{beta} never exhausted multiplicity {mult}")
+    sizes, note = result
+    if note is not None:
+        warnings.warn(note, ConditioningWarning)
+    return sizes, note
+
+
+def jordan_partition(M, beta: float, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[int, ...]:
+    """Jordan block sizes of the eigenvalue i*beta, largest first.
+
+    Computed from the rank staircase of the cluster at beta.  A marginal rank
+    decision emits a :class:`ConditioningWarning`.
+    """
+    M = as_matrix(M)
+    if beta <= 0.0:
+        raise ValueError("beta must be positive")
+    clusters, _, band = _imaginary_clusters(M, tol)
+    match = [c for c in clusters if abs(c[0] - beta) <= max(band, tol.zero_band(beta))]
+    if not match:
+        raise EigenvalueNotFoundError(f"i*{beta} is not an eigenvalue within tolerance")
+    return _jordan_data(M, beta, tol, match[0][1])[0]
+
+
 def spectral_summary(M, tol: TolerancePolicy = DEFAULT_TOL) -> SpectralSummary:
     """All conjugate pairs +-i*beta with Jordan data, plus the leftover spectrum."""
     M = as_matrix(M)
@@ -284,14 +270,7 @@ def spectral_summary(M, tol: TolerancePolicy = DEFAULT_TOL) -> SpectralSummary:
 
     entries = []
     for beta, mult in sorted(clusters, reverse=True):
-        note: str | None = None
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", ConditioningWarning)
-            partition = jordan_partition(M, beta, tol, algebraic_mult=mult)
-        for item in caught:
-            if issubclass(item.category, ConditioningWarning):
-                note = str(item.message)
-                warnings.warn(item.message, ConditioningWarning, stacklevel=2)
+        partition, note = _jordan_data(M, beta, tol, mult)
         entries.append(
             ImaginaryEigenvalue(
                 beta=beta,
@@ -303,11 +282,6 @@ def spectral_summary(M, tol: TolerancePolicy = DEFAULT_TOL) -> SpectralSummary:
         )
     other = tuple(sorted(map(complex, others), key=lambda z: (z.real, z.imag)))
     return SpectralSummary(imaginary=tuple(entries), other_eigenvalues=other)
-
-
-def imaginary_spectrum(M, tol: TolerancePolicy = DEFAULT_TOL) -> list[ImaginaryEigenvalue]:
-    """Distinct frequencies beta > 0 with +-i*beta in the spectrum, beta descending."""
-    return list(spectral_summary(M, tol).imaginary)
 
 
 def classify_eigenvalue(ev: ImaginaryEigenvalue) -> EigenvalueClass:

@@ -43,6 +43,11 @@ def random_normal_form(rng, max_total_half_dim=8, max_frequencies=3, min_separat
     return NormalForm(tuple(blocks))
 
 
+def catalogue_block(half_dim, beta, epsilon):
+    """The assembled Hamiltonian matrix of one catalogue block."""
+    return assemble_normal_form(NormalForm((BlockSpec(beta, half_dim, epsilon),)))
+
+
 def conjugated_pair(nf, seed, scale=0.5):
     """Assembled matrix and Hessian conjugated by a random symplectic map."""
     M = assemble_normal_form(nf)

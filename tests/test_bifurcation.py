@@ -11,16 +11,16 @@ from hambif import (
     brouwer_planar,
     check_classical_assumptions,
     check_main_condition,
-    choose_mu,
-    eta_coordinate,
     even_block_hessian,
     gamma_block,
     gamma_jump,
+    isolation_radius,
     lambda_set,
     morse_index,
     nonresonance_and_branch_count,
     odd_block_hessian,
     random_symplectic,
+    spectral_summary,
     standard_symplectic,
     t_matrix,
 )
@@ -76,27 +76,28 @@ class TestLambdaSet:
 
 
 class TestChooseMu:
+    """The isolation radius mu around a candidate level."""
+
     def test_single_frequency(self):
         ls = lambda_set(np.eye(2), 3.0)
-        assert choose_mu(1.0, ls) == pytest.approx(0.5)
+        assert isolation_radius(1.0, ls.betas) == pytest.approx(0.5)
 
     def test_two_frequencies(self):
         ls = lambda_set(oscillators(1.0, 2.0), 3.0)
-        assert choose_mu(1.0, ls) == pytest.approx(0.25)
+        assert isolation_radius(1.0, ls.betas) == pytest.approx(0.25)
 
     def test_dense_grid(self):
         ls = lambda_set(oscillators(1.0, 10.0), 3.0)
-        assert choose_mu(1.0, ls) == pytest.approx(0.05)
+        assert isolation_radius(1.0, ls.betas) == pytest.approx(0.05)
 
     def test_rejects_off_grid(self):
-        ls = lambda_set(np.eye(2), 3.0)
-        with pytest.raises(ValueError):
-            choose_mu(1.37, ls)
+        with pytest.raises(ValueError, match="not a candidate level"):
+            bifurcation_index(np.eye(2), 1, 1.37)
 
     def test_computed_beyond_truncation(self):
         # nearest neighbour of lambda0=3 is 4, beyond lambda_max: still exact
         ls = lambda_set(np.eye(2), 3.0)
-        assert choose_mu(3.0, ls) == pytest.approx(0.5)
+        assert isolation_radius(3.0, ls.betas) == pytest.approx(0.5)
 
 
 class TestGammaJump:
@@ -185,13 +186,14 @@ class TestBrouwer:
 
 class TestEtaAndIndex:
     def test_eta_fundamental(self):
-        assert eta_coordinate(np.eye(2), 1, 1.0, 1) == 2
+        assert bifurcation_index(np.eye(2), 1, 1.0, j_max=2).coordinate(1) == 2
 
     def test_eta_off_resonance(self):
-        assert eta_coordinate(np.eye(2), 1, 1.0, 2) == 0
+        assert bifurcation_index(np.eye(2), 1, 1.0, j_max=2).coordinate(2) == 0
+        assert gamma_jump(np.eye(2), 1.0, j=2) == 0
 
     def test_eta_linearity_in_brouwer(self):
-        assert eta_coordinate(np.eye(2), -1, 1.0, 1) == -2
+        assert bifurcation_index(np.eye(2), -1, 1.0, j_max=2).coordinate(1) == -2
 
     def test_index_oscillator(self):
         bif = bifurcation_index(np.eye(2), 1, 1.0, j_max=5)
@@ -239,10 +241,8 @@ class TestMainCondition:
             dim = 2 * int(rng.integers(1, 4))
             Q = rng.normal(size=(dim, dim))
             A = Q @ Q.T + 0.3 * np.eye(dim)
-            from hambif import imaginary_spectrum
-
             M = standard_symplectic(dim // 2) @ A
-            for ev in imaginary_spectrum(M):
+            for ev in spectral_summary(M).imaginary:
                 report = check_main_condition(A, brouwer_nondegenerate(A), ev.beta)
                 assert report.condition_holds is True
                 assert report.gamma == 2 * report.counts.o_minus > 0

@@ -13,14 +13,12 @@ from hambif import (
     ContinuationConfig,
     CorrectorError,
     IntegrationError,
-    LinearField,
     PeriodicOrbit,
     PolynomialHamiltonian,
     continue_branch,
     correct_orbit,
     flow,
     gradient_field,
-    minimal_period_estimate,
     seed_from_linearization,
     standard_symplectic,
     verify_period_limit,
@@ -212,8 +210,8 @@ class TestPolynomialHamiltonian:
 
 class TestFlow:
     def test_quarter_rotation(self):
-        J = standard_symplectic(1)
-        result = flow(LinearField(J), np.array([1.0, 0.0]), math.pi / 2)
+        field = gradient_field(PolynomialHamiltonian.from_quadratic(np.eye(2)), 1.0)  # x -> J x
+        result = flow(field, np.array([1.0, 0.0]), math.pi / 2)
         assert np.allclose(result.endpoint, [0.0, -1.0], atol=1e-9)
         assert np.allclose(result.monodromy, [[0.0, 1.0], [-1.0, 0.0]], atol=1e-9)
 
@@ -223,7 +221,8 @@ class TestFlow:
             A = 0.5 * (A + A.T)
             lam = float(rng.uniform(0.4, 1.4))
             M = lam * standard_symplectic(1) @ A
-            result = flow(LinearField(M), rng.uniform(-0.5, 0.5, 2), TWO_PI)
+            field = gradient_field(PolynomialHamiltonian.from_quadratic(A), lam)  # x -> M x
+            result = flow(field, rng.uniform(-0.5, 0.5, 2), TWO_PI)
             assert np.allclose(result.monodromy, scipy.linalg.expm(TWO_PI * M), atol=1e-7)
 
     def test_hamiltonian_monodromy_is_exponential_and_symplectic(self, rng):
@@ -272,10 +271,10 @@ class TestFlow:
         assert drift <= 10.0 * 1e-10 * (1.0 + abs(H.value(x0)))
 
     def test_domain_exit_raises_with_time(self):
-        # expanding linear field leaves the guard ball quickly
-        M = np.array([[1.0, 0.0], [0.0, 1.0]])
+        # the saddle H = q p stretches q like e^t and leaves the guard ball quickly
+        saddle = PolynomialHamiltonian(2, ((1.0, (1, 1)),))
         with pytest.raises(IntegrationError) as info:
-            flow(LinearField(M), np.array([1.0, 0.0]), 20.0, domain_bound=10.0)
+            flow(gradient_field(saddle, 1.0), np.array([1.0, 0.0]), 20.0, domain_bound=10.0)
         assert info.value.exit_time is not None
         assert 0.0 < info.value.exit_time < 20.0
 
@@ -474,26 +473,6 @@ class TestPeriodChecks:
             ContinuationConfig(amplitude_target=0.2), beta0=1.0,
         )
         assert verify_period_limit(branch, 1.0, 1e-6, math.inf)
-
-    def test_minimal_period_of_circle(self):
-        orbit = correct_orbit(quartic_radial(), guess([0.2, 0.0], 0.96, 0.2))
-        assert minimal_period_estimate(orbit, quartic_radial()) == pytest.approx(TWO_PI)
-
-    def test_minimal_period_of_doubled_mode(self):
-        # frequencies {1, 2}; at the level of beta0=1 the beta=2 plane closes in half the time
-        A = np.diag([1.0, 2.0, 1.0, 2.0])
-        H = PolynomialHamiltonian.from_quadratic(A)
-        orbit = correct_orbit(H, guess([0.0, 0.2, 0.0, 0.0], 1.0, 0.2))
-        assert orbit.lam == pytest.approx(1.0, abs=1e-9)
-        assert minimal_period_estimate(orbit, H) == pytest.approx(math.pi)
-
-    def test_equilibrium_rejected(self):
-        H = quartic_radial()
-        still = PeriodicOrbit(
-            x0=np.zeros(2), lam=1.0, amplitude=0.0, residual=0.0, energy_drift=0.0
-        )
-        with pytest.raises(ValueError):
-            minimal_period_estimate(still, H)
 
 
 class TestOrbitInvariants:

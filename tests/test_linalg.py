@@ -46,9 +46,9 @@ class TestIsHamiltonian:
         assert not is_hamiltonian(np.eye(2))
 
     def test_odd_block_is(self):
-        from hambif import odd_block
+        from conftest import catalogue_block
 
-        assert is_hamiltonian(odd_block(3, 1.0, +1))
+        assert is_hamiltonian(catalogue_block(3, 1.0, +1))
 
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValueError):

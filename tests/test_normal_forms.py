@@ -7,18 +7,17 @@ from hambif import (
     NormalForm,
     assemble_normal_form,
     block_counts,
-    even_block,
     even_block_hessian,
     interleave_permutation,
     is_hamiltonian,
-    odd_block,
     odd_block_hessian,
     random_symplectic,
+    spectral_summary,
     standard_symplectic,
     structural_decomposition,
 )
 
-from conftest import conjugated_pair, random_normal_form, staircase_oracle
+from conftest import catalogue_block, conjugated_pair, random_normal_form, staircase_oracle
 
 
 def transcribed_even_block(n, beta, eps):
@@ -43,17 +42,17 @@ def transcribed_even_block(n, beta, eps):
 
 class TestOddBlock:
     def test_oscillator_case(self):
-        M = odd_block(1, 0.7, -1)
+        M = catalogue_block(1, 0.7, -1)
         assert np.allclose(M, 0.7 * standard_symplectic(1))
         assert np.allclose(odd_block_hessian(1, 0.7, -1), 0.7 * np.eye(2))
 
     def test_displayed_corner_pattern(self):
         # half_dim 1: the matrix is -eps*beta*J
         for eps in (1, -1):
-            assert np.allclose(odd_block(1, 2.0, eps), -eps * 2.0 * standard_symplectic(1))
+            assert np.allclose(catalogue_block(1, 2.0, eps), -eps * 2.0 * standard_symplectic(1))
 
     def test_spectrum_and_partition(self):
-        M = odd_block(3, 1.0, +1)
+        M = catalogue_block(3, 1.0, +1)
         w = np.linalg.eigvals(M)
         assert np.allclose(np.sort(np.abs(w.imag)), 1.0, atol=1e-4)
         assert staircase_oracle(M, 1.0) == (3,)
@@ -61,34 +60,34 @@ class TestOddBlock:
     @pytest.mark.parametrize("n", [1, 3, 5, 7, 9])
     @pytest.mark.parametrize("eps", [1, -1])
     def test_always_hamiltonian(self, n, eps):
-        assert is_hamiltonian(odd_block(n, 1.3, eps))
+        assert is_hamiltonian(catalogue_block(n, 1.3, eps))
 
     def test_entries_exact_multiples(self):
-        M = odd_block(5, 2.0, +1)
+        M = catalogue_block(5, 2.0, +1)
         values = set(np.round(np.unique(np.abs(M)), 12))
         assert values <= {0.0, 1.0, 2.0}
 
     def test_parity_rejected(self):
         with pytest.raises(ValueError):
-            odd_block(2, 1.0, 1)
+            odd_block_hessian(2, 1.0, 1)
 
 
 class TestEvenBlock:
     def test_partition(self):
-        M = even_block(2, 1.0, +1)
+        M = catalogue_block(2, 1.0, +1)
         assert staircase_oracle(M, 1.0) == (2,)
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     @pytest.mark.parametrize("eps", [1, -1])
     def test_matches_displayed_layout(self, n, eps):
-        assert np.array_equal(even_block(n, 1.0, eps), transcribed_even_block(n, 1.0, eps))
+        assert np.array_equal(catalogue_block(n, 1.0, eps), transcribed_even_block(n, 1.0, eps))
 
     def test_always_hamiltonian(self):
-        assert is_hamiltonian(even_block(4, 0.5, -1))
+        assert is_hamiltonian(catalogue_block(4, 0.5, -1))
 
     def test_parity_rejected(self):
         with pytest.raises(ValueError):
-            even_block(3, 1.0, 1)
+            even_block_hessian(3, 1.0, 1)
 
 
 class TestHomotopyFamilies:
@@ -229,9 +228,7 @@ class TestStructuralDecomposition:
             Q = rng.normal(size=(dim, dim))
             A = Q @ Q.T + 0.2 * np.eye(dim)
             M = standard_symplectic(dim // 2) @ A
-            from hambif import imaginary_spectrum
-
-            for ev in imaginary_spectrum(M):
+            for ev in spectral_summary(M).imaginary:
                 blocks = structural_decomposition(M, ev.beta)
                 assert all((b.half_dim, b.epsilon) == (1, -1) for b in blocks)
                 assert len(blocks) == ev.algebraic_mult
@@ -240,9 +237,7 @@ class TestStructuralDecomposition:
         for trial in range(10):
             nf = random_normal_form(rng, max_total_half_dim=6)
             M = assemble_normal_form(nf)
-            from hambif import imaginary_spectrum
-
-            for ev in imaginary_spectrum(M):
+            for ev in spectral_summary(M).imaginary:
                 blocks = structural_decomposition(M, ev.beta)
                 assert sum(2 * b.half_dim for b in blocks) == 2 * ev.algebraic_mult
 

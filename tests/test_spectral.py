@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,7 @@ from hambif import (
     NormalForm,
     assemble_normal_form,
     classify_eigenvalue,
-    even_block,
-    imaginary_spectrum,
     jordan_partition,
-    odd_block,
     random_symplectic,
     spectral_summary,
     standard_symplectic,
@@ -20,7 +19,7 @@ from hambif import (
 )
 from hambif.errors import EigenvalueNotFoundError, StructureError
 
-from conftest import staircase_oracle
+from conftest import catalogue_block, staircase_oracle
 
 
 def conjugate(M, seed, scale=0.5):
@@ -30,7 +29,7 @@ def conjugate(M, seed, scale=0.5):
 
 class TestImaginarySpectrum:
     def test_rotation_generator(self):
-        evs = imaginary_spectrum(standard_symplectic(1))
+        evs = spectral_summary(standard_symplectic(1)).imaginary
         assert len(evs) == 1
         ev = evs[0]
         assert ev.beta == pytest.approx(1.0)
@@ -38,9 +37,9 @@ class TestImaginarySpectrum:
         assert ev.jordan_partition == (1,)
 
     def test_defective_block(self):
-        M = odd_block(3, 2.0, +1)
+        M = catalogue_block(3, 2.0, +1)
         assert staircase_oracle(M, 2.0) == (3,)
-        evs = imaginary_spectrum(M)
+        evs = spectral_summary(M).imaginary
         assert len(evs) == 1
         assert evs[0].beta == pytest.approx(2.0, abs=1e-6)
         assert evs[0].jordan_partition == (3,)
@@ -49,19 +48,19 @@ class TestImaginarySpectrum:
 
     def test_two_oscillators_same_frequency(self):
         nf = NormalForm((BlockSpec(1.0, 1, -1), BlockSpec(1.0, 1, -1)))
-        evs = imaginary_spectrum(assemble_normal_form(nf))
+        evs = spectral_summary(assemble_normal_form(nf)).imaginary
         assert len(evs) == 1
         assert evs[0].algebraic_mult == 2
         assert evs[0].jordan_partition == (1, 1)
 
     def test_sorted_descending(self):
         nf = NormalForm((BlockSpec(1.0, 1, -1), BlockSpec(2.0, 1, -1)))
-        evs = imaginary_spectrum(assemble_normal_form(nf))
+        evs = spectral_summary(assemble_normal_form(nf)).imaginary
         assert [round(e.beta, 6) for e in evs] == [2.0, 1.0]
 
     def test_requires_hamiltonian(self):
         with pytest.raises(StructureError):
-            imaginary_spectrum(np.eye(2))
+            spectral_summary(np.eye(2))
 
     def test_nonimaginary_flagged(self):
         # saddle: J*diag(1,-1) has spectrum {+-1}, no imaginary part
@@ -85,12 +84,12 @@ class TestImaginarySpectrum:
 
 class TestJordanPartition:
     def test_big_odd_block(self):
-        M = odd_block(5, 1.0, -1)
+        M = catalogue_block(5, 1.0, -1)
         assert staircase_oracle(M, 1.0) == (5,)
         assert jordan_partition(M, 1.0) == (5,)
 
     def test_even_block(self):
-        M = even_block(2, 1.0, +1)
+        M = catalogue_block(2, 1.0, +1)
         assert staircase_oracle(M, 1.0) == (2,)
         assert jordan_partition(M, 1.0) == (2,)
 
@@ -133,8 +132,8 @@ class TestClassification:
             nf = random_normal_form(rng, max_total_half_dim=6)
             M = assemble_normal_form(nf)
             Mc = conjugate(M, seed=1000 + trial)
-            ref = {round(e.beta, 4): classify_eigenvalue(e) for e in imaginary_spectrum(M)}
-            got = {round(e.beta, 4): classify_eigenvalue(e) for e in imaginary_spectrum(Mc)}
+            ref = {round(e.beta, 4): classify_eigenvalue(e) for e in spectral_summary(M).imaginary}
+            got = {round(e.beta, 4): classify_eigenvalue(e) for e in spectral_summary(Mc).imaginary}
             # match frequencies up to rounding noise
             assert len(ref) == len(got)
             for beta, cls in got.items():
@@ -149,7 +148,7 @@ class TestInvariants:
         for trial in range(10):
             nf = random_normal_form(rng, max_total_half_dim=5)
             M = assemble_normal_form(nf)
-            for ev in imaginary_spectrum(M):
+            for ev in spectral_summary(M).imaginary:
                 # -i*beta is present with the identical partition
                 assert staircase_oracle(M, ev.beta, shift=-1j * ev.beta) == ev.jordan_partition
 
@@ -161,13 +160,15 @@ class TestInvariants:
 @pytest.fixture
 def counted(monkeypatch):
     """An empty spectral memo, and the calls that reach the uncached steps:
-    one matrix digest per cluster search, (digest, beta, mult) per staircase."""
+    one matrix digest per cluster search, (digest, beta, mult) per staircase
+    that yields a partition, and the same per staircase that rejects a
+    candidate cluster."""
     import hashlib
 
     from hambif import spectral
 
     monkeypatch.setattr(spectral, "_MEMO", spectral._OneMatrixMemo())
-    calls = {"clusters": [], "staircase": []}
+    calls = {"clusters": [], "staircase": [], "rejected": []}
     find_clusters, rank_staircase = spectral._find_clusters, spectral._rank_staircase
 
     def digest(M):
@@ -177,9 +178,10 @@ def counted(monkeypatch):
         calls["clusters"].append(digest(M))
         return find_clusters(M, tol)
 
-    def staircase(M, beta, tol, algebraic_mult):
-        calls["staircase"].append((digest(M), beta, algebraic_mult))
-        return rank_staircase(M, beta, tol, algebraic_mult)
+    def staircase(M, beta, tol, mult):
+        result = rank_staircase(M, beta, tol, mult)
+        calls["staircase" if result is not None else "rejected"].append((digest(M), beta, mult))
+        return result
 
     monkeypatch.setattr(spectral, "_find_clusters", clusters)
     monkeypatch.setattr(spectral, "_rank_staircase", staircase)
@@ -270,18 +272,32 @@ class TestSpectralMemo:
         assert len(counted["clusters"]) == 1
 
 
-def test_one_spectrum_per_equilibrium(counted):
-    """A full analysis of the conjugated 24-dim example searches the clusters
-    of its matrix once and climbs each rank staircase once."""
-    from hambif import AnalysisOptions, Equilibrium, ProblemSpec, assemble_hessian, run_analysis
+def conjugated_24():
+    """Hessian of the conjugated 24-dim example: partitions (5), (3, 1) and
+    (2, 1) at beta 1.9, 1.1 and 0.7."""
+    from hambif import assemble_hessian
 
     blocks = (BlockSpec(0.7, 2, -1), BlockSpec(0.7, 1, 1), BlockSpec(1.1, 3, 1),
               BlockSpec(1.1, 1, -1), BlockSpec(1.9, 5, -1))
     S = random_symplectic(12, seed=6465, scale=0.5)
     A = S.T @ assemble_hessian(NormalForm(blocks)) @ S
-    A = 0.5 * (A + A.T)
-    spec = ProblemSpec(dim=24, equilibria=(Equilibrium(point=np.zeros(24), hessian=A),),
-                       options=AnalysisOptions())
+    return 0.5 * (A + A.T)
+
+
+def analysis_spec(A, **options):
+    from hambif import AnalysisOptions, Equilibrium, ProblemSpec
+
+    dim = A.shape[0]
+    return ProblemSpec(dim=dim, equilibria=(Equilibrium(point=np.zeros(dim), hessian=A),),
+                       options=AnalysisOptions(**options))
+
+
+def test_one_spectrum_per_equilibrium(counted):
+    """A full analysis of the conjugated 24-dim example searches the clusters
+    of its matrix once and climbs each rank staircase once."""
+    from hambif import run_analysis
+
+    spec = analysis_spec(conjugated_24())
     report = run_analysis(spec)
     entry = report["equilibria"][0]
     assert entry["errors"] == []
@@ -291,3 +307,113 @@ def test_one_spectrum_per_equilibrium(counted):
     assert len(counted["clusters"]) == 1
     assert len(counted["staircase"]) == 3
     assert len(set(counted["staircase"])) == 3
+    # the first candidate merges all twelve eigenvalues; its staircase rejects it
+    assert [mult for _, _, mult in counted["rejected"]] == [12]
+
+
+def test_summary_climbs_each_staircase_once(monkeypatch):
+    """The rank staircase that accepts a cluster is the one that yields its
+    partition: one spectral_summary makes only the rank SVDs of its cluster
+    search, and jordan_partition at each frequency then makes none."""
+    from hambif import spectral
+    from hambif.linalg import DEFAULT_TOL
+
+    svds = []
+    rank_with_gap = spectral.numeric_rank_with_gap
+
+    def counting(M, tol):
+        svds.append(M.shape)
+        return rank_with_gap(M, tol)
+
+    monkeypatch.setattr(spectral, "numeric_rank_with_gap", counting)
+    M = standard_symplectic(12) @ conjugated_24()
+
+    monkeypatch.setattr(spectral, "_MEMO", spectral._OneMatrixMemo())
+    spectral._find_clusters(M, DEFAULT_TOL)
+    search = len(svds)
+    # one step per size of the largest block of each frequency (5 + 3 + 2),
+    # and two for the twelve-member candidate its staircase rejects
+    assert search == 12
+
+    svds.clear()
+    monkeypatch.setattr(spectral, "_MEMO", spectral._OneMatrixMemo())
+    summary = spectral_summary(M)
+    assert len(svds) == search
+    for ev in summary.imaginary:
+        assert jordan_partition(M, ev.beta) == ev.jordan_partition
+    assert len(svds) == search
+
+
+def squeezed_readme_example(seed, t):
+    """Hessian of the 20-dim README example, blocks (5,-1), (3,+1), (2,+1) at
+    beta 1, conjugated by S1 D S2: S1 and S2 random symplectic, D the
+    symplectic squeeze diag(exp(t d), exp(-t d))."""
+    from hambif import assemble_hessian
+
+    S1 = random_symplectic(10, seed=seed, scale=0.5)
+    S2 = random_symplectic(10, seed=seed + 1, scale=0.5)
+    d = np.random.default_rng(seed).uniform(-1.0, 1.0, 10)
+    S = S1 @ np.diag(np.exp(t * np.concatenate([d, -d]))) @ S2
+    nf = NormalForm((BlockSpec(1.0, 5, -1), BlockSpec(1.0, 3, +1), BlockSpec(1.0, 2, +1)))
+    A = S.T @ assemble_hessian(nf) @ S
+    return 0.5 * (A + A.T)
+
+
+# cond(S) 8.7e5, 3.8e6 and 9.9e6: the ten eigenvalues near i form one
+# plausible cluster whose staircase stalls at kernel 8, and every piece of a
+# split overshoots
+UNCONFIRMED = [(424270, 7.1875), (424276, 7.9375), (424280, 7.65625)]
+
+
+@pytest.mark.parametrize("seed, t", UNCONFIRMED)
+def test_unconfirmed_cluster_abstains(seed, t, tmp_path):
+    """A cluster on the imaginary axis that no rank staircase confirms, whole
+    or split, is an error, not a spectrum with no imaginary part."""
+    from hambif import emit_problem, run_analysis
+    from hambif.cli import main as cli_main
+    from hambif.errors import DecompositionError
+
+    A = squeezed_readme_example(seed, t)
+    with pytest.raises(DecompositionError, match="no rank staircase confirms the 10 eigenvalue"):
+        spectral_summary(standard_symplectic(10) @ A)
+
+    spec = analysis_spec(A)
+    entry = run_analysis(spec)["equilibria"][0]
+    assert "note" not in entry
+    assert len(entry["errors"]) == 1
+    assert entry["errors"][0].startswith("spectral analysis failed: no rank staircase confirms")
+
+    path = tmp_path / "problem.json"
+    path.write_text(emit_problem(spec))
+    assert cli_main(["analyze", "--input", str(path), "--output", str(tmp_path / "report.json")]) == 3
+
+
+def test_marginal_rank_decision_warns_once_per_analysis(tmp_path):
+    """``hambif analyze`` prints each ConditioningWarning once, though every
+    stage of the analysis reads the spectrum that raised it."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import hambif
+    from hambif import emit_problem
+
+    spec = analysis_spec(np.diag([1.0, 2.0, 1.0, 2.0]), tolerances=TolerancePolicy(rank_tol=0.1))
+    path = tmp_path / "problem.json"
+    path.write_text(emit_problem(spec))
+    src = str(Path(hambif.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONWARNINGS", None)
+    run = subprocess.run([sys.executable, "-m", "hambif.cli", "analyze", "--input", str(path)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0
+    warned = [line for line in run.stderr.splitlines() if "ConditioningWarning:" in line]
+    assert [line.split("ConditioningWarning: ")[1] for line in warned] == [
+        "rank decision within factor 2.50 of the cutoff while separating "
+        "Jordan blocks at beta=2.0000000000000004",
+        "rank decision within factor 3.33 of the cutoff while separating "
+        "Jordan blocks at beta=1.0",
+    ]
+    notes = [ev["conditioning"] for ev in json.loads(run.stdout)["equilibria"][0]["imaginary_spectrum"]]
+    assert notes == [line.split("ConditioningWarning: ")[1] for line in warned]

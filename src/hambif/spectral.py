@@ -147,29 +147,35 @@ def _find_clusters(M: np.ndarray, tol: TolerancePolicy):
     clusters: list[tuple[float, int]] = []
     others: list[complex] = []
 
-    # a plausible candidate with no plausible ancestor is a root; a root that
-    # neither it nor any of its pieces confirms is an undecided stretch of the
-    # imaginary axis, and calling it imaginary or not would both be guesses
+    # a plausible candidate with no plausible ancestor is a root.  A root
+    # that neither it nor any of its pieces confirms, while some staircase in
+    # its search finds a kernel, is an undecided stretch of the imaginary
+    # axis: calling it imaginary or not would both be guesses.  One whose
+    # staircases all find none is off the axis, as its eigenvalues are.
     roots: list[tuple[float, int]] = []
     confirmed: set[int] = set()
+    on_axis: set[int] = set()
     work = [(members, threshold, None) for members in _single_linkage(upper, threshold)] if upper else []
     while work:
         members, level, root = work.pop()
         centroid = complex(np.mean(members))
         radius = max(abs(z - centroid) for z in members)
         beta = centroid.imag
-        plausible = abs(centroid.real) <= band and beta > max(band, 1.5 * radius)
-        if plausible and root is None:
-            root = len(roots)
-            roots.append((beta, len(members)))
-        if plausible and _staircase(M, beta, tol, len(members)) is not None:
-            clusters.append((beta, len(members)))
-            confirmed.add(root)
-            for _ in members:
-                if lower:
-                    k = int(np.argmin([abs(z - centroid.conjugate()) for z in lower]))
-                    del lower[k]
-            continue
+        if abs(centroid.real) <= band and beta > max(band, 1.5 * radius):
+            if root is None:
+                root = len(roots)
+                roots.append((beta, len(members)))
+            kernel = _staircase(M, beta, tol, len(members))[0]
+            if kernel == len(members):
+                clusters.append((beta, len(members)))
+                confirmed.add(root)
+                for _ in members:
+                    if lower:
+                        k = int(np.argmin([abs(z - centroid.conjugate()) for z in lower]))
+                        del lower[k]
+                continue
+            if kernel:
+                on_axis.add(root)
         # reject or split: shrink the linkage threshold until the cluster breaks
         finer = level / 4.0
         while len(members) > 1 and finer > np.finfo(float).eps * scale:
@@ -180,44 +186,49 @@ def _find_clusters(M: np.ndarray, tol: TolerancePolicy):
             finer /= 4.0
         else:
             others.extend(members)
-    for root, (beta, size) in enumerate(roots):
-        if root not in confirmed:
-            raise DecompositionError(
-                f"no rank staircase confirms the {size} eigenvalue(s) within the zero band "
-                f"of i*{beta:.9g}, nor any piece of them"
-            )
+    if on_axis - confirmed:
+        beta, size = roots[min(on_axis - confirmed)]
+        raise DecompositionError(
+            f"no rank staircase confirms the {size} eigenvalue(s) clustered at i*{beta:.9g}, "
+            f"nor any piece of them, though one finds a kernel there"
+        )
     others.extend(lower)
     return tuple(sorted(clusters)), tuple(others), band
 
 
 def _staircase(M: np.ndarray, beta: float, tol: TolerancePolicy, mult: int):
-    """The memoized rank staircase of i*beta at multiplicity mult; None when
-    it rejects the candidate (a result like any other, stored too)."""
+    """The memoized rank staircase of i*beta at multiplicity mult; a rejection
+    is a result like any other and is stored too."""
     return _MEMO.lookup(M, tol, ("staircase", beta, mult), lambda: _rank_staircase(M, beta, tol, mult))
 
 
 def _rank_staircase(M: np.ndarray, beta: float, tol: TolerancePolicy, mult: int):
-    """Jordan block sizes of i*beta and the message of a marginal rank decision
-    (or None), from the ranks r_k = rank((M - i beta I)^k): the number of
-    blocks of size >= k is r_{k-1} - r_k.  None when the kernel stalls short
-    of ``mult`` or overshoots it, so a rejected cluster costs no extra SVDs.
+    """Kernel dimension, Jordan block sizes of i*beta and the message of a
+    marginal rank decision (or None), from the ranks r_k = rank((M - i beta I)^k).
+
+    The number of blocks of size >= k is r_{k-1} - r_k, so these drops are
+    positive and never grow.  The climb stops at the first drop that breaks
+    this, or when the kernel reaches ``mult``, so a rejected cluster costs no
+    extra SVDs.  Unless the kernel is exactly ``mult``, the cluster is
+    rejected: the result is the kernel reached, no sizes and no note.
     """
     dim = M.shape[0]
     shifted = M.astype(complex) - 1j * beta * np.eye(dim)
     B = shifted / matrix_norm(shifted)  # nonzero: M is real and beta > 0
 
-    ranks = [dim]
     power = np.eye(dim, dtype=complex)
     worst_margin = np.inf
-    while ranks[-1] > dim - mult and len(ranks) <= dim:
+    kernel, drops = 0, [mult]
+    while kernel < mult:
         power = power @ B
         rank, margin = numeric_rank_with_gap(power, tol)
         worst_margin = min(worst_margin, margin)
-        if len(ranks) > 1 and rank == ranks[-1]:
-            return None
-        ranks.append(rank)
-    if ranks[-1] != dim - mult:
-        return None
+        drops.append(dim - rank - kernel)
+        kernel = dim - rank
+        if not 0 < drops[-1] <= drops[-2]:
+            return kernel, (), None
+    if kernel != mult:
+        return kernel, (), None
     note = None
     if worst_margin < MARGIN_FLOOR:
         note = (
@@ -225,21 +236,19 @@ def _rank_staircase(M: np.ndarray, beta: float, tol: TolerancePolicy, mult: int)
             f"while separating Jordan blocks at beta={beta}"
         )
 
-    blocks_ge = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
+    blocks_ge = drops[1:] + [0]
     sizes: list[int] = []
-    for size in range(len(blocks_ge), 0, -1):
-        exactly = blocks_ge[size - 1] - (blocks_ge[size] if size < len(blocks_ge) else 0)
-        sizes.extend([size] * exactly)
-    return tuple(sizes), note
+    for size in range(len(blocks_ge) - 1, 0, -1):
+        sizes.extend([size] * (blocks_ge[size - 1] - blocks_ge[size]))
+    return kernel, tuple(sizes), note
 
 
 def _jordan_data(M: np.ndarray, beta: float, tol: TolerancePolicy, mult: int):
     """Partition and conditioning note of i*beta.  The one place that issues
     the note as a warning, so the default filter shows each note once."""
-    result = _staircase(M, beta, tol, mult)
-    if result is None:
+    kernel, sizes, note = _staircase(M, beta, tol, mult)
+    if kernel != mult:
         raise EigenvalueNotFoundError(f"rank staircase of i*{beta} never exhausted multiplicity {mult}")
-    sizes, note = result
     if note is not None:
         warnings.warn(note, ConditioningWarning)
     return sizes, note
@@ -249,7 +258,9 @@ def jordan_partition(M, beta: float, tol: TolerancePolicy = DEFAULT_TOL) -> tupl
     """Jordan block sizes of the eigenvalue i*beta, largest first.
 
     Computed from the rank staircase of the cluster at beta.  A marginal rank
-    decision emits a :class:`ConditioningWarning`.
+    decision emits a :class:`ConditioningWarning`.  Raises
+    :class:`DecompositionError` when the spectrum is undecided: a cluster on
+    the imaginary axis that no rank staircase confirms.
     """
     M = as_matrix(M)
     if beta <= 0.0:
@@ -262,7 +273,12 @@ def jordan_partition(M, beta: float, tol: TolerancePolicy = DEFAULT_TOL) -> tupl
 
 
 def spectral_summary(M, tol: TolerancePolicy = DEFAULT_TOL) -> SpectralSummary:
-    """All conjugate pairs +-i*beta with Jordan data, plus the leftover spectrum."""
+    """All conjugate pairs +-i*beta with Jordan data, plus the leftover spectrum.
+
+    Raises :class:`DecompositionError` when a cluster on the imaginary axis,
+    where a rank staircase finds a kernel, is confirmed by no staircase, whole
+    or split; every function that reads the spectrum passes it on.
+    """
     M = as_matrix(M)
     if not is_hamiltonian(M, tol):
         raise StructureError("spectral_summary expects a Hamiltonian matrix")

@@ -180,7 +180,7 @@ def counted(monkeypatch):
 
     def staircase(M, beta, tol, mult):
         result = rank_staircase(M, beta, tol, mult)
-        calls["staircase" if result is not None else "rejected"].append((digest(M), beta, mult))
+        calls["staircase" if result[0] == mult else "rejected"].append((digest(M), beta, mult))
         return result
 
     monkeypatch.setattr(spectral, "_find_clusters", clusters)
@@ -332,8 +332,8 @@ def test_summary_climbs_each_staircase_once(monkeypatch):
     spectral._find_clusters(M, DEFAULT_TOL)
     search = len(svds)
     # one step per size of the largest block of each frequency (5 + 3 + 2),
-    # and two for the twelve-member candidate its staircase rejects
-    assert search == 12
+    # and one for the twelve-member candidate, whose first step finds no kernel
+    assert search == 11
 
     svds.clear()
     monkeypatch.setattr(spectral, "_MEMO", spectral._OneMatrixMemo())
@@ -386,6 +386,42 @@ def test_unconfirmed_cluster_abstains(seed, t, tmp_path):
     path = tmp_path / "problem.json"
     path.write_text(emit_problem(spec))
     assert cli_main(["analyze", "--input", str(path), "--output", str(tmp_path / "report.json")]) == 3
+
+
+def quartet_hessian(N, a):
+    """Hessian of q1 p2 - q2 p1 + a (q1 p1 + q2 p2), whose J A has the
+    hyperbolic quartet +-a +- i, plus oscillators at 2, ..., N - 1."""
+    A = np.zeros((2 * N, 2 * N))
+    for i, j, v in [(0, N + 1, 1.0), (1, N, -1.0), (0, N, a), (1, N + 1, a)]:
+        A[i, j] = A[j, i] = v
+    for k in range(2, N):
+        A[k, k] = A[N + k, N + k] = k
+    return A
+
+
+# the two upper eigenvalues a + i and -a + i merge into one candidate whose
+# centroid i lies on the axis; no staircase finds a kernel there
+@pytest.mark.parametrize("N, a", [(10, 0.01), (2, 5e-7)])
+def test_hyperbolic_quartet_is_other_spectrum(N, a, tmp_path):
+    """A Krein quartet off the axis is other spectrum, not an undecided one."""
+    from hambif import emit_problem, run_analysis
+    from hambif.cli import main as cli_main
+
+    A = quartet_hessian(N, a)
+    summary = spectral_summary(standard_symplectic(N) @ A)
+    assert summary.betas == pytest.approx(range(N - 1, 1, -1))
+    assert sorted(summary.other_eigenvalues, key=lambda z: (z.real, z.imag)) == pytest.approx(
+        [-a - 1j, -a + 1j, a - 1j, a + 1j], abs=1e-12)
+
+    spec = analysis_spec(A)
+    entry = run_analysis(spec)["equilibria"][0]
+    assert entry["errors"] == []
+    assert entry["has_nonimaginary"] is True
+    assert len(entry["other_eigenvalues"]) == 4
+
+    path = tmp_path / "problem.json"
+    path.write_text(emit_problem(spec))
+    assert cli_main(["analyze", "--input", str(path), "--output", str(tmp_path / "report.json")]) == 0
 
 
 def test_marginal_rank_decision_warns_once_per_analysis(tmp_path):

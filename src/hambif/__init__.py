@@ -91,4 +91,33 @@ from .problem import (  # noqa: E402
     problem_to_dict,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # bifurcation
+    "AssumptionReport", "AssumptionResult", "BifurcationIndex", "ConditionReport", "LambdaSet",
+    "NonresonanceReport", "bifurcation_index", "brouwer_nondegenerate", "brouwer_planar",
+    "check_classical_assumptions", "check_main_condition", "gamma_block", "gamma_jump",
+    "isolation_radius", "lambda_set", "nonresonance_and_branch_count", "t_matrix",
+    # continuation
+    "Branch", "ContinuationConfig", "HamiltonianField", "PeriodicOrbit", "PolynomialHamiltonian",
+    "continue_branch", "correct_orbit", "flow", "gradient_field", "seed_from_linearization",
+    "verify_period_limit",
+    # errors
+    "ConditioningWarning", "ConsistencyError", "CorrectorError", "DecompositionError",
+    "DegeneracyError", "EigenvalueNotFoundError", "IntegrationError", "PlanarDegreeError",
+    "SpecError", "SplittingError", "StructureError",
+    # linalg
+    "DEFAULT_TOL", "TolerancePolicy", "is_hamiltonian", "is_symplectic", "morse_index",
+    "random_symplectic", "signature", "standard_symplectic", "symplectic_gram_schmidt",
+    # normal_forms
+    "BlockCounts", "BlockSpec", "NormalForm", "assemble_hessian", "assemble_normal_form",
+    "block_counts", "block_hessian", "even_block_hessian", "interleave_permutation",
+    "odd_block_hessian", "structural_decomposition",
+    # spectral
+    "EigenvalueClass", "ImaginaryEigenvalue", "SpectralSummary", "classify_eigenvalue",
+    "jordan_partition", "spectral_summary",
+    # analysis
+    "branch_csv", "emit_report", "parse_report", "run_analysis",
+    # problem
+    "AnalysisOptions", "Equilibrium", "ProblemSpec", "emit_problem", "parse_problem",
+    "problem_to_dict",
+]

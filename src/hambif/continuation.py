@@ -19,8 +19,8 @@ from .linalg import as_symmetric, standard_symplectic
 
 TWO_PI = 2.0 * math.pi
 
-# solve_ivp controls the local error; run it below the advertised tolerance so
-# accumulated drift over one period stays within the 10x-tolerance contract
+# the stepper controls the local error; run it below the advertised tolerance
+# so accumulated drift over one period stays within the 10x-tolerance contract
 _SAFETY = 1.0e-2
 
 # _orbit_diagnostics refines the amplitude over _ZOOMS grids of 2 * _ZOOM + 1
@@ -190,69 +190,100 @@ def gradient_field(H: PolynomialHamiltonian, lam: float) -> HamiltonianField:
 class FlowResult:
     endpoint: np.ndarray
     monodromy: np.ndarray
-    solution: object  # dense interpolant over [0, T]
+    solution: object  # a dop853.StateInterpolant of the state over [0, T], when dense
 
 
 def flow(field, x0, T: float, rtol: float = 1e-10, atol: float = 1e-10,
          domain_bound: float = 1e6, dense: bool = False) -> FlowResult:
-    """Integrate the field and its variational equations over [0, T].
+    """Integrate the field and its variational equations over [0, T], T > 0.
 
-    Uses the DOP853 embedded 8(5,3) pair of Dormand and Prince (Hairer,
-    Norsett and Wanner, Solving ODEs I).  The field's ``variational(x, Phi)``
-    returns the field at x and its Jacobian applied to Phi in one call; for a
-    :class:`HamiltonianField` both come from one evaluation of the combined
-    table of J grad H and J hess H.  The error is controlled per component:
-    the state runs ``_SAFETY`` below ``rtol``/``atol`` so that the energy
-    drift over a period stays within ten times the tolerance, while the
-    monodromy, which only steers Newton, runs at ``rtol``/``atol`` itself.
-    Exceeding ``domain_bound`` in norm or an integrator failure raises
-    :class:`IntegrationError` with the exit time.
+    One loop of the DOP853 embedded 8(5,3) pair of Dormand and Prince
+    (Hairer, Norsett and Wanner, Solving ODEs I, section II.10), with scipy's
+    initial step, step-size controller and error norm.  The field's
+    ``variational(x, Phi)`` returns the field at x and its Jacobian applied to
+    Phi in one call; for a :class:`HamiltonianField` both come from one
+    evaluation of the combined table of J grad H and J hess H.  The error is
+    controlled per component: the state runs ``_SAFETY`` below
+    ``rtol``/``atol`` so that the energy drift over a period stays within ten
+    times the tolerance, while the monodromy, which only steers Newton, runs
+    at ``rtol``/``atol`` itself.
+
+    With ``dense=True`` the result's ``solution`` is a
+    :class:`~hambif.dop853.StateInterpolant` of the state rows only; it calls
+    the state-only field ``field(x)`` 3 times per step, on its first read.
+    A state of norm above ``domain_bound``, at the start or at the end of an
+    accepted step, raises :class:`IntegrationError` with that time as
+    ``exit_time``; so does a step size below the spacing of floats at t.
     """
-    from scipy.integrate import solve_ivp  # the only user of scipy.integrate
+    # imported on first use: compiling the tableau would add to the import
+    # of every run that traces no branch
+    from . import dop853
 
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
     variational = getattr(field, "variational", None)
     if variational is None:
         raise ValueError("field must expose variational(x, Phi) for variational integration")
+    T = float(T)
+    if not T > 0.0:
+        raise ValueError("T must be positive")
 
-    def rhs(t, y):
+    def escaped(x):
+        return np.linalg.norm(x) > domain_bound
+
+    if escaped(x0):
+        raise IntegrationError(f"trajectory left the domain (norm > {domain_bound:g})",
+                               exit_time=0.0)
+
+    size = n + n * n
+    rtols = np.full(size, max(rtol, 1e-13))
+    atols = np.full(size, max(atol, 1e-14))
+    rtols[:n] = max(rtol * _SAFETY, 1e-13)
+    atols[:n] = max(atol * _SAFETY, 1e-14)
+
+    def rhs(y):
         dx, dPhi = variational(y[:n], y[n:].reshape(n, n))
         return np.concatenate([dx, dPhi.ravel()])
 
-    def escape(t, y):
-        return float(np.linalg.norm(y[:n]) - domain_bound)
-
-    escape.terminal = True
-    escape.direction = 1.0
-
-    rtols = np.full(n + n * n, max(rtol, 1e-13))
-    atols = np.full(n + n * n, max(atol, 1e-14))
-    rtols[:n] = max(rtol * _SAFETY, 1e-13)
-    atols[:n] = max(atol * _SAFETY, 1e-14)
-    y0 = np.concatenate([x0, np.eye(n).ravel()])
-    sol = solve_ivp(
-        rhs,
-        (0.0, T),
-        y0,
-        method="DOP853",
-        rtol=rtols,
-        atol=atols,
-        events=escape,
-        dense_output=dense,
-    )
-    if sol.t_events and sol.t_events[0].size:
-        raise IntegrationError(
-            f"trajectory left the domain (norm > {domain_bound:g})",
-            exit_time=float(sol.t_events[0][0]),
-        )
-    if not sol.success:
-        raise IntegrationError(sol.message, exit_time=float(sol.t[-1]))
-    yT = sol.y[:, -1]
+    K = np.empty((dop853.N_STAGES + 1, size))  # the stage slopes, in rows
+    y = np.concatenate([x0, np.eye(n).ravel()])
+    K[0] = rhs(y)
+    h_abs = dop853.initial_step(rhs, y, K[0], T, rtols, atols)
+    t = 0.0
+    ts, xs, stages = [t], [x0], []
+    while t < T:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:  # a NaN step size fails here too
+                raise IntegrationError("Required step size is less than spacing between numbers.",
+                                       exit_time=t)
+            t_new = min(t + h_abs, T)
+            h = h_abs = t_new - t
+            for s in range(1, dop853.N_STAGES):
+                K[s] = rhs(y + np.dot(K[:s].T, dop853.A[s, :s]) * h)
+            y_new = y + h * np.dot(K[:-1].T, dop853.B)
+            K[-1] = rhs(y_new)
+            scale = atols + np.maximum(np.abs(y), np.abs(y_new)) * rtols
+            error = dop853.error_norm(K, h, scale)
+            h_abs *= dop853.step_factor(error, rejected)
+            if error < 1:
+                break
+            rejected = True
+        t, y = t_new, y_new
+        if escaped(y[:n]):
+            raise IntegrationError(f"trajectory left the domain (norm > {domain_bound:g})",
+                                   exit_time=t)
+        if dense:
+            ts.append(t)
+            xs.append(y[:n])
+            stages.append(K[:, :n].copy())
+        K[0] = K[-1]
     return FlowResult(
-        endpoint=yT[:n],
-        monodromy=yT[n:].reshape(n, n),
-        solution=sol.sol if dense else None,
+        endpoint=y[:n],
+        monodromy=y[n:].reshape(n, n),
+        solution=dop853.StateInterpolant(field, ts, xs, stages) if dense else None,
     )
 
 
@@ -333,9 +364,8 @@ def _orbit_diagnostics(H, equilibrium, x0, lam, config, dense_sol):
     the orbit, read from its dense interpolant: the drift over
     ``sample_points`` equally spaced samples, the amplitude from the best
     sample refined by zooming in on its neighbourhood."""
-    n = x0.size
     ts = np.linspace(0.0, TWO_PI, config.sample_points)
-    states = dense_sol(ts)[:n, :]
+    states = dense_sol(ts)
     drift = float(np.max(np.abs(H.value(states.T) - H.value(x0))))
     distances = np.linalg.norm(states - equilibrium[:, None], axis=0)
     best = int(np.argmax(distances))
@@ -343,7 +373,7 @@ def _orbit_diagnostics(H, equilibrium, x0, lam, config, dense_sol):
     for _ in range(_ZOOMS):
         # the grid keeps t at its centre, so the amplitude never decreases
         grid = t + np.linspace(-width, width, 2 * _ZOOM + 1)
-        states = dense_sol(np.mod(grid, TWO_PI))[:n, :]
+        states = dense_sol(np.mod(grid, TWO_PI))
         distances = np.linalg.norm(states - equilibrium[:, None], axis=0)
         best = int(np.argmax(distances))
         t, amplitude, width = grid[best], distances[best], width / _ZOOM

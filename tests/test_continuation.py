@@ -10,19 +10,25 @@ import scipy.linalg
 
 import hambif
 from hambif import (
+    AnalysisOptions,
     ContinuationConfig,
     CorrectorError,
+    Equilibrium,
     IntegrationError,
     PeriodicOrbit,
     PolynomialHamiltonian,
+    ProblemSpec,
     continue_branch,
     correct_orbit,
+    emit_problem,
     flow,
     gradient_field,
     seed_from_linearization,
     standard_symplectic,
     verify_period_limit,
 )
+from hambif import dop853
+from hambif.continuation import _SAFETY
 
 TWO_PI = 2.0 * math.pi
 
@@ -39,6 +45,32 @@ def quartic_radial():
             (0.25, (0, 4)),
         ),
     )
+
+
+def coupled4():
+    """The coupled 4-dim quartic of the branch benchmark, frequencies 1 and sqrt(2)."""
+    return PolynomialHamiltonian(
+        4,
+        ((0.5, (2, 0, 0, 0)), (0.5, (0, 0, 2, 0)), (1.0, (0, 2, 0, 0)), (0.5, (0, 0, 0, 2)),
+         (0.25, (4, 0, 0, 0)), (0.1, (2, 2, 0, 0)), (0.25, (0, 4, 0, 0))),
+    )
+
+
+def solve_ivp_flow(field, x0, T):
+    """scipy's DOP853 on flow's system and per-component default tolerances."""
+    from scipy.integrate import solve_ivp
+
+    n = x0.size
+
+    def rhs(t, y):
+        dx, dPhi = field.variational(y[:n], y[n:].reshape(n, n))
+        return np.concatenate([dx, dPhi.ravel()])
+
+    rtol = np.full(n + n * n, 1e-10)
+    atol = np.full(n + n * n, 1e-10)
+    rtol[:n] = atol[:n] = 1e-10 * _SAFETY
+    y0 = np.concatenate([x0, np.eye(n).ravel()])
+    return solve_ivp(rhs, (0.0, T), y0, method="DOP853", rtol=rtol, atol=atol, dense_output=True)
 
 
 def guess(x0, lam, amplitude):
@@ -241,25 +273,52 @@ class TestFlow:
     def test_quartic_period_rhs_budget(self):
         class Counting:
             def __init__(self, field):
-                self.field, self.calls = field, 0
+                self.field, self.calls, self.state_calls = field, 0, 0
 
             def variational(self, x, Phi):
                 self.calls += 1
                 return self.field.variational(x, Phi)
 
-        field = Counting(gradient_field(quartic_radial(), 1.0))
-        flow(field, np.array([0.3, 0.0]), TWO_PI, dense=True)
-        # 557 when every component ran below the advertised tolerance
-        assert field.calls <= 470
+            def __call__(self, x):
+                self.state_calls += 1
+                return self.field(x)
 
-    def test_import_leaves_scipy_integrate_unloaded(self):
-        # flow imports scipy.integrate on first use; the package import must not
+        field = Counting(gradient_field(quartic_radial(), 1.0))
+        solution = flow(field, np.array([0.3, 0.0]), TWO_PI, dense=True).solution
+        # 557 when every component ran below the advertised tolerance, 452
+        # while the dense output was built with the full system on every step
+        assert field.calls <= 370
+        assert field.state_calls == 0  # the interpolant is built on its first read
+        solution(np.linspace(0.0, TWO_PI, 256))
+        solution(1.0)
+        assert 0 < field.state_calls <= 3 * (solution.ts.size - 1)
+
+    def test_import_leaves_scipy_integrate_unloaded(self, tmp_path):
+        # neither the package import nor a branch analysis through the CLI
+        # loads scipy.integrate
         src = str(Path(hambif.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         code = "import sys, hambif; print('scipy.integrate' in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=120).stdout
         assert out.strip() == "False"
+
+        H = quartic_radial()
+        spec = ProblemSpec(
+            dim=2,
+            equilibria=(Equilibrium(point=np.zeros(2), hessian=H.hessian(np.zeros(2))),),
+            hamiltonian=H,
+            options=AnalysisOptions(continuation=ContinuationConfig(amplitude_target=0.1)),
+        )
+        problem = tmp_path / "quartic.json"
+        problem.write_text(emit_problem(spec))
+        code = ("import sys; from hambif.cli import main; status = main(sys.argv[1:]); "
+                "print('scipy.integrate' in sys.modules, file=sys.stderr); sys.exit(status)")
+        run = subprocess.run([sys.executable, "-c", code, "analyze", "--input", str(problem)],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert '"orbit_count": 0' not in run.stdout and '"orbit_count"' in run.stdout
+        assert run.stderr.splitlines()[-1] == "False"
 
     def test_energy_conservation(self):
         H = quartic_radial()
@@ -275,8 +334,72 @@ class TestFlow:
         saddle = PolynomialHamiltonian(2, ((1.0, (1, 1)),))
         with pytest.raises(IntegrationError) as info:
             flow(gradient_field(saddle, 1.0), np.array([1.0, 0.0]), 20.0, domain_bound=10.0)
-        assert info.value.exit_time is not None
-        assert 0.0 < info.value.exit_time < 20.0
+        # the end of the first step outside the ball, which q enters at t = ln 10
+        assert math.log(10.0) <= info.value.exit_time < 20.0
+
+    @pytest.mark.parametrize("H", [
+        PolynomialHamiltonian(2, ((1.0, (1, 1)),)),  # the saddle H = q p
+        PolynomialHamiltonian.from_quadratic(np.eye(2)),  # rotation at constant radius
+    ])
+    def test_start_outside_the_domain_raises_at_time_zero(self, H):
+        with pytest.raises(IntegrationError) as info:
+            flow(gradient_field(H, 1.0), np.array([20.0, 0.0]), 5.0, domain_bound=10.0)
+        assert info.value.exit_time == 0.0
+
+    def test_nonfinite_field_raises(self):
+        # a NaN right-hand side makes a NaN initial step, which must fail
+        # instead of looping forever
+        class Broken:
+            def variational(self, x, Phi):
+                return np.full(x.size, np.nan), np.full(Phi.shape, np.nan)
+
+        with pytest.raises(IntegrationError) as info:
+            flow(Broken(), np.array([0.3, 0.0]), 1.0)
+        assert info.value.exit_time == 0.0
+
+    def test_nonpositive_time_rejected(self):
+        field = gradient_field(quartic_radial(), 1.0)
+        for T in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                flow(field, np.array([0.3, 0.0]), T)
+
+
+class TestStepper:
+    """The in-house DOP853 loop against scipy's, which it reproduces."""
+
+    def test_tableau_is_scipys(self):
+        from scipy.integrate._ivp import dop853_coefficients as reference
+
+        for name in ("A", "B", "C", "E3", "E5", "D"):
+            ours, theirs = getattr(dop853, name), getattr(reference, name)
+            assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes(), name
+
+    @pytest.mark.parametrize("case", ["quartic", "quadratic", "coupled4"])
+    def test_flow_matches_solve_ivp(self, case, rng):
+        if case == "quartic":
+            H, x0 = quartic_radial(), np.array([0.3, 0.0])
+        elif case == "quadratic":
+            B = rng.uniform(-0.5, 0.5, (4, 4))
+            H, x0 = PolynomialHamiltonian.from_quadratic(B @ B.T + 0.5 * np.eye(4)), rng.uniform(-0.5, 0.5, 4)
+        else:
+            H, x0 = coupled4(), np.array([0.3, 0.2, 0.0, 0.1])
+        field = gradient_field(H, 0.9)
+        ours = flow(field, x0, TWO_PI, dense=True)
+        theirs = solve_ivp_flow(field, x0, TWO_PI)
+        n = x0.size
+        assert np.max(np.abs(ours.endpoint - theirs.y[:n, -1])) <= 1e-12
+        assert np.max(np.abs(ours.monodromy - theirs.y[n:, -1].reshape(n, n))) <= 1e-12
+        ts = np.linspace(0.0, TWO_PI, 256)
+        states = ours.solution(ts)
+        assert states.shape == (n, ts.size)
+        assert np.max(np.abs(states - theirs.sol(ts)[:n])) <= 1e-12
+        for t in (0.0, 1.234, ours.solution.ts[3], TWO_PI):
+            state = ours.solution(t)
+            assert state.shape == (n,)
+            assert np.max(np.abs(state - theirs.sol(t)[:n])) <= 1e-12
+
+    def test_without_dense_output_no_interpolant(self):
+        assert flow(gradient_field(quartic_radial(), 1.0), np.array([0.3, 0.0]), 1.0).solution is None
 
 
 class TestContinuationConfig:

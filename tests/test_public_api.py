@@ -36,6 +36,8 @@ def test_readme_quick_start():
         assert lam == pytest.approx(1.0 / (1.0 + amplitude ** 2), abs=1e-5)  # lam tracks 1/(1+a^2)
 
 
+# the package's own names only: the submodules stay importable as
+# ``hambif.<module>`` but are not exported by ``from hambif import *``
 PUBLIC_NAMES = [
     "AnalysisOptions", "AssumptionReport", "AssumptionResult", "BifurcationIndex", "BlockCounts",
     "BlockSpec", "Branch", "ConditionReport", "ConditioningWarning", "ConsistencyError",
@@ -43,17 +45,16 @@ PUBLIC_NAMES = [
     "EigenvalueClass", "EigenvalueNotFoundError", "Equilibrium", "HamiltonianField",
     "ImaginaryEigenvalue", "IntegrationError", "LambdaSet", "NonresonanceReport", "NormalForm",
     "PeriodicOrbit", "PlanarDegreeError", "PolynomialHamiltonian", "ProblemSpec", "SpecError",
-    "SpectralSummary", "SplittingError", "StructureError", "TolerancePolicy", "analysis",
-    "assemble_hessian", "assemble_normal_form", "bifurcation", "bifurcation_index", "block_counts",
-    "block_hessian", "branch_csv", "brouwer_nondegenerate", "brouwer_planar",
-    "check_classical_assumptions", "check_main_condition", "classify_eigenvalue", "continuation",
-    "continue_branch", "correct_orbit", "emit_problem", "emit_report", "errors",
-    "even_block_hessian", "flow", "gamma_block", "gamma_jump", "gradient_field",
-    "interleave_permutation", "is_hamiltonian", "is_symplectic", "isolation_radius",
-    "jordan_partition", "lambda_set", "linalg", "morse_index", "nonresonance_and_branch_count",
-    "normal_forms", "odd_block_hessian", "parse_problem", "parse_report", "problem",
+    "SpectralSummary", "SplittingError", "StructureError", "TolerancePolicy", "assemble_hessian",
+    "assemble_normal_form", "bifurcation_index", "block_counts", "block_hessian", "branch_csv",
+    "brouwer_nondegenerate", "brouwer_planar", "check_classical_assumptions",
+    "check_main_condition", "classify_eigenvalue", "continue_branch", "correct_orbit",
+    "emit_problem", "emit_report", "even_block_hessian", "flow", "gamma_block", "gamma_jump",
+    "gradient_field", "interleave_permutation", "is_hamiltonian", "is_symplectic",
+    "isolation_radius", "jordan_partition", "lambda_set", "morse_index",
+    "nonresonance_and_branch_count", "odd_block_hessian", "parse_problem", "parse_report",
     "problem_to_dict", "random_symplectic", "run_analysis", "seed_from_linearization", "signature",
-    "spectral", "spectral_summary", "standard_symplectic", "structural_decomposition",
+    "spectral_summary", "standard_symplectic", "structural_decomposition",
     "symplectic_gram_schmidt", "t_matrix", "verify_period_limit",
 ]
 

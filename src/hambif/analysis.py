@@ -14,13 +14,15 @@ import json
 
 from . import __version__
 from .bifurcation import (
+    _condition_report,
+    _nonresonance,
     bifurcation_index,
     brouwer_nondegenerate,
     brouwer_planar,
     check_classical_assumptions,
     check_main_condition,
+    gamma_jump,
     lambda_set,
-    nonresonance_and_branch_count,
 )
 from .continuation import TWO_PI, continue_branch, seed_from_linearization, verify_period_limit
 from .errors import (
@@ -179,57 +181,61 @@ def run_analysis(spec: ProblemSpec, stages: frozenset[str] = ALL_STAGES) -> dict
 
         conditions = []
         indices = []
+        reports: dict = {}  # beta -> ConditionReport, or None when the check failed
         if "index" in stages or "normal_form" in stages:
             for beta in requested:
-                blocks = None
-                if "normal_form" in stages:
-                    try:
-                        blocks = structural_decomposition(M, beta, tol)
-                    except (DecompositionError, ValueError) as exc:
+                try:
+                    blocks = structural_decomposition(M, beta, tol)
+                except (DecompositionError, ValueError) as exc:
+                    blocks = None
+                    if "normal_form" in stages:
                         entry["errors"].append(f"decomposition at beta={beta:.6g} unavailable: {exc}")
-                if "index" in stages:
-                    try:
-                        cond = check_main_condition(A, brouwer, beta, tol)
-                    except (DegeneracyError, EigenvalueNotFoundError) as exc:
-                        entry["errors"].append(f"condition check at beta={beta:.6g} failed: {exc}")
-                        continue
-                    conditions.append(_condition_entry(cond, blocks))
-                    try:
-                        bif = bifurcation_index(
-                            A, 0 if brouwer is None else brouwer, 1.0 / beta,
-                            spec.options.j_max, tol, base_label=f"equilibrium-{index}",
-                        )
-                        indices.append(
-                            {
-                                "beta0": beta,
-                                "lambda0": 1.0 / beta,
-                                "entries": {str(j): eta for j, eta in bif.entries},
-                                "j_max": bif.j_max,
-                                "truncated": bif.truncated,
-                                "brouwer_known": brouwer is not None,
-                            }
-                        )
-                    except (DegeneracyError, ValueError) as exc:
-                        entry["errors"].append(f"bifurcation index at beta={beta:.6g} failed: {exc}")
-                elif blocks is not None:
-                    conditions.append(
+                if "index" not in stages:
+                    if blocks is not None:
+                        conditions.append({"beta0": beta, "blocks": [[b.half_dim, b.epsilon] for b in blocks]})
+                    continue
+                try:
+                    gamma = gamma_jump(A, beta, 1, tol)
+                except (DegeneracyError, EigenvalueNotFoundError) as exc:
+                    reports[beta] = None
+                    entry["errors"].append(f"condition check at beta={beta:.6g} failed: {exc}")
+                    continue
+                reports[beta] = _condition_report(beta, gamma, blocks, brouwer, tol)
+                conditions.append(
+                    _condition_entry(reports[beta], blocks if "normal_form" in stages else None)
+                )
+                try:
+                    bif = bifurcation_index(
+                        A, 0 if brouwer is None else brouwer, 1.0 / beta,
+                        spec.options.j_max, tol, base_label=f"equilibrium-{index}",
+                    )
+                    indices.append(
                         {
                             "beta0": beta,
-                            "blocks": [[b.half_dim, b.epsilon] for b in blocks],
+                            "lambda0": 1.0 / beta,
+                            "entries": {str(j): eta for j, eta in bif.entries},
+                            "j_max": bif.j_max,
+                            "truncated": bif.truncated,
+                            "brouwer_known": brouwer is not None,
                         }
                     )
+                except (DegeneracyError, ValueError) as exc:
+                    entry["errors"].append(f"bifurcation index at beta={beta:.6g} failed: {exc}")
         entry["conditions"] = conditions
         entry["bifurcation_indices"] = indices
 
         if "index" in stages:
-            try:
-                non = nonresonance_and_branch_count(A, tol, brouwer)
-                entry["nonresonance"] = {
-                    "flags": [[beta, flag] for beta, flag in non.flags],
-                    "lower_bound": non.lower_bound,
-                }
-            except EigenvalueNotFoundError:
-                entry["nonresonance"] = {"flags": [], "lower_bound": 0}
+            # flags and bound cover every frequency; one left out by --beta
+            # gets its report here
+            non = _nonresonance(
+                found,
+                lambda beta: reports[beta] if beta in reports else check_main_condition(A, brouwer, beta, tol),
+                tol,
+            )
+            entry["nonresonance"] = {
+                "flags": [[beta, flag] for beta, flag in non.flags],
+                "lower_bound": non.lower_bound,
+            }
 
         if "assumptions" in stages:
             assumptions = check_classical_assumptions(A, split=None, tol=tol)
@@ -243,9 +249,8 @@ def run_analysis(spec: ProblemSpec, stages: frozenset[str] = ALL_STAGES) -> dict
 
         branches = []
         if "continuation" in stages and spec.hamiltonian is not None and spec.options.continuation_enabled:
-            condition_by_beta = {c["beta0"]: c.get("condition_holds") for c in conditions}
             for beta in requested:
-                if "index" in stages and condition_by_beta.get(beta) is not True:
+                if "index" in stages and not (reports[beta] and reports[beta].condition_holds):
                     continue
                 try:
                     seed = seed_from_linearization(

@@ -471,21 +471,11 @@ def check_classical_assumptions(A, split=None, tol: TolerancePolicy = DEFAULT_TO
     return AssumptionReport(a0, a1, a2, a3, a4)
 
 
-def nonresonance_and_branch_count(A, tol: TolerancePolicy = DEFAULT_TOL,
-                                  brouwer: int | None = None) -> NonresonanceReport:
-    """Flag frequencies no larger frequency divides, and count how many of the
-    flagged ones also pass the branch condition (a lower bound on connected
-    families with distinct minimal periods)."""
-    A = as_symmetric(A, tol)
-    N = A.shape[0] // 2
-    betas = sorted(spectral_summary(standard_symplectic(N) @ A, tol).betas, reverse=True)
-    if not betas:
-        raise EigenvalueNotFoundError("J A has no purely imaginary frequencies")
-    if brouwer is None:
-        try:
-            brouwer = brouwer_nondegenerate(A, tol)
-        except DegeneracyError:
-            brouwer = None
+def _nonresonance(betas, report_for, tol: TolerancePolicy) -> NonresonanceReport:
+    """Flag the frequencies no larger one divides, and count the flagged ones
+    whose condition holds.  ``report_for(beta)`` gives the frequency's
+    ConditionReport, or None when its check failed."""
+    betas = sorted(betas, reverse=True)
     flags = []
     bound = 0
     for beta in betas:
@@ -493,12 +483,45 @@ def nonresonance_and_branch_count(A, tol: TolerancePolicy = DEFAULT_TOL,
         flags.append((beta, flag))
         if flag:
             try:
-                report = check_main_condition(A, brouwer, beta, tol)
+                report = report_for(beta)
             except DegeneracyError:
                 continue  # undecided: a lower bound may leave the frequency out
-            if report.condition_holds:
+            if report is not None and report.condition_holds:
                 bound += 1
     return NonresonanceReport(flags=tuple(flags), lower_bound=bound)
+
+
+def nonresonance_and_branch_count(A, tol: TolerancePolicy = DEFAULT_TOL,
+                                  brouwer: int | None = None) -> NonresonanceReport:
+    """Flag frequencies no larger frequency divides, and count how many of the
+    flagged ones also pass the branch condition (a lower bound on connected
+    families with distinct minimal periods)."""
+    A = as_symmetric(A, tol)
+    N = A.shape[0] // 2
+    betas = spectral_summary(standard_symplectic(N) @ A, tol).betas
+    if not betas:
+        raise EigenvalueNotFoundError("J A has no purely imaginary frequencies")
+    if brouwer is None:
+        try:
+            brouwer = brouwer_nondegenerate(A, tol)
+        except DegeneracyError:
+            brouwer = None
+    return _nonresonance(betas, lambda beta: check_main_condition(A, brouwer, beta, tol), tol)
+
+
+def _condition_report(beta0: float, gamma: int, blocks, brouwer: int | None,
+                      tol: TolerancePolicy) -> ConditionReport:
+    """Both routes at beta0 from the Morse jump and the catalogue blocks
+    (None when the structural decomposition is unavailable)."""
+    counts = None if blocks is None else block_counts(blocks, beta0, tol)
+    return ConditionReport(
+        beta0=beta0,
+        gamma=gamma,
+        counts=counts,
+        brouwer=brouwer,
+        condition_holds=None if brouwer is None else (gamma != 0 and brouwer != 0),
+        routes_agree=None if counts is None else (gamma == -2 * counts.kappa),
+    )
 
 
 def check_main_condition(A, brouwer: int | None, beta0: float,
@@ -511,20 +534,8 @@ def check_main_condition(A, brouwer: int | None, beta0: float,
     """
     A = as_symmetric(A, tol)
     gamma = gamma_jump(A, beta0, j=1, tol=tol)
-    N = A.shape[0] // 2
-    counts: BlockCounts | None = None
     try:
-        blocks = structural_decomposition(standard_symplectic(N) @ A, beta0, tol)
-        counts = block_counts(blocks, beta0, tol)
+        blocks = structural_decomposition(standard_symplectic(A.shape[0] // 2) @ A, beta0, tol)
     except (DecompositionError, ValueError):
-        counts = None
-    routes_agree = None if counts is None else (gamma == -2 * counts.kappa)
-    condition_holds = None if brouwer is None else (gamma != 0 and brouwer != 0)
-    return ConditionReport(
-        beta0=beta0,
-        gamma=gamma,
-        counts=counts,
-        brouwer=brouwer,
-        condition_holds=condition_holds,
-        routes_agree=routes_agree,
-    )
+        blocks = None
+    return _condition_report(beta0, gamma, blocks, brouwer, tol)

@@ -1,4 +1,6 @@
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -256,3 +258,104 @@ class TestCli:
         assert report["seed"] == 5
         assert report["analysis"]["lambda_max"] == 2.0
         assert report["tolerances"]["rank_tol"] == 2e-10
+
+
+def oscillators_problem(tmp_path, *betas):
+    """Problem file for one equilibrium with simple frequencies at the given betas."""
+    from hambif import BlockSpec, NormalForm, assemble_hessian
+
+    A = assemble_hessian(NormalForm(tuple(BlockSpec(b, 1, -1) for b in betas)))
+    path = tmp_path / "oscillators.json"
+    path.write_text(json.dumps({"dim": A.shape[0], "equilibria": [{"point": [0.0] * A.shape[0],
+                                                                   "hessian": A.tolist()}]}))
+    return str(path)
+
+
+class TestOneVerdictPerFrequency:
+    """Each frequency is decomposed and Morse-jumped once, and a report reads
+    the same whichever stages produced it."""
+
+    def test_one_decomposition_and_one_jump_per_frequency(self, tmp_path, monkeypatch):
+        import hambif.analysis as analysis
+        import hambif.bifurcation as bifurcation
+
+        calls = {"structural_decomposition": [], "gamma_jump": []}
+        for name, seen in calls.items():
+            def counting(matrix, beta, *args, _original=getattr(bifurcation, name), _seen=seen, **kwargs):
+                _seen.append(round(beta, 9))
+                return _original(matrix, beta, *args, **kwargs)
+
+            for module in (analysis, bifurcation):
+                monkeypatch.setattr(module, name, counting, raising=False)
+
+        path = oscillators_problem(tmp_path, 1.0, 2.0, math.sqrt(2.0))
+        run_analysis(parse_problem(Path(path).read_text()), frozenset({"normal_form", "index"}))
+        betas = [1.0, round(math.sqrt(2.0), 9), 2.0]
+        assert sorted(calls["structural_decomposition"]) == betas
+        assert sorted(calls["gamma_jump"]) == betas
+
+    def test_report_by_stage(self, tmp_path, monkeypatch, capsys):
+        """The decomposition fails at beta 2 and the Morse jump across the
+        level 1/2, which the condition check at beta 2 and the j = 2 index
+        coordinate at beta 1 both need."""
+        import hambif.analysis as analysis
+        import hambif.bifurcation as bifurcation
+        from hambif.errors import DecompositionError, DegeneracyError
+
+        decompose, morse_jump = bifurcation.structural_decomposition, bifurcation._morse_jump
+
+        def failing_decomposition(M, beta, tol):
+            if abs(beta - 2.0) < 1e-9:
+                raise DecompositionError("moment-form rank gap too small")
+            return decompose(M, beta, tol)
+
+        def failing_jump(A, j, lam0, mu, tol):
+            if abs(lam0 / j - 0.5) < 1e-9:
+                raise DegeneracyError("morse_index: eigenvalue inside the zero band")
+            return morse_jump(A, j, lam0, mu, tol)
+
+        path = oscillators_problem(tmp_path, 1.0, 2.0)
+        for module in (analysis, bifurcation):
+            monkeypatch.setattr(module, "structural_decomposition", failing_decomposition)
+        monkeypatch.setattr(bifurcation, "_morse_jump", failing_jump)
+
+        decomposition = "decomposition at beta=2 unavailable: moment-form rank gap too small"
+        condition = "condition check at beta=2 failed: morse_index: eigenvalue inside the zero band"
+        index = "bifurcation index at beta=1 failed: morse_index: eigenvalue inside the zero band"
+        counts = {"o_plus": 0, "o_minus": 1, "e_plus": 0, "e_minus": 0, "kappa": -1}
+        verdict = {"beta0": 1.0, "gamma": 2, "counts": counts, "brouwer": 1,
+                   "condition_holds": True, "routes_agree": True}
+        nonresonance = [[2.0, True], [1.0, False]], 0
+
+        def entry(command):
+            assert cli_main([command, "--input", path]) == 3
+            eq = parse_report(capsys.readouterr().out)["equilibria"][0]
+            non = eq.get("nonresonance")
+            return eq["errors"], eq["conditions"], eq["bifurcation_indices"], non and (
+                [[round(b, 9), flag] for b, flag in non["flags"]], non["lower_bound"])
+
+        assert entry("analyze") == ([decomposition, condition, index],
+                                    [{**verdict, "blocks": [[1, -1]]}], [], nonresonance)
+        assert entry("normal-form") == ([decomposition], [{"beta0": 1.0, "blocks": [[1, -1]]}], [], None)
+        assert entry("index") == ([condition, index], [{**verdict, "blocks": None}], [], nonresonance)
+
+        assert cli_main(["analyze", "--input", path, "--format", "human"]) == 3
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "equilibrium 0 at [0.0, 0.0, 0.0, 0.0]",
+            f"  ! {decomposition}",
+            f"  ! {condition}",
+            f"  ! {index}",
+            "  frequency beta=2: mult 1/1, partition [1], simple",
+            "  frequency beta=1: mult 1/1, partition [1], simple",
+            "  beta0=1: o+=0 o-=1 e+=0 e-=0 kappa=-1; gamma=2; brouwer=1; routes_agree=True; condition HOLDS",
+            "  nonresonant frequencies: 2; branch lower bound 0",
+        ]
+
+    def test_beta_selection_keeps_every_frequency_in_the_bound(self, tmp_path, capsys):
+        """Only beta 2 is flagged; it counts although --beta leaves it out."""
+        path = oscillators_problem(tmp_path, 1.0, 2.0)
+        assert cli_main(["analyze", "--input", path, "--beta", "1"]) == 0
+        eq = parse_report(capsys.readouterr().out)["equilibria"][0]
+        assert [c["beta0"] for c in eq["conditions"]] == [1.0]
+        assert [[round(b, 9), flag] for b, flag in eq["nonresonance"]["flags"]] == [[2.0, True], [1.0, False]]
+        assert eq["nonresonance"]["lower_bound"] == 1

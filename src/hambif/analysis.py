@@ -4,7 +4,7 @@
 decomposition, both condition routes, bifurcation indices, the classical
 hypothesis checkers, and (when a Hamiltonian is supplied) branch continuation.
 Reports are plain JSON-ready dictionaries; the structured emitter is
-byte-deterministic for a fixed problem and seed.
+byte-deterministic for a fixed problem.
 """
 
 from __future__ import annotations
@@ -109,7 +109,6 @@ def run_analysis(spec: ProblemSpec, stages: frozenset[str] = ALL_STAGES) -> dict
     tol = spec.options.tolerances
     report: dict = {
         "tool": {"name": "hambif", "version": __version__},
-        "seed": spec.options.seed,
         "tolerances": {
             "rank_tol": tol.rank_tol,
             "eig_zero_tol": tol.eig_zero_tol,
@@ -334,8 +333,7 @@ def _verdict_line(cond: dict) -> str:
 
 def _human_report(report: dict) -> str:
     lines = [
-        f"hambif {report['tool']['version']} analysis "
-        f"(seed {report['seed']}, lambda_max {report['analysis']['lambda_max']})"
+        f"hambif {report['tool']['version']} analysis (lambda_max {report['analysis']['lambda_max']})"
     ]
     for eq in report["equilibria"]:
         lines.append(f"equilibrium {eq['index']} at {eq['point']}")

@@ -40,7 +40,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--beta", type=float, action="append", dest="betas",
         help="restrict to this frequency (repeatable)",
     )
-    parser.add_argument("--seed", type=int, help="override the seed recorded in the report")
     parser.add_argument("--tol-scale", type=float, help="scale all tolerances by this factor")
 
 
@@ -69,8 +68,6 @@ def _apply_overrides(spec, args):
         options = dataclasses.replace(options, j_max=args.j_max)
     if args.betas:
         options = dataclasses.replace(options, betas=tuple(args.betas))
-    if args.seed is not None:
-        options = dataclasses.replace(options, seed=args.seed)
     if args.tol_scale is not None:
         options = dataclasses.replace(options, tolerances=options.tolerances.scaled(args.tol_scale))
     return dataclasses.replace(spec, options=options)

@@ -29,7 +29,6 @@ class AnalysisOptions:
     lambda_max: float = 10.0
     j_max: int | None = None
     betas: tuple[float, ...] | str = "all"
-    seed: int = 0
     tolerances: TolerancePolicy = field(default_factory=TolerancePolicy)
     continuation: ContinuationConfig = field(default_factory=ContinuationConfig)
     continuation_enabled: bool = True
@@ -141,7 +140,7 @@ def parse_problem(text: str, tol: TolerancePolicy | None = None) -> ProblemSpec:
 
     analysis = data.get("analysis") or {}
     _require(isinstance(analysis, dict), "expected an object", "$.analysis")
-    unknown = set(analysis) - {"lambda_max", "j_max", "betas", "seed", "tolerances", "continuation"}
+    unknown = set(analysis) - {"lambda_max", "j_max", "betas", "tolerances", "continuation"}
     _require(not unknown, f"unknown analysis fields {sorted(unknown)}", "$.analysis")
     tolerances = tol if tol is not None else _parse_tolerances(analysis.get("tolerances"), "$.analysis.tolerances")
     continuation, enabled = _parse_continuation(analysis.get("continuation"), "$.analysis.continuation")
@@ -154,8 +153,6 @@ def parse_problem(text: str, tol: TolerancePolicy | None = None) -> ProblemSpec:
     if betas != "all":
         betas = tuple(float(b) for b in betas)
         _require(all(b > 0 for b in betas), "requested betas must be positive", "$.analysis.betas")
-    seed = analysis.get("seed", 0)
-    _require(isinstance(seed, int), "seed must be an integer", "$.analysis.seed")
 
     hamiltonian = None
     if data.get("hamiltonian") is not None:
@@ -202,7 +199,6 @@ def parse_problem(text: str, tol: TolerancePolicy | None = None) -> ProblemSpec:
         lambda_max=lambda_max,
         j_max=j_max,
         betas=betas,
-        seed=seed,
         tolerances=tolerances,
         continuation=continuation,
         continuation_enabled=enabled,
@@ -226,7 +222,6 @@ def problem_to_dict(spec: ProblemSpec) -> dict:
             "lambda_max": spec.options.lambda_max,
             "j_max": spec.options.j_max,
             "betas": "all" if spec.options.betas == "all" else list(spec.options.betas),
-            "seed": spec.options.seed,
             "tolerances": {
                 "rank_tol": spec.options.tolerances.rank_tol,
                 "eig_zero_tol": spec.options.tolerances.eig_zero_tol,

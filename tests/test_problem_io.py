@@ -206,6 +206,14 @@ class TestCli:
         path = self.write(tmp_path, "{not json")
         assert cli_main(["analyze", "--input", path]) == 2
 
+    def test_removed_seed_rejected(self, tmp_path):
+        """The seed drove nothing; the problem key and the flag are gone."""
+        path = self.write(tmp_path, oscillator_spec(seed=5))
+        assert cli_main(["analyze", "--input", path]) == 2
+        with pytest.raises(SystemExit) as info:
+            cli_main(["analyze", "--input", self.write(tmp_path, oscillator_spec()), "--seed", "5"])
+        assert info.value.code == 2
+
     def test_undetermined_exit_four(self, tmp_path):
         data = {
             "dim": 4,
@@ -253,9 +261,9 @@ class TestCli:
     def test_beta_and_overrides(self, tmp_path, capsys):
         path = self.write(tmp_path, oscillator_spec())
         assert cli_main(["index", "--input", path, "--beta", "1.0", "--lambda-max", "2.0",
-                         "--j-max", "3", "--seed", "5", "--tol-scale", "2.0"]) == 0
+                         "--j-max", "3", "--tol-scale", "2.0"]) == 0
         report = parse_report(capsys.readouterr().out)
-        assert report["seed"] == 5
+        assert "seed" not in report
         assert report["analysis"]["lambda_max"] == 2.0
         assert report["tolerances"]["rank_tol"] == 2e-10
 

@@ -9,8 +9,8 @@ byte-deterministic for a fixed problem.
 
 from __future__ import annotations
 
+import dataclasses
 import json
-
 
 from . import __version__
 from .bifurcation import (
@@ -69,15 +69,7 @@ def _condition_entry(report, blocks):
     return {
         "beta0": report.beta0,
         "gamma": report.gamma,
-        "counts": None
-        if counts is None
-        else {
-            "o_plus": counts.o_plus,
-            "o_minus": counts.o_minus,
-            "e_plus": counts.e_plus,
-            "e_minus": counts.e_minus,
-            "kappa": counts.kappa,
-        },
+        "counts": None if counts is None else {**dataclasses.asdict(counts), "kappa": counts.kappa},
         "blocks": None if blocks is None else [[b.half_dim, b.epsilon] for b in blocks],
         "brouwer": report.brouwer,
         "condition_holds": report.condition_holds,
@@ -224,12 +216,9 @@ def run_analysis(spec: ProblemSpec, stages: frozenset[str] = ALL_STAGES) -> dict
         entry["bifurcation_indices"] = indices
 
         if "index" in stages:
-            # flags and bound cover every frequency; one left out by --beta
-            # gets its report here
+            # every frequency is flagged and counted; one --beta left out is checked here
             non = _nonresonance(
-                found,
-                lambda beta: reports[beta] if beta in reports else check_main_condition(A, brouwer, beta, tol),
-                tol,
+                found, lambda b: reports[b] if b in reports else check_main_condition(A, brouwer, b, tol), tol
             )
             entry["nonresonance"] = {
                 "flags": [[beta, flag] for beta, flag in non.flags],

@@ -497,8 +497,7 @@ def nonresonance_and_branch_count(A, tol: TolerancePolicy = DEFAULT_TOL,
     flagged ones also pass the branch condition (a lower bound on connected
     families with distinct minimal periods)."""
     A = as_symmetric(A, tol)
-    N = A.shape[0] // 2
-    betas = spectral_summary(standard_symplectic(N) @ A, tol).betas
+    betas = _spectrum_betas(A, tol)
     if not betas:
         raise EigenvalueNotFoundError("J A has no purely imaginary frequencies")
     if brouwer is None:

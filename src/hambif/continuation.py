@@ -52,8 +52,9 @@ class PolynomialHamiltonian:
     The terms are compiled once into numpy tables.  A monomial is stored as
     its nonzero (variable, power) factors, so the tables grow with the number
     of terms and their degree, never with the dimension.  Each derivative is
-    the distinct derivative monomials plus a sparse coefficient matrix of
-    (output index, monomial, coefficient) triplets.
+    a list of (output index, coefficient, monomial) triplets, one per
+    derivative of a term, so it is evaluated with one gather of powers, one
+    product per triplet and one sum into the outputs.
     """
 
     dim: int
@@ -79,24 +80,20 @@ class PolynomialHamiltonian:
         dim, half = self.dim, self.dim // 2
         # a monomial as its (variable, power) factors with nonzero power
         monomials = [tuple((k, e) for k, e in enumerate(exps) if e) for _, exps in self.terms]
-        first: dict = {}
-        second: dict = {}
-        both: dict = {}
-        grad, hess, jet = [], [], []  # (output index, monomial, coefficient)
+        grad, hess, jet = [], [], []  # (output index, coefficient, monomial)
         for (coeff, _), factors in zip(self.terms, monomials):
             for k, ek in factors:
                 d1 = _divide(factors, k)
-                grad.append((k, first.setdefault(d1, len(first)), coeff * ek))
+                grad.append((k, coeff * ek, d1))
                 # J = [[0, I], [-I, 0]] as a signed row permutation
                 row, sign = (k - half, 1.0) if k >= half else (k + half, -1.0)
-                jet.append((row, both.setdefault(d1, len(both)), sign * coeff * ek))
+                jet.append((row, sign * coeff * ek, d1))
                 # both orders (k, l) and (l, k), each with the same integer
                 # factor, so the assembled hessian is exactly symmetric
                 for l, el in d1:
                     d2 = _divide(d1, l)
-                    hess.append((k * dim + l, second.setdefault(d2, len(second)), coeff * (ek * el)))
-                    jet.append((dim + row * dim + l, both.setdefault(d2, len(both)),
-                                sign * coeff * (ek * el)))
+                    hess.append((k * dim + l, coeff * (ek * el), d2))
+                    jet.append((dim + row * dim + l, sign * coeff * (ek * el), d2))
         degrees = np.arange(max((max(e) for _, e in self.terms), default=0) + 1)
         stride = degrees.size
         tables = {
@@ -104,12 +101,11 @@ class PolynomialHamiltonian:
             "value_monomials": _factor_table(monomials, stride),
             "degrees": degrees,
         }
-        for name, found, triplets in (("grad", first, grad), ("hess", second, hess), ("jet", both, jet)):
-            tables[f"{name}_monomials"] = _factor_table(list(found), stride)
-            rows, cols, coeffs = zip(*triplets) if triplets else ((), (), ())
+        for name, triplets in (("grad", grad), ("hess", hess), ("jet", jet)):
+            rows, coeffs, factors = zip(*triplets) if triplets else ((), (), ())
             tables[f"{name}_rows"] = np.array(rows, dtype=np.intp)
-            tables[f"{name}_cols"] = np.array(cols, dtype=np.intp)
             tables[f"{name}_coeffs"] = np.array(coeffs, dtype=float)
+            tables[f"{name}_monomials"] = _factor_table(factors, stride)
         for name, table in tables.items():
             object.__setattr__(self, f"_{name}", table)
 
@@ -143,40 +139,56 @@ class PolynomialHamiltonian:
         return float(values) if x.ndim == 1 else values
 
     def gradient(self, x) -> np.ndarray:
-        m = self._monomials(self._grad_monomials, np.asarray(x, dtype=float))
-        return np.bincount(self._grad_rows, weights=self._grad_coeffs * m.take(self._grad_cols),
-                           minlength=self.dim)
+        """grad H(x); for an array of points (last axis of length dim), the
+        gradient at each.  Each point's triplets are summed in table order,
+        so a row of a batch equals the single-point gradient bit for bit."""
+        x = np.asarray(x, dtype=float)
+        weights = self._grad_coeffs * self._monomials(self._grad_monomials, x)
+        g = np.zeros(x.shape[:-1] + (self.dim,))
+        np.add.at(g.T, self._grad_rows, weights.T)
+        return g
 
     def hessian(self, x) -> np.ndarray:
         m = self._monomials(self._hess_monomials, np.asarray(x, dtype=float))
-        flat = np.bincount(self._hess_rows, weights=self._hess_coeffs * m.take(self._hess_cols),
-                           minlength=self.dim * self.dim)
+        flat = np.bincount(self._hess_rows, weights=self._hess_coeffs * m, minlength=self.dim * self.dim)
         return flat.reshape(self.dim, self.dim)
 
     def symplectic_derivatives(self, x) -> tuple[np.ndarray, np.ndarray]:
         """J grad H(x) and J hess H(x) from one evaluation of the combined table."""
         m = self._monomials(self._jet_monomials, np.asarray(x, dtype=float))
-        flat = np.bincount(self._jet_rows, weights=self._jet_coeffs * m.take(self._jet_cols),
-                           minlength=self.dim * (self.dim + 1))
+        flat = np.bincount(self._jet_rows, weights=self._jet_coeffs * m, minlength=self.dim * (self.dim + 1))
         return flat[:self.dim], flat[self.dim:].reshape(self.dim, self.dim)
 
 
 @dataclass(frozen=True)
 class HamiltonianField:
-    """x -> lam * J * grad H(x), with its variational equation for shooting."""
+    """x -> lam * J * grad H(x), with its variational equation for shooting.
+
+    The field protocol of :func:`flow`: ``field(x)`` is the state-only field,
+    at one point or, for an ``(m, dim)`` array, at each row (bit for bit the
+    single-point values); ``variational(y, out)`` writes the augmented field
+    at ``y = (x, vec Phi)`` into ``out``.
+    """
 
     H: PolynomialHamiltonian
     lam: float
 
     def __call__(self, x) -> np.ndarray:
         g = self.H.gradient(x)
-        half = g.size // 2
-        return self.lam * np.concatenate([g[half:], -g[:half]])  # lam * J g
+        half = g.shape[-1] // 2
+        return self.lam * np.concatenate([g[..., half:], -g[..., :half]], axis=-1)  # lam * J g
 
-    def variational(self, x, Phi) -> tuple[np.ndarray, np.ndarray]:
-        """The field at x and its Jacobian applied to Phi."""
-        Jg, JH = self.H.symplectic_derivatives(x)
-        return self.lam * Jg, self.lam * (JH @ Phi)
+    def variational(self, y, out) -> None:
+        """Write ``lam J grad H(x)`` and then ``lam (J hess H(x) @ Phi)``, row
+        by row, into ``out``, a contiguous array of length ``n + n*n``, for
+        ``y = (x, vec Phi)``.  Both come from one evaluation of the combined
+        table; ``lam`` multiplies after the product, so ``out`` holds the same
+        bits as ``lam * Jg`` and ``lam * (JH @ Phi)``."""
+        n = self.H.dim
+        Jg, JH = self.H.symplectic_derivatives(y[:n])
+        out[:n] = Jg
+        np.dot(JH, y[n:].reshape(n, n), out=out[n:].reshape(n, n))
+        np.multiply(out, self.lam, out=out)
 
 
 def gradient_field(H: PolynomialHamiltonian, lam: float) -> HamiltonianField:
@@ -191,6 +203,9 @@ class FlowResult:
     endpoint: np.ndarray
     monodromy: np.ndarray
     solution: object  # a dop853.StateInterpolant of the state over [0, T], when dense
+    steps: int  # accepted steps
+    rejected: int  # rejected step attempts
+    rhs_calls: int  # variational(y, out) calls: 12 * (steps + rejected) + 2
 
 
 def flow(field, x0, T: float, rtol: float = 1e-10, atol: float = 1e-10,
@@ -200,20 +215,26 @@ def flow(field, x0, T: float, rtol: float = 1e-10, atol: float = 1e-10,
     One loop of the DOP853 embedded 8(5,3) pair of Dormand and Prince
     (Hairer, Norsett and Wanner, Solving ODEs I, section II.10), with scipy's
     initial step, step-size controller and error norm.  The field's
-    ``variational(x, Phi)`` returns the field at x and its Jacobian applied to
-    Phi in one call; for a :class:`HamiltonianField` both come from one
-    evaluation of the combined table of J grad H and J hess H.  The error is
-    controlled per component: the state runs ``_SAFETY`` below
+    ``variational(y, out)`` writes the augmented field at ``y = (x, vec Phi)``,
+    the field at x and its Jacobian applied to Phi, into the stage row
+    ``out``; for a :class:`HamiltonianField` both come from one evaluation of
+    the combined table of J grad H and J hess H.  The stage states go through
+    one reused buffer, so the loop itself allocates no array per stage.  The
+    error is controlled per component: the state runs ``_SAFETY`` below
     ``rtol``/``atol`` so that the energy drift over a period stays within ten
     times the tolerance, while the monodromy, which only steers Newton, runs
     at ``rtol``/``atol`` itself.
 
-    With ``dense=True`` the result's ``solution`` is a
-    :class:`~hambif.dop853.StateInterpolant` of the state rows only; it calls
-    the state-only field ``field(x)`` 3 times per step, on its first read.
-    A state of norm above ``domain_bound``, at the start or at the end of an
-    accepted step, raises :class:`IntegrationError` with that time as
-    ``exit_time``; so does a step size below the spacing of floats at t.
+    The right-hand side budget is exact: 12 ``variational`` calls per
+    attempted step, plus 2 at the start (the first slope and the initial
+    step's probe), counted in the result's ``steps``, ``rejected`` and
+    ``rhs_calls``.  With ``dense=True`` the result's ``solution`` is a
+    :class:`~hambif.dop853.StateInterpolant` of the state rows only; on its
+    first read it makes 3 batched state-only calls ``field(X)``, each over
+    all steps at once.  A state of norm above ``domain_bound``, at the start
+    or at the end of an accepted step, raises :class:`IntegrationError` with
+    that time as ``exit_time``; so does a step size below the spacing of
+    floats at t.
     """
     # imported on first use: compiling the tableau would add to the import
     # of every run that traces no branch
@@ -223,7 +244,7 @@ def flow(field, x0, T: float, rtol: float = 1e-10, atol: float = 1e-10,
     n = x0.size
     variational = getattr(field, "variational", None)
     if variational is None:
-        raise ValueError("field must expose variational(x, Phi) for variational integration")
+        raise ValueError("field must expose variational(y, out) for variational integration")
     T = float(T)
     if not T > 0.0:
         raise ValueError("T must be positive")
@@ -242,13 +263,19 @@ def flow(field, x0, T: float, rtol: float = 1e-10, atol: float = 1e-10,
     atols[:n] = max(atol * _SAFETY, 1e-14)
 
     def rhs(y):
-        dx, dPhi = variational(y[:n], y[n:].reshape(n, n))
-        return np.concatenate([dx, dPhi.ravel()])
+        out = np.empty(size)
+        variational(y, out)
+        return out
 
     K = np.empty((dop853.N_STAGES + 1, size))  # the stage slopes, in rows
+    # stage s reads the slopes before it through A's row s; both sliced once
+    stage_sums = [(K[:s].T, dop853.A[s, :s], K[s]) for s in range(1, dop853.N_STAGES)]
+    slopes, stage = K[:-1].T, np.empty(size)
     y = np.concatenate([x0, np.eye(n).ravel()])
-    K[0] = rhs(y)
+    y_new = np.empty(size)
+    variational(y, K[0])
     h_abs = dop853.initial_step(rhs, y, K[0], T, rtols, atols)
+    rhs_calls, steps, rejections = 2, 0, 0
     t = 0.0
     ts, xs, stages = [t], [x0], []
     while t < T:
@@ -261,29 +288,41 @@ def flow(field, x0, T: float, rtol: float = 1e-10, atol: float = 1e-10,
                                        exit_time=t)
             t_new = min(t + h_abs, T)
             h = h_abs = t_new - t
-            for s in range(1, dop853.N_STAGES):
-                K[s] = rhs(y + np.dot(K[:s].T, dop853.A[s, :s]) * h)
-            y_new = y + h * np.dot(K[:-1].T, dop853.B)
-            K[-1] = rhs(y_new)
+            # y + h * (A[s, :s] . K[:s]), with the products in scipy's order
+            for slopes_before, weights, slope in stage_sums:
+                np.dot(slopes_before, weights, out=stage)
+                np.multiply(stage, h, out=stage)
+                np.add(stage, y, out=stage)
+                variational(stage, slope)
+            np.dot(slopes, dop853.B, out=y_new)
+            np.multiply(y_new, h, out=y_new)
+            np.add(y_new, y, out=y_new)
+            variational(y_new, K[-1])
+            rhs_calls += dop853.N_STAGES
             scale = atols + np.maximum(np.abs(y), np.abs(y_new)) * rtols
             error = dop853.error_norm(K, h, scale)
             h_abs *= dop853.step_factor(error, rejected)
             if error < 1:
                 break
             rejected = True
-        t, y = t_new, y_new
+            rejections += 1
+        steps += 1
+        t, y, y_new = t_new, y_new, y
         if escaped(y[:n]):
             raise IntegrationError(f"trajectory left the domain (norm > {domain_bound:g})",
                                    exit_time=t)
         if dense:
             ts.append(t)
-            xs.append(y[:n])
+            xs.append(y[:n].copy())  # y's buffer takes the step after next
             stages.append(K[:, :n].copy())
         K[0] = K[-1]
     return FlowResult(
         endpoint=y[:n],
         monodromy=y[n:].reshape(n, n),
         solution=dop853.StateInterpolant(field, ts, xs, stages) if dense else None,
+        steps=steps,
+        rejected=rejections,
+        rhs_calls=rhs_calls,
     )
 
 

@@ -194,11 +194,11 @@ class StateInterpolant:
 
     ``ts`` and ``xs`` are the accepted times and states (``steps + 1`` of
     each), ``K`` the 13 stage slopes of the state rows in each step.  The 3
-    extra stages that the dense output needs are evaluated with the
-    state-only ``field(x)`` on the first call, one stage for every step at a
-    time.  Called like scipy's ``OdeSolution``: a scalar ``t`` gives shape
-    ``(n,)``, an array of ``m`` times shape ``(n, m)``; at a step boundary the
-    earlier step is used.
+    extra stages that the dense output needs are evaluated on the first call,
+    each by one state-only ``field(X)`` call over the ``(steps, n)`` array of
+    that stage's states in every step.  Called like scipy's ``OdeSolution``:
+    a scalar ``t`` gives shape ``(n,)``, an array of ``m`` times shape
+    ``(n, m)``; at a step boundary the earlier step is used.
     """
 
     def __init__(self, field, ts, xs, K):
@@ -215,9 +215,7 @@ class StateInterpolant:
         x_old, x_new = self._xs[:-1], self._xs[1:]
         K = np.concatenate([self._K, np.empty((steps, N_STAGES_EXTENDED - N_STAGES - 1, n))], axis=1)
         for s in range(N_STAGES + 1, N_STAGES_EXTENDED):
-            stage = x_old + h * (A[s, :s] @ K[:, :s])
-            for k in range(steps):
-                K[k, s] = self._field(stage[k])
+            K[:, s] = self._field(x_old + h * (A[s, :s] @ K[:, :s]))
         delta = x_new - x_old
         f_old, f_new = K[:, 0], K[:, N_STAGES]
         return np.concatenate([

@@ -56,6 +56,16 @@ def coupled4():
     )
 
 
+def field_test_hamiltonian(case, rng):
+    """quartic2 and coupled4 of the branch benchmark, or a random positive quadratic."""
+    if case == "quartic2":
+        return quartic_radial()
+    if case == "coupled4":
+        return coupled4()
+    B = rng.uniform(-0.5, 0.5, (4, 4))
+    return PolynomialHamiltonian.from_quadratic(B @ B.T + 0.5 * np.eye(4))
+
+
 def solve_ivp_flow(field, x0, T):
     """scipy's DOP853 on flow's system and per-component default tolerances."""
     from scipy.integrate import solve_ivp
@@ -63,14 +73,30 @@ def solve_ivp_flow(field, x0, T):
     n = x0.size
 
     def rhs(t, y):
-        dx, dPhi = field.variational(y[:n], y[n:].reshape(n, n))
-        return np.concatenate([dx, dPhi.ravel()])
+        out = np.empty(y.size)
+        field.variational(y, out)
+        return out
 
     rtol = np.full(n + n * n, 1e-10)
     atol = np.full(n + n * n, 1e-10)
     rtol[:n] = atol[:n] = 1e-10 * _SAFETY
     y0 = np.concatenate([x0, np.eye(n).ravel()])
     return solve_ivp(rhs, (0.0, T), y0, method="DOP853", rtol=rtol, atol=atol, dense_output=True)
+
+
+class Counting:
+    """A field that counts its augmented and its state-only calls."""
+
+    def __init__(self, field):
+        self.field, self.calls, self.state_calls = field, 0, 0
+
+    def variational(self, y, out):
+        self.calls += 1
+        self.field.variational(y, out)
+
+    def __call__(self, x):
+        self.state_calls += 1
+        return self.field(x)
 
 
 def guess(x0, lam, amplitude):
@@ -233,6 +259,31 @@ class TestPolynomialHamiltonian:
             x = np.array([r, 0.0])
             assert np.linalg.norm(field(x)) == pytest.approx(0.7 * r * (1 + r * r))
 
+    @pytest.mark.parametrize("case", ["quartic2", "coupled4", "quadratic"])
+    def test_batched_gradient_and_field_match_pointwise_bit_for_bit(self, case, rng):
+        H = field_test_hamiltonian(case, rng)
+        points = rng.uniform(-1.0, 1.0, (50, H.dim))
+        points[0] = 0.0
+        for f in (H.gradient, gradient_field(H, 0.9)):
+            values = f(points)
+            assert values.shape == points.shape
+            assert np.array_equal(values, np.stack([f(x) for x in points]))
+        grid = points.reshape(5, 10, H.dim)
+        assert np.array_equal(H.gradient(grid), H.gradient(points).reshape(grid.shape))
+
+    @pytest.mark.parametrize("case", ["quartic2", "coupled4", "quadratic"])
+    def test_variational_writes_the_augmented_field_bit_for_bit(self, case, rng):
+        H = field_test_hamiltonian(case, rng)
+        n = H.dim
+        field = gradient_field(H, 0.9)
+        for y in rng.uniform(-1.0, 1.0, (200, n + n * n)):
+            out = np.full(n + n * n, np.nan)
+            assert field.variational(y, out) is None
+            Jg, JH = H.symplectic_derivatives(y[:n])
+            Phi = y[n:].reshape(n, n)
+            expected = np.concatenate([field.lam * Jg, (field.lam * (JH @ Phi)).ravel()])
+            assert np.array_equal(out, expected)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             PolynomialHamiltonian(3, ())
@@ -270,28 +321,28 @@ class TestFlow:
             assert np.max(np.abs(Phi - scipy.linalg.expm(TWO_PI * lam * J @ A))) < 1e-8
             assert np.max(np.abs(Phi.T @ J @ Phi - J)) < 1e-8
 
+    def test_flow_counters_count_every_rhs(self):
+        rejected = 0
+        for H, x0 in ((quartic_radial(), [0.3, 0.0]), (coupled4(), [0.3, 0.2, 0.0, 0.1]),
+                      (coupled4(), [1.0, 0.5, 0.0, 0.1])):
+            field = Counting(gradient_field(H, 1.0))
+            result = flow(field, np.array(x0), TWO_PI, dense=True)
+            assert result.rhs_calls == field.calls == 12 * (result.steps + result.rejected) + 2
+            assert result.solution.ts.size == result.steps + 1
+            rejected += result.rejected
+        assert rejected > 0  # the far coupled4 orbit rejects steps
+
     def test_quartic_period_rhs_budget(self):
-        class Counting:
-            def __init__(self, field):
-                self.field, self.calls, self.state_calls = field, 0, 0
-
-            def variational(self, x, Phi):
-                self.calls += 1
-                return self.field.variational(x, Phi)
-
-            def __call__(self, x):
-                self.state_calls += 1
-                return self.field(x)
-
         field = Counting(gradient_field(quartic_radial(), 1.0))
-        solution = flow(field, np.array([0.3, 0.0]), TWO_PI, dense=True).solution
+        result = flow(field, np.array([0.3, 0.0]), TWO_PI, dense=True)
         # 557 when every component ran below the advertised tolerance, 452
         # while the dense output was built with the full system on every step
-        assert field.calls <= 370
+        assert field.calls == result.rhs_calls <= 370
         assert field.state_calls == 0  # the interpolant is built on its first read
-        solution(np.linspace(0.0, TWO_PI, 256))
-        solution(1.0)
-        assert 0 < field.state_calls <= 3 * (solution.ts.size - 1)
+        result.solution(np.linspace(0.0, TWO_PI, 256))
+        result.solution(1.0)
+        assert field.state_calls == 3  # one batched call per extra stage
+        assert field.calls == result.rhs_calls
 
     def test_import_leaves_scipy_integrate_unloaded(self, tmp_path):
         # neither the package import nor a branch analysis through the CLI
@@ -350,8 +401,8 @@ class TestFlow:
         # a NaN right-hand side makes a NaN initial step, which must fail
         # instead of looping forever
         class Broken:
-            def variational(self, x, Phi):
-                return np.full(x.size, np.nan), np.full(Phi.shape, np.nan)
+            def variational(self, y, out):
+                out[:] = np.nan
 
         with pytest.raises(IntegrationError) as info:
             flow(Broken(), np.array([0.3, 0.0]), 1.0)

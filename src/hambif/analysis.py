@@ -101,11 +101,7 @@ def run_analysis(spec: ProblemSpec, stages: frozenset[str] = ALL_STAGES) -> dict
     tol = spec.options.tolerances
     report: dict = {
         "tool": {"name": "hambif", "version": __version__},
-        "tolerances": {
-            "rank_tol": tol.rank_tol,
-            "eig_zero_tol": tol.eig_zero_tol,
-            "residual_tol": tol.residual_tol,
-        },
+        "tolerances": dataclasses.asdict(tol),
         "analysis": {
             "lambda_max": spec.options.lambda_max,
             "j_max": spec.options.j_max,
@@ -197,8 +193,7 @@ def run_analysis(spec: ProblemSpec, stages: frozenset[str] = ALL_STAGES) -> dict
                 )
                 try:
                     bif = bifurcation_index(
-                        A, 0 if brouwer is None else brouwer, 1.0 / beta,
-                        spec.options.j_max, tol, base_label=f"equilibrium-{index}",
+                        A, 0 if brouwer is None else brouwer, 1.0 / beta, spec.options.j_max, tol
                     )
                     indices.append(
                         {
@@ -244,9 +239,7 @@ def run_analysis(spec: ProblemSpec, stages: frozenset[str] = ALL_STAGES) -> dict
                     seed = seed_from_linearization(
                         A, beta, spec.options.continuation.seed_amplitude, eq.point
                     )
-                    branch = continue_branch(
-                        spec.hamiltonian, seed, spec.options.continuation, eq.point, beta
-                    )
+                    branch = continue_branch(spec.hamiltonian, seed, spec.options.continuation, eq.point)
                 except (CorrectorError, IntegrationError, EigenvalueNotFoundError) as exc:
                     entry["errors"].append(f"continuation at beta={beta:.6g} failed: {exc}")
                     continue

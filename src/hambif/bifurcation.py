@@ -53,7 +53,6 @@ class BifurcationIndex:
     """Sparse integer sequence j -> eta_j; absent coordinates are zero."""
 
     entries: tuple[tuple[int, int], ...]
-    base_point: tuple[str, float]
     j_max: int
     truncated: bool
 
@@ -199,30 +198,23 @@ def gamma_block(spec: BlockSpec) -> int:
 
 
 def brouwer_nondegenerate(A, tol: TolerancePolicy = DEFAULT_TOL) -> int:
-    """sign(det A) for a nondegenerate symmetric A (the local index of its gradient)."""
-    A = as_symmetric(A, tol)
-    w = np.linalg.eigvalsh(A)
-    band = tol.zero_band(matrix_norm(A))
-    if np.min(np.abs(w)) <= band:
-        raise DegeneracyError(
-            "Hessian is degenerate; supply the index or use the planar winding number"
-        )
-    return -1 if int(np.count_nonzero(w < 0.0)) % 2 else 1
+    """sign(det A) for a nondegenerate symmetric A (the local index of its
+    gradient); a degenerate A raises :class:`DegeneracyError`."""
+    return -1 if morse_index(A, tol) % 2 else 1
 
 
-def brouwer_planar(grad, center, radius: float, samples: int = 64,
-                   tol: TolerancePolicy = DEFAULT_TOL) -> int:
+def brouwer_planar(grad, center, radius: float, tol: TolerancePolicy = DEFAULT_TOL) -> int:
     """Winding number of a planar gradient field along a circle.
 
-    Angle increments are accumulated and the sampling refined until every
-    increment is below pi/2.
+    Angle increments are accumulated over 64 samples, and the sampling is
+    doubled until every increment is below pi/2.
     """
     if radius <= 0.0:
         raise ValueError("radius must be positive")
     center = np.asarray(center, dtype=float)
     if center.shape != (2,):
         raise ValueError("center must be a point in the plane")
-    n = max(8, int(samples))
+    n = 64
     while True:
         theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
         points = center[None, :] + radius * np.column_stack([np.cos(theta), np.sin(theta)])
@@ -243,8 +235,7 @@ def brouwer_planar(grad, center, radius: float, samples: int = 64,
 
 
 def bifurcation_index(A, brouwer: int, lambda0: float, j_max: int | None = None,
-                      tol: TolerancePolicy = DEFAULT_TOL,
-                      base_label: str = "equilibrium") -> BifurcationIndex:
+                      tol: TolerancePolicy = DEFAULT_TOL) -> BifurcationIndex:
     """All nonzero coordinates eta_j for j <= j_max (default covers every
     resonance the spectrum admits at this level)."""
     A = as_symmetric(A, tol)
@@ -270,12 +261,7 @@ def bifurcation_index(A, brouwer: int, lambda0: float, j_max: int | None = None,
             if eta != 0:
                 entries.append((j, eta))
     truncated = any(b * lambda0 > j_max + band for b in betas)
-    return BifurcationIndex(
-        entries=tuple(entries),
-        base_point=(base_label, lambda0),
-        j_max=j_max,
-        truncated=truncated,
-    )
+    return BifurcationIndex(entries=tuple(entries), j_max=j_max, truncated=truncated)
 
 
 @dataclass(frozen=True)

@@ -51,10 +51,13 @@ class PolynomialHamiltonian:
 
     The terms are compiled once into numpy tables.  A monomial is stored as
     its nonzero (variable, power) factors, so the tables grow with the number
-    of terms and their degree, never with the dimension.  Each derivative is
-    a list of (output index, coefficient, monomial) triplets, one per
-    derivative of a term, so it is evaluated with one gather of powers, one
-    product per triplet and one sum into the outputs.
+    of terms and their degree, never with the dimension.  Besides the terms,
+    one signed jet table holds (output index, coefficient, monomial)
+    triplets: first those of J grad H, then those of vec J hess H, one per
+    derivative of a term.  It is evaluated with one gather of powers, one
+    product per triplet and one sum into the outputs.  J grad H reads the
+    table's prefix, J grad H and J hess H together read all of it, and the
+    gradient and the hessian are -J applied to those.
     """
 
     dim: int
@@ -80,34 +83,30 @@ class PolynomialHamiltonian:
         dim, half = self.dim, self.dim // 2
         # a monomial as its (variable, power) factors with nonzero power
         monomials = [tuple((k, e) for k, e in enumerate(exps) if e) for _, exps in self.terms]
-        grad, hess, jet = [], [], []  # (output index, coefficient, monomial)
+        jet_grad, jet_hess = [], []  # (output index, coefficient, monomial)
         for (coeff, _), factors in zip(self.terms, monomials):
             for k, ek in factors:
                 d1 = _divide(factors, k)
-                grad.append((k, coeff * ek, d1))
                 # J = [[0, I], [-I, 0]] as a signed row permutation
                 row, sign = (k - half, 1.0) if k >= half else (k + half, -1.0)
-                jet.append((row, sign * coeff * ek, d1))
+                jet_grad.append((row, sign * coeff * ek, d1))
                 # both orders (k, l) and (l, k), each with the same integer
                 # factor, so the assembled hessian is exactly symmetric
                 for l, el in d1:
-                    d2 = _divide(d1, l)
-                    hess.append((k * dim + l, coeff * (ek * el), d2))
-                    jet.append((dim + row * dim + l, sign * coeff * (ek * el), d2))
+                    jet_hess.append((dim + row * dim + l, sign * coeff * (ek * el), _divide(d1, l)))
         degrees = np.arange(max((max(e) for _, e in self.terms), default=0) + 1)
-        stride = degrees.size
-        tables = {
-            "coeffs": np.array([c for c, _ in self.terms], dtype=float),
-            "value_monomials": _factor_table(monomials, stride),
-            "degrees": degrees,
-        }
-        for name, triplets in (("grad", grad), ("hess", hess), ("jet", jet)):
-            rows, coeffs, factors = zip(*triplets) if triplets else ((), (), ())
-            tables[f"{name}_rows"] = np.array(rows, dtype=np.intp)
-            tables[f"{name}_coeffs"] = np.array(coeffs, dtype=float)
-            tables[f"{name}_monomials"] = _factor_table(factors, stride)
-        for name, table in tables.items():
+        rows, coeffs, factors = zip(*(jet_grad + jet_hess)) if jet_grad else ((), (), ())
+        for name, table in (
+            ("coeffs", np.array([c for c, _ in self.terms], dtype=float)),
+            ("value_monomials", _factor_table(monomials, degrees.size)),
+            ("degrees", degrees),
+            ("jet_rows", np.array(rows, dtype=np.intp)),
+            ("jet_coeffs", np.array(coeffs, dtype=float)),
+            ("jet_monomials", _factor_table(factors, degrees.size)),
+        ):
             object.__setattr__(self, f"_{name}", table)
+        # J grad H reads the first _grad_size triplets, sliced at each call
+        object.__setattr__(self, "_grad_size", len(jet_grad))
 
     def _monomials(self, table, x) -> np.ndarray:
         """The monomials of ``table`` at x, over x's last axis."""
@@ -138,23 +137,33 @@ class PolynomialHamiltonian:
         values = self._monomials(self._value_monomials, x) @ self._coeffs
         return float(values) if x.ndim == 1 else values
 
+    def _symplectic_gradient(self, x) -> np.ndarray:
+        """J grad H(x) from the jet table's prefix, over x's last axis.  Each
+        point's triplets are summed in table order, so a row of a batch
+        equals the single-point value, and the J grad H of
+        :meth:`symplectic_derivatives`, bit for bit."""
+        x = np.asarray(x, dtype=float)
+        size = self._grad_size
+        weights = self._jet_coeffs[:size] * self._monomials(self._jet_monomials[:size], x)
+        Jg = np.zeros(x.shape[:-1] + (self.dim,))
+        np.add.at(Jg.T, self._jet_rows[:size], weights.T)
+        return Jg
+
     def gradient(self, x) -> np.ndarray:
         """grad H(x); for an array of points (last axis of length dim), the
-        gradient at each.  Each point's triplets are summed in table order,
-        so a row of a batch equals the single-point gradient bit for bit."""
-        x = np.asarray(x, dtype=float)
-        weights = self._grad_coeffs * self._monomials(self._grad_monomials, x)
-        g = np.zeros(x.shape[:-1] + (self.dim,))
-        np.add.at(g.T, self._grad_rows, weights.T)
-        return g
+        gradient at each."""
+        Jg = self._symplectic_gradient(x)
+        half = self.dim // 2
+        # -J Jg; 0.0 - v keeps an exact zero at +0.0
+        return np.concatenate([0.0 - Jg[..., half:], Jg[..., :half]], axis=-1)
 
     def hessian(self, x) -> np.ndarray:
-        m = self._monomials(self._hess_monomials, np.asarray(x, dtype=float))
-        flat = np.bincount(self._hess_rows, weights=self._hess_coeffs * m, minlength=self.dim * self.dim)
-        return flat.reshape(self.dim, self.dim)
+        JH = self.symplectic_derivatives(x)[1]
+        half = self.dim // 2
+        return np.concatenate([0.0 - JH[half:], JH[:half]])  # -J JH, as in gradient
 
     def symplectic_derivatives(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """J grad H(x) and J hess H(x) from one evaluation of the combined table."""
+        """J grad H(x) and J hess H(x) from one evaluation of the jet table."""
         m = self._monomials(self._jet_monomials, np.asarray(x, dtype=float))
         flat = np.bincount(self._jet_rows, weights=self._jet_coeffs * m, minlength=self.dim * (self.dim + 1))
         return flat[:self.dim], flat[self.dim:].reshape(self.dim, self.dim)
@@ -174,14 +183,12 @@ class HamiltonianField:
     lam: float
 
     def __call__(self, x) -> np.ndarray:
-        g = self.H.gradient(x)
-        half = g.shape[-1] // 2
-        return self.lam * np.concatenate([g[..., half:], -g[..., :half]], axis=-1)  # lam * J g
+        return self.lam * self.H._symplectic_gradient(x)
 
     def variational(self, y, out) -> None:
         """Write ``lam J grad H(x)`` and then ``lam (J hess H(x) @ Phi)``, row
         by row, into ``out``, a contiguous array of length ``n + n*n``, for
-        ``y = (x, vec Phi)``.  Both come from one evaluation of the combined
+        ``y = (x, vec Phi)``.  Both come from one evaluation of the jet
         table; ``lam`` multiplies after the product, so ``out`` holds the same
         bits as ``lam * Jg`` and ``lam * (JH @ Phi)``."""
         n = self.H.dim
@@ -202,14 +209,14 @@ def gradient_field(H: PolynomialHamiltonian, lam: float) -> HamiltonianField:
 class FlowResult:
     endpoint: np.ndarray
     monodromy: np.ndarray
-    solution: object  # a dop853.StateInterpolant of the state over [0, T], when dense
+    solution: object  # a dop853.StateInterpolant of the state over [0, T]
     steps: int  # accepted steps
     rejected: int  # rejected step attempts
     rhs_calls: int  # variational(y, out) calls: 12 * (steps + rejected) + 2
 
 
 def flow(field, x0, T: float, rtol: float = 1e-10, atol: float = 1e-10,
-         domain_bound: float = 1e6, dense: bool = False) -> FlowResult:
+         domain_bound: float = 1e6) -> FlowResult:
     """Integrate the field and its variational equations over [0, T], T > 0.
 
     One loop of the DOP853 embedded 8(5,3) pair of Dormand and Prince
@@ -218,7 +225,7 @@ def flow(field, x0, T: float, rtol: float = 1e-10, atol: float = 1e-10,
     ``variational(y, out)`` writes the augmented field at ``y = (x, vec Phi)``,
     the field at x and its Jacobian applied to Phi, into the stage row
     ``out``; for a :class:`HamiltonianField` both come from one evaluation of
-    the combined table of J grad H and J hess H.  The stage states go through
+    the jet table of J grad H and J hess H.  The stage states go through
     one reused buffer, so the loop itself allocates no array per stage.  The
     error is controlled per component: the state runs ``_SAFETY`` below
     ``rtol``/``atol`` so that the energy drift over a period stays within ten
@@ -228,13 +235,13 @@ def flow(field, x0, T: float, rtol: float = 1e-10, atol: float = 1e-10,
     The right-hand side budget is exact: 12 ``variational`` calls per
     attempted step, plus 2 at the start (the first slope and the initial
     step's probe), counted in the result's ``steps``, ``rejected`` and
-    ``rhs_calls``.  With ``dense=True`` the result's ``solution`` is a
-    :class:`~hambif.dop853.StateInterpolant` of the state rows only; on its
-    first read it makes 3 batched state-only calls ``field(X)``, each over
-    all steps at once.  A state of norm above ``domain_bound``, at the start
-    or at the end of an accepted step, raises :class:`IntegrationError` with
-    that time as ``exit_time``; so does a step size below the spacing of
-    floats at t.
+    ``rhs_calls``.  The result's ``solution`` is a
+    :class:`~hambif.dop853.StateInterpolant` of the state rows only, which
+    makes no field call until it is read; its first read makes 3 batched
+    state-only calls ``field(X)``, each over all steps at once.  A state of
+    norm above ``domain_bound``, at the start or at the end of an accepted
+    step, raises :class:`IntegrationError` with that time as ``exit_time``;
+    so does a step size below the spacing of floats at t.
     """
     # imported on first use: compiling the tableau would add to the import
     # of every run that traces no branch
@@ -250,7 +257,7 @@ def flow(field, x0, T: float, rtol: float = 1e-10, atol: float = 1e-10,
         raise ValueError("T must be positive")
 
     def escaped(x):
-        return np.linalg.norm(x) > domain_bound
+        return math.sqrt(x.dot(x)) > domain_bound  # the 2-norm, bit for bit
 
     if escaped(x0):
         raise IntegrationError(f"trajectory left the domain (norm > {domain_bound:g})",
@@ -311,15 +318,14 @@ def flow(field, x0, T: float, rtol: float = 1e-10, atol: float = 1e-10,
         if escaped(y[:n]):
             raise IntegrationError(f"trajectory left the domain (norm > {domain_bound:g})",
                                    exit_time=t)
-        if dense:
-            ts.append(t)
-            xs.append(y[:n].copy())  # y's buffer takes the step after next
-            stages.append(K[:, :n].copy())
+        ts.append(t)
+        xs.append(y[:n].copy())  # y's buffer takes the step after next
+        stages.append(K[:, :n].copy())
         K[0] = K[-1]
     return FlowResult(
         endpoint=y[:n],
         monodromy=y[n:].reshape(n, n),
-        solution=dop853.StateInterpolant(field, ts, xs, stages) if dense else None,
+        solution=dop853.StateInterpolant(field, ts, xs, stages),
         steps=steps,
         rejected=rejections,
         rhs_calls=rhs_calls,
@@ -335,7 +341,6 @@ class PeriodicOrbit:
     amplitude: float
     residual: float
     energy_drift: float
-    period_in_rescaled_time: float = TWO_PI
 
     def __post_init__(self):
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
@@ -346,14 +351,7 @@ class PeriodicOrbit:
 @dataclass(frozen=True)
 class Branch:
     orbits: tuple[PeriodicOrbit, ...]
-    origin: tuple[tuple[float, ...], float]  # (equilibrium point, beta0)
     termination: str  # step_budget | domain_boundary | corrector_failure | amplitude_target
-
-    def lambdas(self) -> np.ndarray:
-        return np.array([o.lam for o in self.orbits])
-
-    def amplitudes(self) -> np.ndarray:
-        return np.array([o.amplitude for o in self.orbits])
 
 
 @dataclass(frozen=True)
@@ -398,7 +396,7 @@ class ContinuationConfig:
 DEFAULT_CONFIG = ContinuationConfig()
 
 
-def _orbit_diagnostics(H, equilibrium, x0, lam, config, dense_sol):
+def _orbit_diagnostics(H, equilibrium, x0, config, dense_sol):
     """Amplitude (largest distance from the equilibrium) and energy drift of
     the orbit, read from its dense interpolant: the drift over
     ``sample_points`` equally spaced samples, the amplitude from the best
@@ -419,7 +417,7 @@ def _orbit_diagnostics(H, equilibrium, x0, lam, config, dense_sol):
     return float(amplitude), drift
 
 
-def _shoot(H, equilibrium, x0, lam, config):
+def _shoot(H, x0, lam, config):
     field = gradient_field(H, lam)
     result = flow(
         field,
@@ -428,7 +426,6 @@ def _shoot(H, equilibrium, x0, lam, config):
         rtol=config.integrator_rtol,
         atol=config.integrator_atol,
         domain_bound=config.domain_bound,
-        dense=True,
     )
     defect = result.endpoint - x0
     dlam = (TWO_PI / lam) * field(result.endpoint)
@@ -471,14 +468,14 @@ def correct_orbit(H: PolynomialHamiltonian, guess: PeriodicOrbit,
     for _ in range(config.max_corrector_iters):
         if not (max(config.lambda_min / 10.0, 0.0) < lam < config.lambda_max * 10.0):
             raise CorrectorError(f"lambda {lam:g} left the trust window", residual=residual)
-        defect, monodromy, dlam, dense = _shoot(H, equilibrium, x0, lam, config)
+        defect, monodromy, dlam, dense = _shoot(H, x0, lam, config)
         phase = float(f_ref @ (x0 - x_ref))
         cval, crow = constraint(x0, lam)
         F = np.concatenate([defect, [phase, cval]])
         residual = float(np.linalg.norm(defect))
         if residual <= config.corrector_tol and abs(phase) <= config.corrector_tol and \
                 abs(cval) <= config.corrector_tol:
-            amplitude, drift = _orbit_diagnostics(H, equilibrium, x0, lam, config, dense)
+            amplitude, drift = _orbit_diagnostics(H, equilibrium, x0, config, dense)
             return PeriodicOrbit(
                 x0=x0, lam=lam, amplitude=amplitude, residual=residual, energy_drift=drift
             )
@@ -556,21 +553,23 @@ def _arclength_constraint(tangent, z_pred, n):
 
 def continue_branch(H: PolynomialHamiltonian, seed: PeriodicOrbit,
                     config: ContinuationConfig = DEFAULT_CONFIG,
-                    equilibrium=None, beta0: float | None = None) -> Branch:
+                    equilibrium=None) -> Branch:
     """Pseudo-arclength continuation in (x0, lambda) from a linearization seed.
 
-    The step halves on corrector failure and grows by ``growth`` after
-    ``growth_after`` consecutive successes.  Termination is recorded as one of
-    step_budget / domain_boundary / corrector_failure / amplitude_target.
+    The seed's ``lam`` is a time scale (1/beta0 for the seed of
+    :func:`seed_from_linearization`), not a frequency.  The step halves on
+    corrector failure and grows by ``growth`` after ``growth_after``
+    consecutive successes.  The branch holds the corrected orbits and its
+    termination, one of step_budget / domain_boundary / corrector_failure /
+    amplitude_target.
     """
     n = H.dim
     equilibrium = np.zeros(n) if equilibrium is None else np.asarray(equilibrium, dtype=float)
-    origin = (tuple(float(v) for v in equilibrium), float(beta0 if beta0 is not None else seed.lam))
 
     try:
         first = correct_orbit(H, seed, config, equilibrium)
     except (CorrectorError, IntegrationError):
-        return Branch(orbits=(), origin=origin, termination="corrector_failure")
+        return Branch(orbits=(), termination="corrector_failure")
     orbits = [first]
 
     # second anchor slightly farther out, still amplitude-pinned
@@ -584,7 +583,7 @@ def continue_branch(H: PolynomialHamiltonian, seed: PeriodicOrbit,
         second = correct_orbit(H, second_guess, config, equilibrium)
         orbits.append(second)
     except (CorrectorError, IntegrationError):
-        return Branch(orbits=tuple(orbits), origin=origin, termination="corrector_failure")
+        return Branch(orbits=tuple(orbits), termination="corrector_failure")
 
     h = config.initial_step
     streak = 0
@@ -640,7 +639,7 @@ def continue_branch(H: PolynomialHamiltonian, seed: PeriodicOrbit,
         if not stepped:
             termination = "corrector_failure"
             break
-    return Branch(orbits=tuple(orbits), origin=origin, termination=termination)
+    return Branch(orbits=tuple(orbits), termination=termination)
 
 
 def verify_period_limit(branch: Branch, beta0: float, epsilon: float, delta: float) -> bool:

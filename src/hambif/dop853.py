@@ -8,31 +8,12 @@ the order-7 dense output.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 N_STAGES = 12
 N_STAGES_EXTENDED = 16
-
-# the stage times; the fields integrated here are autonomous, so the step
-# loop never reads them
-C = np.array([
-    0.0,
-    0.526001519587677318785587544488e-01,
-    0.789002279381515978178381316732e-01,
-    0.118350341907227396726757197510,
-    0.281649658092772603273242802490,
-    0.333333333333333333333333333333,
-    0.25,
-    0.307692307692307692307692307692,
-    0.651282051282051282051282051282,
-    0.6,
-    0.857142857142857142857142857142,
-    1.0,
-    1.0,
-    0.1,
-    0.2,
-    0.777777777777777777777777777778,
-])
 
 # the nonzero entries of each row of the (lower triangular) stage matrix
 _A_ROWS = {
@@ -147,7 +128,9 @@ ERROR_EXPONENT = -1.0 / 8.0
 
 
 def _rms(x):
-    return np.linalg.norm(x) / x.size ** 0.5
+    # np.linalg.norm's value, bit for bit; a numpy scalar, so that a zero
+    # first step after an infinite slope makes a NaN here, not an exception
+    return np.sqrt(x.dot(x)) / x.size ** 0.5
 
 
 def initial_step(rhs, y0, f0, T: float, rtol, atol) -> float:
@@ -181,8 +164,9 @@ def error_norm(K, h: float, scale) -> float:
     estimate damped by the 3rd-order one as in Hairer's DOP853."""
     err5 = np.dot(K.T, E5) / scale
     err3 = np.dot(K.T, E3) / scale
-    err5_norm_2 = np.linalg.norm(err5) ** 2
-    err3_norm_2 = np.linalg.norm(err3) ** 2
+    # squares of the 2-norms, rounded as np.linalg.norm(v) ** 2 rounds them
+    err5_norm_2 = math.sqrt(err5.dot(err5)) ** 2
+    err3_norm_2 = math.sqrt(err3.dot(err3)) ** 2
     if err5_norm_2 == 0 and err3_norm_2 == 0:
         return 0.0
     denom = err5_norm_2 + 0.01 * err3_norm_2

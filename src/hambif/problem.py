@@ -8,7 +8,7 @@ names are frozen in docs/FORMAT.md.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -69,7 +69,7 @@ def _parse_tolerances(data, path):
     if data is None:
         return TolerancePolicy()
     _require(isinstance(data, dict), "expected an object", path)
-    known = {"rank_tol", "eig_zero_tol", "residual_tol"}
+    known = {f.name for f in fields(TolerancePolicy)}
     unknown = set(data) - known
     _require(not unknown, f"unknown tolerance fields {sorted(unknown)}", path)
     try:
@@ -118,7 +118,7 @@ def _parse_hamiltonian(data, dim, path):
         raise SpecError(str(exc), path) from None
 
 
-def parse_problem(text: str, tol: TolerancePolicy | None = None) -> ProblemSpec:
+def parse_problem(text: str) -> ProblemSpec:
     """Parse and validate a JSON problem description.
 
     Schema violations raise :class:`SpecError` with the offending path;
@@ -142,7 +142,7 @@ def parse_problem(text: str, tol: TolerancePolicy | None = None) -> ProblemSpec:
     _require(isinstance(analysis, dict), "expected an object", "$.analysis")
     unknown = set(analysis) - {"lambda_max", "j_max", "betas", "tolerances", "continuation"}
     _require(not unknown, f"unknown analysis fields {sorted(unknown)}", "$.analysis")
-    tolerances = tol if tol is not None else _parse_tolerances(analysis.get("tolerances"), "$.analysis.tolerances")
+    tolerances = _parse_tolerances(analysis.get("tolerances"), "$.analysis.tolerances")
     continuation, enabled = _parse_continuation(analysis.get("continuation"), "$.analysis.continuation")
     lambda_max = float(analysis.get("lambda_max", 10.0))
     _require(lambda_max > 0.0, "lambda_max must be positive", "$.analysis.lambda_max")
@@ -222,11 +222,7 @@ def problem_to_dict(spec: ProblemSpec) -> dict:
             "lambda_max": spec.options.lambda_max,
             "j_max": spec.options.j_max,
             "betas": "all" if spec.options.betas == "all" else list(spec.options.betas),
-            "tolerances": {
-                "rank_tol": spec.options.tolerances.rank_tol,
-                "eig_zero_tol": spec.options.tolerances.eig_zero_tol,
-                "residual_tol": spec.options.tolerances.residual_tol,
-            },
+            "tolerances": asdict(spec.options.tolerances),
             "continuation": {
                 "enabled": spec.options.continuation_enabled,
                 **{

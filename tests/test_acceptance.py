@@ -190,7 +190,7 @@ def test_criterion_09_continuation_benchmark():
     )
     seed = seed_from_linearization(np.eye(2), 1.0, 0.01)
     config = ContinuationConfig(amplitude_target=0.55)
-    branch = continue_branch(H, seed, config, beta0=1.0)
+    branch = continue_branch(H, seed, config)
     assert branch.termination == "amplitude_target"
     checked = 0
     for orbit in branch.orbits:

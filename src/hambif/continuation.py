@@ -94,7 +94,8 @@ class PolynomialHamiltonian:
                 # factor, so the assembled hessian is exactly symmetric
                 for l, el in d1:
                     jet_hess.append((dim + row * dim + l, sign * coeff * (ek * el), _divide(d1, l)))
-        degrees = np.arange(max((max(e) for _, e in self.terms), default=0) + 1)
+        # float exponents: the same powers as integer ones, with no cast per call
+        degrees = np.arange(max((max(e) for _, e in self.terms), default=0) + 1.0)
         rows, coeffs, factors = zip(*(jet_grad + jet_hess)) if jet_grad else ((), (), ())
         for name, table in (
             ("coeffs", np.array([c for c, _ in self.terms], dtype=float)),
@@ -137,14 +138,15 @@ class PolynomialHamiltonian:
         values = self._monomials(self._value_monomials, x) @ self._coeffs
         return float(values) if x.ndim == 1 else values
 
-    def _symplectic_gradient(self, x) -> np.ndarray:
-        """J grad H(x) from the jet table's prefix, over x's last axis.  Each
-        point's triplets are summed in table order, so a row of a batch
-        equals the single-point value, and the J grad H of
-        :meth:`symplectic_derivatives`, bit for bit."""
+    def _symplectic_gradient(self, x, coeffs) -> np.ndarray:
+        """J grad H(x) from the jet table's prefix, with ``coeffs`` in place
+        of its coefficients, over x's last axis.  Each point's triplets are
+        summed in table order, so a row of a batch equals the single-point
+        value, and the J grad H of :meth:`symplectic_derivatives`, bit for
+        bit."""
         x = np.asarray(x, dtype=float)
         size = self._grad_size
-        weights = self._jet_coeffs[:size] * self._monomials(self._jet_monomials[:size], x)
+        weights = coeffs[:size] * self._monomials(self._jet_monomials[:size], x)
         Jg = np.zeros(x.shape[:-1] + (self.dim,))
         np.add.at(Jg.T, self._jet_rows[:size], weights.T)
         return Jg
@@ -152,7 +154,7 @@ class PolynomialHamiltonian:
     def gradient(self, x) -> np.ndarray:
         """grad H(x); for an array of points (last axis of length dim), the
         gradient at each."""
-        Jg = self._symplectic_gradient(x)
+        Jg = self._symplectic_gradient(x, self._jet_coeffs)
         half = self.dim // 2
         # -J Jg; 0.0 - v keeps an exact zero at +0.0
         return np.concatenate([0.0 - Jg[..., half:], Jg[..., :half]], axis=-1)
@@ -176,26 +178,34 @@ class HamiltonianField:
     The field protocol of :func:`flow`: ``field(x)`` is the state-only field,
     at one point or, for an ``(m, dim)`` array, at each row (bit for bit the
     single-point values); ``variational(y, out)`` writes the augmented field
-    at ``y = (x, vec Phi)`` into ``out``.
+    at ``y = (x, vec Phi)`` into ``out``.  ``lam`` is folded once, into a
+    copy of the jet table's coefficients, so both read the same table and
+    ``field(x)`` equals the first ``dim`` outputs of ``variational`` bit for
+    bit; both round differently from ``lam`` times the unscaled sums.
     """
 
     H: PolynomialHamiltonian
     lam: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "_coeffs", self.lam * self.H._jet_coeffs)
+
     def __call__(self, x) -> np.ndarray:
-        return self.lam * self.H._symplectic_gradient(x)
+        return self.H._symplectic_gradient(x, self._coeffs)
 
     def variational(self, y, out) -> None:
-        """Write ``lam J grad H(x)`` and then ``lam (J hess H(x) @ Phi)``, row
+        """Write ``lam J grad H(x)`` and then ``lam J hess H(x) @ Phi``, row
         by row, into ``out``, a contiguous array of length ``n + n*n``, for
-        ``y = (x, vec Phi)``.  Both come from one evaluation of the jet
-        table; ``lam`` multiplies after the product, so ``out`` holds the same
-        bits as ``lam * Jg`` and ``lam * (JH @ Phi)``."""
-        n = self.H.dim
-        Jg, JH = self.H.symplectic_derivatives(y[:n])
-        out[:n] = Jg
-        np.dot(JH, y[n:].reshape(n, n), out=out[n:].reshape(n, n))
-        np.multiply(out, self.lam, out=out)
+        ``y = (x, vec Phi)``: one gather of powers, one product per triplet
+        and one sum give both, as in
+        :meth:`PolynomialHamiltonian.symplectic_derivatives`."""
+        H = self.H
+        n = H.dim
+        powers = (y[:n, None] ** H._degrees).ravel()
+        weights = self._coeffs * np.multiply.reduce(powers.take(H._jet_monomials), axis=-1)
+        flat = np.bincount(H._jet_rows, weights=weights, minlength=n * (n + 1))
+        out[:n] = flat[:n]
+        np.dot(flat[n:].reshape(n, n), y[n:].reshape(n, n), out=out[n:].reshape(n, n))
 
 
 def gradient_field(H: PolynomialHamiltonian, lam: float) -> HamiltonianField:
@@ -225,12 +235,17 @@ def flow(field, x0, T: float, rtol: float = 1e-10, atol: float = 1e-10,
     ``variational(y, out)`` writes the augmented field at ``y = (x, vec Phi)``,
     the field at x and its Jacobian applied to Phi, into the stage row
     ``out``; for a :class:`HamiltonianField` both come from one evaluation of
-    the jet table of J grad H and J hess H.  The stage states go through
-    one reused buffer, so the loop itself allocates no array per stage.  The
-    error is controlled per component: the state runs ``_SAFETY`` below
-    ``rtol``/``atol`` so that the energy drift over a period stays within ten
-    times the tolerance, while the monodromy, which only steers Newton, runs
-    at ``rtol``/``atol`` itself.
+    the jet table of J grad H and J hess H.  The state y is row 0 of one
+    buffer whose other rows are the stage slopes K, so each stage state and
+    the order-8 update are one product of the row ``[1, h*A[s, :s]]`` with
+    that buffer, and both error estimates one product of ``[E5, E3]`` with
+    K; the stage states go through one reused buffer, so the loop itself
+    allocates no array per stage.  The products sum in another order than
+    scipy's, so endpoints agree with ``solve_ivp``'s to rounding, not bit
+    for bit.  The error is controlled per component: the state runs
+    ``_SAFETY`` below ``rtol``/``atol`` so that the energy drift over a
+    period stays within ten times the tolerance, while the monodromy, which
+    only steers Newton, runs at ``rtol``/``atol`` itself.
 
     The right-hand side budget is exact: 12 ``variational`` calls per
     attempted step, plus 2 at the start (the first slope and the initial
@@ -274,12 +289,19 @@ def flow(field, x0, T: float, rtol: float = 1e-10, atol: float = 1e-10,
         variational(y, out)
         return out
 
-    K = np.empty((dop853.N_STAGES + 1, size))  # the stage slopes, in rows
-    # stage s reads the slopes before it through A's row s; both sliced once
-    stage_sums = [(K[:s].T, dop853.A[s, :s], K[s]) for s in range(1, dop853.N_STAGES)]
-    slopes, stage = K[:-1].T, np.empty(size)
-    y = np.concatenate([x0, np.eye(n).ravel()])
-    y_new = np.empty(size)
+    # row 0 holds the state y and rows 1 to 13 the stage slopes K, so that a
+    # stage state y + h * (A[s, :s] . K[:s]) is the one product
+    # [1, h * A[s, :s]] . [y; K[:s]], and the order-8 update is row 12's
+    YK = np.empty((dop853.N_STAGES + 2, size))
+    y, K = YK[0], YK[1:]
+    weights = np.ones((dop853.N_STAGES + 1, dop853.N_STAGES + 1))  # column 0 stays 1
+    A, hA = dop853.A[:dop853.N_STAGES + 1, :dop853.N_STAGES], weights[:, 1:]
+    stage_sums = [(weights[s, :s + 1], YK[:s + 1], K[s]) for s in range(1, dop853.N_STAGES)]
+    step_weights, step_rows = weights[dop853.N_STAGES], YK[:dop853.N_STAGES + 1]
+    estimators, errors = np.stack([dop853.E5, dop853.E3]), np.empty((2, size))
+    stage, y_new = np.empty(size), np.empty(size)
+    y[:n] = x0
+    y[n:] = np.eye(n).ravel()
     variational(y, K[0])
     h_abs = dop853.initial_step(rhs, y, K[0], T, rtols, atols)
     rhs_calls, steps, rejections = 2, 0, 0
@@ -295,31 +317,36 @@ def flow(field, x0, T: float, rtol: float = 1e-10, atol: float = 1e-10,
                                        exit_time=t)
             t_new = min(t + h_abs, T)
             h = h_abs = t_new - t
-            # y + h * (A[s, :s] . K[:s]), with the products in scipy's order
-            for slopes_before, weights, slope in stage_sums:
-                np.dot(slopes_before, weights, out=stage)
-                np.multiply(stage, h, out=stage)
-                np.add(stage, y, out=stage)
+            np.multiply(A, h, out=hA)  # once per attempted step
+            for row, rows_before, slope in stage_sums:
+                np.dot(row, rows_before, out=stage)
                 variational(stage, slope)
-            np.dot(slopes, dop853.B, out=y_new)
-            np.multiply(y_new, h, out=y_new)
-            np.add(y_new, y, out=y_new)
+            np.dot(step_weights, step_rows, out=y_new)
             variational(y_new, K[-1])
             rhs_calls += dop853.N_STAGES
-            scale = atols + np.maximum(np.abs(y), np.abs(y_new)) * rtols
-            error = dop853.error_norm(K, h, scale)
+            # the 5th- and 3rd-order estimates, damped as in Hairer's DOP853
+            np.dot(estimators, K, out=errors)
+            errors /= atols + np.maximum(np.abs(y), np.abs(y_new)) * rtols
+            err5, err3 = errors
+            # squares of the 2-norms, rounded as np.linalg.norm(v) ** 2 rounds them
+            err5_2, err3_2 = math.sqrt(err5.dot(err5)) ** 2, math.sqrt(err3.dot(err3)) ** 2
+            if err5_2 == 0 and err3_2 == 0:
+                error = 0.0
+            else:
+                error = float(h * err5_2 / np.sqrt((err5_2 + 0.01 * err3_2) * size))
             h_abs *= dop853.step_factor(error, rejected)
             if error < 1:
                 break
             rejected = True
             rejections += 1
         steps += 1
-        t, y, y_new = t_new, y_new, y
+        t = t_new
+        y[:] = y_new
         if escaped(y[:n]):
             raise IntegrationError(f"trajectory left the domain (norm > {domain_bound:g})",
                                    exit_time=t)
         ts.append(t)
-        xs.append(y[:n].copy())  # y's buffer takes the step after next
+        xs.append(y[:n].copy())
         stages.append(K[:, :n].copy())
         K[0] = K[-1]
     return FlowResult(
@@ -524,8 +551,8 @@ def seed_from_linearization(A, beta0: float, amplitude: float,
 def _extrapolate(points, s, h):
     """Point and unit tangent at chord length ``s[-1] + h`` on the polynomial
     that interpolates ``points`` at chord lengths ``s``: the secant through two
-    points, a quadratic through three (Allgower and Georg, Introduction to
-    Numerical Continuation Methods, ch. 6)."""
+    points, a quadratic through three, a cubic through four (Allgower and
+    Georg, Introduction to Numerical Continuation Methods, ch. 6)."""
     s = [float(v) for v in s]
     t = s[-1] + h
     weights, slopes = [], []  # the Lagrange basis and its derivative at t
@@ -600,9 +627,9 @@ def continue_branch(H: PolynomialHamiltonian, seed: PeriodicOrbit,
             termination = "domain_boundary"
             break
 
-        # predict along the secant of the last two orbits, or along the
-        # quadratic in chord length through the last three once there are three
-        points = np.array([np.concatenate([o.x0, [o.lam]]) for o in orbits[-3:]])
+        # predict along the Lagrange polynomial in chord length through the
+        # last four orbits: the secant at two orbits, the quadratic at three
+        points = np.array([np.concatenate([o.x0, [o.lam]]) for o in orbits[-4:]])
         chords = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(points, axis=0), axis=1))])
         if not np.all(np.diff(chords) > 0.0):
             termination = "corrector_failure"

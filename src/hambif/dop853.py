@@ -8,8 +8,6 @@ the order-7 dense output.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 N_STAGES = 12
@@ -157,20 +155,6 @@ def step_factor(error: float, rejected: bool) -> float:
         return min(1.0, factor) if rejected else factor
     # a NaN error lands here: a rejection
     return max(MIN_FACTOR, SAFETY * error ** ERROR_EXPONENT)
-
-
-def error_norm(K, h: float, scale) -> float:
-    """The RMS local error of a step from its 13 stages, the 5th-order
-    estimate damped by the 3rd-order one as in Hairer's DOP853."""
-    err5 = np.dot(K.T, E5) / scale
-    err3 = np.dot(K.T, E3) / scale
-    # squares of the 2-norms, rounded as np.linalg.norm(v) ** 2 rounds them
-    err5_norm_2 = math.sqrt(err5.dot(err5)) ** 2
-    err3_norm_2 = math.sqrt(err3.dot(err3)) ** 2
-    if err5_norm_2 == 0 and err3_norm_2 == 0:
-        return 0.0
-    denom = err5_norm_2 + 0.01 * err3_norm_2
-    return float(abs(h) * err5_norm_2 / np.sqrt(denom * scale.size))
 
 
 class StateInterpolant:

@@ -151,10 +151,14 @@ def _find_clusters(M: np.ndarray, tol: TolerancePolicy):
     # that neither it nor any of its pieces confirms, while some staircase in
     # its search finds a kernel, is an undecided stretch of the imaginary
     # axis: calling it imaginary or not would both be guesses.  One whose
-    # staircases all find none is off the axis, as its eigenvalues are.
+    # staircases all find none is off the axis, as its eigenvalues are.  A
+    # root confirmed in part, whose split leaves an eigenvalue within the
+    # band of the axis as other spectrum, is undecided too: its remainder
+    # may belong to the confirmed piece.
     roots: list[tuple[float, int]] = []
     confirmed: set[int] = set()
     on_axis: set[int] = set()
+    dropped: set[int] = set()  # roots with an eigenvalue near the axis left over
     work = [(members, threshold, None) for members in _single_linkage(upper, threshold)] if upper else []
     while work:
         members, level, root = work.pop()
@@ -165,8 +169,8 @@ def _find_clusters(M: np.ndarray, tol: TolerancePolicy):
             if root is None:
                 root = len(roots)
                 roots.append((beta, len(members)))
-            kernel = _staircase(M, beta, tol, len(members))[0]
-            if kernel == len(members):
+            kernel, sizes, _ = _staircase(M, beta, tol, len(members))
+            if sizes:
                 clusters.append((beta, len(members)))
                 confirmed.add(root)
                 for _ in members:
@@ -186,11 +190,19 @@ def _find_clusters(M: np.ndarray, tol: TolerancePolicy):
             finer /= 4.0
         else:
             others.extend(members)
+            if root is not None and any(abs(z.real) <= band for z in members):
+                dropped.add(root)
     if on_axis - confirmed:
         beta, size = roots[min(on_axis - confirmed)]
         raise DecompositionError(
             f"no rank staircase confirms the {size} eigenvalue(s) clustered at i*{beta:.9g}, "
             f"nor any piece of them, though one finds a kernel there"
+        )
+    if dropped & confirmed:
+        beta, size = roots[min(dropped & confirmed)]
+        raise DecompositionError(
+            f"rank staircases confirm only part of the {size} eigenvalue(s) clustered at "
+            f"i*{beta:.9g}, and the rest lie within the band of the imaginary axis"
         )
     others.extend(lower)
     return tuple(sorted(clusters)), tuple(others), band
@@ -209,8 +221,10 @@ def _rank_staircase(M: np.ndarray, beta: float, tol: TolerancePolicy, mult: int)
     The number of blocks of size >= k is r_{k-1} - r_k, so these drops are
     positive and never grow.  The climb stops at the first drop that breaks
     this, or when the kernel reaches ``mult``, so a rejected cluster costs no
-    extra SVDs.  Unless the kernel is exactly ``mult``, the cluster is
-    rejected: the result is the kernel reached, no sizes and no note.
+    extra SVDs.  Unless the kernel reaches exactly ``mult`` with every drop
+    in order, the cluster is rejected: the result is the kernel reached, no
+    sizes and no note.  A drop out of order can land the kernel on ``mult``,
+    so only the sizes tell a confirmation.
     """
     dim = M.shape[0]
     shifted = M.astype(complex) - 1j * beta * np.eye(dim)
@@ -246,9 +260,9 @@ def _rank_staircase(M: np.ndarray, beta: float, tol: TolerancePolicy, mult: int)
 def _jordan_data(M: np.ndarray, beta: float, tol: TolerancePolicy, mult: int):
     """Partition and conditioning note of i*beta.  The one place that issues
     the note as a warning, so the default filter shows each note once."""
-    kernel, sizes, note = _staircase(M, beta, tol, mult)
-    if kernel != mult:
-        raise EigenvalueNotFoundError(f"rank staircase of i*{beta} never exhausted multiplicity {mult}")
+    _, sizes, note = _staircase(M, beta, tol, mult)
+    if not sizes:
+        raise EigenvalueNotFoundError(f"rank staircase of i*{beta} does not confirm multiplicity {mult}")
     if note is not None:
         warnings.warn(note, ConditioningWarning)
     return sizes, note

@@ -287,30 +287,26 @@ class TestPolynomialHamiltonian:
         assert np.array_equal(H.gradient(grid), H.gradient(points).reshape(grid.shape))
 
     @pytest.mark.parametrize("case", ["quartic2", "coupled4", "quadratic"])
-    def test_field_is_lam_times_the_jet_gradient_byte_for_byte(self, case, rng):
-        # one J grad H path: field(X) and variational read the same triplets
-        # in the same order, zero signs included
-        H = field_test_hamiltonian(case, rng)
-        field = gradient_field(H, 0.9)
-        points = rng.uniform(-1.0, 1.0, (50, H.dim))
-        points[0] = 0.0
-        points[1, ::2] = 0.0
-        points[2, 1::2] = 0.0
-        for row, x in zip(field(points), points):
-            assert row.tobytes() == (field.lam * H.symplectic_derivatives(x)[0]).tobytes()
-
-    @pytest.mark.parametrize("case", ["quartic2", "coupled4", "quadratic"])
-    def test_variational_writes_the_augmented_field_bit_for_bit(self, case, rng):
+    def test_field_rows_and_variational_read_folded_table(self, case, rng):
+        # field(X) and variational fold lam into the same coefficients and sum
+        # the same triplets in the same order, zero signs included
         H = field_test_hamiltonian(case, rng)
         n = H.dim
         field = gradient_field(H, 0.9)
-        for y in rng.uniform(-1.0, 1.0, (200, n + n * n)):
+        points = rng.uniform(-1.0, 1.0, (200, n + n * n))
+        points[0, :n] = 0.0
+        points[1, :n:2] = 0.0
+        points[2, 1:n:2] = 0.0
+        rows = field(points[:, :n])
+        for row, y in zip(rows, points):
             out = np.full(n + n * n, np.nan)
             assert field.variational(y, out) is None
-            Jg, JH = H.symplectic_derivatives(y[:n])
-            Phi = y[n:].reshape(n, n)
-            expected = np.concatenate([field.lam * Jg, (field.lam * (JH @ Phi)).ravel()])
-            assert np.array_equal(out, expected)
+            assert out[:n].tobytes() == row.tobytes()
+            # lam moved inside the sum: a relative 1e-14 of the product of
+            # magnitudes, the scale of a dot product's rounding
+            JH, Phi = H.symplectic_derivatives(y[:n])[1], y[n:].reshape(n, n)
+            bound = 1e-14 * field.lam * (np.abs(JH) @ np.abs(Phi)).ravel()
+            assert np.all(np.abs(out[n:] - field.lam * (JH @ Phi).ravel()) <= bound)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -646,6 +642,38 @@ class TestBranch:
         off_curve = [abs(z[1] - z[0] ** 2) for z in (_extrapolate(curve, s, 0.05)[0],
                                                     _extrapolate(curve[1:], s[1:] - s[1], 0.05)[0])]
         assert off_curve[0] < 0.1 * off_curve[1]
+
+    def test_predictor_is_cubic_through_four(self):
+        from hambif.continuation import _extrapolate
+
+        # points of the cubic z(s) = (s, s^3 - s, 2 s^2), passed with their
+        # parameters s as chord lengths: the prediction and its tangent lie
+        # on the cubic itself
+        def cubic(s):
+            return np.array([s, s ** 3 - s, 2.0 * s * s])
+
+        s = np.array([0.0, 0.1, 0.25, 0.3])
+        z, tangent = _extrapolate(np.array([cubic(v) for v in s]), s, 0.2)
+        assert np.allclose(z, cubic(0.5), rtol=0.0, atol=1e-13)
+        slope = np.array([1.0, 3.0 * 0.25 - 1.0, 4.0 * 0.5])
+        assert np.allclose(tangent, slope / np.linalg.norm(slope), rtol=0.0, atol=1e-13)
+
+    def test_quartic_branch_flow_budget(self, monkeypatch):
+        # criterion 09's branch to amplitude 0.55, as in the branch benchmark:
+        # 51 flows with the quadratic predictor, 44 with the cubic one
+        import hambif.continuation as continuation
+
+        calls = []
+
+        def counting_flow(*args, **kwargs):
+            calls.append(1)
+            return flow(*args, **kwargs)
+
+        monkeypatch.setattr(continuation, "flow", counting_flow)
+        branch = continue_branch(quartic_radial(), seed_from_linearization(np.eye(2), 1.0, 0.01),
+                                 ContinuationConfig(amplitude_target=0.55))
+        assert branch.termination == "amplitude_target" and len(branch.orbits) == 18
+        assert len(calls) <= 44
 
     def test_hopeless_seed_gives_empty_branch(self):
         H = PolynomialHamiltonian.from_quadratic(np.eye(2))

@@ -388,6 +388,29 @@ def test_unconfirmed_cluster_abstains(seed, t, tmp_path):
     assert cli_main(["analyze", "--input", str(path), "--output", str(tmp_path / "report.json")]) == 3
 
 
+def test_partly_confirmed_cluster_abstains(tmp_path):
+    """The benchmark's tail18 (cond(S) 6.2e6): one piece of the ten
+    eigenvalues near i is confirmed, while the rest sit within the band of
+    the axis.  Filing that rest as other spectrum would report beta 1 with
+    multiplicity 5 in place of 10; the spectrum is undecided instead."""
+    from hambif import emit_problem, run_analysis
+    from hambif.cli import main as cli_main
+    from hambif.errors import DecompositionError
+
+    A = squeezed_readme_example(424278, 8.5)
+    with pytest.raises(DecompositionError, match="confirm only part of the 10 eigenvalue"):
+        spectral_summary(standard_symplectic(10) @ A)
+
+    spec = analysis_spec(A)
+    entry = run_analysis(spec)["equilibria"][0]
+    assert len(entry["errors"]) == 1
+    assert entry["errors"][0].startswith("spectral analysis failed: rank staircases confirm only part")
+
+    path = tmp_path / "problem.json"
+    path.write_text(emit_problem(spec))
+    assert cli_main(["analyze", "--input", str(path), "--output", str(tmp_path / "report.json")]) == 3
+
+
 def quartet_hessian(N, a):
     """Hessian of q1 p2 - q2 p1 + a (q1 p1 + q2 p2), whose J A has the
     hyperbolic quartet +-a +- i, plus oscillators at 2, ..., N - 1."""
@@ -419,6 +442,34 @@ def test_hyperbolic_quartet_is_other_spectrum(N, a, tmp_path):
     assert entry["has_nonimaginary"] is True
     assert len(entry["other_eigenvalues"]) == 4
 
+    path = tmp_path / "problem.json"
+    path.write_text(emit_problem(spec))
+    assert cli_main(["analyze", "--input", str(path), "--output", str(tmp_path / "report.json")]) == 0
+
+
+# a = 1e-6: (J A - i)^2 has a kernel of 3 at the rank cutoff, so the first
+# candidate's staircase lands on its multiplicity with its drops out of order
+@pytest.mark.parametrize("a", [1e-6, 1e-4])
+def test_simple_pair_beside_a_hyperbolic_quartet(a, tmp_path):
+    """A simple pair at beta 1 next to the quartet +-a +- i, with a above the
+    band of the axis: the pair is confirmed, and the quartet stays other
+    spectrum without making the cluster undecided."""
+    from hambif import emit_problem, run_analysis
+    from hambif.cli import main as cli_main
+
+    # the quartet's coupling of (q1, q2) with (p1, p2), and (q3^2 + p3^2) / 2
+    A = np.zeros((6, 6))
+    A[:2, 3:5] = quartet_hessian(2, a)[:2, 2:]
+    A[3:5, :2] = A[:2, 3:5].T
+    A[2, 2] = A[5, 5] = 1.0
+    summary = spectral_summary(standard_symplectic(3) @ A)
+    assert summary.betas == pytest.approx([1.0])
+    assert summary.imaginary[0].jordan_partition == (1,)
+    assert sorted(summary.other_eigenvalues, key=lambda z: (z.real, z.imag)) == pytest.approx(
+        [-a - 1j, -a + 1j, a - 1j, a + 1j], abs=1e-12)
+
+    spec = analysis_spec(A)
+    assert run_analysis(spec)["equilibria"][0]["errors"] == []
     path = tmp_path / "problem.json"
     path.write_text(emit_problem(spec))
     assert cli_main(["analyze", "--input", str(path), "--output", str(tmp_path / "report.json")]) == 0

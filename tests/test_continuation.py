@@ -287,24 +287,47 @@ class TestPolynomialHamiltonian:
         assert np.array_equal(H.gradient(grid), H.gradient(points).reshape(grid.shape))
 
     @pytest.mark.parametrize("case", ["quartic2", "coupled4", "quadratic"])
-    def test_field_rows_and_variational_read_folded_table(self, case, rng):
-        # field(X) and variational fold lam into the same coefficients and sum
-        # the same triplets in the same order, zero signs included
+    def test_field_is_lam_times_the_jet_gradient_byte_for_byte(self, case, rng):
+        # one J grad H path: field(X) and variational fold lam into the same
+        # jet coefficients and sum the same triplets in the same order, zero
+        # signs included
         H = field_test_hamiltonian(case, rng)
         n = H.dim
         field = gradient_field(H, 0.9)
-        points = rng.uniform(-1.0, 1.0, (200, n + n * n))
-        points[0, :n] = 0.0
-        points[1, :n:2] = 0.0
-        points[2, 1:n:2] = 0.0
-        rows = field(points[:, :n])
-        for row, y in zip(rows, points):
+        points = rng.uniform(-1.0, 1.0, (50, n))
+        points[0] = 0.0
+        points[1, ::2] = 0.0
+        points[2, 1::2] = 0.0
+        # the sums of the terms' magnitudes: the field of |H| at |x|
+        magnitudes = gradient_field(
+            PolynomialHamiltonian(n, tuple((abs(c), e) for c, e in H.terms)), field.lam
+        )
+        for row, x in zip(field(points), points):
+            out = np.full(n + n * n, np.nan)
+            field.variational(np.concatenate([x, np.eye(n).ravel()]), out)
+            assert row.tobytes() == out[:n].tobytes()
+            # lam moved inside the sum: within a relative 1e-14 of those
+            # magnitudes of lam times the unscaled jet gradient
+            bound = 1e-14 * np.abs(magnitudes(np.abs(x)))
+            assert np.all(np.abs(row - field.lam * H.symplectic_derivatives(x)[0]) <= bound)
+
+    @pytest.mark.parametrize("case", ["quartic2", "coupled4", "quadratic"])
+    def test_variational_writes_the_augmented_field_bit_for_bit(self, case, rng):
+        H = field_test_hamiltonian(case, rng)
+        n = H.dim
+        field = gradient_field(H, 0.9)
+        for y in rng.uniform(-1.0, 1.0, (200, n + n * n)):
+            x, Phi = y[:n], y[n:].reshape(n, n)
             out = np.full(n + n * n, np.nan)
             assert field.variational(y, out) is None
-            assert out[:n].tobytes() == row.tobytes()
+            # the field's Jacobian, lam folded in, read at Phi = I
+            jac = np.full(n + n * n, np.nan)
+            field.variational(np.concatenate([x, np.eye(n).ravel()]), jac)
+            DF = jac[n:].reshape(n, n)
+            assert np.array_equal(out, np.concatenate([field(x), (DF @ Phi).ravel()]))
             # lam moved inside the sum: a relative 1e-14 of the product of
             # magnitudes, the scale of a dot product's rounding
-            JH, Phi = H.symplectic_derivatives(y[:n])[1], y[n:].reshape(n, n)
+            JH = H.symplectic_derivatives(x)[1]
             bound = 1e-14 * field.lam * (np.abs(JH) @ np.abs(Phi)).ravel()
             assert np.all(np.abs(out[n:] - field.lam * (JH @ Phi).ravel()) <= bound)
 

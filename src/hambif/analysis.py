@@ -173,7 +173,7 @@ def run_analysis(spec: ProblemSpec, stages: frozenset[str] = ALL_STAGES) -> dict
             for beta in requested:
                 try:
                     blocks = structural_decomposition(M, beta, tol)
-                except (DecompositionError, ValueError) as exc:
+                except DecompositionError as exc:
                     blocks = None
                     if "normal_form" in stages:
                         entry["errors"].append(f"decomposition at beta={beta:.6g} unavailable: {exc}")
@@ -182,7 +182,7 @@ def run_analysis(spec: ProblemSpec, stages: frozenset[str] = ALL_STAGES) -> dict
                         conditions.append({"beta0": beta, "blocks": [[b.half_dim, b.epsilon] for b in blocks]})
                     continue
                 try:
-                    gamma = gamma_jump(A, beta, 1, tol)
+                    gamma = gamma_jump(A, beta, tol)
                 except (DegeneracyError, EigenvalueNotFoundError) as exc:
                     reports[beta] = None
                     entry["errors"].append(f"condition check at beta={beta:.6g} failed: {exc}")
@@ -205,7 +205,7 @@ def run_analysis(spec: ProblemSpec, stages: frozenset[str] = ALL_STAGES) -> dict
                             "brouwer_known": brouwer is not None,
                         }
                     )
-                except (DegeneracyError, ValueError) as exc:
+                except DegeneracyError as exc:
                     entry["errors"].append(f"bifurcation index at beta={beta:.6g} failed: {exc}")
         entry["conditions"] = conditions
         entry["bifurcation_indices"] = indices

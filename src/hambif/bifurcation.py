@@ -1,10 +1,10 @@
 """Morse-index jumps, bifurcation indices, and the main condition check.
 
 For a symmetric A with +-i*beta in the spectrum of J A, the doubled symmetric
-family [[-(lam/j) A, J], [-J, -(lam/j) A]] loses definiteness exactly at the
-characteristic levels lam/j = 1/beta.  The jump gamma of its Morse index
-across such a level is computed spectrally here and cross-checked against the
-structural route -2*kappa from the block counts.
+family T(lam) = [[-lam A, J], [-J, -lam A]] loses definiteness exactly at the
+levels lam = 1/beta, and the level-j family T(lam/j) at lam = j/beta.  The
+jump gamma of the Morse index across such a level is computed spectrally here
+and cross-checked against the structural route -2*kappa from the block counts.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .linalg import (
     standard_symplectic,
     symplectic_gram_schmidt,
 )
+from . import spectral
 from .normal_forms import BlockCounts, BlockSpec, block_counts, structural_decomposition
 from .spectral import EigenvalueClass, classify_eigenvalue, spectral_summary
 
@@ -84,22 +85,14 @@ class ConditionReport:
         return None if self.counts is None else self.counts.kappa
 
 
-def t_matrix(j: int, lam: float, A) -> np.ndarray:
-    """The symmetric 4N x 4N matrix [[-(lam/j) A, J], [-J, -(lam/j) A]]."""
-    if j < 1:
-        raise ValueError("j must be a positive integer")
+def t_matrix(lam: float, A) -> np.ndarray:
+    """The symmetric 4N x 4N matrix [[-lam A, J], [-J, -lam A]]; the level-j
+    family is ``t_matrix(lam / j, A)``."""
     A = as_symmetric(A, name="t_matrix argument")
     if A.shape[0] % 2 != 0:
         raise ValueError("A must have even dimension")
-    N = A.shape[0] // 2
-    J = standard_symplectic(N)
-    a = lam / j
-    T = np.zeros((4 * N, 4 * N))
-    T[: 2 * N, : 2 * N] = -a * A
-    T[2 * N :, 2 * N :] = -a * A
-    T[: 2 * N, 2 * N :] = J
-    T[2 * N :, : 2 * N] = -J
-    return T
+    J = standard_symplectic(A.shape[0] // 2)
+    return np.block([[-lam * A, J], [-J, -lam * A]])
 
 
 def _spectrum_betas(A, tol: TolerancePolicy) -> tuple[float, ...]:
@@ -159,12 +152,12 @@ def isolation_radius(level: float, betas, tol: TolerancePolicy = DEFAULT_TOL) ->
 _JUMP_ZERO_TOL = 1e-12
 
 
-def _morse_jump(A, j: int, lam0: float, mu: float, tol: TolerancePolicy) -> int:
+def _morse_jump(A, lam0: float, mu: float, tol: TolerancePolicy) -> int:
     jump_tol = replace(tol, eig_zero_tol=min(tol.eig_zero_tol, _JUMP_ZERO_TOL))
     for attempt in range(2):
         try:
-            upper = morse_index(t_matrix(j, lam0 + mu, A), jump_tol)
-            lower = morse_index(t_matrix(j, lam0 - mu, A), jump_tol)
+            upper = morse_index(t_matrix(lam0 + mu, A), jump_tol)
+            lower = morse_index(t_matrix(lam0 - mu, A), jump_tol)
             return upper - lower
         except DegeneracyError:
             if attempt == 1:
@@ -173,20 +166,25 @@ def _morse_jump(A, j: int, lam0: float, mu: float, tol: TolerancePolicy) -> int:
     raise AssertionError("unreachable")
 
 
-def gamma_jump(A, beta0: float, j: int = 1, tol: TolerancePolicy = DEFAULT_TOL) -> int:
-    """Jump of the Morse index of the level-j family across lam = 1/beta0.
-
-    Always an even integer; zero unless j/beta0 resonates with a frequency of
-    J A (for j = 1 that frequency is beta0 itself).
-    """
+def gamma_jump(A, beta0: float, tol: TolerancePolicy = DEFAULT_TOL) -> int:
+    """Jump of the Morse index of T(lam) across lam = 1/beta0, always even.
+    The spectral memo keeps it with the spectrum of J A, so every reader at
+    beta0 shares one computation; a failure is not kept."""
     A = as_symmetric(A, tol)
-    betas = _spectrum_betas(A, tol)
-    band = tol.zero_band(max(1.0, beta0, matrix_norm(A)))
-    if not any(abs(b - beta0) <= max(band, 1e-6 * beta0) for b in betas):
-        raise EigenvalueNotFoundError(f"i*{beta0} is not in the spectrum of J A")
-    lam0 = 1.0 / beta0
-    mu = isolation_radius(lam0 / j, betas, tol)
-    return _morse_jump(A, j, lam0, mu, tol)
+    M = standard_symplectic(A.shape[0] // 2) @ A
+
+    def jump():
+        betas = spectral_summary(M, tol).betas
+        band = tol.zero_band(max(1.0, beta0, matrix_norm(A)))
+        b = min(betas, key=lambda c: abs(c - beta0), default=math.inf)
+        if not abs(b - beta0) <= max(band, 1e-6 * beta0):
+            raise EigenvalueNotFoundError(f"i*{beta0} is not in the spectrum of J A")
+        # the level of the spectrum's frequency: an interval of radius mu
+        # around 1/beta0 itself can miss it
+        lam0 = 1.0 / b
+        return _morse_jump(A, lam0, isolation_radius(lam0, betas, tol), tol)
+
+    return spectral._MEMO.lookup(M, tol, ("jump", beta0), jump)
 
 
 def gamma_block(spec: BlockSpec) -> int:
@@ -236,8 +234,9 @@ def brouwer_planar(grad, center, radius: float, tol: TolerancePolicy = DEFAULT_T
 
 def bifurcation_index(A, brouwer: int, lambda0: float, j_max: int | None = None,
                       tol: TolerancePolicy = DEFAULT_TOL) -> BifurcationIndex:
-    """All nonzero coordinates eta_j for j <= j_max (default covers every
-    resonance the spectrum admits at this level)."""
+    """All nonzero coordinates eta_j = brouwer * gamma_jump(A, b) for
+    j <= j_max, where lambda0/j = 1/b for a frequency b (default j_max covers
+    every resonance the spectrum admits at this level)."""
     A = as_symmetric(A, tol)
     betas = _spectrum_betas(A, tol)
     if not betas:
@@ -252,12 +251,11 @@ def bifurcation_index(A, brouwer: int, lambda0: float, j_max: int | None = None,
 
     entries: list[tuple[int, int]] = []
     if brouwer != 0:
-        mu = isolation_radius(lambda0, betas, tol)
         for j in range(1, j_max + 1):
-            # only levels lambda0/j = 1/beta can carry a jump; skip the rest
-            if min(abs(lambda0 / j - 1.0 / b) for b in betas) > band:
+            b = min(betas, key=lambda c: abs(lambda0 / j - 1.0 / c))
+            if abs(lambda0 / j - 1.0 / b) > band:
                 continue
-            eta = brouwer * _morse_jump(A, j, lambda0, mu, tol)
+            eta = brouwer * gamma_jump(A, b, tol)
             if eta != 0:
                 entries.append((j, eta))
     truncated = any(b * lambda0 > j_max + band for b in betas)
@@ -299,7 +297,7 @@ def _certify(A, betas, tol) -> tuple[float, ...]:
     out = []
     for beta in betas:
         try:
-            if gamma_jump(A, beta, 1, tol) != 0:
+            if gamma_jump(A, beta, tol) != 0:
                 out.append(beta)
         except (DegeneracyError, EigenvalueNotFoundError):
             continue
@@ -518,9 +516,9 @@ def check_main_condition(A, brouwer: int | None, beta0: float,
     ``condition_holds`` is None when the Brouwer index is unknown.
     """
     A = as_symmetric(A, tol)
-    gamma = gamma_jump(A, beta0, j=1, tol=tol)
+    gamma = gamma_jump(A, beta0, tol)
     try:
         blocks = structural_decomposition(standard_symplectic(A.shape[0] // 2) @ A, beta0, tol)
-    except (DecompositionError, ValueError):
+    except DecompositionError:
         blocks = None
     return _condition_report(beta0, gamma, blocks, brouwer, tol)

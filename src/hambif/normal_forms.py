@@ -342,7 +342,7 @@ def structural_decomposition(
     M = as_matrix(M)
     N = half_dimension(M)
     if 2 * N > 64:
-        raise ValueError("decomposition supported up to dimension 64")
+        raise DecompositionError("decomposition supported up to dimension 64")
     if not is_hamiltonian(M, tol):
         raise StructureError("structural_decomposition expects a Hamiltonian matrix")
     if beta <= 0.0:

@@ -47,6 +47,24 @@ def _require(condition, message, path):
         raise SpecError(message, path)
 
 
+def _is_integer(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_types(data, types, path):
+    """Each field of ``data`` against its declared type: ``int`` takes a
+    JSON integer, ``float`` a number, ``float | None`` a number or null."""
+    for name, value in data.items():
+        kind = types[name]
+        ok = _is_integer(value) if kind == "int" else (
+            _is_number(value) or (value is None and kind == "float | None"))
+        _require(ok, f"expected {'an integer' if kind == 'int' else 'a number'}", f"{path}.{name}")
+
+
 def _as_float_list(value, length, path):
     _require(isinstance(value, (list, tuple)), "expected a list of numbers", path)
     _require(len(value) == length, f"expected length {length}, got {len(value)}", path)
@@ -72,6 +90,7 @@ def _parse_tolerances(data, path):
     known = {f.name for f in fields(TolerancePolicy)}
     unknown = set(data) - known
     _require(not unknown, f"unknown tolerance fields {sorted(unknown)}", path)
+    _check_types(data, {f.name: f.type for f in fields(TolerancePolicy)}, path)
     try:
         return TolerancePolicy(**{k: float(v) for k, v in data.items()})
     except ValueError as exc:
@@ -83,10 +102,12 @@ def _parse_continuation(data, path):
         return ContinuationConfig(), True
     _require(isinstance(data, dict), "expected an object", path)
     data = dict(data)
-    enabled = bool(data.pop("enabled", True))
-    valid = set(ContinuationConfig.__dataclass_fields__)
-    unknown = set(data) - valid
+    enabled = data.pop("enabled", True)
+    _require(isinstance(enabled, bool), "expected true or false", f"{path}.enabled")
+    types = {f.name: f.type for f in fields(ContinuationConfig)}
+    unknown = set(data) - set(types)
     _require(not unknown, f"unknown continuation fields {sorted(unknown)}", path)
+    _check_types(data, types, path)
     try:
         return ContinuationConfig(**data), enabled
     except (TypeError, ValueError) as exc:
@@ -144,13 +165,17 @@ def parse_problem(text: str) -> ProblemSpec:
     _require(not unknown, f"unknown analysis fields {sorted(unknown)}", "$.analysis")
     tolerances = _parse_tolerances(analysis.get("tolerances"), "$.analysis.tolerances")
     continuation, enabled = _parse_continuation(analysis.get("continuation"), "$.analysis.continuation")
-    lambda_max = float(analysis.get("lambda_max", 10.0))
-    _require(lambda_max > 0.0, "lambda_max must be positive", "$.analysis.lambda_max")
+    lambda_max = analysis.get("lambda_max", 10.0)
+    _require(_is_number(lambda_max) and lambda_max > 0.0, "lambda_max must be a positive number",
+             "$.analysis.lambda_max")
+    lambda_max = float(lambda_max)
     j_max = analysis.get("j_max")
     if j_max is not None:
-        _require(isinstance(j_max, int) and j_max >= 1, "j_max must be a positive integer", "$.analysis.j_max")
+        _require(_is_integer(j_max) and j_max >= 1, "j_max must be a positive integer", "$.analysis.j_max")
     betas = analysis.get("betas", "all")
     if betas != "all":
+        _require(isinstance(betas, list) and all(map(_is_number, betas)),
+                 'betas must be "all" or a list of numbers', "$.analysis.betas")
         betas = tuple(float(b) for b in betas)
         _require(all(b > 0 for b in betas), "requested betas must be positive", "$.analysis.betas")
 

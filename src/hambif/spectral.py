@@ -103,11 +103,12 @@ class _OneMatrixMemo:
     """Results of the pure spectral steps for the most recent matrix only.
 
     Every stage of an analysis asks again for the spectrum of the same
-    ``J A``; keeping the last matrix's results makes those repeats free,
-    while memory stays bounded by one matrix however many problems a process
-    analyzes.  A matrix is keyed by its bytes, so one changed in place is a
-    new matrix.  Values are pure functions of the key and are immutable, so
-    sharing them between callers is safe; failures are not stored.
+    ``J A`` and for its frequencies' Morse jumps (``gamma_jump``); keeping
+    the last matrix's results makes those repeats free, while memory stays
+    bounded by one matrix however many problems a process analyzes.  A
+    matrix is keyed by its bytes, so one changed in place is a new matrix.
+    Values are pure functions of the key and are immutable, so sharing them
+    between callers is safe; failures are not stored.
     """
 
     def __init__(self):
@@ -130,7 +131,8 @@ _MEMO = _OneMatrixMemo()
 
 
 def _imaginary_clusters(M: np.ndarray, tol: TolerancePolicy):
-    """Conjugate-pair frequencies (beta, multiplicity) plus leftover eigenvalues."""
+    """Confirmed conjugate-pair frequencies (beta, multiplicity, Jordan
+    partition, conditioning note), the leftover eigenvalues and the band."""
     clusters, others, band = _MEMO.lookup(M, tol, "clusters", lambda: _find_clusters(M, tol))
     return clusters, np.array(others, dtype=complex), band
 
@@ -144,7 +146,7 @@ def _find_clusters(M: np.ndarray, tol: TolerancePolicy):
 
     upper = [complex(z) for z in w[w.imag > 0.0]]
     lower = [complex(z) for z in w[w.imag <= 0.0]]
-    clusters: list[tuple[float, int]] = []
+    clusters: list[tuple[float, int, tuple[int, ...], str | None]] = []
     others: list[complex] = []
 
     # a plausible candidate with no plausible ancestor is a root.  A root
@@ -169,9 +171,9 @@ def _find_clusters(M: np.ndarray, tol: TolerancePolicy):
             if root is None:
                 root = len(roots)
                 roots.append((beta, len(members)))
-            kernel, sizes, _ = _staircase(M, beta, tol, len(members))
+            kernel, sizes, note = _rank_staircase(M, beta, tol, len(members))
             if sizes:
-                clusters.append((beta, len(members)))
+                clusters.append((beta, len(members), sizes, note))
                 confirmed.add(root)
                 for _ in members:
                     if lower:
@@ -205,13 +207,7 @@ def _find_clusters(M: np.ndarray, tol: TolerancePolicy):
             f"i*{beta:.9g}, and the rest lie within the band of the imaginary axis"
         )
     others.extend(lower)
-    return tuple(sorted(clusters)), tuple(others), band
-
-
-def _staircase(M: np.ndarray, beta: float, tol: TolerancePolicy, mult: int):
-    """The memoized rank staircase of i*beta at multiplicity mult; a rejection
-    is a result like any other and is stored too."""
-    return _MEMO.lookup(M, tol, ("staircase", beta, mult), lambda: _rank_staircase(M, beta, tol, mult))
+    return tuple(sorted(clusters, key=lambda c: c[0])), tuple(others), band
 
 
 def _rank_staircase(M: np.ndarray, beta: float, tol: TolerancePolicy, mult: int):
@@ -257,12 +253,11 @@ def _rank_staircase(M: np.ndarray, beta: float, tol: TolerancePolicy, mult: int)
     return kernel, tuple(sizes), note
 
 
-def _jordan_data(M: np.ndarray, beta: float, tol: TolerancePolicy, mult: int):
-    """Partition and conditioning note of i*beta.  The one place that issues
-    the note as a warning, so the default filter shows each note once."""
-    _, sizes, note = _staircase(M, beta, tol, mult)
-    if not sizes:
-        raise EigenvalueNotFoundError(f"rank staircase of i*{beta} does not confirm multiplicity {mult}")
+def _jordan_data(cluster):
+    """Partition and conditioning note of a confirmed cluster.  The one place
+    that issues the note as a warning, so the default filter shows each note
+    once."""
+    _, _, sizes, note = cluster
     if note is not None:
         warnings.warn(note, ConditioningWarning)
     return sizes, note
@@ -271,7 +266,8 @@ def _jordan_data(M: np.ndarray, beta: float, tol: TolerancePolicy, mult: int):
 def jordan_partition(M, beta: float, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[int, ...]:
     """Jordan block sizes of the eigenvalue i*beta, largest first.
 
-    Computed from the rank staircase of the cluster at beta.  A marginal rank
+    Read from the rank staircase that confirmed the cluster matching beta
+    within the band, whether or not beta is its centre.  A marginal rank
     decision emits a :class:`ConditioningWarning`.  Raises
     :class:`DecompositionError` when the spectrum is undecided: a cluster on
     the imaginary axis that no rank staircase confirms.
@@ -283,7 +279,7 @@ def jordan_partition(M, beta: float, tol: TolerancePolicy = DEFAULT_TOL) -> tupl
     match = [c for c in clusters if abs(c[0] - beta) <= max(band, tol.zero_band(beta))]
     if not match:
         raise EigenvalueNotFoundError(f"i*{beta} is not an eigenvalue within tolerance")
-    return _jordan_data(M, beta, tol, match[0][1])[0]
+    return _jordan_data(match[0])[0]
 
 
 def spectral_summary(M, tol: TolerancePolicy = DEFAULT_TOL) -> SpectralSummary:
@@ -299,8 +295,9 @@ def spectral_summary(M, tol: TolerancePolicy = DEFAULT_TOL) -> SpectralSummary:
     clusters, others, _ = _imaginary_clusters(M, tol)
 
     entries = []
-    for beta, mult in sorted(clusters, reverse=True):
-        partition, note = _jordan_data(M, beta, tol, mult)
+    for cluster in reversed(clusters):
+        beta, mult = cluster[:2]
+        partition, note = _jordan_data(cluster)
         entries.append(
             ImaginaryEigenvalue(
                 beta=beta,

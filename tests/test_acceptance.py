@@ -68,8 +68,8 @@ def test_criterion_03_side_of_jump_values():
             for n in sizes:
                 for eps in (1, -1):
                     A = builder(n, beta0, eps)
-                    low = morse_index(t_matrix(1, (1.0 / beta0) * 0.7, A))
-                    high = morse_index(t_matrix(1, (1.0 / beta0) * 1.3, A))
+                    low = morse_index(t_matrix((1.0 / beta0) * 0.7, A))
+                    high = morse_index(t_matrix((1.0 / beta0) * 1.3, A))
                     assert low == 2 * n
                     assert high == 2 * morse_index(-A)
 
@@ -134,8 +134,8 @@ def test_criterion_06_determinant_degeneracy_locus():
             level = 1.0 / beta
             mu = isolation_radius(level, betas)
             off_levels.extend([level - mu, level + mu])
-        off = [abs(np.linalg.det(t_matrix(1, lam, A))) for lam in off_levels]
-        on = [abs(np.linalg.det(t_matrix(1, 1.0 / beta, A))) for beta in betas]
+        off = [abs(np.linalg.det(t_matrix(lam, A))) for lam in off_levels]
+        on = [abs(np.linalg.det(t_matrix(1.0 / beta, A))) for beta in betas]
         scale = float(np.exp(np.mean(np.log(off))))
         assert all(value > 1e-6 * scale for value in off)
         assert all(value < 1e-9 * scale for value in on)
@@ -156,7 +156,7 @@ def test_criterion_07_symplectic_invariance_of_morse_indices():
             lam = m / beta + isolation_radius(m / beta, betas)
         else:
             lam = float(rng.uniform(0.2, 2.0))
-        assert morse_index(t_matrix(1, lam, S.T @ A @ S)) == morse_index(t_matrix(1, lam, A))
+        assert morse_index(t_matrix(lam, S.T @ A @ S)) == morse_index(t_matrix(lam, A))
         done += 1
     assert done == 100
 

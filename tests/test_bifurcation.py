@@ -36,21 +36,16 @@ def oscillators(*betas):
 
 class TestTMatrix:
     def test_closed_form_eigenvalues(self):
-        T = t_matrix(1, 0.5, np.eye(2))
+        T = t_matrix(0.5, np.eye(2))
         assert np.allclose(np.sort(np.linalg.eigvalsh(T)), [-1.5, -1.5, 0.5, 0.5])
 
-    def test_level_rescaling_identity(self, rng):
-        A = rng.uniform(-1, 1, (4, 4))
-        A = 0.5 * (A + A.T)
-        assert np.array_equal(t_matrix(3, 2.4, A), t_matrix(1, 2.4 / 3, A))
-
     def test_degenerate_at_characteristic_level(self):
-        assert abs(np.linalg.det(t_matrix(1, 1.0 / 0.7, 0.7 * np.eye(2)))) < 1e-9
+        assert abs(np.linalg.det(t_matrix(1.0 / 0.7, 0.7 * np.eye(2)))) < 1e-9
 
     def test_symmetric(self, rng):
         A = rng.uniform(-1, 1, (6, 6))
         A = 0.5 * (A + A.T)
-        T = t_matrix(2, 1.7, A)
+        T = t_matrix(1.7, A)
         assert np.array_equal(T, T.T)
 
 
@@ -122,11 +117,18 @@ class TestGammaJump:
             for beta in sorted({b.beta for b in nf.blocks}):
                 assert gamma_jump(A, beta) % 2 == 0
 
+    def test_off_centre_frequency_reads_the_spectrum_level(self):
+        """A beta0 within the spectrum's tolerance but off its frequency jumps
+        across the frequency's level, and both routes then agree."""
+        assert gamma_jump(np.eye(2), 1.0 + 1e-8) == 2
+        report = check_main_condition(np.eye(2), 1, 1.0 + 1e-8)
+        assert (report.gamma, report.routes_agree) == (2, True)
+
     def test_higher_index_resonance(self):
-        # levels of T_2 around 1/beta0 = 1 resonate only through beta = 2
+        # the level-2 family jumps across lam = 1 as T does across 1/2
         A = oscillators(1.0, 2.0)
-        assert gamma_jump(A, 1.0, j=2) == 2  # beta=2 block seen by the j=2 family
-        assert gamma_jump(oscillators(1.0), 1.0, j=2) == 0
+        assert gamma_jump(A, 2.0) == 2  # beta=2 block seen by the j=2 family
+        assert bifurcation_index(oscillators(1.0), 1, 1.0, j_max=2).coordinate(2) == 0
 
 
 class TestGammaBlock:
@@ -190,7 +192,6 @@ class TestEtaAndIndex:
 
     def test_eta_off_resonance(self):
         assert bifurcation_index(np.eye(2), 1, 1.0, j_max=2).coordinate(2) == 0
-        assert gamma_jump(np.eye(2), 1.0, j=2) == 0
 
     def test_eta_linearity_in_brouwer(self):
         assert bifurcation_index(np.eye(2), -1, 1.0, j_max=2).coordinate(1) == -2
@@ -199,6 +200,15 @@ class TestEtaAndIndex:
         bif = bifurcation_index(np.eye(2), 1, 1.0, j_max=5)
         assert dict(bif.entries) == {1: 2}
         assert not bif.truncated
+
+    @pytest.mark.parametrize("brouwer", [1, -1])
+    def test_coordinates_are_frequency_jumps(self, brouwer):
+        """eta_j at lambda0 = 1 is the Brouwer-weighted jump at beta = j."""
+        A = oscillators(1.0, 2.0, 3.0, 5.0)
+        bif = bifurcation_index(A, brouwer, 1.0)
+        for j in (1, 2, 3, 5):
+            assert bif.coordinate(j) == brouwer * gamma_jump(A, float(j)) != 0
+        assert bif.coordinate(4) == 0
 
     def test_index_two_frequencies(self):
         A = oscillators(1.0, 2.0)
@@ -277,7 +287,7 @@ class TestSymplecticInvariance:
             S = random_symplectic(N, seed=700 + trial, scale=0.5)
             betas = sorted({b.beta for b in nf.blocks})
             lam = 0.37 / max(betas)  # safely off every level m/beta
-            assert morse_index(t_matrix(1, lam, S.T @ A @ S)) == morse_index(t_matrix(1, lam, A))
+            assert morse_index(t_matrix(lam, S.T @ A @ S)) == morse_index(t_matrix(lam, A))
 
 
 class TestAdditivity:
@@ -290,9 +300,9 @@ class TestAdditivity:
 
         mu = isolation_radius(1.0, betas)
         for lam in (1.0 - mu, 1.0 + mu):
-            total = morse_index(t_matrix(1, lam, A))
+            total = morse_index(t_matrix(lam, A))
             parts = sum(
-                morse_index(t_matrix(1, lam, odd_block_hessian(b.half_dim, b.beta, b.epsilon)
+                morse_index(t_matrix(lam, odd_block_hessian(b.half_dim, b.beta, b.epsilon)
                                      if b.half_dim % 2
                                      else even_block_hessian(b.half_dim, b.beta, b.epsilon)))
                 for b in blocks
@@ -303,8 +313,8 @@ class TestAdditivity:
         for n in (1, 3, 5):
             for eps in (1, -1):
                 A = odd_block_hessian(n, 2.0, eps)
-                low = morse_index(t_matrix(1, (1 / 2.0) * 0.7, A))
-                high = morse_index(t_matrix(1, (1 / 2.0) * 1.3, A))
+                low = morse_index(t_matrix((1 / 2.0) * 0.7, A))
+                high = morse_index(t_matrix((1 / 2.0) * 1.3, A))
                 assert low == 2 * n
                 assert high == 2 * morse_index(-A)
 
@@ -315,13 +325,13 @@ class TestDegeneracyLocus:
             nf = random_normal_form(rng, max_total_half_dim=5)
             A = assemble_hessian(nf)
             betas = sorted({b.beta for b in nf.blocks})
-            on = [abs(np.linalg.det(t_matrix(1, 1.0 / b, A))) for b in betas]
+            on = [abs(np.linalg.det(t_matrix(1.0 / b, A))) for b in betas]
             from hambif import isolation_radius
 
             off = []
             for b in betas:
                 mu = isolation_radius(1.0 / b, betas)
-                off.append(abs(np.linalg.det(t_matrix(1, 1.0 / b + mu, A))))
+                off.append(abs(np.linalg.det(t_matrix(1.0 / b + mu, A))))
             scale = float(np.exp(np.mean(np.log(off))))
             assert max(on) < 1e-9 * scale or max(on) < 1e-9 * max(off)
             assert min(off) > 1e-6 * scale * 1e-3  # loose guard at module level
@@ -402,10 +412,10 @@ class TestNonresonance:
 
         morse_jump = bif._morse_jump
 
-        def degenerate_at_one(A, j, lam0, mu, tol):
+        def degenerate_at_one(A, lam0, mu, tol):
             if abs(lam0 - 1.0) < 1e-9:
                 raise DegeneracyError("morse_index: eigenvalue inside the zero band")
-            return morse_jump(A, j, lam0, mu, tol)
+            return morse_jump(A, lam0, mu, tol)
 
         monkeypatch.setattr(bif, "_morse_jump", degenerate_at_one)
         A = oscillators(1.0, np.sqrt(2.0))

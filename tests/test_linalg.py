@@ -90,7 +90,7 @@ class TestMorseIndex:
         # [[-l*A, J], [-J, -l*A]] with A = Id2 has eigenvalues -l +- 1, twice each
         from hambif import t_matrix
 
-        T = t_matrix(1, 0.5, np.eye(2))
+        T = t_matrix(0.5, np.eye(2))
         assert sorted(np.round(np.linalg.eigvalsh(T), 12)) == [-1.5, -1.5, 0.5, 0.5]
         assert morse_index(T) == 2
 

@@ -4,6 +4,7 @@ import pytest
 from hambif import (
     BlockCounts,
     BlockSpec,
+    DecompositionError,
     NormalForm,
     assemble_normal_form,
     block_counts,
@@ -242,5 +243,5 @@ class TestStructuralDecomposition:
                 assert sum(2 * b.half_dim for b in blocks) == 2 * ev.algebraic_mult
 
     def test_dimension_cap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DecompositionError, match="up to dimension 64"):
             structural_decomposition(np.zeros((66, 66)), 1.0)

@@ -101,6 +101,29 @@ class TestParsing:
         assert "sample_points" in str(info.value)
         assert "analysis.continuation" in str(info.value)
 
+    @pytest.mark.parametrize("field,value", [
+        ("continuation.max_steps", 2.5),
+        ("continuation.sample_points", 100.0),
+        ("continuation.max_corrector_iters", 3.0),
+        ("continuation.amplitude_target", "0.1"),
+        ("continuation.enabled", "false"),
+        ("betas", 5),
+        ("betas", "none"),
+        ("lambda_max", "abc"),
+        ("j_max", True),
+    ])
+    def test_field_of_the_wrong_type_is_a_spec_error(self, field, value, tmp_path, capsys):
+        data = json.loads(quartic_spec())
+        *parents, name = field.split(".")
+        target = data["analysis"]
+        for key in parents:
+            target = target[key]
+        target[name] = value
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(data))
+        assert cli_main(["analyze", "--input", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: $.analysis.{field}: ")
+
     def test_problem_round_trip(self):
         spec = parse_problem(quartic_spec())
         text = emit_problem(spec)
@@ -287,20 +310,27 @@ class TestOneVerdictPerFrequency:
         import hambif.analysis as analysis
         import hambif.bifurcation as bifurcation
 
-        calls = {"structural_decomposition": [], "gamma_jump": []}
-        for name, seen in calls.items():
-            def counting(matrix, beta, *args, _original=getattr(bifurcation, name), _seen=seen, **kwargs):
-                _seen.append(round(beta, 9))
-                return _original(matrix, beta, *args, **kwargs)
+        decompositions, jumps = [], []
+        decompose, morse_jump = bifurcation.structural_decomposition, bifurcation._morse_jump
 
-            for module in (analysis, bifurcation):
-                monkeypatch.setattr(module, name, counting, raising=False)
+        def counting_decomposition(M, beta, tol):
+            decompositions.append(round(beta, 9))
+            return decompose(M, beta, tol)
 
+        def counting_jump(A, lam0, mu, tol):
+            jumps.append(round(1.0 / lam0, 9))
+            return morse_jump(A, lam0, mu, tol)
+
+        for module in (analysis, bifurcation):
+            monkeypatch.setattr(module, "structural_decomposition", counting_decomposition)
+        monkeypatch.setattr(bifurcation, "_morse_jump", counting_jump)
+
+        # the index at beta 1 reads the jump at beta 2 for its j = 2 coordinate
         path = oscillators_problem(tmp_path, 1.0, 2.0, math.sqrt(2.0))
         run_analysis(parse_problem(Path(path).read_text()), frozenset({"normal_form", "index"}))
         betas = [1.0, round(math.sqrt(2.0), 9), 2.0]
-        assert sorted(calls["structural_decomposition"]) == betas
-        assert sorted(calls["gamma_jump"]) == betas
+        assert sorted(decompositions) == betas
+        assert sorted(jumps) == betas
 
     def test_report_by_stage(self, tmp_path, monkeypatch, capsys):
         """The decomposition fails at beta 2 and the Morse jump across the
@@ -317,10 +347,10 @@ class TestOneVerdictPerFrequency:
                 raise DecompositionError("moment-form rank gap too small")
             return decompose(M, beta, tol)
 
-        def failing_jump(A, j, lam0, mu, tol):
-            if abs(lam0 / j - 0.5) < 1e-9:
+        def failing_jump(A, lam0, mu, tol):
+            if abs(lam0 - 0.5) < 1e-9:
                 raise DegeneracyError("morse_index: eigenvalue inside the zero band")
-            return morse_jump(A, j, lam0, mu, tol)
+            return morse_jump(A, lam0, mu, tol)
 
         path = oscillators_problem(tmp_path, 1.0, 2.0)
         for module in (analysis, bifurcation):
@@ -367,3 +397,24 @@ class TestOneVerdictPerFrequency:
         assert [c["beta0"] for c in eq["conditions"]] == [1.0]
         assert [[round(b, 9), flag] for b, flag in eq["nonresonance"]["flags"]] == [[2.0, True], [1.0, False]]
         assert eq["nonresonance"]["lower_bound"] == 1
+
+
+class TestTypedAbstentions:
+    """The pipeline turns only the typed abstentions into report errors."""
+
+    def test_decomposition_above_the_cap_is_an_abstention(self, tmp_path, capsys):
+        path = oscillators_problem(tmp_path, *(1.0 + k / 32 for k in range(33)))
+        assert cli_main(["analyze", "--input", path, "--beta", "1"]) == 3
+        eq = parse_report(capsys.readouterr().out)["equilibria"][0]
+        assert eq["errors"] == ["decomposition at beta=1 unavailable: decomposition supported up to dimension 64"]
+
+    def test_value_error_from_the_decomposition_escapes(self, tmp_path, monkeypatch):
+        import hambif.analysis as analysis
+
+        def broken(M, beta, tol):
+            raise ValueError("a bug, not an abstention")
+
+        monkeypatch.setattr(analysis, "structural_decomposition", broken)
+        path = oscillators_problem(tmp_path, 1.0)
+        with pytest.raises(ValueError, match="a bug"):
+            run_analysis(parse_problem(Path(path).read_text()))

@@ -159,15 +159,13 @@ class TestInvariants:
 
 @pytest.fixture
 def counted(monkeypatch):
-    """An empty spectral memo, and the calls that reach the uncached steps:
-    one matrix digest per cluster search, (digest, beta, mult) per staircase
-    that yields a partition, and the same per staircase that rejects a
-    candidate cluster."""
+    """The calls that reach the uncached steps: one matrix digest per cluster
+    search, (digest, beta, mult) per staircase that yields a partition, and
+    the same per staircase that rejects a candidate cluster."""
     import hashlib
 
     from hambif import spectral
 
-    monkeypatch.setattr(spectral, "_MEMO", spectral._OneMatrixMemo())
     calls = {"clusters": [], "staircase": [], "rejected": []}
     find_clusters, rank_staircase = spectral._find_clusters, spectral._rank_staircase
 
@@ -204,9 +202,9 @@ class TestSpectralMemo:
         miss_partition = jordan_partition(M, 1.0)
         miss_clusters = spectral._imaginary_clusters(M, DEFAULT_TOL)
         assert len(counted["clusters"]) == 1
-        # the summary's two frequencies, then 1.0 itself, which differs from
-        # the summary's estimate of it in the last bits
-        assert len(counted["staircase"]) == 3
+        # the cluster search's two frequencies; 1.0 differs from the estimate
+        # of its cluster in the last bits, and reads that cluster's partition
+        assert len(counted["staircase"]) == 2
 
         assert spectral_summary(M.copy()) == miss_summary
         assert jordan_partition(M.copy(), 1.0) == miss_partition == (5, 3)
@@ -215,7 +213,7 @@ class TestSpectralMemo:
         assert np.array_equal(hit_clusters[1], miss_clusters[1])
         assert hit_clusters[2] == miss_clusters[2]
         assert len(counted["clusters"]) == 1
-        assert len(counted["staircase"]) == 3
+        assert len(counted["staircase"]) == 2
 
     def test_hit_warns_again(self, counted):
         M = assemble_normal_form(NormalForm((BlockSpec(1.0, 1, -1), BlockSpec(2.0, 1, -1))))
@@ -328,7 +326,6 @@ def test_summary_climbs_each_staircase_once(monkeypatch):
     monkeypatch.setattr(spectral, "numeric_rank_with_gap", counting)
     M = standard_symplectic(12) @ conjugated_24()
 
-    monkeypatch.setattr(spectral, "_MEMO", spectral._OneMatrixMemo())
     spectral._find_clusters(M, DEFAULT_TOL)
     search = len(svds)
     # one step per size of the largest block of each frequency (5 + 3 + 2),
@@ -336,7 +333,6 @@ def test_summary_climbs_each_staircase_once(monkeypatch):
     assert search == 11
 
     svds.clear()
-    monkeypatch.setattr(spectral, "_MEMO", spectral._OneMatrixMemo())
     summary = spectral_summary(M)
     assert len(svds) == search
     for ev in summary.imaginary:

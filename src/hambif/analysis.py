@@ -12,16 +12,14 @@ from __future__ import annotations
 import dataclasses
 import json
 
-from . import __version__
+from . import __version__, spectral
 from .bifurcation import (
-    _condition_report,
     _nonresonance,
     bifurcation_index,
     brouwer_nondegenerate,
     brouwer_planar,
     check_classical_assumptions,
     check_main_condition,
-    gamma_jump,
     lambda_set,
 )
 from .continuation import TWO_PI, continue_branch, seed_from_linearization, verify_period_limit
@@ -64,8 +62,8 @@ def _brouwer_for(eq, spec, tol):
     return None, "user-required"
 
 
-def _condition_entry(report, blocks):
-    counts = report.counts
+def _condition_entry(report, with_blocks):
+    counts, blocks = report.counts, report.blocks if with_blocks else None
     return {
         "beta0": report.beta0,
         "gamma": report.gamma,
@@ -146,10 +144,9 @@ def run_analysis(spec: ProblemSpec, stages: frozenset[str] = ALL_STAGES) -> dict
         else:
             requested = []
             for want in spec.options.betas:
-                matches = [b for b in found if abs(b - want) <= max(tol.zero_band(want), 1e-6 * want)]
-                if matches:
-                    requested.append(matches[0])
-                else:
+                try:
+                    requested.append(spectral._cluster_at(M, want, tol)[0])
+                except EigenvalueNotFoundError:
                     entry["errors"].append(f"requested beta {want} is not in the spectrum")
         if not found:
             entry["lambda_set"] = {"points": [], "lambda_max": spec.options.lambda_max, "source_betas": []}
@@ -171,26 +168,23 @@ def run_analysis(spec: ProblemSpec, stages: frozenset[str] = ALL_STAGES) -> dict
         reports: dict = {}  # beta -> ConditionReport, or None when the check failed
         if "index" in stages or "normal_form" in stages:
             for beta in requested:
-                try:
-                    blocks = structural_decomposition(M, beta, tol)
-                except DecompositionError as exc:
-                    blocks = None
-                    if "normal_form" in stages:
+                if "normal_form" in stages:
+                    try:
+                        blocks = structural_decomposition(M, beta, tol)
+                    except DecompositionError as exc:
+                        blocks = None
                         entry["errors"].append(f"decomposition at beta={beta:.6g} unavailable: {exc}")
-                if "index" not in stages:
-                    if blocks is not None:
-                        conditions.append({"beta0": beta, "blocks": [[b.half_dim, b.epsilon] for b in blocks]})
-                    continue
+                    if "index" not in stages:
+                        if blocks is not None:
+                            conditions.append({"beta0": beta, "blocks": [[b.half_dim, b.epsilon] for b in blocks]})
+                        continue
                 try:
-                    gamma = gamma_jump(A, beta, tol)
+                    reports[beta] = check_main_condition(A, brouwer, beta, tol)
                 except (DegeneracyError, EigenvalueNotFoundError) as exc:
                     reports[beta] = None
                     entry["errors"].append(f"condition check at beta={beta:.6g} failed: {exc}")
                     continue
-                reports[beta] = _condition_report(beta, gamma, blocks, brouwer, tol)
-                conditions.append(
-                    _condition_entry(reports[beta], blocks if "normal_form" in stages else None)
-                )
+                conditions.append(_condition_entry(reports[beta], "normal_form" in stages))
                 try:
                     bif = bifurcation_index(
                         A, 0 if brouwer is None else brouwer, 1.0 / beta, spec.options.j_max, tol

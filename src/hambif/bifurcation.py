@@ -71,7 +71,8 @@ class BifurcationIndex:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Both routes to the branch-existence condition at one frequency."""
+    """Both routes to the branch-existence condition at one frequency; the
+    counts come from ``blocks``, both None when the decomposition failed."""
 
     beta0: float
     gamma: int
@@ -79,6 +80,7 @@ class ConditionReport:
     brouwer: int | None
     condition_holds: bool | None
     routes_agree: bool | None
+    blocks: tuple[BlockSpec, ...] | None
 
     @property
     def kappa(self) -> int | None:
@@ -96,9 +98,7 @@ def t_matrix(lam: float, A) -> np.ndarray:
 
 
 def _spectrum_betas(A, tol: TolerancePolicy) -> tuple[float, ...]:
-    N = A.shape[0] // 2
-    M = standard_symplectic(N) @ A
-    return spectral_summary(M, tol).betas
+    return spectral_summary(standard_symplectic(A.shape[0] // 2) @ A, tol).betas
 
 
 def lambda_set(A, lambda_max: float, tol: TolerancePolicy = DEFAULT_TOL) -> LambdaSet:
@@ -175,13 +175,9 @@ def gamma_jump(A, beta0: float, tol: TolerancePolicy = DEFAULT_TOL) -> int:
 
     def jump():
         betas = spectral_summary(M, tol).betas
-        band = tol.zero_band(max(1.0, beta0, matrix_norm(A)))
-        b = min(betas, key=lambda c: abs(c - beta0), default=math.inf)
-        if not abs(b - beta0) <= max(band, 1e-6 * beta0):
-            raise EigenvalueNotFoundError(f"i*{beta0} is not in the spectrum of J A")
         # the level of the spectrum's frequency: an interval of radius mu
         # around 1/beta0 itself can miss it
-        lam0 = 1.0 / b
+        lam0 = 1.0 / spectral._cluster_at(M, beta0, tol)[0]
         return _morse_jump(A, lam0, isolation_radius(lam0, betas, tol), tol)
 
     return spectral._MEMO.lookup(M, tol, ("jump", beta0), jump)
@@ -492,21 +488,6 @@ def nonresonance_and_branch_count(A, tol: TolerancePolicy = DEFAULT_TOL,
     return _nonresonance(betas, lambda beta: check_main_condition(A, brouwer, beta, tol), tol)
 
 
-def _condition_report(beta0: float, gamma: int, blocks, brouwer: int | None,
-                      tol: TolerancePolicy) -> ConditionReport:
-    """Both routes at beta0 from the Morse jump and the catalogue blocks
-    (None when the structural decomposition is unavailable)."""
-    counts = None if blocks is None else block_counts(blocks, beta0, tol)
-    return ConditionReport(
-        beta0=beta0,
-        gamma=gamma,
-        counts=counts,
-        brouwer=brouwer,
-        condition_holds=None if brouwer is None else (gamma != 0 and brouwer != 0),
-        routes_agree=None if counts is None else (gamma == -2 * counts.kappa),
-    )
-
-
 def check_main_condition(A, brouwer: int | None, beta0: float,
                          tol: TolerancePolicy = DEFAULT_TOL) -> ConditionReport:
     """Evaluate the branch-existence condition at beta0 by both routes.
@@ -518,7 +499,16 @@ def check_main_condition(A, brouwer: int | None, beta0: float,
     A = as_symmetric(A, tol)
     gamma = gamma_jump(A, beta0, tol)
     try:
-        blocks = structural_decomposition(standard_symplectic(A.shape[0] // 2) @ A, beta0, tol)
+        blocks = tuple(structural_decomposition(standard_symplectic(A.shape[0] // 2) @ A, beta0, tol))
+        counts = block_counts(blocks, beta0, tol)
     except DecompositionError:
-        blocks = None
-    return _condition_report(beta0, gamma, blocks, brouwer, tol)
+        blocks = counts = None
+    return ConditionReport(
+        beta0=beta0,
+        gamma=gamma,
+        counts=counts,
+        brouwer=brouwer,
+        condition_holds=None if brouwer is None else (gamma != 0 and brouwer != 0),
+        routes_agree=None if counts is None else (gamma == -2 * counts.kappa),
+        blocks=blocks,
+    )

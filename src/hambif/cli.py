@@ -99,9 +99,12 @@ def _emit_csv(report: dict, output: str | None) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        spec = parse_problem(Path(args.input).read_text())
+        spec = parse_problem(Path(args.input).read_text(encoding="utf-8"))
     except FileNotFoundError:
         print(f"error: no such file: {args.input}", file=sys.stderr)
+        return 2
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return 2
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)

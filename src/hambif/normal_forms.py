@@ -25,7 +25,7 @@ from .linalg import (
     is_hamiltonian,
     standard_symplectic,
 )
-from .spectral import jordan_partition
+from . import spectral
 
 
 @dataclass(frozen=True)
@@ -281,7 +281,7 @@ def _invariant_subspace(M: np.ndarray, beta: float, expected_dim: int, tol: Tole
     eigenvalues nearest to i*beta and the first one beyond them.
     """
     target = 1j * beta
-    dist = np.sort(np.abs(np.linalg.eigvals(M) - target))
+    dist = np.sort(np.abs(spectral._eigenvalues(M, tol) - target))
     if expected_dim >= dist.size:
         radius = np.inf
     else:
@@ -319,7 +319,6 @@ def _signature_with_gap(G: np.ndarray, expected_rank: int):
 def _chain_sign_sums(partition, signatures):
     """Solve the triangular mixing for the per-size sums of chain signs."""
     sizes = sorted(set(partition), reverse=True)
-    counts = {n: partition.count(n) for n in sizes}
     sums: dict[int, int] = {}
     for n in sizes:
         acc = signatures[n]
@@ -327,7 +326,7 @@ def _chain_sign_sums(partition, signatures):
             if m > n and (m - n) % 2 == 0:
                 acc -= _chain_factor(m, n) * sums[m]
         sums[n] = acc * _chain_factor(n, n)
-    return sums, counts
+    return sums
 
 
 def structural_decomposition(
@@ -337,24 +336,26 @@ def structural_decomposition(
 
     Sizes come from the Jordan partition; signs from the signatures of the
     Hermitian moment forms on the generalized eigenspace.  The output is
-    invariant under symplectic conjugation of M.
+    invariant under symplectic conjugation of M.  A repeat at the same M and
+    beta is read from the spectral memo, as a list of its own.
     """
     M = as_matrix(M)
-    N = half_dimension(M)
-    if 2 * N > 64:
+    if 2 * half_dimension(M) > 64:
         raise DecompositionError("decomposition supported up to dimension 64")
     if not is_hamiltonian(M, tol):
         raise StructureError("structural_decomposition expects a Hamiltonian matrix")
     if beta <= 0.0:
         raise ValueError("beta must be positive")
+    return list(spectral._MEMO.lookup(M, tol, ("blocks", beta), lambda: _decompose(M, beta, tol)))
 
-    partition = list(jordan_partition(M, beta, tol))
+
+def _decompose(M: np.ndarray, beta: float, tol: TolerancePolicy) -> tuple[BlockSpec, ...]:
+    partition = list(spectral.jordan_partition(M, beta, tol))
     d = sum(partition)
     E = _invariant_subspace(M, beta, d, tol)
 
     T_sub = E.conj().T @ M @ E - 1j * beta * np.eye(d)
-    J = standard_symplectic(N)
-    K_E = E.conj().T @ (-1j * J) @ E
+    K_E = E.conj().T @ (-1j * standard_symplectic(M.shape[0] // 2)) @ E
     K_E = 0.5 * (K_E + K_E.conj().T)
 
     sizes = sorted(set(partition), reverse=True)
@@ -375,7 +376,7 @@ def structural_decomposition(
             f"moment-form rank gap too small at beta={beta}", rank_gaps=gaps
         )
 
-    sums, _ = _chain_sign_sums(partition, signatures)
+    sums = _chain_sign_sums(partition, signatures)
 
     blocks: list[BlockSpec] = []
     for n in sizes:
@@ -389,4 +390,4 @@ def structural_decomposition(
         minus = (total - signed) // 2
         blocks.extend([BlockSpec(beta, n, _sign_to_epsilon(n, +1))] * plus)
         blocks.extend([BlockSpec(beta, n, _sign_to_epsilon(n, -1))] * minus)
-    return list(canonical_block_order(blocks))
+    return canonical_block_order(blocks)

@@ -8,6 +8,7 @@ names are frozen in docs/FORMAT.md.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -52,35 +53,35 @@ def _is_integer(value):
 
 
 def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite JSON number: not a boolean, NaN, an infinity or an integer
+    beyond the float range."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    return abs(value) <= sys.float_info.max
 
 
 def _check_types(data, types, path):
     """Each field of ``data`` against its declared type: ``int`` takes a
-    JSON integer, ``float`` a number, ``float | None`` a number or null."""
+    JSON integer, ``float`` a finite number, ``float | None`` one or null."""
     for name, value in data.items():
         kind = types[name]
         ok = _is_integer(value) if kind == "int" else (
             _is_number(value) or (value is None and kind == "float | None"))
-        _require(ok, f"expected {'an integer' if kind == 'int' else 'a number'}", f"{path}.{name}")
+        _require(ok, f"expected {'an integer' if kind == 'int' else 'a finite number'}", f"{path}.{name}")
 
 
 def _as_float_list(value, length, path):
-    _require(isinstance(value, (list, tuple)), "expected a list of numbers", path)
+    _require(isinstance(value, list), "expected a list of numbers", path)
     _require(len(value) == length, f"expected length {length}, got {len(value)}", path)
-    try:
-        return np.array([float(v) for v in value])
-    except (TypeError, ValueError):
-        raise SpecError("entries must be numbers", path) from None
+    for k, v in enumerate(value):
+        _require(_is_number(v), "expected a finite number", f"{path}[{k}]")
+    return np.array(value, dtype=float)
 
 
 def _as_matrix(value, dim, path):
-    _require(isinstance(value, (list, tuple)), "expected a row-major matrix", path)
+    _require(isinstance(value, list), "expected a row-major matrix", path)
     _require(len(value) == dim, f"expected {dim} rows, got {len(value)}", path)
-    rows = [_as_float_list(row, dim, f"{path}[{i}]") for i, row in enumerate(value)]
-    M = np.vstack(rows)
-    _require(bool(np.all(np.isfinite(M))), "matrix entries must be finite", path)
-    return M
+    return np.vstack([_as_float_list(row, dim, f"{path}[{i}]") for i, row in enumerate(value)])
 
 
 def _parse_tolerances(data, path):
@@ -116,9 +117,10 @@ def _parse_continuation(data, path):
 
 def _parse_hamiltonian(data, dim, path):
     _require(isinstance(data, dict), "expected an object", path)
-    _require("terms" in data, "hamiltonian needs a 'terms' list", path)
+    _require(isinstance(data.get("terms"), list), "hamiltonian needs a 'terms' list", f"{path}.terms")
     declared = data.get("dim", dim)
-    _require(declared == dim, f"hamiltonian dim {declared} != problem dim {dim}", path)
+    _require(_is_integer(declared) and declared == dim, f"hamiltonian dim must be the integer {dim}",
+             f"{path}.dim")
     terms = []
     for i, term in enumerate(data["terms"]):
         tpath = f"{path}.terms[{i}]"
@@ -126,13 +128,12 @@ def _parse_hamiltonian(data, dim, path):
             _require({"coefficient", "exponents"} <= set(term), "term needs coefficient and exponents", tpath)
             coeff, exps = term["coefficient"], term["exponents"]
         else:
-            _require(isinstance(term, (list, tuple)) and len(term) == 2, "term must be [coefficient, exponents]", tpath)
+            _require(isinstance(term, list) and len(term) == 2, "term must be [coefficient, exponents]", tpath)
             coeff, exps = term
-        _require(isinstance(exps, (list, tuple)) and len(exps) == dim, f"exponents must have length {dim}", tpath)
-        try:
-            terms.append((float(coeff), tuple(int(e) for e in exps)))
-        except (TypeError, ValueError):
-            raise SpecError("coefficient must be a number, exponents integers", tpath) from None
+        _require(_is_number(coeff), "coefficient must be a finite number", tpath)
+        _require(isinstance(exps, list) and len(exps) == dim and all(map(_is_integer, exps)),
+                 f"exponents must be {dim} integers", tpath)
+        terms.append((float(coeff), tuple(exps)))
     try:
         return PolynomialHamiltonian(dim=dim, terms=tuple(terms))
     except ValueError as exc:
@@ -155,7 +156,7 @@ def parse_problem(text: str) -> ProblemSpec:
     _require(not unknown, f"unknown top-level fields {sorted(unknown)}", "$")
     _require("dim" in data, "missing 'dim'", "$")
     dim = data["dim"]
-    _require(isinstance(dim, int) and dim >= 2 and dim % 2 == 0, "'dim' must be an even integer >= 2", "$.dim")
+    _require(_is_integer(dim) and dim >= 2 and dim % 2 == 0, "'dim' must be an even integer >= 2", "$.dim")
     _require("equilibria" in data and isinstance(data["equilibria"], list) and data["equilibria"],
              "at least one equilibrium is required", "$.equilibria")
 
@@ -166,7 +167,7 @@ def parse_problem(text: str) -> ProblemSpec:
     tolerances = _parse_tolerances(analysis.get("tolerances"), "$.analysis.tolerances")
     continuation, enabled = _parse_continuation(analysis.get("continuation"), "$.analysis.continuation")
     lambda_max = analysis.get("lambda_max", 10.0)
-    _require(_is_number(lambda_max) and lambda_max > 0.0, "lambda_max must be a positive number",
+    _require(_is_number(lambda_max) and lambda_max > 0.0, "lambda_max must be a positive finite number",
              "$.analysis.lambda_max")
     lambda_max = float(lambda_max)
     j_max = analysis.get("j_max")
@@ -202,7 +203,7 @@ def parse_problem(text: str) -> ProblemSpec:
         hessian = 0.5 * (hessian + hessian.T)
         brouwer = eq.get("brouwer_index")
         if brouwer is not None:
-            _require(isinstance(brouwer, int), "brouwer_index must be an integer", f"{path}.brouwer_index")
+            _require(_is_integer(brouwer), "brouwer_index must be an integer", f"{path}.brouwer_index")
         if hamiltonian is not None:
             grad = hamiltonian.gradient(point)
             gnorm = float(np.linalg.norm(grad))

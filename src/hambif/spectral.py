@@ -102,8 +102,8 @@ def _single_linkage(points: list[complex], threshold: float) -> list[list[comple
 class _OneMatrixMemo:
     """Results of the pure spectral steps for the most recent matrix only.
 
-    Every stage of an analysis asks again for the spectrum of the same
-    ``J A`` and for its frequencies' Morse jumps (``gamma_jump``); keeping
+    Every stage of an analysis asks again for the eigenvalues and clusters of
+    the same ``J A`` and for its frequencies' Morse jumps and blocks; keeping
     the last matrix's results makes those repeats free, while memory stays
     bounded by one matrix however many problems a process analyzes.  A
     matrix is keyed by its bytes, so one changed in place is a new matrix.
@@ -130,6 +130,13 @@ class _OneMatrixMemo:
 _MEMO = _OneMatrixMemo()
 
 
+def _eigenvalues(M: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
+    """The eigenvalues of M, computed once per matrix and read-only."""
+    w = _MEMO.lookup(M, tol, "eigvals", lambda: np.linalg.eigvals(M))
+    w.flags.writeable = False
+    return w
+
+
 def _imaginary_clusters(M: np.ndarray, tol: TolerancePolicy):
     """Confirmed conjugate-pair frequencies (beta, multiplicity, Jordan
     partition, conditioning note), the leftover eigenvalues and the band."""
@@ -137,8 +144,18 @@ def _imaginary_clusters(M: np.ndarray, tol: TolerancePolicy):
     return clusters, np.array(others, dtype=complex), band
 
 
+def _cluster_at(M: np.ndarray, beta: float, tol: TolerancePolicy):
+    """The confirmed cluster nearest i*beta, the one rule for which frequency a
+    beta names; beyond max(band, 1e-6 * beta) it raises EigenvalueNotFoundError."""
+    clusters, _, band = _imaginary_clusters(M, tol)
+    cluster = min(clusters, key=lambda c: abs(c[0] - beta), default=None)
+    if cluster is None or not abs(cluster[0] - beta) <= max(band, 1e-6 * beta):
+        raise EigenvalueNotFoundError(f"i*{beta} is not an eigenvalue within tolerance")
+    return cluster
+
+
 def _find_clusters(M: np.ndarray, tol: TolerancePolicy):
-    w = np.linalg.eigvals(M)
+    w = _eigenvalues(M, tol)
     N = M.shape[0] // 2
     scale = max(1.0, matrix_norm(M))
     band = max(tol.zero_band(scale), np.sqrt(np.finfo(float).eps) * scale)
@@ -266,8 +283,8 @@ def _jordan_data(cluster):
 def jordan_partition(M, beta: float, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[int, ...]:
     """Jordan block sizes of the eigenvalue i*beta, largest first.
 
-    Read from the rank staircase that confirmed the cluster matching beta
-    within the band, whether or not beta is its centre.  A marginal rank
+    Read from the rank staircase that confirmed the cluster beta names (see
+    ``_cluster_at``), whether or not beta is its centre.  A marginal rank
     decision emits a :class:`ConditioningWarning`.  Raises
     :class:`DecompositionError` when the spectrum is undecided: a cluster on
     the imaginary axis that no rank staircase confirms.
@@ -275,11 +292,7 @@ def jordan_partition(M, beta: float, tol: TolerancePolicy = DEFAULT_TOL) -> tupl
     M = as_matrix(M)
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    clusters, _, band = _imaginary_clusters(M, tol)
-    match = [c for c in clusters if abs(c[0] - beta) <= max(band, tol.zero_band(beta))]
-    if not match:
-        raise EigenvalueNotFoundError(f"i*{beta} is not an eigenvalue within tolerance")
-    return _jordan_data(match[0])[0]
+    return _jordan_data(_cluster_at(M, beta, tol))[0]
 
 
 def spectral_summary(M, tol: TolerancePolicy = DEFAULT_TOL) -> SpectralSummary:

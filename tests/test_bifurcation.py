@@ -7,6 +7,7 @@ from hambif import (
     NormalForm,
     assemble_hessian,
     bifurcation_index,
+    block_counts,
     brouwer_nondegenerate,
     brouwer_planar,
     check_classical_assumptions,
@@ -15,6 +16,7 @@ from hambif import (
     gamma_block,
     gamma_jump,
     isolation_radius,
+    jordan_partition,
     lambda_set,
     morse_index,
     nonresonance_and_branch_count,
@@ -24,7 +26,7 @@ from hambif import (
     standard_symplectic,
     t_matrix,
 )
-from hambif.errors import PlanarDegreeError, SplittingError
+from hambif.errors import EigenvalueNotFoundError, PlanarDegreeError, SplittingError
 
 from conftest import random_normal_form
 
@@ -261,6 +263,37 @@ class TestMainCondition:
         report = check_main_condition(np.eye(2), None, 1.0)
         assert report.condition_holds is None
         assert report.gamma == 2
+
+
+class TestOneFrequencyRule:
+    """Every reader names a frequency by the spectral module's one rule: the
+    nearest confirmed cluster within max(band, 1e-6 * beta)."""
+
+    @pytest.mark.parametrize("offset", [1e-8, 1e-7, 5e-7])
+    def test_both_routes_near_a_frequency(self, offset):
+        report = check_main_condition(np.eye(2), 1, 1.0 + offset)
+        assert report.gamma == 2
+        assert report.routes_agree is True
+
+    def test_partition_within_the_relative_radius(self):
+        M = standard_symplectic(3) @ odd_block_hessian(3, 1.0, -1)
+        assert jordan_partition(M, 1.0 + 5e-7) == (3,)
+
+    def test_every_reader_refuses_beyond_it(self):
+        beta = 1.0 + 2e-6
+        with pytest.raises(EigenvalueNotFoundError):
+            jordan_partition(standard_symplectic(1), beta)
+        with pytest.raises(EigenvalueNotFoundError):
+            gamma_jump(np.eye(2), beta)
+        with pytest.raises(EigenvalueNotFoundError):
+            check_main_condition(np.eye(2), 1, beta)
+
+    def test_report_carries_its_blocks(self):
+        nf = NormalForm((BlockSpec(1.0, 3, +1), BlockSpec(1.0, 2, -1), BlockSpec(1.0, 1, -1)))
+        A = assemble_hessian(nf)
+        report = check_main_condition(A, 1, 1.0)
+        assert [(b.half_dim, b.epsilon) for b in report.blocks] == [(3, 1), (2, -1), (1, -1)]
+        assert report.counts == block_counts(report.blocks, 1.0)
 
 
 class TestCrossRouteIdentity:

@@ -245,3 +245,39 @@ class TestStructuralDecomposition:
     def test_dimension_cap(self):
         with pytest.raises(DecompositionError, match="up to dimension 64"):
             structural_decomposition(np.zeros((66, 66)), 1.0)
+
+    def test_repeat_is_a_fresh_copy_from_the_memo(self, monkeypatch):
+        """A second decomposition of the same matrix at the same frequency
+        runs no second Schur, equals the first, and is a list of its own."""
+        import scipy.linalg
+
+        schurs = []
+        schur = scipy.linalg.schur
+
+        def counting_schur(*args, **kwargs):
+            schurs.append(1)
+            return schur(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
+        M = assemble_normal_form(NormalForm((BlockSpec(1.0, 3, +1), BlockSpec(1.0, 2, -1))))
+        first = structural_decomposition(M, 1.0)
+        first.append(BlockSpec(1.0, 1, +1))
+        second = structural_decomposition(M.copy(), 1.0)
+        assert [(b.half_dim, b.epsilon) for b in second] == [(3, 1), (2, -1)]
+        assert second is not structural_decomposition(M, 1.0)
+        assert len(schurs) == 1
+
+    def test_invariant_subspace_reads_the_memo_eigenvalues(self, monkeypatch):
+        """The summary and the decomposition of one matrix share one eigvals."""
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counting_eigvals(M):
+            calls.append(1)
+            return eigvals(M)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+        M = assemble_normal_form(NormalForm((BlockSpec(1.0, 3, +1), BlockSpec(1.5, 1, -1))))
+        for ev in spectral_summary(M).imaginary:
+            structural_decomposition(M, ev.beta)
+        assert len(calls) == 1

@@ -124,6 +124,34 @@ class TestParsing:
         assert cli_main(["analyze", "--input", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: $.analysis.{field}: ")
 
+    @pytest.mark.parametrize("edit,path", [
+        pytest.param(lambda d: d["hamiltonian"].update(terms=5), "$.hamiltonian.terms", id="terms-not-a-list"),
+        pytest.param(lambda d: d["hamiltonian"]["terms"][0].update(exponents=[2.5, 0]),
+                     "$.hamiltonian.terms[0]", id="fractional-exponent"),
+        pytest.param(lambda d: d["hamiltonian"]["terms"][0].update(coefficient="0.5"),
+                     "$.hamiltonian.terms[0]", id="string-coefficient"),
+        pytest.param(lambda d: d["hamiltonian"].update(dim=2.0), "$.hamiltonian.dim", id="float-dim"),
+        pytest.param(lambda d: d["equilibria"][0]["hessian"][0].__setitem__(0, "1"),
+                     "$.equilibria[0].hessian[0][0]", id="string-hessian-entry"),
+        pytest.param(lambda d: d["equilibria"][0]["point"].__setitem__(0, False),
+                     "$.equilibria[0].point[0]", id="boolean-point-entry"),
+        pytest.param(lambda d: d["equilibria"][0]["point"].__setitem__(0, math.nan),
+                     "$.equilibria[0].point[0]", id="nan-point-entry"),
+        pytest.param(lambda d: d["equilibria"][0].update(brouwer_index=True),
+                     "$.equilibria[0].brouwer_index", id="boolean-brouwer-index"),
+        pytest.param(lambda d: d["analysis"].update(lambda_max=math.inf),
+                     "$.analysis.lambda_max", id="infinite-lambda-max"),
+    ])
+    def test_every_number_field_takes_finite_json_numbers(self, edit, path, tmp_path, capsys):
+        """Number fields take finite non-boolean numbers, integer fields
+        integers, and terms a list, wherever they sit in the file."""
+        data = json.loads(quartic_spec())
+        edit(data)
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps(data))
+        assert cli_main(["analyze", "--input", str(problem)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
     def test_problem_round_trip(self):
         spec = parse_problem(quartic_spec())
         text = emit_problem(spec)
@@ -229,6 +257,14 @@ class TestCli:
         path = self.write(tmp_path, "{not json")
         assert cli_main(["analyze", "--input", path]) == 2
 
+    def test_unreadable_input_exit_two(self, tmp_path, capsys):
+        """A directory and a file that is not UTF-8 are refused, not tracebacks."""
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes(oscillator_spec().replace("dim", "d\xefm").encode("latin-1"))
+        for path in (tmp_path, latin1):
+            assert cli_main(["analyze", "--input", str(path)]) == 2
+            assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
+
     def test_removed_seed_rejected(self, tmp_path):
         """The seed drove nothing; the problem key and the flag are gone."""
         path = self.write(tmp_path, oscillator_spec(seed=5))
@@ -307,11 +343,14 @@ class TestOneVerdictPerFrequency:
     the same whichever stages produced it."""
 
     def test_one_decomposition_and_one_jump_per_frequency(self, tmp_path, monkeypatch):
-        import hambif.analysis as analysis
+        """The pipeline and ``check_main_condition`` both ask for each
+        frequency's blocks; the second request is a memo hit, so only the
+        uncached body is counted."""
         import hambif.bifurcation as bifurcation
+        import hambif.normal_forms as normal_forms
 
         decompositions, jumps = [], []
-        decompose, morse_jump = bifurcation.structural_decomposition, bifurcation._morse_jump
+        decompose, morse_jump = normal_forms._decompose, bifurcation._morse_jump
 
         def counting_decomposition(M, beta, tol):
             decompositions.append(round(beta, 9))
@@ -321,8 +360,7 @@ class TestOneVerdictPerFrequency:
             jumps.append(round(1.0 / lam0, 9))
             return morse_jump(A, lam0, mu, tol)
 
-        for module in (analysis, bifurcation):
-            monkeypatch.setattr(module, "structural_decomposition", counting_decomposition)
+        monkeypatch.setattr(normal_forms, "_decompose", counting_decomposition)
         monkeypatch.setattr(bifurcation, "_morse_jump", counting_jump)
 
         # the index at beta 1 reads the jump at beta 2 for its j = 2 coordinate

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -27,13 +28,13 @@ from .linalg import (
     as_symmetric,
     matrix_norm,
     morse_index,
-    numeric_rank,
+    numeric_rank_with_gap,
     standard_symplectic,
     symplectic_gram_schmidt,
 )
 from . import spectral
 from .normal_forms import BlockCounts, BlockSpec, block_counts, structural_decomposition
-from .spectral import EigenvalueClass, classify_eigenvalue, spectral_summary
+from .spectral import SpectralSummary, spectral_summary
 
 
 @dataclass(frozen=True)
@@ -122,26 +123,19 @@ def lambda_set(A, lambda_max: float, tol: TolerancePolicy = DEFAULT_TOL) -> Lamb
     return LambdaSet(points=tuple(unique), lambda_max=lambda_max, source_betas=tuple(sources))
 
 
-def _grid_distance(level: float, betas, exclude_self: bool, tol: TolerancePolicy) -> float:
-    """Distance from ``level`` to the exact grids {m/beta}, optionally skipping
-    the grid point coinciding with ``level``."""
+def isolation_radius(level: float, betas, tol: TolerancePolicy = DEFAULT_TOL) -> float:
+    """Half the distance from ``level`` to the nearest distinct grid point m/beta."""
+    if not betas:
+        raise ValueError("no frequencies: the level grid is empty")
     band = tol.zero_band(max(1.0, abs(level)))
     best = math.inf
     for beta in betas:
         t = level * beta
         for m in range(max(1, math.floor(t) - 1), math.ceil(t) + 2):
             d = abs(level - m / beta)
-            if exclude_self and d <= band:
-                continue
-            best = min(best, d)
-    return best
-
-
-def isolation_radius(level: float, betas, tol: TolerancePolicy = DEFAULT_TOL) -> float:
-    """Half the distance from ``level`` to the nearest distinct grid point m/beta."""
-    if not betas:
-        raise ValueError("no frequencies: the level grid is empty")
-    return 0.5 * _grid_distance(level, betas, exclude_self=True, tol=tol)
+            if d > band:
+                best = min(best, d)
+    return 0.5 * best
 
 
 # Off the characteristic levels the doubled family is provably nondegenerate,
@@ -231,10 +225,15 @@ def brouwer_planar(grad, center, radius: float, tol: TolerancePolicy = DEFAULT_T
 def bifurcation_index(A, brouwer: int, lambda0: float, j_max: int | None = None,
                       tol: TolerancePolicy = DEFAULT_TOL) -> BifurcationIndex:
     """All nonzero coordinates eta_j = brouwer * gamma_jump(A, b) for
-    j <= j_max, where lambda0/j = 1/b for a frequency b (default j_max covers
-    every resonance the spectrum admits at this level)."""
+    j <= j_max, where lambda0/j = 1/b for a frequency b.
+
+    Each frequency b can only sit at j = round(lambda0*b), so the work grows
+    with the number of frequencies, not with ``j_max``.  The default
+    ``j_max`` covers every coordinate at lambda0 = 1/beta; at lambda0 = m/beta
+    with m >= 2 it can fall short, and ``truncated`` then says so.
+    """
     A = as_symmetric(A, tol)
-    betas = _spectrum_betas(A, tol)
+    betas = sorted(_spectrum_betas(A, tol))
     if not betas:
         raise EigenvalueNotFoundError("J A has no purely imaginary frequencies")
     if j_max is None:
@@ -242,14 +241,15 @@ def bifurcation_index(A, brouwer: int, lambda0: float, j_max: int | None = None,
     if j_max < 1:
         raise ValueError("j_max must be a positive integer")
     band = tol.zero_band(max(1.0, lambda0))
-    if _grid_distance(lambda0, betas, exclude_self=False, tol=tol) > band:
+    levels = [(b, max(1, round(lambda0 * b))) for b in betas]
+    if not any(abs(lambda0 - j / b) <= band for b, j in levels):
         raise ValueError(f"lambda0={lambda0} is not a candidate level within tolerance")
 
     entries: list[tuple[int, int]] = []
     if brouwer != 0:
-        for j in range(1, j_max + 1):
-            b = min(betas, key=lambda c: abs(lambda0 / j - 1.0 / c))
-            if abs(lambda0 / j - 1.0 / b) > band:
+        # ascending b, so ascending j
+        for b, j in levels:
+            if j > j_max or abs(lambda0 / j - 1.0 / b) > band:
                 continue
             eta = brouwer * gamma_jump(A, b, tol)
             if eta != 0:
@@ -283,34 +283,37 @@ class NonresonanceReport:
 
 
 _INT_RATIO_FACTOR = 100.0  # integer-ratio test width, in units of eig_zero_tol
+_MAX_PERIOD_DENOMINATOR = 64  # largest denominator of a frequency ratio with a common period
 
 
-def _is_integer_ratio(ratio: float, tol: TolerancePolicy) -> bool:
-    return abs(ratio - round(ratio)) <= _INT_RATIO_FACTOR * tol.eig_zero_tol
+def _has_multiple(beta: float, betas, tol: TolerancePolicy) -> bool:
+    """Whether a larger frequency is an integer multiple of beta: the one
+    resonance test, for the nonresonance flags and hypothesis a0."""
+    width = _INT_RATIO_FACTOR * tol.eig_zero_tol
+    return any(abs(big / beta - round(big / beta)) <= width for big in betas if big > beta)
 
 
-def _certify(A, betas, tol) -> tuple[float, ...]:
-    out = []
-    for beta in betas:
-        try:
-            if gamma_jump(A, beta, tol) != 0:
-                out.append(beta)
-        except (DegeneracyError, EigenvalueNotFoundError):
-            continue
-    return tuple(out)
+def _semisimple(summary: SpectralSummary) -> bool:
+    """A nonempty imaginary spectrum with every pair semisimple and no other eigenvalue."""
+    return bool(summary.betas) and not summary.has_nonimaginary and all(
+        ev.geometric_mult == ev.algebraic_mult for ev in summary.imaginary
+    )
 
 
-def _common_period(betas, tol: TolerancePolicy, max_denominator: int = 64):
+def _signature(eigs: np.ndarray, band: float) -> int:
+    """Signature of a symmetric matrix, from its eigenvalues and zero band."""
+    return int(np.count_nonzero(eigs > band) - np.count_nonzero(eigs < -band))
+
+
+def _common_period(betas, tol: TolerancePolicy):
     """Smallest common period of the rotations at the given frequencies, or None."""
-    from fractions import Fraction
-
     if not betas:
         return None
     base = min(betas)
     denominators = []
     for beta in betas:
         ratio = beta / base
-        frac = Fraction(ratio).limit_denominator(max_denominator)
+        frac = Fraction(ratio).limit_denominator(_MAX_PERIOD_DENOMINATOR)
         if abs(ratio - float(frac)) > _INT_RATIO_FACTOR * tol.eig_zero_tol:
             return None
         denominators.append(frac.denominator)
@@ -339,7 +342,7 @@ def _validate_split(A, split, tol: TolerancePolicy):
         raise SplittingError("factors are not J-orthogonal")
     parts = []
     for name, Q in (("E1", Q1), ("E2", Q2)):
-        if numeric_rank(Q, tol) != Q.shape[1]:
+        if numeric_rank_with_gap(Q, tol)[0] != Q.shape[1]:
             raise SplittingError(f"{name} basis is rank deficient")
         proj = Q @ np.linalg.solve(Q.T @ Q, Q.T)
         defect = np.linalg.norm(M @ Q - proj @ (M @ Q))
@@ -371,55 +374,52 @@ def check_classical_assumptions(A, split=None, tol: TolerancePolicy = DEFAULT_TO
     nondegenerate = bool(np.min(np.abs(eigs)) > band) if eigs.size else False
     has_zero_eig = any(abs(z) <= band for z in summary.other_eigenvalues)
 
-    # classical nonresonance: a simple pair no other frequency divides
-    a0_betas = []
-    for ev in summary.imaginary:
-        if ev.algebraic_mult != 1 or has_zero_eig:
-            continue
-        resonant = any(
-            _is_integer_ratio(other.beta / ev.beta, tol)
-            for other in summary.imaginary
-            if other.beta != ev.beta
-        )
-        if not resonant:
-            a0_betas.append(ev.beta)
-    a0 = AssumptionResult(
-        holds=bool(a0_betas),
-        certified_betas=_certify(A, a0_betas, tol),
-        details="simple pair with no integer frequency ratios"
+    def result(holds, candidates, details) -> AssumptionResult:
+        """A hypothesis's outcome; only one that holds certifies frequencies."""
+        certified = []
+        for beta in candidates if holds else ():
+            try:
+                if gamma_jump(A, beta, tol) != 0:
+                    certified.append(beta)
+            except (DegeneracyError, EigenvalueNotFoundError):
+                continue
+        return AssumptionResult(holds=holds, certified_betas=tuple(certified), details=details)
+
+    # classical nonresonance: a simple pair no larger frequency is a multiple of
+    a0_betas = [
+        ev.beta for ev in summary.imaginary
+        if ev.algebraic_mult == 1 and not has_zero_eig and not _has_multiple(ev.beta, betas, tol)
+    ]
+    a0 = result(
+        bool(a0_betas),
+        a0_betas,
+        "simple pair with no integer frequency ratios"
         if a0_betas
         else "every frequency is resonant, multiple, or the Hessian kernel is nontrivial",
     )
 
     # definite Hessian
     posdef = bool(eigs.size and np.min(eigs) > band)
-    a1 = AssumptionResult(
-        holds=posdef,
-        certified_betas=_certify(A, betas, tol) if posdef else (),
-        details="Hessian positive definite" if posdef else "Hessian not positive definite",
+    a1 = result(
+        posdef, betas, "Hessian positive definite" if posdef else "Hessian not positive definite"
     )
 
     # nondegenerate + nonzero signature + fully periodic linearized flow
-    semisimple = bool(betas) and not summary.has_nonimaginary and all(
-        classify_eigenvalue(ev) in (EigenvalueClass.SIMPLE, EigenvalueClass.SEMISIMPLE)
-        for ev in summary.imaginary
-    )
-    sig = int(np.count_nonzero(eigs > band) - np.count_nonzero(eigs < -band))
+    semisimple = _semisimple(summary)
+    sig = _signature(eigs, band)
     period = _common_period(betas, tol) if semisimple else None
     a2_holds = nondegenerate and sig != 0 and semisimple and period is not None
-    a2 = AssumptionResult(
-        holds=a2_holds,
-        certified_betas=_certify(A, betas, tol) if a2_holds else (),
-        details=(
-            f"signature {sig}, common period {period:.6g}"
-            if a2_holds
-            else f"nondegenerate={nondegenerate}, signature={sig}, "
-            f"semisimple imaginary spectrum={semisimple}, common period={period}"
-        ),
+    a2 = result(
+        a2_holds,
+        betas,
+        f"signature {sig}, common period {period:.6g}"
+        if a2_holds
+        else f"nondegenerate={nondegenerate}, signature={sig}, "
+        f"semisimple imaginary spectrum={semisimple}, common period={period}",
     )
 
     if split is None:
-        skipped = AssumptionResult(holds=None, details="requires an invariant splitting")
+        skipped = result(None, (), "requires an invariant splitting")
         return AssumptionReport(a0, a1, a2, skipped, skipped)
 
     (A1_res, M1_res), (A2_res, M2_res) = _validate_split(A, split, tol)
@@ -428,25 +428,19 @@ def check_classical_assumptions(A, split=None, tol: TolerancePolicy = DEFAULT_TO
     sep = min((abs(u - v) for u in w1 for v in w2), default=math.inf)
     disjoint = bool(sep > band)
     sub = spectral_summary(M1_res, tol)
-    e1_betas = sub.betas
-    e1_posdef = bool(np.min(np.linalg.eigvalsh(A1_res)) > band)
-    a3_holds = bool(nondegenerate and e1_posdef and disjoint)
-    a3 = AssumptionResult(
-        holds=a3_holds,
-        certified_betas=_certify(A, e1_betas, tol) if a3_holds else (),
-        details=f"factor Hessian definite={e1_posdef}, spectra disjoint={disjoint}",
+    e1_eigs = np.linalg.eigvalsh(A1_res)
+    e1_posdef = bool(np.min(e1_eigs) > band)
+    a3 = result(
+        bool(nondegenerate and e1_posdef and disjoint),
+        sub.betas,
+        f"factor Hessian definite={e1_posdef}, spectra disjoint={disjoint}",
     )
-    e1_semisimple = bool(e1_betas) and not sub.has_nonimaginary and all(
-        classify_eigenvalue(ev) in (EigenvalueClass.SIMPLE, EigenvalueClass.SEMISIMPLE)
-        for ev in sub.imaginary
-    )
-    w1h = np.linalg.eigvalsh(A1_res)
-    sig1 = int(np.count_nonzero(w1h > band) - np.count_nonzero(w1h < -band))
-    a4_holds = bool(nondegenerate and e1_semisimple and sig1 != 0 and disjoint)
-    a4 = AssumptionResult(
-        holds=a4_holds,
-        certified_betas=_certify(A, e1_betas, tol) if a4_holds else (),
-        details=f"factor signature {sig1}, semisimple={e1_semisimple}, disjoint={disjoint}",
+    e1_semisimple = _semisimple(sub)
+    sig1 = _signature(e1_eigs, band)
+    a4 = result(
+        bool(nondegenerate and e1_semisimple and sig1 != 0 and disjoint),
+        sub.betas,
+        f"factor signature {sig1}, semisimple={e1_semisimple}, disjoint={disjoint}",
     )
     return AssumptionReport(a0, a1, a2, a3, a4)
 
@@ -459,7 +453,7 @@ def _nonresonance(betas, report_for, tol: TolerancePolicy) -> NonresonanceReport
     flags = []
     bound = 0
     for beta in betas:
-        flag = not any(_is_integer_ratio(big / beta, tol) for big in betas if big > beta)
+        flag = not _has_multiple(beta, betas, tol)
         flags.append((beta, flag))
         if flag:
             try:

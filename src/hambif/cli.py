@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -27,6 +28,21 @@ STAGES_BY_COMMAND = {
 }
 
 
+def _positive(text: str) -> float:
+    """A positive finite number, as the problem file requires of the same fields."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", required=True, help="problem description (JSON)")
     parser.add_argument("--output", help="output file (default: stdout)")
@@ -34,13 +50,15 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--format", choices=["structured", "human", "csv"], default="structured",
         help="report format; csv exports branches only",
     )
-    parser.add_argument("--lambda-max", type=float, help="override the candidate-level truncation")
-    parser.add_argument("--j-max", type=int, help="override the index truncation")
     parser.add_argument(
-        "--beta", type=float, action="append", dest="betas",
+        "--lambda-max", type=_positive, help="override the candidate-level truncation"
+    )
+    parser.add_argument("--j-max", type=_positive_int, help="override the index truncation")
+    parser.add_argument(
+        "--beta", type=_positive, action="append", dest="betas",
         help="restrict to this frequency (repeatable)",
     )
-    parser.add_argument("--tol-scale", type=float, help="scale all tolerances by this factor")
+    parser.add_argument("--tol-scale", type=_positive, help="scale all tolerances by this factor")
 
 
 def build_parser() -> argparse.ArgumentParser:

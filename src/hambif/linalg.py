@@ -133,11 +133,6 @@ def signature(A, tol: TolerancePolicy = DEFAULT_TOL, allow_degenerate: bool = Fa
     return int(np.count_nonzero(w > band) - np.count_nonzero(w < -band))
 
 
-def numeric_rank(M, tol: TolerancePolicy = DEFAULT_TOL) -> int:
-    rank, _ = numeric_rank_with_gap(M, tol)
-    return rank
-
-
 def numeric_rank_with_gap(M, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[int, float]:
     """Rank by relative singular-value cutoff plus the decision margin.
 

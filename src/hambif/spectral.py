@@ -10,6 +10,7 @@ never silent.  Complex arithmetic stays internal; the public data is real.
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -146,10 +147,12 @@ def _imaginary_clusters(M: np.ndarray, tol: TolerancePolicy):
 
 def _cluster_at(M: np.ndarray, beta: float, tol: TolerancePolicy):
     """The confirmed cluster nearest i*beta, the one rule for which frequency a
-    beta names; beyond max(band, 1e-6 * beta) it raises EigenvalueNotFoundError."""
+    beta names; beyond max(band, 1e-6 * beta), or for a beta that is not
+    finite, it raises EigenvalueNotFoundError."""
     clusters, _, band = _imaginary_clusters(M, tol)
     cluster = min(clusters, key=lambda c: abs(c[0] - beta), default=None)
-    if cluster is None or not abs(cluster[0] - beta) <= max(band, 1e-6 * beta):
+    radius = max(band, 1e-6 * beta)
+    if cluster is None or not (math.isfinite(beta) and abs(cluster[0] - beta) <= radius):
         raise EigenvalueNotFoundError(f"i*{beta} is not an eigenvalue within tolerance")
     return cluster
 

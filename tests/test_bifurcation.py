@@ -1,7 +1,11 @@
+import math
+import time
+
 import numpy as np
 import pytest
 
 from hambif import (
+    DEFAULT_TOL,
     BlockSpec,
     DegeneracyError,
     NormalForm,
@@ -188,6 +192,33 @@ class TestBrouwer:
             brouwer_planar(lambda p: np.zeros(2), (0.0, 0.0), 1.0)
 
 
+# frequencies 1, 2 and 3, the last on a nonsemisimple block
+_ONE_TWO_THREE = assemble_hessian(NormalForm((
+    BlockSpec(1.0, 1, -1), BlockSpec(2.0, 1, -1), BlockSpec(3.0, 3, +1))))
+
+
+def _index_by_scanning_j(A, brouwer, lambda0, j_max=None):
+    """The index by its definition: for each j <= j_max, the frequency b
+    nearest lambda0/j = 1/b contributes when it lies within the band.
+    Returns (entries, j_max, truncated)."""
+    betas = spectral_summary(standard_symplectic(A.shape[0] // 2) @ A).betas
+    if j_max is None:
+        j_max = math.ceil(max(betas) / min(betas)) + 1
+    band = DEFAULT_TOL.zero_band(max(1.0, lambda0))
+    nearest = min(abs(lambda0 - m / b) for b in betas
+                  for m in range(max(1, math.floor(lambda0 * b) - 1), math.ceil(lambda0 * b) + 2))
+    if nearest > band:
+        raise ValueError(f"lambda0={lambda0} is off the grid")
+    entries = []
+    if brouwer != 0:
+        for j in range(1, j_max + 1):
+            b = min(betas, key=lambda c: abs(lambda0 / j - 1.0 / c))
+            if abs(lambda0 / j - 1.0 / b) <= band and gamma_jump(A, b) != 0:
+                entries.append((j, brouwer * gamma_jump(A, b)))
+    truncated = any(b * lambda0 > j_max + band for b in betas)
+    return tuple(entries), j_max, truncated
+
+
 class TestEtaAndIndex:
     def test_eta_fundamental(self):
         assert bifurcation_index(np.eye(2), 1, 1.0, j_max=2).coordinate(1) == 2
@@ -220,6 +251,27 @@ class TestEtaAndIndex:
     def test_zero_brouwer_gives_trivial(self):
         bif = bifurcation_index(oscillators(1.0, 2.0), 0, 1.0, j_max=4)
         assert bif.is_trivial
+
+    def test_work_does_not_grow_with_j_max(self):
+        start = time.perf_counter()
+        bif = bifurcation_index(np.eye(2), 1, 1.0, 10**7)
+        assert bif.entries == ((1, 2),)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("brouwer", [-1, 0, 1])
+    @pytest.mark.parametrize("j_max", [1, 2, 3, 6, None])
+    @pytest.mark.parametrize("lambda0", [1.0, 1 / 2, 1 / 3, 3 / 2, 2.0, 0.7])
+    def test_agrees_with_the_scan_over_j(self, lambda0, j_max, brouwer):
+        """One jump per frequency gives the index a scan of every j <= j_max gives."""
+        A = _ONE_TWO_THREE
+        try:
+            expected = _index_by_scanning_j(A, brouwer, lambda0, j_max)
+        except ValueError:
+            with pytest.raises(ValueError, match="not a candidate level"):
+                bifurcation_index(A, brouwer, lambda0, j_max)
+            return
+        bif = bifurcation_index(A, brouwer, lambda0, j_max)
+        assert (bif.entries, bif.j_max, bif.truncated) == expected
 
     def test_truncation_flag(self):
         A = oscillators(1.0, 5.0)
@@ -280,13 +332,14 @@ class TestOneFrequencyRule:
         assert jordan_partition(M, 1.0 + 5e-7) == (3,)
 
     def test_every_reader_refuses_beyond_it(self):
-        beta = 1.0 + 2e-6
-        with pytest.raises(EigenvalueNotFoundError):
-            jordan_partition(standard_symplectic(1), beta)
-        with pytest.raises(EigenvalueNotFoundError):
-            gamma_jump(np.eye(2), beta)
-        with pytest.raises(EigenvalueNotFoundError):
-            check_main_condition(np.eye(2), 1, beta)
+        """Also a beta that is not finite, whose relative radius is infinite."""
+        for beta in (1.0 + 2e-6, math.inf):
+            with pytest.raises(EigenvalueNotFoundError):
+                jordan_partition(standard_symplectic(1), beta)
+            with pytest.raises(EigenvalueNotFoundError):
+                gamma_jump(np.eye(2), beta)
+            with pytest.raises(EigenvalueNotFoundError):
+                check_main_condition(np.eye(2), 1, beta)
 
     def test_report_carries_its_blocks(self):
         nf = NormalForm((BlockSpec(1.0, 3, +1), BlockSpec(1.0, 2, -1), BlockSpec(1.0, 1, -1)))
@@ -428,6 +481,13 @@ class TestNonresonance:
         report = nonresonance_and_branch_count(oscillators(1.0, np.sqrt(2.0)))
         assert all(f for _, f in report.flags)
         assert report.lower_bound == 2
+
+    @pytest.mark.parametrize("betas", [(1.0, 2.0, 3.5), (1.0, math.sqrt(2.0))])
+    def test_flags_are_the_nonresonant_pairs(self, betas):
+        """One resonance test: hypothesis a0 certifies exactly the flagged frequencies."""
+        A = oscillators(*betas)
+        flagged = [b for b, flag in nonresonance_and_branch_count(A).flags if flag]
+        assert list(check_classical_assumptions(A).nonresonant_pair.certified_betas) == flagged
 
     def test_single_frequency(self):
         report = nonresonance_and_branch_count(np.eye(2))

@@ -13,7 +13,7 @@ from hambif import (
     standard_symplectic,
     symplectic_gram_schmidt,
 )
-from hambif.linalg import as_symmetric, numeric_rank
+from hambif.linalg import as_symmetric, numeric_rank_with_gap
 from hambif.errors import StructureError
 
 
@@ -171,7 +171,7 @@ class TestHelpers:
 
     def test_numeric_rank(self):
         M = np.diag([1.0, 1e-3, 0.0])
-        assert numeric_rank(M) == 2
+        assert numeric_rank_with_gap(M)[0] == 2
 
     def test_tolerance_positive(self):
         with pytest.raises(ValueError):

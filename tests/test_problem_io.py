@@ -326,6 +326,29 @@ class TestCli:
         assert report["analysis"]["lambda_max"] == 2.0
         assert report["tolerances"]["rank_tol"] == 2e-10
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--tol-scale", "0"), ("--tol-scale", "nan"), ("--tol-scale", "inf"),
+        ("--lambda-max", "-1"), ("--lambda-max", "nan"), ("--lambda-max", "inf"),
+        ("--j-max", "0"), ("--beta", "-1"), ("--beta", "0"),
+    ])
+    def test_overrides_obey_the_problem_file_rules(self, tmp_path, flag, value):
+        """A value the problem file refuses is a usage error on the command line too."""
+        path = self.write(tmp_path, quartic_spec())
+        with pytest.raises(SystemExit) as info:
+            cli_main(["index", "--input", path, flag, value])
+        assert info.value.code == 2
+
+    def test_unknown_command_and_help(self, tmp_path, capsys):
+        path = self.write(tmp_path, oscillator_spec())
+        with pytest.raises(SystemExit) as info:
+            cli_main(["solve", "--input", path])
+        assert info.value.code == 2
+        with pytest.raises(SystemExit) as info:
+            cli_main(["--help"])
+        assert info.value.code == 0
+        out = capsys.readouterr().out
+        assert all(name in out for name in ("analyze", "normal-form", "index", "continue"))
+
 
 def oscillators_problem(tmp_path, *betas):
     """Problem file for one equilibrium with simple frequencies at the given betas."""

@@ -31,7 +31,6 @@ from .continuation import (
     continue_branch,
     correct_orbit,
     flow,
-    gradient_field,
     seed_from_linearization,
     verify_period_limit,
 )
@@ -99,8 +98,7 @@ __all__ = [
     "isolation_radius", "lambda_set", "nonresonance_and_branch_count", "t_matrix",
     # continuation
     "Branch", "ContinuationConfig", "HamiltonianField", "PeriodicOrbit", "PolynomialHamiltonian",
-    "continue_branch", "correct_orbit", "flow", "gradient_field", "seed_from_linearization",
-    "verify_period_limit",
+    "continue_branch", "correct_orbit", "flow", "seed_from_linearization", "verify_period_limit",
     # errors
     "ConditioningWarning", "ConsistencyError", "CorrectorError", "DecompositionError",
     "DegeneracyError", "EigenvalueNotFoundError", "IntegrationError", "PlanarDegreeError",

@@ -148,20 +148,18 @@ def run_analysis(spec: ProblemSpec, stages: frozenset[str] = ALL_STAGES) -> dict
                     requested.append(spectral._cluster_at(M, want, tol)[0])
                 except EigenvalueNotFoundError:
                     entry["errors"].append(f"requested beta {want} is not in the spectrum")
-        if not found:
-            entry["lambda_set"] = {"points": [], "lambda_max": spec.options.lambda_max, "source_betas": []}
-            entry["conditions"] = []
-            entry["bifurcation_indices"] = []
-            entry["branches"] = []
-            entry["note"] = "no candidate frequencies: no purely imaginary spectrum"
-            continue
-
         ls = lambda_set(A, spec.options.lambda_max, tol)
         entry["lambda_set"] = {
             "points": list(ls.points),
             "lambda_max": ls.lambda_max,
             "source_betas": [[beta, list(ms)] for beta, ms in ls.source_betas],
         }
+        if not found:
+            entry["conditions"] = []
+            entry["bifurcation_indices"] = []
+            entry["branches"] = []
+            entry["note"] = "no candidate frequencies: no purely imaginary spectrum"
+            continue
 
         conditions = []
         indices = []
@@ -217,11 +215,8 @@ def run_analysis(spec: ProblemSpec, stages: frozenset[str] = ALL_STAGES) -> dict
         if "assumptions" in stages:
             assumptions = check_classical_assumptions(A, split=None, tol=tol)
             entry["classical_assumptions"] = {
-                "nonresonant_pair": _assumption_entry(assumptions.nonresonant_pair),
-                "positive_definite": _assumption_entry(assumptions.positive_definite),
-                "signature_resonant": _assumption_entry(assumptions.signature_resonant),
-                "split_definite": _assumption_entry(assumptions.split_definite),
-                "split_signature": _assumption_entry(assumptions.split_signature),
+                f.name: _assumption_entry(getattr(assumptions, f.name))
+                for f in dataclasses.fields(assumptions)
             }
 
         branches = []

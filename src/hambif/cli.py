@@ -4,7 +4,8 @@ Subcommands map to pipeline stages: ``analyze`` runs everything,
 ``normal-form`` only the block decomposition, ``index`` the candidate levels
 and bifurcation indices, ``continue`` only branch continuation.
 
-Exit codes: 0 success, 2 parse/consistency error, 3 numerical failure,
+Exit codes: 0 success, 2 bad input (a parse or consistency error, a bad flag
+value, an unreadable input or an unwritable output), 3 numerical failure,
 4 condition undetermined (a Brouwer index must be supplied).
 """
 
@@ -115,7 +116,8 @@ def _emit_csv(report: dict, output: str | None) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         spec = parse_problem(Path(args.input).read_text(encoding="utf-8"))
     except FileNotFoundError:
@@ -127,7 +129,10 @@ def main(argv: list[str] | None = None) -> int:
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    spec = _apply_overrides(spec, args)
+    try:
+        spec = _apply_overrides(spec, args)
+    except ValueError as exc:  # a --tol-scale that pushes a tolerance out of (0, 1)
+        parser.error(str(exc))
 
     stages = STAGES_BY_COMMAND[args.command]
     if args.command == "continue" and spec.hamiltonian is None:
@@ -136,10 +141,16 @@ def main(argv: list[str] | None = None) -> int:
 
     report = run_analysis(spec, stages)
 
-    if args.format == "csv":
-        _emit_csv(report, args.output)
-    else:
-        _write(emit_report(report, args.format), args.output)
+    try:
+        if args.format == "csv":
+            _emit_csv(report, args.output)
+        else:
+            _write(emit_report(report, args.format), args.output)
+    except OSError as exc:
+        if args.output is None:
+            raise
+        print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
+        return 2
 
     numerical_failures = any(eq.get("errors") for eq in report["equilibria"])
     undetermined = any(

@@ -188,6 +188,8 @@ class HamiltonianField:
     lam: float
 
     def __post_init__(self):
+        if self.lam <= 0.0:
+            raise ValueError("lambda must be positive")
         object.__setattr__(self, "_coeffs", self.lam * self.H._jet_coeffs)
 
     def __call__(self, x) -> np.ndarray:
@@ -206,13 +208,6 @@ class HamiltonianField:
         flat = np.bincount(H._jet_rows, weights=weights, minlength=n * (n + 1))
         out[:n] = flat[:n]
         np.dot(flat[n:].reshape(n, n), y[n:].reshape(n, n), out=out[n:].reshape(n, n))
-
-
-def gradient_field(H: PolynomialHamiltonian, lam: float) -> HamiltonianField:
-    """The time-scaled Hamiltonian vector field lambda * J * grad H."""
-    if lam <= 0.0:
-        raise ValueError("lambda must be positive")
-    return HamiltonianField(H=H, lam=lam)
 
 
 @dataclass(frozen=True)
@@ -444,21 +439,6 @@ def _orbit_diagnostics(H, equilibrium, x0, config, dense_sol):
     return float(amplitude), drift
 
 
-def _shoot(H, x0, lam, config):
-    field = gradient_field(H, lam)
-    result = flow(
-        field,
-        x0,
-        TWO_PI,
-        rtol=config.integrator_rtol,
-        atol=config.integrator_atol,
-        domain_bound=config.domain_bound,
-    )
-    defect = result.endpoint - x0
-    dlam = (TWO_PI / lam) * field(result.endpoint)
-    return defect, result.monodromy, dlam, result.solution
-
-
 def correct_orbit(H: PolynomialHamiltonian, guess: PeriodicOrbit,
                   config: ContinuationConfig = DEFAULT_CONFIG,
                   equilibrium=None, constraint=None) -> PeriodicOrbit:
@@ -486,29 +466,31 @@ def correct_orbit(H: PolynomialHamiltonian, guess: PeriodicOrbit,
             return r - target, row
 
     x_ref = x0.copy()
-    f_ref = gradient_field(H, lam)(x_ref)
+    f_ref = HamiltonianField(H, lam)(x_ref)
     if np.linalg.norm(f_ref) == 0.0:
         raise CorrectorError("phase anchor sits at an equilibrium", residual=np.inf)
 
     residual = math.inf
-    dense = None
     for _ in range(config.max_corrector_iters):
         if not (max(config.lambda_min / 10.0, 0.0) < lam < config.lambda_max * 10.0):
             raise CorrectorError(f"lambda {lam:g} left the trust window", residual=residual)
-        defect, monodromy, dlam, dense = _shoot(H, x0, lam, config)
+        field = HamiltonianField(H, lam)
+        shot = flow(field, x0, TWO_PI, rtol=config.integrator_rtol, atol=config.integrator_atol,
+                    domain_bound=config.domain_bound)
+        defect = shot.endpoint - x0
         phase = float(f_ref @ (x0 - x_ref))
         cval, crow = constraint(x0, lam)
         F = np.concatenate([defect, [phase, cval]])
         residual = float(np.linalg.norm(defect))
         if residual <= config.corrector_tol and abs(phase) <= config.corrector_tol and \
                 abs(cval) <= config.corrector_tol:
-            amplitude, drift = _orbit_diagnostics(H, equilibrium, x0, config, dense)
+            amplitude, drift = _orbit_diagnostics(H, equilibrium, x0, config, shot.solution)
             return PeriodicOrbit(
                 x0=x0, lam=lam, amplitude=amplitude, residual=residual, energy_drift=drift
             )
         jac = np.zeros((n + 2, n + 1))
-        jac[:n, :n] = monodromy - np.eye(n)
-        jac[:n, n] = dlam
+        jac[:n, :n] = shot.monodromy - np.eye(n)
+        jac[:n, n] = (TWO_PI / lam) * field(shot.endpoint)
         jac[n, :n] = f_ref
         jac[n + 1, :] = crow
         step, *_ = np.linalg.lstsq(jac, -F, rcond=None)
@@ -570,7 +552,7 @@ def _extrapolate(points, s, h):
     return value, slope / norm
 
 
-def _arclength_constraint(tangent, z_pred, n):
+def _arclength_constraint(tangent, z_pred):
     def constraint(x, lam_):
         z = np.concatenate([x, [lam_]])
         return float(tangent @ (z - z_pred)), tangent
@@ -650,7 +632,7 @@ def continue_branch(H: PolynomialHamiltonian, seed: PeriodicOrbit,
                 )
                 nxt = correct_orbit(
                     H, guess, config, equilibrium,
-                    constraint=_arclength_constraint(tangent, z_pred, n),
+                    constraint=_arclength_constraint(tangent, z_pred),
                 )
             except (CorrectorError, IntegrationError):
                 h *= 0.5

@@ -30,8 +30,10 @@ class TolerancePolicy:
     residual_tol: float = 1e-9
 
     def __post_init__(self):
-        if min(self.rank_tol, self.eig_zero_tol, self.residual_tol) <= 0.0:
-            raise ValueError("all tolerances must be strictly positive")
+        # a tolerance of 1 or more calls every eigenvalue zero and every rank 0
+        for value in (self.rank_tol, self.eig_zero_tol, self.residual_tol):
+            if not 0.0 < value < 1.0:
+                raise ValueError("all tolerances must lie strictly between 0 and 1")
 
     def scaled(self, factor: float) -> "TolerancePolicy":
         if factor <= 0.0:
@@ -136,8 +138,11 @@ def signature(A, tol: TolerancePolicy = DEFAULT_TOL, allow_degenerate: bool = Fa
 def numeric_rank_with_gap(M, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[int, float]:
     """Rank by relative singular-value cutoff plus the decision margin.
 
-    The margin is min(smallest kept / cutoff, cutoff / largest dropped); values
-    below 10 mean the rank decision sits close to the cutoff.
+    The cutoff is ``rank_tol`` times the largest singular value, but never
+    below ``max(M.shape) * eps`` times it (numpy's ``matrix_rank`` default),
+    since singular values below that are rounding.  The margin is
+    min(smallest kept / cutoff, cutoff / largest dropped); values below 10
+    mean the rank decision sits close to the cutoff.
     """
     M = np.asarray(M)
     if M.size == 0:
@@ -145,7 +150,7 @@ def numeric_rank_with_gap(M, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[int, f
     s = np.linalg.svd(M, compute_uv=False)
     if s[0] == 0.0:
         return 0, np.inf
-    cutoff = tol.rank_tol * s[0]
+    cutoff = max(tol.rank_tol, max(M.shape) * np.finfo(float).eps) * s[0]
     rank = int(np.count_nonzero(s > cutoff))
     margin = np.inf
     if rank < s.size and s[rank] > 0.0:

@@ -250,11 +250,7 @@ def problem_to_dict(spec: ProblemSpec) -> dict:
             "betas": "all" if spec.options.betas == "all" else list(spec.options.betas),
             "tolerances": asdict(spec.options.tolerances),
             "continuation": {
-                "enabled": spec.options.continuation_enabled,
-                **{
-                    name: getattr(spec.options.continuation, name)
-                    for name in ContinuationConfig.__dataclass_fields__
-                },
+                "enabled": spec.options.continuation_enabled, **asdict(spec.options.continuation)
             },
         },
     }

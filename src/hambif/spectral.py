@@ -165,7 +165,6 @@ def _find_clusters(M: np.ndarray, tol: TolerancePolicy):
     threshold = scale * max(tol.eig_zero_tol, _RING_EPS ** (1.0 / max(N, 1)))
 
     upper = [complex(z) for z in w[w.imag > 0.0]]
-    lower = [complex(z) for z in w[w.imag <= 0.0]]
     clusters: list[tuple[float, int, tuple[int, ...], str | None]] = []
     others: list[complex] = []
 
@@ -195,10 +194,6 @@ def _find_clusters(M: np.ndarray, tol: TolerancePolicy):
             if sizes:
                 clusters.append((beta, len(members), sizes, note))
                 confirmed.add(root)
-                for _ in members:
-                    if lower:
-                        k = int(np.argmin([abs(z - centroid.conjugate()) for z in lower]))
-                        del lower[k]
                 continue
             if kernel:
                 on_axis.add(root)
@@ -226,7 +221,8 @@ def _find_clusters(M: np.ndarray, tol: TolerancePolicy):
             f"rank staircases confirm only part of the {size} eigenvalue(s) clustered at "
             f"i*{beta:.9g}, and the rest lie within the band of the imaginary axis"
         )
-    others.extend(lower)
+    # eigvals of a real matrix pairs its complex eigenvalues as exact conjugates
+    others += [z.conjugate() for z in others] + [complex(z) for z in w[w.imag == 0.0]]
     return tuple(sorted(clusters, key=lambda c: c[0])), tuple(others), band
 
 

@@ -14,6 +14,7 @@ from hambif import (
     ContinuationConfig,
     CorrectorError,
     Equilibrium,
+    HamiltonianField,
     IntegrationError,
     PeriodicOrbit,
     PolynomialHamiltonian,
@@ -22,7 +23,6 @@ from hambif import (
     correct_orbit,
     emit_problem,
     flow,
-    gradient_field,
     seed_from_linearization,
     standard_symplectic,
     verify_period_limit,
@@ -263,23 +263,28 @@ class TestPolynomialHamiltonian:
 
     def test_field_orientation(self):
         H = PolynomialHamiltonian(2, ((0.5, (2, 0)), (0.5, (0, 2))))
-        field = gradient_field(H, 1.0)
+        field = HamiltonianField(H, 1.0)
         assert np.allclose(field(np.array([1.0, 0.0])), [0.0, -1.0])
         assert np.allclose(field(np.array([0.3, 0.4])), [0.4, -0.3])
 
     def test_quartic_field_norm_on_circle(self):
         H = quartic_radial()
-        field = gradient_field(H, 0.7)
+        field = HamiltonianField(H, 0.7)
         for r in (0.2, 0.5):
             x = np.array([r, 0.0])
             assert np.linalg.norm(field(x)) == pytest.approx(0.7 * r * (1 + r * r))
+
+    @pytest.mark.parametrize("lam", [0.0, -0.5])
+    def test_field_refuses_nonpositive_lambda(self, lam):
+        with pytest.raises(ValueError, match="lambda must be positive"):
+            HamiltonianField(quartic_radial(), lam)
 
     @pytest.mark.parametrize("case", ["quartic2", "coupled4", "quadratic"])
     def test_batched_gradient_and_field_match_pointwise_bit_for_bit(self, case, rng):
         H = field_test_hamiltonian(case, rng)
         points = rng.uniform(-1.0, 1.0, (50, H.dim))
         points[0] = 0.0
-        for f in (H.gradient, gradient_field(H, 0.9)):
+        for f in (H.gradient, HamiltonianField(H, 0.9)):
             values = f(points)
             assert values.shape == points.shape
             assert np.array_equal(values, np.stack([f(x) for x in points]))
@@ -293,13 +298,13 @@ class TestPolynomialHamiltonian:
         # signs included
         H = field_test_hamiltonian(case, rng)
         n = H.dim
-        field = gradient_field(H, 0.9)
+        field = HamiltonianField(H, 0.9)
         points = rng.uniform(-1.0, 1.0, (50, n))
         points[0] = 0.0
         points[1, ::2] = 0.0
         points[2, 1::2] = 0.0
         # the sums of the terms' magnitudes: the field of |H| at |x|
-        magnitudes = gradient_field(
+        magnitudes = HamiltonianField(
             PolynomialHamiltonian(n, tuple((abs(c), e) for c, e in H.terms)), field.lam
         )
         for row, x in zip(field(points), points):
@@ -315,7 +320,7 @@ class TestPolynomialHamiltonian:
     def test_variational_writes_the_augmented_field_bit_for_bit(self, case, rng):
         H = field_test_hamiltonian(case, rng)
         n = H.dim
-        field = gradient_field(H, 0.9)
+        field = HamiltonianField(H, 0.9)
         for y in rng.uniform(-1.0, 1.0, (200, n + n * n)):
             x, Phi = y[:n], y[n:].reshape(n, n)
             out = np.full(n + n * n, np.nan)
@@ -340,7 +345,7 @@ class TestPolynomialHamiltonian:
 
 class TestFlow:
     def test_quarter_rotation(self):
-        field = gradient_field(PolynomialHamiltonian.from_quadratic(np.eye(2)), 1.0)  # x -> J x
+        field = HamiltonianField(PolynomialHamiltonian.from_quadratic(np.eye(2)), 1.0)  # x -> J x
         result = flow(field, np.array([1.0, 0.0]), math.pi / 2)
         assert np.allclose(result.endpoint, [0.0, -1.0], atol=1e-9)
         assert np.allclose(result.monodromy, [[0.0, 1.0], [-1.0, 0.0]], atol=1e-9)
@@ -351,7 +356,7 @@ class TestFlow:
             A = 0.5 * (A + A.T)
             lam = float(rng.uniform(0.4, 1.4))
             M = lam * standard_symplectic(1) @ A
-            field = gradient_field(PolynomialHamiltonian.from_quadratic(A), lam)  # x -> M x
+            field = HamiltonianField(PolynomialHamiltonian.from_quadratic(A), lam)  # x -> M x
             result = flow(field, rng.uniform(-0.5, 0.5, 2), TWO_PI)
             assert np.allclose(result.monodromy, scipy.linalg.expm(TWO_PI * M), atol=1e-7)
 
@@ -363,7 +368,7 @@ class TestFlow:
             A = B @ B.T + 0.5 * np.eye(dim)
             lam = float(rng.uniform(0.5, 1.2))
             J = standard_symplectic(dim // 2)
-            field = gradient_field(PolynomialHamiltonian.from_quadratic(A), lam)
+            field = HamiltonianField(PolynomialHamiltonian.from_quadratic(A), lam)
             Phi = flow(field, rng.uniform(-0.5, 0.5, dim), TWO_PI).monodromy
             assert np.max(np.abs(Phi - scipy.linalg.expm(TWO_PI * lam * J @ A))) < 1e-8
             assert np.max(np.abs(Phi.T @ J @ Phi - J)) < 1e-8
@@ -372,7 +377,7 @@ class TestFlow:
         rejected = 0
         for H, x0 in ((quartic_radial(), [0.3, 0.0]), (coupled4(), [0.3, 0.2, 0.0, 0.1]),
                       (coupled4(), [1.0, 0.5, 0.0, 0.1])):
-            field = Counting(gradient_field(H, 1.0))
+            field = Counting(HamiltonianField(H, 1.0))
             result = flow(field, np.array(x0), TWO_PI)
             assert result.rhs_calls == field.calls == 12 * (result.steps + result.rejected) + 2
             assert result.solution.ts.size == result.steps + 1
@@ -380,7 +385,7 @@ class TestFlow:
         assert rejected > 0  # the far coupled4 orbit rejects steps
 
     def test_quartic_period_rhs_budget(self):
-        field = Counting(gradient_field(quartic_radial(), 1.0))
+        field = Counting(HamiltonianField(quartic_radial(), 1.0))
         result = flow(field, np.array([0.3, 0.0]), TWO_PI)
         # 557 when every component ran below the advertised tolerance, 452
         # while the dense output was built with the full system on every step
@@ -420,7 +425,7 @@ class TestFlow:
 
     def test_energy_conservation(self):
         H = quartic_radial()
-        field = gradient_field(H, 1.0)
+        field = HamiltonianField(H, 1.0)
         x0 = np.array([0.3, 0.0])
         result = flow(field, x0, TWO_PI)
         ts = np.linspace(0.0, TWO_PI, 200)
@@ -431,7 +436,7 @@ class TestFlow:
         # the saddle H = q p stretches q like e^t and leaves the guard ball quickly
         saddle = PolynomialHamiltonian(2, ((1.0, (1, 1)),))
         with pytest.raises(IntegrationError) as info:
-            flow(gradient_field(saddle, 1.0), np.array([1.0, 0.0]), 20.0, domain_bound=10.0)
+            flow(HamiltonianField(saddle, 1.0), np.array([1.0, 0.0]), 20.0, domain_bound=10.0)
         # the end of the first step outside the ball, which q enters at t = ln 10
         assert math.log(10.0) <= info.value.exit_time < 20.0
 
@@ -441,7 +446,7 @@ class TestFlow:
     ])
     def test_start_outside_the_domain_raises_at_time_zero(self, H):
         with pytest.raises(IntegrationError) as info:
-            flow(gradient_field(H, 1.0), np.array([20.0, 0.0]), 5.0, domain_bound=10.0)
+            flow(HamiltonianField(H, 1.0), np.array([20.0, 0.0]), 5.0, domain_bound=10.0)
         assert info.value.exit_time == 0.0
 
     def test_nonfinite_field_raises(self):
@@ -466,7 +471,7 @@ class TestFlow:
         assert info.value.exit_time == 0.0
 
     def test_nonpositive_time_rejected(self):
-        field = gradient_field(quartic_radial(), 1.0)
+        field = HamiltonianField(quartic_radial(), 1.0)
         for T in (0.0, -1.0):
             with pytest.raises(ValueError):
                 flow(field, np.array([0.3, 0.0]), T)
@@ -491,7 +496,7 @@ class TestStepper:
             H, x0 = PolynomialHamiltonian.from_quadratic(B @ B.T + 0.5 * np.eye(4)), rng.uniform(-0.5, 0.5, 4)
         else:
             H, x0 = coupled4(), np.array([0.3, 0.2, 0.0, 0.1])
-        field = gradient_field(H, 0.9)
+        field = HamiltonianField(H, 0.9)
         ours = flow(field, x0, TWO_PI)
         theirs = solve_ivp_flow(field, x0, TWO_PI)
         n = x0.size
@@ -764,7 +769,7 @@ class TestOrbitInvariants:
     def test_reintegration_consistency(self):
         H = quartic_radial()
         orbit = correct_orbit(H, guess([0.3, 0.0], 0.9, 0.3))
-        field = gradient_field(H, orbit.lam)
+        field = HamiltonianField(H, orbit.lam)
         coarse = flow(field, orbit.x0, TWO_PI, rtol=1e-8, atol=1e-8)
         fine = flow(field, orbit.x0, TWO_PI, rtol=1e-12, atol=1e-12)
         assert np.linalg.norm(coarse.endpoint - fine.endpoint) < 1e-7

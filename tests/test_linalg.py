@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -176,6 +178,20 @@ class TestHelpers:
     def test_tolerance_positive(self):
         with pytest.raises(ValueError):
             TolerancePolicy(rank_tol=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("rank_tol", 1.0), ("eig_zero_tol", math.nan), ("eig_zero_tol", 2.0), ("residual_tol", math.inf),
+    ])
+    def test_tolerance_finite_and_below_one(self, field, value):
+        """At 1 or above every eigenvalue is zero and every rank 0."""
+        with pytest.raises(ValueError, match="between 0 and 1"):
+            TolerancePolicy(**{field: value})
+
+    def test_rank_cutoff_never_below_rounding(self):
+        """A rank_tol below rounding cuts at max(shape) * eps, as matrix_rank does."""
+        Q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(6, 6)))
+        M = Q @ np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]) @ Q.T  # rounding leaves s[3] ~ 3e-16
+        assert numeric_rank_with_gap(M, TolerancePolicy(rank_tol=1e-20))[0] == 3
 
     def test_tolerance_scaling(self):
         tol = TolerancePolicy().scaled(10.0)

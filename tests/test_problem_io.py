@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hambif import (
+    ConditioningWarning,
     ConsistencyError,
     SpecError,
     branch_csv,
@@ -160,6 +161,19 @@ class TestParsing:
         assert problem_to_dict(again) == problem_to_dict(spec)
 
 
+def two_frequency_quartic_spec():
+    """H = (q1^2 + p1^2)/2 + q2^2 + p2^2 + q1^4/4 + q2^4/4: frequencies 1 and 2."""
+    terms = [([2, 0, 0, 0], 0.5), ([0, 0, 2, 0], 0.5), ([0, 2, 0, 0], 1.0), ([0, 0, 0, 2], 1.0),
+             ([4, 0, 0, 0], 0.25), ([0, 4, 0, 0], 0.25)]
+    data = {
+        "dim": 4,
+        "equilibria": [{"point": [0.0] * 4, "hessian": np.diag([1.0, 2.0, 1.0, 2.0]).tolist()}],
+        "hamiltonian": {"terms": [{"coefficient": c, "exponents": e} for e, c in terms]},
+        "analysis": {"lambda_max": 2.0, "continuation": {"amplitude_target": 0.05}},
+    }
+    return json.dumps(data)
+
+
 class TestReports:
     def test_structured_round_trip(self):
         report = run_analysis(parse_problem(oscillator_spec()))
@@ -219,6 +233,23 @@ class TestReports:
         assert len(report["equilibria"]) == 2
         healthy = report["equilibria"][1]
         assert healthy["conditions"][0]["condition_holds"] is True
+
+    @pytest.mark.parametrize("quartic, degree, provenance", [
+        (False, 0, "winding"),  # H = q^3/3 + p^2/2
+        # H = q^4/4 + p^2/2: |grad H| is 1e-9 = residual_tol on the winding
+        # circle of radius 1e-3, so the winding route abstains
+        (True, None, "user-required"),
+    ])
+    def test_brouwer_provenance_at_a_degenerate_planar_hessian(self, quartic, degree, provenance):
+        q_term = (0.25, [4, 0]) if quartic else (1.0 / 3.0, [3, 0])
+        data = {
+            "dim": 2,
+            "equilibria": [{"point": [0.0, 0.0], "hessian": [[0.0, 0.0], [0.0, 1.0]]}],
+            "hamiltonian": {"terms": [{"coefficient": c, "exponents": e} for c, e in (q_term, (0.5, [0, 2]))]},
+        }
+        entry = run_analysis(parse_problem(json.dumps(data)))["equilibria"][0]
+        assert entry["brouwer_index"] == degree
+        assert entry["brouwer_provenance"] == provenance
 
     def test_branch_entries_present_with_hamiltonian(self):
         report = run_analysis(parse_problem(quartic_spec()))
@@ -288,6 +319,16 @@ class TestCli:
         path = self.write(tmp_path, json.dumps(data))
         assert cli_main(["analyze", "--input", path]) == 4
 
+    def test_undetermined_exit_four_at_a_nilpotent_zero_block(self, tmp_path):
+        # J A has +-i and a 2x2 Jordan block at 0; in dimension 4 without a
+        # Hamiltonian no route gives the Brouwer index
+        data = {
+            "dim": 4,
+            "equilibria": [{"point": [0.0] * 4, "hessian": np.diag([1.0, 0.0, 1.0, 1.0]).tolist()}],
+        }
+        path = self.write(tmp_path, json.dumps(data))
+        assert cli_main(["analyze", "--input", path]) == 4
+
     def test_numerical_failure_exit_three(self, tmp_path):
         data = json.loads(oscillator_spec())
         data["analysis"]["betas"] = [7.0]  # not in the spectrum
@@ -309,6 +350,24 @@ class TestCli:
         out = tmp_path / "branch.csv"
         assert cli_main(["continue", "--input", path, "--format", "csv", "--output", str(out)]) == 0
         assert out.read_text().startswith("index,lambda,amplitude")
+
+    def test_continue_csv_directory_has_one_file_per_branch(self, tmp_path):
+        path = self.write(tmp_path, two_frequency_quartic_spec())
+        out = tmp_path / "branches"
+        assert cli_main(["continue", "--input", path, "--format", "csv", "--output", str(out)]) == 0
+        assert sorted(f.name for f in out.iterdir()) == ["branch_eq0_beta1.csv", "branch_eq0_beta2.csv"]
+        for f in out.iterdir():
+            assert f.read_text().startswith("index,lambda,amplitude")
+
+    def test_unwritable_output_exit_two(self, tmp_path, capsys):
+        """A report file or csv directory that cannot be written is refused, not a traceback."""
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        path = self.write(tmp_path, two_frequency_quartic_spec())
+        for output, extra in ((tmp_path / "missing" / "r.json", []),
+                              (blocker / "branches", ["--format", "csv"])):
+            assert cli_main(["continue", "--input", path, "--output", str(output), *extra]) == 2
+            assert capsys.readouterr().err.startswith(f"error: cannot write {output}: ")
 
     def test_normal_form_subcommand(self, tmp_path, capsys):
         path = self.write(tmp_path, oscillator_spec())
@@ -337,6 +396,31 @@ class TestCli:
         with pytest.raises(SystemExit) as info:
             cli_main(["index", "--input", path, flag, value])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("tolerances, scale, refused", [
+        (None, "1e-7", False), (None, "1e-300", False), ({"rank_tol": 1e-17}, None, False),
+        (None, "1e9", True), (None, "1e-320", True),
+    ])
+    def test_tolerance_extremes_decide_or_refuse(self, tmp_path, capsys, tolerances, scale, refused):
+        """A rank cutoff below rounding still finds the quartic's +-i, with a
+        margin warning; a --tol-scale that lifts a tolerance to 1 or underflows
+        one to 0 is a usage error."""
+        text = quartic_spec(**({"tolerances": tolerances} if tolerances else {}))
+        args = ["index", "--input", self.write(tmp_path, text)] + (["--tol-scale", scale] if scale else [])
+        if refused:
+            with pytest.raises(SystemExit) as info:
+                cli_main(args)
+            assert info.value.code == 2
+            return
+        with pytest.warns(ConditioningWarning, match="within factor 5.06 of the cutoff"):
+            assert cli_main(args) == 0
+        eq = parse_report(capsys.readouterr().out)["equilibria"][0]
+        assert [c["condition_holds"] for c in eq["conditions"]] == [True]
+
+    def test_tolerance_of_one_is_a_spec_error(self, tmp_path, capsys):
+        path = self.write(tmp_path, quartic_spec(tolerances={"eig_zero_tol": 1.0}))
+        assert cli_main(["index", "--input", path]) == 2
+        assert capsys.readouterr().err.startswith("error: $.analysis.tolerances: ")
 
     def test_unknown_command_and_help(self, tmp_path, capsys):
         path = self.write(tmp_path, oscillator_spec())

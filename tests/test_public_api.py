@@ -50,7 +50,7 @@ PUBLIC_NAMES = [
     "brouwer_nondegenerate", "brouwer_planar", "check_classical_assumptions",
     "check_main_condition", "classify_eigenvalue", "continue_branch", "correct_orbit",
     "emit_problem", "emit_report", "even_block_hessian", "flow", "gamma_block", "gamma_jump",
-    "gradient_field", "interleave_permutation", "is_hamiltonian", "is_symplectic",
+    "interleave_permutation", "is_hamiltonian", "is_symplectic",
     "isolation_radius", "jordan_partition", "lambda_set", "morse_index",
     "nonresonance_and_branch_count", "odd_block_hessian", "parse_problem", "parse_report",
     "problem_to_dict", "random_symplectic", "run_analysis", "seed_from_linearization", "signature",

@@ -29,6 +29,7 @@ from .errors import (
     DegeneracyError,
     EigenvalueNotFoundError,
     IntegrationError,
+    LevelCountError,
     PlanarDegreeError,
 )
 from .linalg import standard_symplectic
@@ -148,12 +149,15 @@ def run_analysis(spec: ProblemSpec, stages: frozenset[str] = ALL_STAGES) -> dict
                     requested.append(spectral._cluster_at(M, want, tol)[0])
                 except EigenvalueNotFoundError:
                     entry["errors"].append(f"requested beta {want} is not in the spectrum")
-        ls = lambda_set(A, spec.options.lambda_max, tol)
-        entry["lambda_set"] = {
-            "points": list(ls.points),
-            "lambda_max": ls.lambda_max,
-            "source_betas": [[beta, list(ms)] for beta, ms in ls.source_betas],
-        }
+        try:
+            ls = lambda_set(A, spec.options.lambda_max, tol)
+            entry["lambda_set"] = {
+                "points": list(ls.points),
+                "lambda_max": ls.lambda_max,
+                "source_betas": [[beta, list(ms)] for beta, ms in ls.source_betas],
+            }
+        except LevelCountError as exc:
+            entry["errors"].append(f"candidate levels unavailable: {exc}")
         if not found:
             entry["conditions"] = []
             entry["bifurcation_indices"] = []

@@ -19,6 +19,7 @@ from .errors import (
     DecompositionError,
     DegeneracyError,
     EigenvalueNotFoundError,
+    LevelCountError,
     PlanarDegreeError,
     SplittingError,
 )
@@ -102,16 +103,29 @@ def _spectrum_betas(A, tol: TolerancePolicy) -> tuple[float, ...]:
     return spectral_summary(standard_symplectic(A.shape[0] // 2) @ A, tol).betas
 
 
+# lambda_set refuses a truncation that asks for more levels than this: their
+# list, and the report that carries it, grow linearly with lambda_max
+MAX_LEVELS = 10**5
+
+
 def lambda_set(A, lambda_max: float, tol: TolerancePolicy = DEFAULT_TOL) -> LambdaSet:
-    """All levels m/beta <= lambda_max over frequencies of J A, deduplicated."""
+    """All levels m/beta <= lambda_max over frequencies of J A, deduplicated.
+
+    The levels are counted before any is built: more than ``MAX_LEVELS`` of
+    them raise :class:`LevelCountError`."""
     if lambda_max <= 0.0:
         raise ValueError("lambda_max must be positive")
     A = as_symmetric(A)
     betas = _spectrum_betas(A, tol)
+    # clipped at MAX_LEVELS + 1, where lambda_max * beta may overflow to inf
+    counts = [math.floor(min(lambda_max * beta + 1e-12, MAX_LEVELS + 1)) for beta in betas]
+    if sum(counts) > MAX_LEVELS:
+        raise LevelCountError(
+            f"lambda_max {lambda_max:g} asks for more than {MAX_LEVELS} candidate levels")
     sources = []
     points: list[float] = []
-    for beta in betas:
-        ms = tuple(range(1, int(math.floor(lambda_max * beta + 1e-12)) + 1))
+    for beta, count in zip(betas, counts):
+        ms = tuple(range(1, count + 1))
         sources.append((beta, ms))
         points.extend(m / beta for m in ms)
     points.sort()

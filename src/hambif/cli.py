@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -100,11 +101,14 @@ def _write(text: str, output: str | None) -> None:
 
 
 def _emit_csv(report: dict, output: str | None) -> None:
+    """Branches as CSV: one file per branch in a directory when ``output``
+    ends in a path separator, names an existing directory, or there are two
+    or more branches; otherwise all of them in one file or on stdout."""
     pieces = []
     for eq in report["equilibria"]:
         for br in eq.get("branches", []):
             pieces.append((eq["index"], br))
-    if output and len(pieces) > 1:
+    if output and (len(pieces) > 1 or output.endswith((os.sep, "/")) or Path(output).is_dir()):
         directory = Path(output)
         directory.mkdir(parents=True, exist_ok=True)
         for index, br in pieces:

@@ -27,6 +27,10 @@ class DecompositionError(RuntimeError):
         self.rank_gaps = rank_gaps
 
 
+class LevelCountError(ValueError):
+    """The candidate levels m/beta <= lambda_max outnumber ``bifurcation.MAX_LEVELS``."""
+
+
 class PlanarDegreeError(RuntimeError):
     """The sampled planar field nearly vanishes on the circle; shrink the radius."""
 

@@ -30,7 +30,13 @@ from hambif import (
     standard_symplectic,
     t_matrix,
 )
-from hambif.errors import EigenvalueNotFoundError, PlanarDegreeError, SplittingError
+from hambif.bifurcation import MAX_LEVELS
+from hambif.errors import (
+    EigenvalueNotFoundError,
+    LevelCountError,
+    PlanarDegreeError,
+    SplittingError,
+)
 
 from conftest import random_normal_form
 
@@ -75,6 +81,15 @@ class TestLambdaSet:
         for beta, ms in ls.source_betas:
             assert list(ms) == list(range(1, len(ms) + 1))
 
+
+    def test_levels_counted_before_any_is_built(self):
+        # MAX_LEVELS levels are built; one more, or a billion, is refused at once
+        assert len(lambda_set(np.eye(2), MAX_LEVELS + 0.5).points) == MAX_LEVELS
+        for lambda_max in (MAX_LEVELS + 1.0, 1e9, 1.7e308):  # 2 * 1.7e308 overflows
+            start = time.perf_counter()
+            with pytest.raises(LevelCountError, match="candidate levels"):
+                lambda_set(oscillators(1.0, 2.0), lambda_max)
+            assert time.perf_counter() - start < 1.0
 
 class TestChooseMu:
     """The isolation radius mu around a candidate level."""

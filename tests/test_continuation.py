@@ -28,7 +28,7 @@ from hambif import (
     verify_period_limit,
 )
 from hambif import dop853
-from hambif.continuation import _SAFETY
+from hambif.continuation import _KERNEL_MAX_TRIPLETS, _SAFETY
 
 TWO_PI = 2.0 * math.pi
 
@@ -57,13 +57,19 @@ def coupled4():
 
 
 def field_test_hamiltonian(case, rng):
-    """quartic2 and coupled4 of the branch benchmark, or a random positive quadratic."""
+    """quartic2 and coupled4 of the branch benchmark, or a random positive
+    full quadratic: of dim 4 (32 jet triplets, a generated kernel), or of
+    dim 8 (128 triplets, above the cap: the numpy table)."""
     if case == "quartic2":
         return quartic_radial()
     if case == "coupled4":
         return coupled4()
-    B = rng.uniform(-0.5, 0.5, (4, 4))
-    return PolynomialHamiltonian.from_quadratic(B @ B.T + 0.5 * np.eye(4))
+    dim = 8 if case == "quadratic_above_cap" else 4
+    B = rng.uniform(-0.5, 0.5, (dim, dim))
+    return PolynomialHamiltonian.from_quadratic(B @ B.T + 0.5 * np.eye(dim))
+
+
+FIELD_CASES = ["quartic2", "coupled4", "quadratic", "quadratic_above_cap"]
 
 
 def solve_ivp_flow(field, x0, T):
@@ -279,7 +285,7 @@ class TestPolynomialHamiltonian:
         with pytest.raises(ValueError, match="lambda must be positive"):
             HamiltonianField(quartic_radial(), lam)
 
-    @pytest.mark.parametrize("case", ["quartic2", "coupled4", "quadratic"])
+    @pytest.mark.parametrize("case", FIELD_CASES)
     def test_batched_gradient_and_field_match_pointwise_bit_for_bit(self, case, rng):
         H = field_test_hamiltonian(case, rng)
         points = rng.uniform(-1.0, 1.0, (50, H.dim))
@@ -291,7 +297,7 @@ class TestPolynomialHamiltonian:
         grid = points.reshape(5, 10, H.dim)
         assert np.array_equal(H.gradient(grid), H.gradient(points).reshape(grid.shape))
 
-    @pytest.mark.parametrize("case", ["quartic2", "coupled4", "quadratic"])
+    @pytest.mark.parametrize("case", FIELD_CASES)
     def test_field_is_lam_times_the_jet_gradient_byte_for_byte(self, case, rng):
         # one J grad H path: field(X) and variational fold lam into the same
         # jet coefficients and sum the same triplets in the same order, zero
@@ -316,7 +322,7 @@ class TestPolynomialHamiltonian:
             bound = 1e-14 * np.abs(magnitudes(np.abs(x)))
             assert np.all(np.abs(row - field.lam * H.symplectic_derivatives(x)[0]) <= bound)
 
-    @pytest.mark.parametrize("case", ["quartic2", "coupled4", "quadratic"])
+    @pytest.mark.parametrize("case", FIELD_CASES)
     def test_variational_writes_the_augmented_field_bit_for_bit(self, case, rng):
         H = field_test_hamiltonian(case, rng)
         n = H.dim
@@ -335,6 +341,28 @@ class TestPolynomialHamiltonian:
             JH = H.symplectic_derivatives(x)[1]
             bound = 1e-14 * field.lam * (np.abs(JH) @ np.abs(Phi)).ravel()
             assert np.all(np.abs(out[n:] - field.lam * (JH @ Phi).ravel()) <= bound)
+
+    @pytest.mark.parametrize("case", FIELD_CASES)
+    def test_one_derivative_path_chosen_by_the_jet_size(self, case, rng):
+        # the generated kernel up to the triplet cap and the numpy table above
+        # it, each for field(x), field(X) of any batch shape and variational
+        H = field_test_hamiltonian(case, rng)
+        field = HamiltonianField(H, 0.9)
+        assert (field._kernel is None) == (H._jet_rows.size > _KERNEL_MAX_TRIPLETS)
+        assert (field._kernel is None) == (case == "quadratic_above_cap")
+        points = rng.uniform(-1.0, 1.0, (2, 3, H.dim))
+        assert np.array_equal(field(points), np.stack([field(x) for x in points]))
+
+    def test_generated_kernel_overflows_to_inf_without_raising(self):
+        # a stage state far outside the domain: the kernel's powers are
+        # products, which overflow to inf as numpy's do, not Python's **
+        field = HamiltonianField(quartic_radial(), 1.0)
+        y = np.concatenate([[1e200, 0.0], np.eye(2).ravel()])
+        out = np.empty(6)
+        with np.errstate(invalid="ignore"):
+            field.variational(y, out)
+        assert out[1] == -math.inf
+        assert field(np.array([1e200, 0.0]))[1] == -math.inf
 
     def test_validation(self):
         with pytest.raises(ValueError):

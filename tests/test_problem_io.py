@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -358,6 +359,33 @@ class TestCli:
         assert sorted(f.name for f in out.iterdir()) == ["branch_eq0_beta1.csv", "branch_eq0_beta2.csv"]
         for f in out.iterdir():
             assert f.read_text().startswith("index,lambda,amplitude")
+
+    @pytest.mark.parametrize("form", ["trailing separator", "existing directory"])
+    def test_continue_csv_directory_holds_a_single_branch(self, tmp_path, form):
+        """An --output that ends in a separator or names a directory is a
+        directory, also when there is only one branch."""
+        path = self.write(tmp_path, quartic_spec())
+        out = tmp_path / "branches"
+        if form == "existing directory":
+            out.mkdir()
+        output = str(out) + "/" if form == "trailing separator" else str(out)
+        assert cli_main(["continue", "--input", path, "--format", "csv", "--output", output]) == 0
+        assert out.is_dir()
+        assert [f.name for f in out.iterdir()] == ["branch_eq0_beta1.csv"]
+        assert (out / "branch_eq0_beta1.csv").read_text().startswith("index,lambda,amplitude")
+
+    def test_lambda_max_above_the_level_ceiling_is_a_numerical_failure(self, tmp_path, capsys):
+        """lambda_max 1e9 asks for 1e9 levels: refused within a second, as an
+        error of the equilibrium (exit 3), not a traceback or a 10 GB report."""
+        path = self.write(tmp_path, quartic_spec(lambda_max=1e9))
+        start = time.perf_counter()
+        assert cli_main(["index", "--input", path]) == 3
+        assert time.perf_counter() - start < 1.0
+        eq = parse_report(capsys.readouterr().out)["equilibria"][0]
+        assert "lambda_set" not in eq
+        assert eq["errors"] == ["candidate levels unavailable: lambda_max 1e+09 asks for "
+                                "more than 100000 candidate levels"]
+        assert eq["conditions"][0]["condition_holds"] is True
 
     def test_unwritable_output_exit_two(self, tmp_path, capsys):
         """A report file or csv directory that cannot be written is refused, not a traceback."""

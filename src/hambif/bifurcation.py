@@ -5,6 +5,13 @@ family T(lam) = [[-lam A, J], [-J, -lam A]] loses definiteness exactly at the
 levels lam = 1/beta, and the level-j family T(lam/j) at lam = j/beta.  The
 jump gamma of the Morse index across such a level is computed spectrally here
 and cross-checked against the structural route -2*kappa from the block counts.
+
+T(lam) is the real form [[X, -Y], [Y, X]] of the Hermitian 2N x 2N matrix
+H(lam) = X + iY = -lam A - iJ, so its spectrum is H(lam)'s with every
+eigenvalue doubled and ||T(lam)||_2 = max|eig H(lam)|.  The jump therefore
+reads each Morse index as twice that of H(lam), from one half-size
+``eigvalsh``.  The structural route reads its invariant subspaces from one
+Schur form per matrix (see ``normal_forms``).
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     TolerancePolicy,
+    _refuse_zero_band,
     as_symmetric,
     matrix_norm,
     morse_index,
@@ -91,7 +99,12 @@ class ConditionReport:
 
 def t_matrix(lam: float, A) -> np.ndarray:
     """The symmetric 4N x 4N matrix [[-lam A, J], [-J, -lam A]]; the level-j
-    family is ``t_matrix(lam / j, A)``."""
+    family is ``t_matrix(lam / j, A)``.
+
+    It is the real form of the Hermitian H(lam) = -lam A - iJ and has its
+    eigenvalues, each doubled.  The Morse jump counts on the half-size
+    H(lam); ``morse_index`` of this matrix is the reference that count
+    equals."""
     A = as_symmetric(A, name="t_matrix argument")
     if A.shape[0] % 2 != 0:
         raise ValueError("A must have even dimension")
@@ -160,12 +173,23 @@ def isolation_radius(level: float, betas, tol: TolerancePolicy = DEFAULT_TOL) ->
 _JUMP_ZERO_TOL = 1e-12
 
 
+def _doubled_morse_index(A: np.ndarray, lam: float, tol: TolerancePolicy) -> int:
+    """``morse_index(t_matrix(lam, A), tol)`` of a symmetric A, read as twice
+    the count of the Hermitian H(lam) = -lam A - iJ: the band scales with
+    max|w| = ||T(lam)||_2, and an eigenvalue inside it raises the same
+    :class:`DegeneracyError`."""
+    w = np.linalg.eigvalsh(-lam * A - 1j * standard_symplectic(A.shape[0] // 2))
+    band = tol.zero_band(np.max(np.abs(w)))
+    _refuse_zero_band(w, band, "morse_index")
+    return 2 * int(np.count_nonzero(w < -band))
+
+
 def _morse_jump(A, lam0: float, mu: float, tol: TolerancePolicy) -> int:
     jump_tol = replace(tol, eig_zero_tol=min(tol.eig_zero_tol, _JUMP_ZERO_TOL))
     for attempt in range(2):
         try:
-            upper = morse_index(t_matrix(lam0 + mu, A), jump_tol)
-            lower = morse_index(t_matrix(lam0 - mu, A), jump_tol)
+            upper = _doubled_morse_index(A, lam0 + mu, jump_tol)
+            lower = _doubled_morse_index(A, lam0 - mu, jump_tol)
             return upper - lower
         except DegeneracyError:
             if attempt == 1:

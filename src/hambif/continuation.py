@@ -194,7 +194,9 @@ class PolynomialHamiltonian:
 
     def _monomials(self, table, x) -> np.ndarray:
         """The monomials of ``table`` at x, over x's last axis."""
-        powers = (x[..., None] ** self._degrees).reshape(x.shape[:-1] + (-1,))
+        # an explicit last axis: -1 cannot be inferred for an empty batch
+        powers = (x[..., None] ** self._degrees).reshape(
+            x.shape[:-1] + (x.shape[-1] * self._degrees.size,))
         # take and multiply.reduce: the same values as fancy indexing and
         # prod, with less call overhead per right-hand side
         return np.multiply.reduce(powers.take(table, axis=-1), axis=-1)

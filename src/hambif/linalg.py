@@ -111,15 +111,21 @@ def is_symplectic(S, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     return residual <= tol.residual_tol * (1.0 + matrix_norm(S) ** 2)
 
 
-def _checked_spectrum(A, tol, allow_degenerate, caller):
-    A = as_symmetric(A, tol, name=f"{caller} argument")
-    w = np.linalg.eigvalsh(A)
-    band = tol.zero_band(matrix_norm(A))
-    if not allow_degenerate and w.size and np.min(np.abs(w)) <= band:
+def _refuse_zero_band(w: np.ndarray, band: float, caller: str) -> None:
+    """Raise :class:`DegeneracyError` when an eigenvalue lies inside the band."""
+    if w.size and np.min(np.abs(w)) <= band:
         worst = w[np.argmin(np.abs(w))]
         raise DegeneracyError(
             f"{caller}: eigenvalue {worst:.3e} inside the zero band (+-{band:.3e})"
         )
+
+
+def _checked_spectrum(A, tol, allow_degenerate, caller):
+    A = as_symmetric(A, tol, name=f"{caller} argument")
+    w = np.linalg.eigvalsh(A)
+    band = tol.zero_band(matrix_norm(A))
+    if not allow_degenerate:
+        _refuse_zero_band(w, band, caller)
     return w, band
 
 

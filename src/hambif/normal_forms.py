@@ -275,7 +275,9 @@ def _sign_to_epsilon(n: int, sign: int) -> int:
 
 
 def _invariant_subspace(M: np.ndarray, beta: float, expected_dim: int, tol: TolerancePolicy):
-    """Orthonormal basis of the generalized eigenspace of +i*beta via sorted Schur.
+    """Orthonormal basis of the generalized eigenspace of +i*beta: M's one
+    Schur form, reordered by LAPACK ``trsen`` to lead with the selected
+    eigenvalues, as a Schur form sorted by ``gees`` is.
 
     The selection radius is data-driven: halfway between the expected_dim
     eigenvalues nearest to i*beta and the first one beyond them.
@@ -290,9 +292,14 @@ def _invariant_subspace(M: np.ndarray, beta: float, expected_dim: int, tol: Tole
             raise DecompositionError(
                 f"no eigenvalue gap separates the cluster at beta={beta}"
             )
-    _, Z, sdim = scipy.linalg.schur(
-        M.astype(complex), output="complex", sort=lambda z: bool(abs(z - target) < radius)
-    )
+    # one Schur form per matrix, kept read-only in the memo; trsen reorders copies
+    T, Z = spectral._MEMO.lookup(
+        M, tol, "schur", lambda: scipy.linalg.schur(M.astype(complex), output="complex"))
+    T.flags.writeable = Z.flags.writeable = False
+    select = np.abs(np.diag(T) - target) < radius
+    _, Z, _, sdim, _, _, info = scipy.linalg.lapack.ztrsen(select, T, Z, job="N")
+    if info != 0:
+        raise DecompositionError(f"Schur reordering at beta={beta} failed (LAPACK info {info})")
     if sdim != expected_dim:
         raise DecompositionError(
             f"invariant subspace at beta={beta} has dimension {sdim}, expected {expected_dim}"

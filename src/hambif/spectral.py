@@ -103,11 +103,12 @@ def _single_linkage(points: list[complex], threshold: float) -> list[list[comple
 class _OneMatrixMemo:
     """Results of the pure spectral steps for the most recent matrix only.
 
-    Every stage of an analysis asks again for the eigenvalues and clusters of
-    the same ``J A`` and for its frequencies' Morse jumps and blocks; keeping
-    the last matrix's results makes those repeats free, while memory stays
-    bounded by one matrix however many problems a process analyzes.  A
-    matrix is keyed by its bytes, so one changed in place is a new matrix.
+    Every stage of an analysis asks again for the eigenvalues, clusters and
+    Schur form of the same ``J A`` and for its frequencies' Morse jumps and
+    blocks; keeping the last matrix's results makes those repeats free,
+    while memory stays bounded by one matrix however many problems a
+    process analyzes.  A matrix is keyed by its bytes, so one changed in
+    place is a new matrix.
     Values are pure functions of the key and are immutable, so sharing them
     between callers is safe; failures are not stored.
     """

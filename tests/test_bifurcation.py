@@ -30,7 +30,8 @@ from hambif import (
     standard_symplectic,
     t_matrix,
 )
-from hambif.bifurcation import MAX_LEVELS
+from hambif.bifurcation import MAX_LEVELS, _doubled_morse_index
+from hambif.linalg import random_symmetric
 from hambif.errors import (
     EigenvalueNotFoundError,
     LevelCountError,
@@ -381,6 +382,18 @@ class TestCrossRouteIdentity:
 
 class TestSymplecticInvariance:
     def test_morse_index_of_t_matrix(self, rng):
+        """Symplectic invariance, and the real-form identity the Morse jump
+        reads: m^-(T(lam)) is twice the count of H(lam) = -lam A - iJ."""
+
+        def hermitian_count(lam, A):
+            return _doubled_morse_index(0.5 * (A + A.T), lam, DEFAULT_TOL)
+
+        def count(lam, A):
+            index = morse_index(t_matrix(lam, A))
+            assert index == hermitian_count(lam, A)
+            assert index % 2 == 0
+            return index
+
         for trial in range(25):
             nf = random_normal_form(rng, max_total_half_dim=5)
             A = assemble_hessian(nf)
@@ -388,7 +401,23 @@ class TestSymplecticInvariance:
             S = random_symplectic(N, seed=700 + trial, scale=0.5)
             betas = sorted({b.beta for b in nf.blocks})
             lam = 0.37 / max(betas)  # safely off every level m/beta
-            assert morse_index(t_matrix(lam, S.T @ A @ S)) == morse_index(t_matrix(lam, A))
+            assert count(lam, S.T @ A @ S) == count(lam, A)
+        for dim in (2, 4, 6, 10, 16, 32, 64):
+            A = random_symmetric(dim, seed=dim)
+            w = np.linalg.eigvals(standard_symplectic(dim // 2) @ A)
+            # off the levels: the lam whose i/lam lies farthest from the spectrum of J A
+            lam = max(np.linspace(0.2, 3.0, 15), key=lambda lam: np.min(np.abs(w - 1j / lam)))
+            count(lam, A)
+        block = odd_block_hessian(3, 1.0, -1)
+        for lam in (0.8, 1.25):
+            count(lam, block)
+        # on a level both sit inside the band
+        message = r"morse_index: eigenvalue .* inside the zero band \(\+-"
+        for lam, A in ((1.0, block), (1.0 / 0.7, oscillators(0.7))):
+            with pytest.raises(DegeneracyError, match=message):
+                morse_index(t_matrix(lam, A))
+            with pytest.raises(DegeneracyError, match=message):
+                hermitian_count(lam, A)
 
 
 class TestAdditivity:

@@ -294,6 +294,8 @@ class TestPolynomialHamiltonian:
             values = f(points)
             assert values.shape == points.shape
             assert np.array_equal(values, np.stack([f(x) for x in points]))
+            assert f(points[:0]).shape == (0, H.dim)  # an empty batch, on either path
+        assert H.value(points[:0]).shape == (0,)
         grid = points.reshape(5, 10, H.dim)
         assert np.array_equal(H.gradient(grid), H.gradient(points).reshape(grid.shape))
 

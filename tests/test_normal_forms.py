@@ -268,16 +268,26 @@ class TestStructuralDecomposition:
         assert len(schurs) == 1
 
     def test_invariant_subspace_reads_the_memo_eigenvalues(self, monkeypatch):
-        """The summary and the decomposition of one matrix share one eigvals."""
-        calls = []
-        eigvals = np.linalg.eigvals
+        """The summary and the decomposition of one matrix share one eigvals,
+        and its frequencies reorder one Schur form."""
+        import scipy.linalg
+
+        calls, schurs = [], []
+        eigvals, schur = np.linalg.eigvals, scipy.linalg.schur
 
         def counting_eigvals(M):
             calls.append(1)
             return eigvals(M)
 
+        def counting_schur(*args, **kwargs):
+            schurs.append(1)
+            return schur(*args, **kwargs)
+
         monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+        monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
         M = assemble_normal_form(NormalForm((BlockSpec(1.0, 3, +1), BlockSpec(1.5, 1, -1))))
-        for ev in spectral_summary(M).imaginary:
-            structural_decomposition(M, ev.beta)
+        betas = sorted(spectral_summary(M).betas)
+        blocks = [[(b.half_dim, b.epsilon) for b in structural_decomposition(M, beta)] for beta in betas]
         assert len(calls) == 1
+        assert len(schurs) == 1
+        assert blocks == [[(3, 1)], [(1, -1)]]

@@ -24,13 +24,14 @@ TWO_PI = 2.0 * math.pi
 _SAFETY = 1.0e-2
 
 # a jet table of at most this many triplets is compiled into straight-line
-# Python, a larger one is evaluated by numpy.  One variational call on random
-# full quadratics (2 * dim^2 triplets), generated against table: 4.4 against
-# 7.6 us at 32 triplets, 5.6 against 7.5 us at 72, 7.8 against 8.2 us at 128,
-# 11 against 10 us at 200, 26 against 12 us at 512 (Python 3.11, numpy 2.4,
-# one core of a shared 2-core x86 VM).  The gain is gone by about 128
-# triplets, while generating and compiling, 1-2 ms per Hamiltonian there,
-# grows with the table; so the cap sits below that
+# Python, a larger one is evaluated by numpy.  One call of a bound evaluator
+# on random full quadratics (2 * dim^2 triplets), generated against table,
+# the best of six runs: 2.3 against 7.4 us at 32 triplets, 4.9 against 6.6 us
+# at 72, 6.1 against 7.3 us at 128, 9.8 against 8.5 us at 200, 26 against
+# 10 us at 512 (Python 3.11, numpy 2.4, one core of a shared 2-core x86 VM,
+# whose runs spread by up to 2x).  The gain is small by 128 triplets and gone
+# by 200, while generating and compiling, 2-3.5 ms per Hamiltonian at 128,
+# grows with the table; so the cap sits below 128
 _KERNEL_MAX_TRIPLETS = 96
 
 # _orbit_diagnostics refines the largest distance from the equilibrium by at
@@ -63,12 +64,16 @@ def _compile_kernel(rows, monomials, stride: int, dim: int, grad_size: int):
     rows (indices ``variable * stride + power``, padded with power 0).  The
     returned ``kernel(coeffs)`` binds one coefficient per triplet and returns
     ``state(x0, ..., x_{dim-1})``, the tuple of the first ``dim`` outputs,
-    and ``variational(y, out)``.  Each output is ``0.0`` plus its triplets'
-    ``c * (product of powers)`` in table order, as ``np.bincount`` sums them;
-    a power is a chain of products, which overflows to inf as numpy's does
-    where Python's ``**`` would raise.  ``state`` and ``variational`` share
-    the text of the first ``dim`` sums.  ``variational`` writes J hess H into
-    one buffer per bound kernel, so a bound kernel serves one thread.
+    and ``bind(y, out)``.  ``bind`` takes the views of the two contiguous
+    buffers once and returns ``evaluate()``, which writes the augmented
+    field at ``y`` into ``out``: the first ``dim`` outputs, then J hess H
+    times ``Phi = y[dim:]`` by one ``ndarray.dot``.  Each output is ``0.0``
+    plus its triplets' ``c * (product of powers)`` in table order, as
+    ``np.bincount`` sums them; a power is a chain of products, which
+    overflows to inf as numpy's does where Python's ``**`` would raise.
+    ``state`` and ``evaluate`` share the text of the first ``dim`` sums.
+    Every evaluator writes J hess H into one buffer per bound kernel, so a
+    bound kernel serves one thread.
     """
     def power(k, e):
         return f"x{k}" if e == 1 else f"x{k}_{e}"
@@ -100,19 +105,23 @@ def _compile_kernel(rows, monomials, stride: int, dim: int, grad_size: int):
         "def kernel(coeffs):",
         f"    {cs}= coeffs" if cs else "    pass",
         f"    hess = zeros({dim * dim})  # row-major J hess H; entries with no triplet stay 0.0",
-        f"    JH = hess.reshape({dim}, {dim})",
+        f"    JH_dot = hess.reshape({dim}, {dim}).dot",
         f"    def state({xs}):",
         *(f"        {p}" for p in powers(grad_size)),
         f"        return ({''.join(s + ', ' for s in sums[:dim])})",
-        "    def variational(y, out):",
-        f"        {xs}= y[:{dim}].tolist()",
-        *(f"        {p}" for p in powers(len(rows))),
-        *(f"        out[{r}] = {s}" for r, s in enumerate(sums[:dim])),
-        *(f"        hess[{r}] = {s}" for r, s in enumerate(sums[dim:]) if s != "0.0"),
-        f"        dot(JH, y[{dim}:].reshape({dim}, {dim}), out=out[{dim}:].reshape({dim}, {dim}))",
-        "    return state, variational",
+        "    def bind(y, out):",
+        f"        x = y[:{dim}].tolist",
+        f"        Phi, JH_Phi = y[{dim}:].reshape({dim}, {dim}), out[{dim}:].reshape({dim}, {dim})",
+        "        def evaluate():",
+        f"            {xs}= x()",
+        *(f"            {p}" for p in powers(len(rows))),
+        *(f"            out[{r}] = {s}" for r, s in enumerate(sums[:dim])),
+        *(f"            hess[{r}] = {s}" for r, s in enumerate(sums[dim:]) if s != "0.0"),
+        "            JH_dot(Phi, out=JH_Phi)",
+        "        return evaluate",
+        "    return state, bind",
     ]
-    namespace = {"dot": np.dot, "zeros": np.zeros}
+    namespace = {"zeros": np.zeros}
     exec(compile("\n".join(lines), "<jet kernel>", "exec"), namespace)
     return namespace["kernel"]
 
@@ -262,11 +271,14 @@ class HamiltonianField:
 
     The field protocol of :func:`flow`: ``field(x)`` is the state-only field,
     at one point or, for an ``(m, dim)`` array, at each row (bit for bit the
-    single-point values); ``variational(y, out)`` writes the augmented field
-    at ``y = (x, vec Phi)`` into ``out``.  ``lam`` is folded once, into a
-    copy of the jet table's coefficients, so both read the same triplets and
-    ``field(x)`` equals the first ``dim`` outputs of ``variational`` bit for
-    bit; both round differently from ``lam`` times the unscaled sums.
+    single-point values); ``bind(y, out)``, for two contiguous buffers of
+    length ``dim + dim*dim``, returns ``evaluate()``, which writes the
+    augmented field at ``y = (x, vec Phi)`` into ``out`` each time it is
+    called, with the buffers' slices and ``(dim, dim)`` views taken once, in
+    ``bind``.  ``lam`` is folded once, into a copy of the jet table's
+    coefficients, so both read the same triplets and ``field(x)`` equals the
+    first ``dim`` outputs of an evaluation bit for bit; both round
+    differently from ``lam`` times the unscaled sums.
 
     Each field takes one derivative path, chosen by the size of ``H``'s jet
     table.  At most ``_KERNEL_MAX_TRIPLETS`` triplets: ``H``'s generated
@@ -274,7 +286,7 @@ class HamiltonianField:
     Python loop over the rows of the batch; its powers are products, so it
     agrees with the table to rounding, not bit for bit.  Above the cap: the
     numpy table, with one gather of powers, one product per triplet and one
-    sum.  Either way ``J hess H @ Phi`` is one ``np.dot``.
+    sum.  Either way ``J hess H @ Phi`` is one ``ndarray.dot``.
     """
 
     H: PolynomialHamiltonian
@@ -298,22 +310,27 @@ class HamiltonianField:
         rows = [state(*row) for row in x.reshape(-1, x.shape[-1]).tolist()]
         return np.array(rows, dtype=float).reshape(x.shape)
 
-    def variational(self, y, out) -> None:
-        """Write ``lam J grad H(x)`` and then ``lam J hess H(x) @ Phi``, row
-        by row, into ``out``, a contiguous array of length ``n + n*n``, for
-        ``y = (x, vec Phi)``: one evaluation of the jet, by the kernel or as
-        in :meth:`PolynomialHamiltonian.symplectic_derivatives`, gives
-        both."""
+    def bind(self, y, out):
+        """The evaluator that writes ``lam J grad H(x)`` and then
+        ``lam J hess H(x) @ Phi``, row by row, into ``out`` for ``y = (x,
+        vec Phi)``, both contiguous arrays of length ``n + n*n``: one
+        evaluation of the jet, by the kernel or as in
+        :meth:`PolynomialHamiltonian.symplectic_derivatives`, gives both."""
         if self._kernel is not None:
-            self._kernel[1](y, out)
-            return
-        H = self.H
+            return self._kernel[1](y, out)
+        H, coeffs = self.H, self._coeffs
         n = H.dim
-        powers = (y[:n, None] ** H._degrees).ravel()
-        weights = self._coeffs * np.multiply.reduce(powers.take(H._jet_monomials), axis=-1)
-        flat = np.bincount(H._jet_rows, weights=weights, minlength=n * (n + 1))
-        out[:n] = flat[:n]
-        np.dot(flat[n:].reshape(n, n), y[n:].reshape(n, n), out=out[n:].reshape(n, n))
+        degrees, monomials, rows = H._degrees, H._jet_monomials, H._jet_rows
+        x, Jg = y[:n, None], out[:n]
+        Phi, JH_Phi = y[n:].reshape(n, n), out[n:].reshape(n, n)
+
+        def evaluate():
+            powers = (x ** degrees).ravel()
+            weights = coeffs * np.multiply.reduce(powers.take(monomials), axis=-1)
+            flat = np.bincount(rows, weights=weights, minlength=n * (n + 1))
+            Jg[:] = flat[:n]
+            flat[n:].reshape(n, n).dot(Phi, out=JH_Phi)
+        return evaluate
 
 
 @dataclass(frozen=True)
@@ -323,41 +340,47 @@ class FlowResult:
     solution: object  # a dop853.StateInterpolant of the state over [0, T]
     steps: int  # accepted steps
     rejected: int  # rejected step attempts
-    rhs_calls: int  # variational(y, out) calls: 12 * (steps + rejected) + 2
+    rhs_calls: int  # evaluator calls: 12 * (steps + rejected) + 2
 
 
 def flow(field, x0, T: float, rtol: float = 1e-10, atol: float = 1e-10,
          domain_bound: float = 1e6) -> FlowResult:
-    """Integrate the field and its variational equations over [0, T], T > 0.
+    """Integrate the field and its variational equations over [0, T].
 
     One loop of the DOP853 embedded 8(5,3) pair of Dormand and Prince
     (Hairer, Norsett and Wanner, Solving ODEs I, section II.10), with scipy's
     initial step, step-size controller and error norm.  The field's
-    ``variational(y, out)`` writes the augmented field at ``y = (x, vec Phi)``,
-    the field at x and its Jacobian applied to Phi, into the stage row
-    ``out``; for a :class:`HamiltonianField` both come from one evaluation of
-    the jet table of J grad H and J hess H.  The state y is row 0 of one
-    buffer whose other rows are the stage slopes K, so each stage state and
-    the order-8 update are one product of the row ``[1, h*A[s, :s]]`` with
-    that buffer, and both error estimates one product of ``[E5, E3]`` with
-    K; the stage states go through one reused buffer, so the loop itself
-    allocates no array per stage.  The products sum in another order than
-    scipy's, so endpoints agree with ``solve_ivp``'s to rounding, not bit
-    for bit.  The error is controlled per component: the state runs
-    ``_SAFETY`` below ``rtol``/``atol`` so that the energy drift over a
-    period stays within ten times the tolerance, while the monodromy, which
-    only steers Newton, runs at ``rtol``/``atol`` itself.
+    ``bind(y, out)`` returns an evaluator that writes the augmented field at
+    ``y = (x, vec Phi)``, the field at x and its Jacobian applied to Phi,
+    into ``out``; for a :class:`HamiltonianField` both come from one
+    evaluation of the jet table of J grad H and J hess H.  A field with only
+    ``variational(y, out)`` is bound by an adapter that calls it.  The state
+    y is row 0 of one buffer whose other rows are the stage slopes K, and
+    each stage pair is bound once per flow: the product of the row
+    ``[1, h*A[s, :s]]`` with the rows before it, which makes the stage state
+    (the order-8 update for the last pair), and the evaluator of that state
+    into its slope row.  Both error estimates are one product of ``[E5, E3]``
+    with K, divided by a scale built in place from ``|y|``, carried over
+    from the accepted step; so the loop itself allocates no array per stage.
+    The products sum in another order than scipy's, so endpoints agree with
+    ``solve_ivp``'s to rounding, not bit for bit.  The error is controlled
+    per component: the state runs ``_SAFETY`` below ``rtol``/``atol`` so
+    that the energy drift over a period stays within ten times the
+    tolerance, while the monodromy, which only steers Newton, runs at
+    ``rtol``/``atol`` itself.
 
-    The right-hand side budget is exact: 12 ``variational`` calls per
-    attempted step, plus 2 at the start (the first slope and the initial
-    step's probe), counted in the result's ``steps``, ``rejected`` and
+    The right-hand side budget is exact: 12 evaluator calls per attempted
+    step, plus 2 at the start (the first slope and the initial step's
+    probe), counted in the result's ``steps``, ``rejected`` and
     ``rhs_calls``.  The result's ``solution`` is a
     :class:`~hambif.dop853.StateInterpolant` of the state rows only, which
     makes no field call until it is read; its first read makes 3 batched
     state-only calls ``field(X)``, each over all steps at once.  A state of
     norm above ``domain_bound``, at the start or at the end of an accepted
     step, raises :class:`IntegrationError` with that time as ``exit_time``;
-    so does a step size below the spacing of floats at t.
+    so does a step size below the spacing of floats at t.  ``T``, ``rtol``
+    and ``atol`` must be positive and finite and ``domain_bound`` not NaN,
+    or :class:`ValueError` is raised before the first step.
     """
     # imported on first use: compiling the tableau would add to the import
     # of every run that traces no branch
@@ -365,12 +388,21 @@ def flow(field, x0, T: float, rtol: float = 1e-10, atol: float = 1e-10,
 
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
-    variational = getattr(field, "variational", None)
-    if variational is None:
-        raise ValueError("field must expose variational(y, out) for variational integration")
+    bind = getattr(field, "bind", None)
+    if bind is None:
+        variational = getattr(field, "variational", None)
+        if variational is None:
+            raise ValueError("field must expose bind(y, out) or variational(y, out) "
+                             "for variational integration")
+        bind = lambda y, out: lambda: variational(y, out)  # noqa: E731
     T = float(T)
-    if not T > 0.0:
-        raise ValueError("T must be positive")
+    if not (T > 0.0 and math.isfinite(T)):
+        raise ValueError("T must be positive and finite")
+    for name, tol in (("rtol", rtol), ("atol", atol)):
+        if not (tol > 0.0 and math.isfinite(tol)):
+            raise ValueError(f"{name} must be positive and finite")
+    if math.isnan(domain_bound):
+        raise ValueError("domain_bound must not be NaN")
 
     def escaped(x):
         return math.sqrt(x.dot(x)) > domain_bound  # the 2-norm, bit for bit
@@ -385,11 +417,6 @@ def flow(field, x0, T: float, rtol: float = 1e-10, atol: float = 1e-10,
     rtols[:n] = max(rtol * _SAFETY, 1e-13)
     atols[:n] = max(atol * _SAFETY, 1e-14)
 
-    def rhs(y):
-        out = np.empty(size)
-        variational(y, out)
-        return out
-
     # row 0 holds the state y and rows 1 to 13 the stage slopes K, so that a
     # stage state y + h * (A[s, :s] . K[:s]) is the one product
     # [1, h * A[s, :s]] . [y; K[:s]], and the order-8 update is row 12's
@@ -397,14 +424,30 @@ def flow(field, x0, T: float, rtol: float = 1e-10, atol: float = 1e-10,
     y, K = YK[0], YK[1:]
     weights = np.ones((dop853.N_STAGES + 1, dop853.N_STAGES + 1))  # column 0 stays 1
     A, hA = dop853.A[:dop853.N_STAGES + 1, :dop853.N_STAGES], weights[:, 1:]
-    stage_sums = [(weights[s, :s + 1], YK[:s + 1], K[s]) for s in range(1, dop853.N_STAGES)]
-    step_weights, step_rows = weights[dop853.N_STAGES], YK[:dop853.N_STAGES + 1]
-    estimators, errors = np.stack([dop853.E5, dop853.E3]), np.empty((2, size))
     stage, y_new = np.empty(size), np.empty(size)
-    y[:n] = x0
+    # each stage pair: its weights' bound product with the rows before it,
+    # written into one stage buffer, and the evaluator of that buffer into
+    # its slope row; the last pair makes the order-8 update y_new and K[12]
+    stage_pairs = [(weights[s, :s + 1].dot, YK[:s + 1], stage, bind(stage, K[s]))
+                   for s in range(1, dop853.N_STAGES)]
+    stage_pairs.append((weights[dop853.N_STAGES].dot, YK[:dop853.N_STAGES + 1], y_new,
+                        bind(y_new, K[-1])))
+    estimate, errors = np.stack([dop853.E5, dop853.E3]).dot, np.empty((2, size))
+    err5, err3 = errors
+    # |y| carries over from the accepted step; scale = atols + max(|y|, |y_new|) * rtols
+    abs_y, abs_y_new, scale = np.empty(size), np.empty(size), np.empty(size)
+    x = y[:n]
+    x[:] = x0
     y[n:] = np.eye(n).ravel()
-    variational(y, K[0])
+    bind(y, K[0])()
+
+    def rhs(y_probe):
+        out = np.empty(size)
+        bind(y_probe, out)()
+        return out
+
     h_abs = dop853.initial_step(rhs, y, K[0], T, rtols, atols)
+    np.abs(y, out=abs_y)
     rhs_calls, steps, rejections = 2, 0, 0
     t = 0.0
     ts, xs, stages = [t], [x0], []
@@ -419,16 +462,17 @@ def flow(field, x0, T: float, rtol: float = 1e-10, atol: float = 1e-10,
             t_new = min(t + h_abs, T)
             h = h_abs = t_new - t
             np.multiply(A, h, out=hA)  # once per attempted step
-            for row, rows_before, slope in stage_sums:
-                np.dot(row, rows_before, out=stage)
-                variational(stage, slope)
-            np.dot(step_weights, step_rows, out=y_new)
-            variational(y_new, K[-1])
+            for weighted_sum, rows_before, stage_y, evaluate in stage_pairs:
+                weighted_sum(rows_before, out=stage_y)
+                evaluate()
             rhs_calls += dop853.N_STAGES
             # the 5th- and 3rd-order estimates, damped as in Hairer's DOP853
-            np.dot(estimators, K, out=errors)
-            errors /= atols + np.maximum(np.abs(y), np.abs(y_new)) * rtols
-            err5, err3 = errors
+            estimate(K, out=errors)
+            np.abs(y_new, out=abs_y_new)
+            np.maximum(abs_y, abs_y_new, out=scale)
+            scale *= rtols
+            scale += atols
+            errors /= scale
             # squares of the 2-norms, rounded as np.linalg.norm(v) ** 2 rounds them
             err5_2, err3_2 = math.sqrt(err5.dot(err5)) ** 2, math.sqrt(err3.dot(err3)) ** 2
             if err5_2 == 0 and err3_2 == 0:
@@ -443,15 +487,16 @@ def flow(field, x0, T: float, rtol: float = 1e-10, atol: float = 1e-10,
         steps += 1
         t = t_new
         y[:] = y_new
-        if escaped(y[:n]):
+        abs_y, abs_y_new = abs_y_new, abs_y
+        if escaped(x):
             raise IntegrationError(f"trajectory left the domain (norm > {domain_bound:g})",
                                    exit_time=t)
         ts.append(t)
-        xs.append(y[:n].copy())
+        xs.append(x.copy())
         stages.append(K[:, :n].copy())
         K[0] = K[-1]
     return FlowResult(
-        endpoint=y[:n],
+        endpoint=x,
         monodromy=y[n:].reshape(n, n),
         solution=dop853.StateInterpolant(field, ts, xs, stages),
         steps=steps,

@@ -80,7 +80,7 @@ def solve_ivp_flow(field, x0, T):
 
     def rhs(t, y):
         out = np.empty(y.size)
-        field.variational(y, out)
+        field.bind(y, out)()
         return out
 
     rtol = np.full(n + n * n, 1e-10)
@@ -91,17 +91,35 @@ def solve_ivp_flow(field, x0, T):
 
 
 class Counting:
-    """A field that counts its augmented and its state-only calls."""
+    """A field that counts its augmented calls, those of the evaluators its
+    ``bind`` hands out, and its state-only calls."""
 
     def __init__(self, field):
         self.field, self.calls, self.state_calls = field, 0, 0
 
-    def variational(self, y, out):
-        self.calls += 1
-        self.field.variational(y, out)
+    def bind(self, y, out):
+        evaluate = self.field.bind(y, out)
+
+        def counted():
+            self.calls += 1
+            evaluate()
+        return counted
 
     def __call__(self, x):
         self.state_calls += 1
+        return self.field(x)
+
+
+class VariationalOnly:
+    """A field that exposes only ``variational(y, out)`` and ``field(X)``."""
+
+    def __init__(self, field):
+        self.field = field
+
+    def variational(self, y, out):
+        self.field.bind(y, out)()
+
+    def __call__(self, x):
         return self.field(x)
 
 
@@ -301,9 +319,9 @@ class TestPolynomialHamiltonian:
 
     @pytest.mark.parametrize("case", FIELD_CASES)
     def test_field_is_lam_times_the_jet_gradient_byte_for_byte(self, case, rng):
-        # one J grad H path: field(X) and variational fold lam into the same
-        # jet coefficients and sum the same triplets in the same order, zero
-        # signs included
+        # one J grad H path: field(X) and the bound evaluators fold lam into
+        # the same jet coefficients and sum the same triplets in the same
+        # order, zero signs included
         H = field_test_hamiltonian(case, rng)
         n = H.dim
         field = HamiltonianField(H, 0.9)
@@ -317,7 +335,7 @@ class TestPolynomialHamiltonian:
         )
         for row, x in zip(field(points), points):
             out = np.full(n + n * n, np.nan)
-            field.variational(np.concatenate([x, np.eye(n).ravel()]), out)
+            field.bind(np.concatenate([x, np.eye(n).ravel()]), out)()
             assert row.tobytes() == out[:n].tobytes()
             # lam moved inside the sum: within a relative 1e-14 of those
             # magnitudes of lam times the unscaled jet gradient
@@ -332,10 +350,10 @@ class TestPolynomialHamiltonian:
         for y in rng.uniform(-1.0, 1.0, (200, n + n * n)):
             x, Phi = y[:n], y[n:].reshape(n, n)
             out = np.full(n + n * n, np.nan)
-            assert field.variational(y, out) is None
+            assert field.bind(y, out)() is None
             # the field's Jacobian, lam folded in, read at Phi = I
             jac = np.full(n + n * n, np.nan)
-            field.variational(np.concatenate([x, np.eye(n).ravel()]), jac)
+            field.bind(np.concatenate([x, np.eye(n).ravel()]), jac)()
             DF = jac[n:].reshape(n, n)
             assert np.array_equal(out, np.concatenate([field(x), (DF @ Phi).ravel()]))
             # lam moved inside the sum: a relative 1e-14 of the product of
@@ -347,7 +365,8 @@ class TestPolynomialHamiltonian:
     @pytest.mark.parametrize("case", FIELD_CASES)
     def test_one_derivative_path_chosen_by_the_jet_size(self, case, rng):
         # the generated kernel up to the triplet cap and the numpy table above
-        # it, each for field(x), field(X) of any batch shape and variational
+        # it, each for field(x), field(X) of any batch shape and the bound
+        # evaluators
         H = field_test_hamiltonian(case, rng)
         field = HamiltonianField(H, 0.9)
         assert (field._kernel is None) == (H._jet_rows.size > _KERNEL_MAX_TRIPLETS)
@@ -362,7 +381,7 @@ class TestPolynomialHamiltonian:
         y = np.concatenate([[1e200, 0.0], np.eye(2).ravel()])
         out = np.empty(6)
         with np.errstate(invalid="ignore"):
-            field.variational(y, out)
+            field.bind(y, out)()
         assert out[1] == -math.inf
         assert field(np.array([1e200, 0.0]))[1] == -math.inf
 
@@ -505,6 +524,51 @@ class TestFlow:
         for T in (0.0, -1.0):
             with pytest.raises(ValueError):
                 flow(field, np.array([0.3, 0.0]), T)
+
+    def test_infinite_time_rejected(self):
+        # an unbounded loop of steps on the unit oscillator otherwise
+        field = Counting(HamiltonianField(PolynomialHamiltonian.from_quadratic(np.eye(2)), 1.0))
+        with pytest.raises(ValueError, match="T must be positive and finite"):
+            flow(field, np.array([1.0, 0.0]), math.inf)
+        assert field.calls == 0
+
+    def test_nan_domain_bound_rejected(self):
+        # a NaN bound would switch the domain check off
+        field = HamiltonianField(quartic_radial(), 1.0)
+        with pytest.raises(ValueError, match="domain_bound"):
+            flow(field, np.array([0.3, 0.0]), 1.0, domain_bound=math.nan)
+
+    @pytest.mark.parametrize("name", ["rtol", "atol"])
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+    def test_unusable_tolerances_rejected(self, name, tol):
+        # not clamped to the stepper's floor
+        field = Counting(HamiltonianField(quartic_radial(), 1.0))
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            flow(field, np.array([0.3, 0.0]), 1.0, **{name: tol})
+        assert field.calls == 0
+
+    @pytest.mark.parametrize("case", FIELD_CASES)
+    def test_bound_and_variational_fields_flow_byte_identically(self, case, rng):
+        # HamiltonianField.bind against the adapter that flow wraps around a
+        # field with only variational(y, out)
+        H = field_test_hamiltonian(case, rng)
+        field = HamiltonianField(H, 0.9)
+        x0 = rng.uniform(-0.5, 0.5, H.dim)
+        bound, adapted = flow(field, x0, TWO_PI), flow(VariationalOnly(field), x0, TWO_PI)
+        for name in ("endpoint", "monodromy"):
+            assert getattr(bound, name).tobytes() == getattr(adapted, name).tobytes(), name
+        for name in ("steps", "rejected", "rhs_calls"):
+            assert getattr(bound, name) == getattr(adapted, name), name
+        ts = np.linspace(0.0, TWO_PI, 64)
+        assert bound.solution(ts).tobytes() == adapted.solution(ts).tobytes()
+
+    @pytest.mark.parametrize("case", FIELD_CASES)
+    @pytest.mark.parametrize("amplitude", [0.1, 0.5, 1.0])
+    def test_monodromy_is_symplectic(self, case, amplitude, rng):
+        H = field_test_hamiltonian(case, rng)
+        direction = rng.uniform(-1.0, 1.0, H.dim)
+        x0 = amplitude * direction / np.linalg.norm(direction)
+        assert hambif.is_symplectic(flow(HamiltonianField(H, 0.9), x0, TWO_PI).monodromy)
 
 
 class TestStepper:

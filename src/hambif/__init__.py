@@ -44,7 +44,6 @@ from .errors import (
     IntegrationError,
     PlanarDegreeError,
     SpecError,
-    SplittingError,
     StructureError,
 )
 from .linalg import (
@@ -56,7 +55,6 @@ from .linalg import (
     random_symplectic,
     signature,
     standard_symplectic,
-    symplectic_gram_schmidt,
 )
 from .normal_forms import (
     BlockCounts,
@@ -102,10 +100,10 @@ __all__ = [
     # errors
     "ConditioningWarning", "ConsistencyError", "CorrectorError", "DecompositionError",
     "DegeneracyError", "EigenvalueNotFoundError", "IntegrationError", "PlanarDegreeError",
-    "SpecError", "SplittingError", "StructureError",
+    "SpecError", "StructureError",
     # linalg
     "DEFAULT_TOL", "TolerancePolicy", "is_hamiltonian", "is_symplectic", "morse_index",
-    "random_symplectic", "signature", "standard_symplectic", "symplectic_gram_schmidt",
+    "random_symplectic", "signature", "standard_symplectic",
     # normal_forms
     "BlockCounts", "BlockSpec", "NormalForm", "assemble_hessian", "assemble_normal_form",
     "block_counts", "block_hessian", "even_block_hessian", "interleave_permutation",

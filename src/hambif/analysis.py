@@ -217,7 +217,7 @@ def run_analysis(spec: ProblemSpec, stages: frozenset[str] = ALL_STAGES) -> dict
             }
 
         if "assumptions" in stages:
-            assumptions = check_classical_assumptions(A, split=None, tol=tol)
+            assumptions = check_classical_assumptions(A, tol=tol)
             entry["classical_assumptions"] = {
                 f.name: _assumption_entry(getattr(assumptions, f.name))
                 for f in dataclasses.fields(assumptions)

@@ -28,7 +28,6 @@ from .errors import (
     EigenvalueNotFoundError,
     LevelCountError,
     PlanarDegreeError,
-    SplittingError,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -37,13 +36,11 @@ from .linalg import (
     as_symmetric,
     matrix_norm,
     morse_index,
-    numeric_rank_with_gap,
     standard_symplectic,
-    symplectic_gram_schmidt,
 )
 from . import spectral
 from .normal_forms import BlockCounts, BlockSpec, block_counts, structural_decomposition
-from .spectral import SpectralSummary, spectral_summary
+from .spectral import spectral_summary
 
 
 @dataclass(frozen=True)
@@ -298,9 +295,9 @@ def bifurcation_index(A, brouwer: int, lambda0: float, j_max: int | None = None,
 
 @dataclass(frozen=True)
 class AssumptionResult:
-    """Outcome of one classical hypothesis; None means not evaluated."""
+    """Outcome of one classical hypothesis."""
 
-    holds: bool | None
+    holds: bool
     certified_betas: tuple[float, ...] = ()
     details: str = ""
 
@@ -310,8 +307,6 @@ class AssumptionReport:
     nonresonant_pair: AssumptionResult       # classical nonresonance hypothesis
     positive_definite: AssumptionResult      # definite Hessian hypothesis
     signature_resonant: AssumptionResult     # nondegenerate + signature + common period
-    split_definite: AssumptionResult         # definite on an invariant factor
-    split_signature: AssumptionResult        # nonzero signature on an invariant factor
 
 
 @dataclass(frozen=True)
@@ -329,18 +324,6 @@ def _has_multiple(beta: float, betas, tol: TolerancePolicy) -> bool:
     resonance test, for the nonresonance flags and hypothesis a0."""
     width = _INT_RATIO_FACTOR * tol.eig_zero_tol
     return any(abs(big / beta - round(big / beta)) <= width for big in betas if big > beta)
-
-
-def _semisimple(summary: SpectralSummary) -> bool:
-    """A nonempty imaginary spectrum with every pair semisimple and no other eigenvalue."""
-    return bool(summary.betas) and not summary.has_nonimaginary and all(
-        ev.geometric_mult == ev.algebraic_mult for ev in summary.imaginary
-    )
-
-
-def _signature(eigs: np.ndarray, band: float) -> int:
-    """Signature of a symmetric matrix, from its eigenvalues and zero band."""
-    return int(np.count_nonzero(eigs > band) - np.count_nonzero(eigs < -band))
 
 
 def _common_period(betas, tol: TolerancePolicy):
@@ -361,47 +344,14 @@ def _common_period(betas, tol: TolerancePolicy):
     return 2.0 * math.pi * lcm / base
 
 
-def _validate_split(A, split, tol: TolerancePolicy):
-    """Check a claimed invariant J-orthogonal symplectic splitting; return the
-    restricted Hessians and flow generators in symplectic coordinates."""
-    Q1 = np.asarray(split[0], dtype=float)
-    Q2 = np.asarray(split[1], dtype=float)
-    dim = A.shape[0]
-    for name, Q in (("E1", Q1), ("E2", Q2)):
-        if Q.ndim != 2 or Q.shape[0] != dim or Q.shape[1] % 2 != 0 or Q.shape[1] == 0:
-            raise SplittingError(f"{name} must be a 2N x 2k basis with k >= 1")
-    if Q1.shape[1] + Q2.shape[1] != dim:
-        raise SplittingError("splitting dimensions must add up to the full space")
-    N = dim // 2
-    J = standard_symplectic(N)
-    M = J @ A
-    scale = max(1.0, matrix_norm(A))
-    if np.linalg.norm(Q1.T @ J @ Q2) > tol.residual_tol * scale * dim:
-        raise SplittingError("factors are not J-orthogonal")
-    parts = []
-    for name, Q in (("E1", Q1), ("E2", Q2)):
-        if numeric_rank_with_gap(Q, tol)[0] != Q.shape[1]:
-            raise SplittingError(f"{name} basis is rank deficient")
-        proj = Q @ np.linalg.solve(Q.T @ Q, Q.T)
-        defect = np.linalg.norm(M @ Q - proj @ (M @ Q))
-        if defect > tol.residual_tol * scale * dim:
-            raise SplittingError(f"{name} is not invariant under the linearized flow")
-        try:
-            Qs = symplectic_gram_schmidt(Q, tol)
-        except ValueError as exc:
-            raise SplittingError(f"{name} is not a symplectic subspace: {exc}") from exc
-        A_res = Qs.T @ A @ Qs
-        M_res = standard_symplectic(Q.shape[1] // 2) @ A_res
-        parts.append((A_res, M_res))
-    return parts
+def check_classical_assumptions(A, tol: TolerancePolicy = DEFAULT_TOL) -> AssumptionReport:
+    """Evaluate three classical hypotheses that imply the branch condition:
+    a nonresonant simple pair, a positive definite Hessian, and a
+    nondegenerate Hessian of nonzero signature whose linearized flow is
+    periodic.
 
-
-def check_classical_assumptions(A, split=None, tol: TolerancePolicy = DEFAULT_TOL) -> AssumptionReport:
-    """Evaluate the classical hypotheses that imply the branch condition.
-
-    Each satisfied hypothesis reports the frequencies it certifies (those with
-    a nonzero Morse jump).  The split-based hypotheses need an invariant
-    J-orthogonal symplectic splitting (E1, E2) and are skipped otherwise.
+    Each is decided (``holds`` is a bool), and each that holds reports the
+    frequencies it certifies, those with a nonzero Morse jump.
     """
     A = as_symmetric(A, tol)
     N = A.shape[0] // 2
@@ -443,8 +393,11 @@ def check_classical_assumptions(A, split=None, tol: TolerancePolicy = DEFAULT_TO
     )
 
     # nondegenerate + nonzero signature + fully periodic linearized flow
-    semisimple = _semisimple(summary)
-    sig = _signature(eigs, band)
+    # a nonempty imaginary spectrum, every pair semisimple, no other eigenvalue
+    semisimple = bool(betas) and not summary.has_nonimaginary and all(
+        ev.geometric_mult == ev.algebraic_mult for ev in summary.imaginary
+    )
+    sig = int(np.count_nonzero(eigs > band) - np.count_nonzero(eigs < -band))
     period = _common_period(betas, tol) if semisimple else None
     a2_holds = nondegenerate and sig != 0 and semisimple and period is not None
     a2 = result(
@@ -456,31 +409,7 @@ def check_classical_assumptions(A, split=None, tol: TolerancePolicy = DEFAULT_TO
         f"semisimple imaginary spectrum={semisimple}, common period={period}",
     )
 
-    if split is None:
-        skipped = result(None, (), "requires an invariant splitting")
-        return AssumptionReport(a0, a1, a2, skipped, skipped)
-
-    (A1_res, M1_res), (A2_res, M2_res) = _validate_split(A, split, tol)
-    w1 = np.linalg.eigvals(M1_res)
-    w2 = np.linalg.eigvals(M2_res)
-    sep = min((abs(u - v) for u in w1 for v in w2), default=math.inf)
-    disjoint = bool(sep > band)
-    sub = spectral_summary(M1_res, tol)
-    e1_eigs = np.linalg.eigvalsh(A1_res)
-    e1_posdef = bool(np.min(e1_eigs) > band)
-    a3 = result(
-        bool(nondegenerate and e1_posdef and disjoint),
-        sub.betas,
-        f"factor Hessian definite={e1_posdef}, spectra disjoint={disjoint}",
-    )
-    e1_semisimple = _semisimple(sub)
-    sig1 = _signature(e1_eigs, band)
-    a4 = result(
-        bool(nondegenerate and e1_semisimple and sig1 != 0 and disjoint),
-        sub.betas,
-        f"factor signature {sig1}, semisimple={e1_semisimple}, disjoint={disjoint}",
-    )
-    return AssumptionReport(a0, a1, a2, a3, a4)
+    return AssumptionReport(a0, a1, a2)
 
 
 def _nonresonance(betas, report_for, tol: TolerancePolicy) -> NonresonanceReport:

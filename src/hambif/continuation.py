@@ -269,10 +269,11 @@ class PolynomialHamiltonian:
 class HamiltonianField:
     """x -> lam * J * grad H(x), with its variational equation for shooting.
 
-    The field protocol of :func:`flow`: ``field(x)`` is the state-only field,
-    at one point or, for an ``(m, dim)`` array, at each row (bit for bit the
-    single-point values); ``bind(y, out)``, for two contiguous buffers of
-    length ``dim + dim*dim``, returns ``evaluate()``, which writes the
+    It implements the whole field protocol of :func:`flow`, two calls.
+    ``field(x)`` is the state-only field, at one point or, for an ``(m,
+    dim)`` array, at each row (bit for bit the single-point values).
+    ``bind(y, out)``, for two contiguous buffers of length ``dim +
+    dim*dim``, returns ``evaluate()``, which writes the
     augmented field at ``y = (x, vec Phi)`` into ``out`` each time it is
     called, with the buffers' slices and ``(dim, dim)`` views taken once, in
     ``bind``.  ``lam`` is folded once, into a copy of the jet table's
@@ -349,19 +350,21 @@ def flow(field, x0, T: float, rtol: float = 1e-10, atol: float = 1e-10,
 
     One loop of the DOP853 embedded 8(5,3) pair of Dormand and Prince
     (Hairer, Norsett and Wanner, Solving ODEs I, section II.10), with scipy's
-    initial step, step-size controller and error norm.  The field's
-    ``bind(y, out)`` returns an evaluator that writes the augmented field at
-    ``y = (x, vec Phi)``, the field at x and its Jacobian applied to Phi,
-    into ``out``; for a :class:`HamiltonianField` both come from one
-    evaluation of the jet table of J grad H and J hess H.  A field with only
-    ``variational(y, out)`` is bound by an adapter that calls it.  The state
-    y is row 0 of one buffer whose other rows are the stage slopes K, and
-    each stage pair is bound once per flow: the product of the row
-    ``[1, h*A[s, :s]]`` with the rows before it, which makes the stage state
-    (the order-8 update for the last pair), and the evaluator of that state
-    into its slope row.  Both error estimates are one product of ``[E5, E3]``
-    with K, divided by a scale built in place from ``|y|``, carried over
-    from the accepted step; so the loop itself allocates no array per stage.
+    initial step, step-size controller and error norm.  The field protocol
+    is two calls.  ``bind(y, out)`` returns an evaluator that writes the
+    augmented field at ``y = (x, vec Phi)``, the field at x and its Jacobian
+    applied to Phi, into ``out``; for a :class:`HamiltonianField` both come
+    from one evaluation of the jet table of J grad H and J hess H.  A field
+    without ``bind`` raises :class:`ValueError`.  The other call is the
+    state-only ``field(X)``, which only the result's interpolant makes (see
+    below).  The state y is row 0 of one buffer whose other rows are the
+    stage slopes K, and each stage pair is bound once per flow: the product
+    of the row ``[1, h*A[s, :s]]`` with the rows before it, which makes the
+    stage state (the order-8 update for the last pair), and the evaluator of
+    that state into its slope row.  Both error estimates are one product
+    of ``[E5, E3]`` with K, divided by a scale built in place from ``|y|``,
+    carried over from the accepted step; so the loop itself allocates no
+    array per stage.
     The products sum in another order than scipy's, so endpoints agree with
     ``solve_ivp``'s to rounding, not bit for bit.  The error is controlled
     per component: the state runs ``_SAFETY`` below ``rtol``/``atol`` so
@@ -390,11 +393,7 @@ def flow(field, x0, T: float, rtol: float = 1e-10, atol: float = 1e-10,
     n = x0.size
     bind = getattr(field, "bind", None)
     if bind is None:
-        variational = getattr(field, "variational", None)
-        if variational is None:
-            raise ValueError("field must expose bind(y, out) or variational(y, out) "
-                             "for variational integration")
-        bind = lambda y, out: lambda: variational(y, out)  # noqa: E731
+        raise ValueError("field must expose bind(y, out) for variational integration")
     T = float(T)
     if not (T > 0.0 and math.isfinite(T)):
         raise ValueError("T must be positive and finite")

@@ -14,8 +14,8 @@ class EigenvalueNotFoundError(ValueError):
 class DegeneracyError(ArithmeticError):
     """An eigenvalue landed inside the zero band where a sign was needed.
 
-    Callers are expected to re-pick the evaluation point (or pass
-    ``allow_degenerate`` where that is meaningful).
+    Callers are expected to re-pick the evaluation point, or to catch it
+    where a degenerate matrix is an outcome rather than a failure.
     """
 
 
@@ -33,10 +33,6 @@ class LevelCountError(ValueError):
 
 class PlanarDegreeError(RuntimeError):
     """The sampled planar field nearly vanishes on the circle; shrink the radius."""
-
-
-class SplittingError(ValueError):
-    """A user-supplied invariant splitting is not J-orthogonal/invariant/symplectic."""
 
 
 class IntegrationError(RuntimeError):

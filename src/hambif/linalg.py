@@ -120,24 +120,25 @@ def _refuse_zero_band(w: np.ndarray, band: float, caller: str) -> None:
         )
 
 
-def _checked_spectrum(A, tol, allow_degenerate, caller):
+def _checked_spectrum(A, tol, caller):
     A = as_symmetric(A, tol, name=f"{caller} argument")
     w = np.linalg.eigvalsh(A)
     band = tol.zero_band(matrix_norm(A))
-    if not allow_degenerate:
-        _refuse_zero_band(w, band, caller)
+    _refuse_zero_band(w, band, caller)
     return w, band
 
 
-def morse_index(A, tol: TolerancePolicy = DEFAULT_TOL, allow_degenerate: bool = False) -> int:
-    """Number of eigenvalues below the zero band of a symmetric matrix."""
-    w, band = _checked_spectrum(A, tol, allow_degenerate, "morse_index")
+def morse_index(A, tol: TolerancePolicy = DEFAULT_TOL) -> int:
+    """Number of eigenvalues below the zero band of a symmetric matrix; an
+    eigenvalue inside the band raises :class:`DegeneracyError`."""
+    w, band = _checked_spectrum(A, tol, "morse_index")
     return int(np.count_nonzero(w < -band))
 
 
-def signature(A, tol: TolerancePolicy = DEFAULT_TOL, allow_degenerate: bool = False) -> int:
-    """Signature m^-(-A) - m^-(A) of a symmetric matrix."""
-    w, band = _checked_spectrum(A, tol, allow_degenerate, "signature")
+def signature(A, tol: TolerancePolicy = DEFAULT_TOL) -> int:
+    """Signature m^-(-A) - m^-(A) of a symmetric matrix; an eigenvalue
+    inside the zero band raises :class:`DegeneracyError`."""
+    w, band = _checked_spectrum(A, tol, "signature")
     return int(np.count_nonzero(w > band) - np.count_nonzero(w < -band))
 
 
@@ -180,37 +181,3 @@ def random_symplectic(N: int, seed: int, scale: float = 1.0) -> np.ndarray:
     A = random_symmetric(2 * N, seed)
     J = standard_symplectic(N)
     return scipy.linalg.expm(scale * J @ A)
-
-
-def symplectic_gram_schmidt(Q, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    """Turn a basis of a symplectic subspace into a standard symplectic one.
-
-    Given columns spanning a 2k-dimensional subspace on which the form
-    u^T J v is nondegenerate, returns columns [u_1..u_k, v_1..v_k] with
-    u_i^T J v_j = delta_ij and all other pairings zero.
-    """
-    Q = np.array(Q, dtype=float)
-    if Q.ndim != 2 or Q.shape[1] % 2 != 0:
-        raise ValueError("basis must have an even number of columns")
-    J = standard_symplectic(Q.shape[0] // 2)
-    us, vs = [], []
-    cols = [Q[:, i] for i in range(Q.shape[1])]
-    scale = max(1.0, matrix_norm(Q))
-    while cols:
-        u = cols.pop(0)
-        nu = np.linalg.norm(u)
-        if nu <= tol.residual_tol * scale:
-            continue
-        u = u / nu
-        pairings = [abs(u @ J @ c) for c in cols]
-        if not pairings or max(pairings) <= tol.residual_tol * scale:
-            raise StructureError("subspace is not symplectic: unpaired direction")
-        k = int(np.argmax(pairings))
-        v = cols.pop(k)
-        v = v / (u @ J @ v)
-        cols = [c - (u @ J @ c) * v + (v @ J @ c) * u for c in cols]
-        us.append(u)
-        vs.append(v)
-    if not us:
-        raise ValueError("empty basis")
-    return np.column_stack(us + vs)

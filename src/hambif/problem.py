@@ -160,7 +160,9 @@ def parse_problem(text: str) -> ProblemSpec:
     _require("equilibria" in data and isinstance(data["equilibria"], list) and data["equilibria"],
              "at least one equilibrium is required", "$.equilibria")
 
-    analysis = data.get("analysis") or {}
+    analysis = data.get("analysis")
+    if analysis is None:
+        analysis = {}
     _require(isinstance(analysis, dict), "expected an object", "$.analysis")
     unknown = set(analysis) - {"lambda_max", "j_max", "betas", "tolerances", "continuation"}
     _require(not unknown, f"unknown analysis fields {sorted(unknown)}", "$.analysis")

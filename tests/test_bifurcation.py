@@ -26,6 +26,7 @@ from hambif import (
     nonresonance_and_branch_count,
     odd_block_hessian,
     random_symplectic,
+    signature,
     spectral_summary,
     standard_symplectic,
     t_matrix,
@@ -36,10 +37,9 @@ from hambif.errors import (
     EigenvalueNotFoundError,
     LevelCountError,
     PlanarDegreeError,
-    SplittingError,
 )
 
-from conftest import random_normal_form
+from conftest import conjugated_pair, random_normal_form
 
 
 def oscillators(*betas):
@@ -492,26 +492,40 @@ class TestClassicalAssumptions:
         assert report.signature_resonant.holds is True
         assert len(report.signature_resonant.certified_betas) == 2
 
-    def test_split_hypotheses(self):
-        # E1 = first oscillator plane, E2 = second, frequencies 1 and 2
-        A = np.diag([1.0, 2.0, 1.0, 2.0])
-        E1 = np.zeros((4, 2)); E1[0, 0] = 1.0; E1[2, 1] = 1.0
-        E2 = np.zeros((4, 2)); E2[1, 0] = 1.0; E2[3, 1] = 1.0
-        report = check_classical_assumptions(A, split=(E1, E2))
-        assert report.split_definite.holds is True
-        assert report.split_definite.certified_betas == (1.0,)
-        assert report.split_signature.holds is True
+    def test_hypotheses_imply_the_condition(self, rng):
+        """The abstract's implication, on seeded normal forms conjugated by
+        random symplectic maps: a definite Hessian certifies every frequency,
+        the other two hypotheses certify at least one, and under the
+        signature hypothesis the Morse jumps add up to the signature."""
 
-    def test_split_skipped_without_bases(self):
-        report = check_classical_assumptions(np.eye(4))
-        assert report.split_definite.holds is None
+        def draw(kind):
+            if kind == "catalogue":
+                return random_normal_form(rng, max_total_half_dim=6)
+            count = int(rng.integers(1, 4))
+            betas = rng.choice((1.0, 1.5, 2.0, 3.0, math.sqrt(2.0)), size=count)
+            signs = rng.choice([-1, 1], size=count) if kind == "mixed" else [-1] * count
+            return NormalForm(tuple(BlockSpec(float(b), 1, int(e)) for b, e in zip(betas, signs)))
 
-    def test_invalid_split_rejected(self):
-        A = np.diag([1.0, 2.0, 1.0, 2.0])
-        E1 = np.zeros((4, 2)); E1[0, 0] = 1.0; E1[1, 1] = 1.0  # not invariant
-        E2 = np.zeros((4, 2)); E2[2, 0] = 1.0; E2[3, 1] = 1.0
-        with pytest.raises(SplittingError):
-            check_classical_assumptions(A, split=(E1, E2))
+        held = [0, 0, 0]
+        for kind in ("catalogue", "mixed", "negative"):
+            for trial in range(100):
+                _, A = conjugated_pair(draw(kind), seed=trial)
+                # parse_problem's symmetrization, so that the certified
+                # frequencies are the spectrum's bit for bit
+                A = 0.5 * (A + A.T)
+                betas = spectral_summary(standard_symplectic(A.shape[0] // 2) @ A).betas
+                report = check_classical_assumptions(A)
+                hypotheses = (report.nonresonant_pair, report.positive_definite, report.signature_resonant)
+                for i, result in enumerate(hypotheses):
+                    assert isinstance(result.holds, bool)
+                    held[i] += result.holds
+                if report.positive_definite.holds:
+                    assert report.positive_definite.certified_betas == betas, (kind, trial)
+                for result in (report.nonresonant_pair, report.signature_resonant):
+                    assert not result.holds or result.certified_betas, (kind, trial)
+                if report.signature_resonant.holds:
+                    assert sum(gamma_jump(A, b) for b in betas) == signature(A), (kind, trial)
+        assert min(held) > 0, held
 
 
 class TestNonresonance:

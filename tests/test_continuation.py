@@ -110,19 +110,6 @@ class Counting:
         return self.field(x)
 
 
-class VariationalOnly:
-    """A field that exposes only ``variational(y, out)`` and ``field(X)``."""
-
-    def __init__(self, field):
-        self.field = field
-
-    def variational(self, y, out):
-        self.field.bind(y, out)()
-
-    def __call__(self, x):
-        return self.field(x)
-
-
 def guess(x0, lam, amplitude):
     return PeriodicOrbit(
         x0=np.asarray(x0, dtype=float),
@@ -502,8 +489,10 @@ class TestFlow:
         # a NaN right-hand side makes a NaN initial step, which must fail
         # instead of looping forever
         class Broken:
-            def variational(self, y, out):
-                out[:] = np.nan
+            def bind(self, y, out):
+                def evaluate():
+                    out[:] = np.nan
+                return evaluate
 
         with pytest.raises(IntegrationError) as info:
             flow(Broken(), np.array([0.3, 0.0]), 1.0)
@@ -512,12 +501,22 @@ class TestFlow:
     def test_infinite_first_slope_raises(self):
         # the initial step comes out zero; the step-size check must catch it
         class Overflowing:
-            def variational(self, y, out):
-                out[:] = np.inf
+            def bind(self, y, out):
+                def evaluate():
+                    out[:] = np.inf
+                return evaluate
 
         with np.errstate(all="ignore"), pytest.raises(IntegrationError) as info:
             flow(Overflowing(), np.array([0.3, 0.0]), 1.0)
         assert info.value.exit_time == 0.0
+
+    def test_field_without_bind_rejected(self):
+        class StateOnly:
+            def __call__(self, x):
+                return x
+
+        with pytest.raises(ValueError, match=r"bind\(y, out\)"):
+            flow(StateOnly(), np.array([0.3, 0.0]), 1.0)
 
     def test_nonpositive_time_rejected(self):
         field = HamiltonianField(quartic_radial(), 1.0)
@@ -546,21 +545,6 @@ class TestFlow:
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
             flow(field, np.array([0.3, 0.0]), 1.0, **{name: tol})
         assert field.calls == 0
-
-    @pytest.mark.parametrize("case", FIELD_CASES)
-    def test_bound_and_variational_fields_flow_byte_identically(self, case, rng):
-        # HamiltonianField.bind against the adapter that flow wraps around a
-        # field with only variational(y, out)
-        H = field_test_hamiltonian(case, rng)
-        field = HamiltonianField(H, 0.9)
-        x0 = rng.uniform(-0.5, 0.5, H.dim)
-        bound, adapted = flow(field, x0, TWO_PI), flow(VariationalOnly(field), x0, TWO_PI)
-        for name in ("endpoint", "monodromy"):
-            assert getattr(bound, name).tobytes() == getattr(adapted, name).tobytes(), name
-        for name in ("steps", "rejected", "rhs_calls"):
-            assert getattr(bound, name) == getattr(adapted, name), name
-        ts = np.linspace(0.0, TWO_PI, 64)
-        assert bound.solution(ts).tobytes() == adapted.solution(ts).tobytes()
 
     @pytest.mark.parametrize("case", FIELD_CASES)
     @pytest.mark.parametrize("amplitude", [0.1, 0.5, 1.0])

@@ -13,7 +13,6 @@ from hambif import (
     random_symplectic,
     signature,
     standard_symplectic,
-    symplectic_gram_schmidt,
 )
 from hambif.linalg import as_symmetric, numeric_rank_with_gap
 from hambif.errors import StructureError
@@ -96,10 +95,11 @@ class TestMorseIndex:
         assert sorted(np.round(np.linalg.eigvalsh(T), 12)) == [-1.5, -1.5, 0.5, 0.5]
         assert morse_index(T) == 2
 
-    def test_zero_matrix_needs_flag(self):
+    def test_zero_matrix_is_degenerate(self):
         with pytest.raises(DegeneracyError):
             morse_index(np.zeros((2, 2)))
-        assert morse_index(np.zeros((2, 2)), allow_degenerate=True) == 0
+        with pytest.raises(DegeneracyError):
+            signature(np.zeros((2, 2)))
 
     def test_complement_identity(self, rng):
         for _ in range(25):
@@ -196,11 +196,3 @@ class TestHelpers:
     def test_tolerance_scaling(self):
         tol = TolerancePolicy().scaled(10.0)
         assert tol.rank_tol == pytest.approx(1e-9)
-
-    def test_symplectic_gram_schmidt(self, rng):
-        J = standard_symplectic(2)
-        Q = rng.uniform(-1, 1, (4, 4))
-        while abs(np.linalg.det(Q)) < 1e-2:
-            Q = rng.uniform(-1, 1, (4, 4))
-        Qs = symplectic_gram_schmidt(Q)
-        assert np.allclose(Qs.T @ J @ Qs, J, atol=1e-10)

@@ -143,10 +143,15 @@ class TestParsing:
                      "$.equilibria[0].brouwer_index", id="boolean-brouwer-index"),
         pytest.param(lambda d: d["analysis"].update(lambda_max=math.inf),
                      "$.analysis.lambda_max", id="infinite-lambda-max"),
+        pytest.param(lambda d: d.update(analysis=[]), "$.analysis", id="falsy-analysis-list"),
+        pytest.param(lambda d: d.update(analysis=0), "$.analysis", id="falsy-analysis-zero"),
+        pytest.param(lambda d: d.update(analysis=False), "$.analysis", id="falsy-analysis-false"),
+        pytest.param(lambda d: d.update(analysis=""), "$.analysis", id="falsy-analysis-string"),
     ])
     def test_every_number_field_takes_finite_json_numbers(self, edit, path, tmp_path, capsys):
         """Number fields take finite non-boolean numbers, integer fields
-        integers, and terms a list, wherever they sit in the file."""
+        integers, terms a list and analysis an object (a falsy non-object is
+        not the defaults), wherever they sit in the file."""
         data = json.loads(quartic_spec())
         edit(data)
         problem = tmp_path / "problem.json"

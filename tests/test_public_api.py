@@ -45,7 +45,7 @@ PUBLIC_NAMES = [
     "EigenvalueClass", "EigenvalueNotFoundError", "Equilibrium", "HamiltonianField",
     "ImaginaryEigenvalue", "IntegrationError", "LambdaSet", "NonresonanceReport", "NormalForm",
     "PeriodicOrbit", "PlanarDegreeError", "PolynomialHamiltonian", "ProblemSpec", "SpecError",
-    "SpectralSummary", "SplittingError", "StructureError", "TolerancePolicy", "assemble_hessian",
+    "SpectralSummary", "StructureError", "TolerancePolicy", "assemble_hessian",
     "assemble_normal_form", "bifurcation_index", "block_counts", "block_hessian", "branch_csv",
     "brouwer_nondegenerate", "brouwer_planar", "check_classical_assumptions",
     "check_main_condition", "classify_eigenvalue", "continue_branch", "correct_orbit",
@@ -54,8 +54,8 @@ PUBLIC_NAMES = [
     "isolation_radius", "jordan_partition", "lambda_set", "morse_index",
     "nonresonance_and_branch_count", "odd_block_hessian", "parse_problem", "parse_report",
     "problem_to_dict", "random_symplectic", "run_analysis", "seed_from_linearization", "signature",
-    "spectral_summary", "standard_symplectic", "structural_decomposition",
-    "symplectic_gram_schmidt", "t_matrix", "verify_period_limit",
+    "spectral_summary", "standard_symplectic", "structural_decomposition", "t_matrix",
+    "verify_period_limit",
 ]
 
 

@@ -110,6 +110,24 @@ class Counting:
         return self.field(x)
 
 
+class VariationalOnly:
+    """A field written as a per-call ``variational(y, out)``, bound by the
+    plain closure over it, so the wrapped field is bound afresh on every
+    call instead of once per buffer."""
+
+    def __init__(self, field):
+        self.field = field
+
+    def variational(self, y, out):
+        self.field.bind(y, out)()
+
+    def bind(self, y, out):
+        return lambda: self.variational(y, out)
+
+    def __call__(self, x):
+        return self.field(x)
+
+
 def guess(x0, lam, amplitude):
     return PeriodicOrbit(
         x0=np.asarray(x0, dtype=float),
@@ -545,6 +563,22 @@ class TestFlow:
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
             flow(field, np.array([0.3, 0.0]), 1.0, **{name: tol})
         assert field.calls == 0
+
+    @pytest.mark.parametrize("case", FIELD_CASES)
+    def test_bound_and_variational_fields_flow_byte_identically(self, case, rng):
+        # HamiltonianField.bind, whose buffer views are taken once, against
+        # the same field bound afresh at every call: stale views, or a flow
+        # that evaluates into other buffers than it bound, would differ
+        H = field_test_hamiltonian(case, rng)
+        field = HamiltonianField(H, 0.9)
+        x0 = rng.uniform(-0.5, 0.5, H.dim)
+        bound, rebound = flow(field, x0, TWO_PI), flow(VariationalOnly(field), x0, TWO_PI)
+        for name in ("endpoint", "monodromy"):
+            assert getattr(bound, name).tobytes() == getattr(rebound, name).tobytes(), name
+        for name in ("steps", "rejected", "rhs_calls"):
+            assert getattr(bound, name) == getattr(rebound, name), name
+        ts = np.linspace(0.0, TWO_PI, 64)
+        assert bound.solution(ts).tobytes() == rebound.solution(ts).tobytes()
 
     @pytest.mark.parametrize("case", FIELD_CASES)
     @pytest.mark.parametrize("amplitude", [0.1, 0.5, 1.0])

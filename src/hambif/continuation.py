@@ -40,39 +40,62 @@ _KERNEL_MAX_TRIPLETS = 96
 _REFINE_STEPS = 16
 _REFINE_GAIN = 1e-14
 
+# the most samples that sample_points may ask for: each is one dense-output
+# read, held while the orbit's diagnostics run
+_MAX_SAMPLE_POINTS = 10**5
+# H.value holds samples x terms x factors powers at once, so the drift is
+# read over blocks of at most this many samples
+_DRIFT_BLOCK = 256
+
 
 def _divide(factors, k: int) -> tuple[tuple[int, int], ...]:
     """The factors of x^E / x_k, for a variable x_k that divides x^E."""
     return tuple((m, e - 1 if m == k else e) for m, e in factors if (m, e) != (k, 1))
 
 
-def _factor_table(monomials, stride: int) -> np.ndarray:
-    """Monomials as rows of indices ``variable * stride + power`` into the
-    flattened table of powers; short rows are padded with x_0**0."""
+def _factor_table(monomials) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Monomials as rows of indices into the (variable, power) columns that
+    they read, and those columns as their variables and their float powers,
+    sorted; short rows are padded with the column x_0**0, which is 1."""
     width = max((len(f) for f in monomials), default=0)
-    table = np.zeros((len(monomials), width), dtype=np.intp)
-    for row, factors in enumerate(monomials):
-        for col, (k, e) in enumerate(factors):
-            table[row, col] = k * stride + e
-    return table
+    padded = [f + ((0, 0),) * (width - len(f)) for f in monomials]
+    columns = sorted({c for f in padded for c in f})
+    index = {c: i for i, c in enumerate(columns)}
+    table = np.array([[index[c] for c in f] for f in padded], dtype=np.intp)
+    variables = np.array([k for k, _ in columns], dtype=np.intp)
+    # float powers: the same values as integer ones, with no cast per call
+    powers = np.array([e for _, e in columns], dtype=float)
+    return variables, powers, table.reshape(len(monomials), width)
 
 
-def _compile_kernel(rows, monomials, stride: int, dim: int, grad_size: int):
+def _monomials(x, variables, powers, table) -> np.ndarray:
+    """The monomials of a factor table at x, over x's last axis: its columns
+    raised elementwise, then each row's factors multiplied left to right."""
+    # take and multiply.reduce: the same values as fancy indexing and prod,
+    # with less call overhead per right-hand side
+    return np.multiply.reduce((x.take(variables, axis=-1) ** powers).take(table, axis=-1), axis=-1)
+
+
+def _compile_kernel(rows, factors, dim: int, grad_size: int):
     """Straight-line Python for a jet table, compiled once.
 
-    ``rows`` and ``monomials`` are the table's output indices and factor
-    rows (indices ``variable * stride + power``, padded with power 0).  The
-    returned ``kernel(coeffs)`` binds one coefficient per triplet and returns
+    ``rows`` and ``factors`` are the table's output indices and monomials,
+    each a tuple of (variable, power) factors.  The returned
+    ``kernel(coeffs)`` binds one coefficient per triplet and returns
     ``state(x0, ..., x_{dim-1})``, the tuple of the first ``dim`` outputs,
-    and ``bind(y, out)``.  ``bind`` takes the views of the two contiguous
-    buffers once and returns ``evaluate()``, which writes the augmented
-    field at ``y`` into ``out``: the first ``dim`` outputs, then J hess H
-    times ``Phi = y[dim:]`` by one ``ndarray.dot``.  Each output is ``0.0``
-    plus its triplets' ``c * (product of powers)`` in table order, as
-    ``np.bincount`` sums them; a power is a chain of products, which
-    overflows to inf as numpy's does where Python's ``**`` would raise.
-    ``state`` and ``evaluate`` share the text of the first ``dim`` sums.
-    Every evaluator writes J hess H into one buffer per bound kernel, so a
+    and ``bind(y, out)``.  ``state`` takes floats or equal-length arrays of
+    them, the coordinates of a batch, with the same operations per element;
+    an output that reads no coordinate stays a float.  ``bind`` takes the
+    views of the two contiguous buffers once and returns ``evaluate()``,
+    which writes the augmented field at ``y`` into ``out``: the first
+    ``dim`` outputs, then J hess H times ``Phi = y[dim:]`` by one
+    ``ndarray.dot``.  Each output is ``0.0`` plus its triplets' ``c *
+    (product of powers)`` in table order, as ``np.bincount`` sums them; a
+    power is a chain of products, which overflows to inf as numpy's does
+    where Python's ``**`` would raise.  ``state`` and ``evaluate`` share the
+    text of the first ``dim`` sums.  J hess H lives in one buffer per bound
+    kernel: its constant entries, those of the quadratic part, are written
+    once, by ``kernel(coeffs)``, and ``evaluate`` writes the others, so a
     bound kernel serves one thread.
     """
     def power(k, e):
@@ -84,11 +107,12 @@ def _compile_kernel(rows, monomials, stride: int, dim: int, grad_size: int):
             product = f"({product})"
         return f"c{t} * {product}" if factors else f"c{t}"
 
-    factors = [[divmod(i, stride) for i in row if i % stride] for row in monomials]
     sums = [["0.0"] for _ in range(dim * (dim + 1))]
     for t, (row, f) in enumerate(zip(rows, factors)):
         sums[row].append(term(t, f))
     sums = [" + ".join(s) for s in sums]
+    varying = {row - dim for row, f in zip(rows, factors) if f}
+    hess = [(r, s) for r, s in enumerate(sums[dim:]) if s != "0.0"]
 
     def powers(count):
         """Assignments of the powers above 1 that the first ``count`` triplets read."""
@@ -105,6 +129,7 @@ def _compile_kernel(rows, monomials, stride: int, dim: int, grad_size: int):
         "def kernel(coeffs):",
         f"    {cs}= coeffs" if cs else "    pass",
         f"    hess = zeros({dim * dim})  # row-major J hess H; entries with no triplet stay 0.0",
+        *(f"    hess[{r}] = {s}" for r, s in hess if r not in varying),
         f"    JH_dot = hess.reshape({dim}, {dim}).dot",
         f"    def state({xs}):",
         *(f"        {p}" for p in powers(grad_size)),
@@ -116,7 +141,7 @@ def _compile_kernel(rows, monomials, stride: int, dim: int, grad_size: int):
         f"            {xs}= x()",
         *(f"            {p}" for p in powers(len(rows))),
         *(f"            out[{r}] = {s}" for r, s in enumerate(sums[:dim])),
-        *(f"            hess[{r}] = {s}" for r, s in enumerate(sums[dim:]) if s != "0.0"),
+        *(f"            hess[{r}] = {s}" for r, s in hess if r in varying),
         "            JH_dot(Phi, out=JH_Phi)",
         "        return evaluate",
         "    return state, bind",
@@ -131,14 +156,16 @@ class PolynomialHamiltonian:
     """Polynomial H on R^(2N) as (coefficient, exponent vector) terms.
 
     The terms are compiled once into numpy tables.  A monomial is stored as
-    its nonzero (variable, power) factors, so the tables grow with the number
-    of terms and their degree, never with the dimension.  Besides the terms,
-    one signed jet table holds (output index, coefficient, monomial)
-    triplets: first those of J grad H, then those of vec J hess H, one per
-    derivative of a term.  It is evaluated with one gather of powers, one
-    product per triplet and one sum into the outputs.  J grad H reads the
-    table's prefix, J grad H and J hess H together read all of it, and the
-    gradient and the hessian are -J applied to those.
+    its nonzero (variable, power) factors, each an index into the columns,
+    (variable, power) pairs, that its table reads; so the tables grow with
+    the number of terms and their degree, never with the dimension, and an
+    evaluation raises only those columns, elementwise by ``**``.  Besides
+    the terms, one signed jet table holds (output index, coefficient,
+    monomial) triplets: first those of J grad H, then those of vec J hess H,
+    one per derivative of a term.  It is evaluated with one gather of
+    powers, one product per triplet and one sum into the outputs.  J grad H
+    reads the table's prefix, J grad H and J hess H together read all of it,
+    and the gradient and the hessian are -J applied to those.
 
     A table of at most ``_KERNEL_MAX_TRIPLETS`` triplets is also generated
     into straight-line Python once, here: one kernel per Hamiltonian, which
@@ -181,34 +208,27 @@ class PolynomialHamiltonian:
                 # factor, so the assembled hessian is exactly symmetric
                 for l, el in d1:
                     jet_hess.append((dim + row * dim + l, sign * coeff * (ek * el), _divide(d1, l)))
-        # float exponents: the same powers as integer ones, with no cast per call
-        degrees = np.arange(max((max(e) for _, e in self.terms), default=0) + 1.0)
         rows, coeffs, factors = zip(*(jet_grad + jet_hess)) if jet_grad else ((), (), ())
+        value_variables, value_powers, value_monomials = _factor_table(monomials)
+        jet_variables, jet_powers, jet_monomials = _factor_table(factors)
         for name, table in (
             ("coeffs", np.array([c for c, _ in self.terms], dtype=float)),
-            ("value_monomials", _factor_table(monomials, degrees.size)),
-            ("degrees", degrees),
+            ("value_variables", value_variables),
+            ("value_powers", value_powers),
+            ("value_monomials", value_monomials),
             ("jet_rows", np.array(rows, dtype=np.intp)),
             ("jet_coeffs", np.array(coeffs, dtype=float)),
-            ("jet_monomials", _factor_table(factors, degrees.size)),
+            ("jet_variables", jet_variables),
+            ("jet_powers", jet_powers),
+            ("jet_monomials", jet_monomials),
         ):
             object.__setattr__(self, f"_{name}", table)
         # J grad H reads the first _grad_size triplets, sliced at each call
         object.__setattr__(self, "_grad_size", len(jet_grad))
         kernel = None
         if len(rows) <= _KERNEL_MAX_TRIPLETS:
-            kernel = _compile_kernel(self._jet_rows.tolist(), self._jet_monomials.tolist(),
-                                     degrees.size, dim, len(jet_grad))
+            kernel = _compile_kernel(rows, factors, dim, len(jet_grad))
         object.__setattr__(self, "_kernel", kernel)
-
-    def _monomials(self, table, x) -> np.ndarray:
-        """The monomials of ``table`` at x, over x's last axis."""
-        # an explicit last axis: -1 cannot be inferred for an empty batch
-        powers = (x[..., None] ** self._degrees).reshape(
-            x.shape[:-1] + (x.shape[-1] * self._degrees.size,))
-        # take and multiply.reduce: the same values as fancy indexing and
-        # prod, with less call overhead per right-hand side
-        return np.multiply.reduce(powers.take(table, axis=-1), axis=-1)
 
     @classmethod
     def from_quadratic(cls, A) -> "PolynomialHamiltonian":
@@ -229,7 +249,8 @@ class PolynomialHamiltonian:
     def value(self, x):
         """H(x); for an array of points (last axis of length dim), H at each."""
         x = np.asarray(x, dtype=float)
-        values = self._monomials(self._value_monomials, x) @ self._coeffs
+        values = _monomials(x, self._value_variables, self._value_powers,
+                            self._value_monomials) @ self._coeffs
         return float(values) if x.ndim == 1 else values
 
     def _symplectic_gradient(self, x, coeffs) -> np.ndarray:
@@ -240,7 +261,8 @@ class PolynomialHamiltonian:
         bit."""
         x = np.asarray(x, dtype=float)
         size = self._grad_size
-        weights = coeffs[:size] * self._monomials(self._jet_monomials[:size], x)
+        weights = coeffs[:size] * _monomials(x, self._jet_variables, self._jet_powers,
+                                             self._jet_monomials[:size])
         Jg = np.zeros(x.shape[:-1] + (self.dim,))
         np.add.at(Jg.T, self._jet_rows[:size], weights.T)
         return Jg
@@ -260,7 +282,8 @@ class PolynomialHamiltonian:
 
     def symplectic_derivatives(self, x) -> tuple[np.ndarray, np.ndarray]:
         """J grad H(x) and J hess H(x) from one evaluation of the jet table."""
-        m = self._monomials(self._jet_monomials, np.asarray(x, dtype=float))
+        m = _monomials(np.asarray(x, dtype=float), self._jet_variables, self._jet_powers,
+                       self._jet_monomials)
         flat = np.bincount(self._jet_rows, weights=self._jet_coeffs * m, minlength=self.dim * (self.dim + 1))
         return flat[:self.dim], flat[self.dim:].reshape(self.dim, self.dim)
 
@@ -283,9 +306,9 @@ class HamiltonianField:
 
     Each field takes one derivative path, chosen by the size of ``H``'s jet
     table.  At most ``_KERNEL_MAX_TRIPLETS`` triplets: ``H``'s generated
-    kernel, bound here to the folded coefficients, whose ``field(X)`` is a
-    Python loop over the rows of the batch; its powers are products, so it
-    agrees with the table to rounding, not bit for bit.  Above the cap: the
+    kernel, bound here to the folded coefficients, whose ``field(X)`` is one
+    call of its ``state`` on the batch's columns; its powers are products,
+    so it agrees with the table to rounding, not bit for bit.  Above the cap: the
     numpy table, with one gather of powers, one product per triplet and one
     sum.  Either way ``J hess H @ Phi`` is one ``ndarray.dot``.
     """
@@ -302,14 +325,23 @@ class HamiltonianField:
         object.__setattr__(self, "_kernel", None if kernel is None else kernel(coeffs.tolist()))
 
     def __call__(self, x) -> np.ndarray:
+        """``lam J grad H`` at a point x, or at each point of an array whose
+        last axis has length ``dim``.  On the kernel path a point is read as
+        floats, and a batch as one array per coordinate, each output
+        computed with the same operations per element as at one point, so
+        each row equals the single-point value bit for bit; an output that
+        reads no coordinate (a linear term's) is broadcast to every row."""
         if self._kernel is None:
             return self.H._symplectic_gradient(x, self._coeffs)
         state = self._kernel[0]
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             return np.array(state(*x.tolist()))
-        rows = [state(*row) for row in x.reshape(-1, x.shape[-1]).tolist()]
-        return np.array(rows, dtype=float).reshape(x.shape)
+        X = x.reshape(-1, x.shape[-1])
+        values = np.empty(X.shape)
+        for k, column in enumerate(state(*X.T)):
+            values[:, k] = column
+        return values.reshape(x.shape)
 
     def bind(self, y, out):
         """The evaluator that writes ``lam J grad H(x)`` and then
@@ -321,13 +353,13 @@ class HamiltonianField:
             return self._kernel[1](y, out)
         H, coeffs = self.H, self._coeffs
         n = H.dim
-        degrees, monomials, rows = H._degrees, H._jet_monomials, H._jet_rows
-        x, Jg = y[:n, None], out[:n]
+        variables, powers = H._jet_variables, H._jet_powers
+        monomials, rows = H._jet_monomials, H._jet_rows
+        x, Jg = y[:n], out[:n]
         Phi, JH_Phi = y[n:].reshape(n, n), out[n:].reshape(n, n)
 
         def evaluate():
-            powers = (x ** degrees).ravel()
-            weights = coeffs * np.multiply.reduce(powers.take(monomials), axis=-1)
+            weights = coeffs * _monomials(x, variables, powers, monomials)
             flat = np.bincount(rows, weights=weights, minlength=n * (n + 1))
             Jg[:] = flat[:n]
             flat[n:].reshape(n, n).dot(Phi, out=JH_Phi)
@@ -364,7 +396,9 @@ def flow(field, x0, T: float, rtol: float = 1e-10, atol: float = 1e-10,
     that state into its slope row.  Both error estimates are one product
     of ``[E5, E3]`` with K, divided by a scale built in place from ``|y|``,
     carried over from the accepted step; so the loop itself allocates no
-    array per stage.
+    array per stage.  Each accepted step is recorded by one copy of the
+    buffer's first n columns, its start state and its 13 state slopes,
+    which the interpolant stacks once, on its first read.
     The products sum in another order than scipy's, so endpoints agree with
     ``solve_ivp``'s to rounding, not bit for bit.  The error is controlled
     per component: the state runs ``_SAFETY`` below ``rtol``/``atol`` so
@@ -431,7 +465,7 @@ def flow(field, x0, T: float, rtol: float = 1e-10, atol: float = 1e-10,
                    for s in range(1, dop853.N_STAGES)]
     stage_pairs.append((weights[dop853.N_STAGES].dot, YK[:dop853.N_STAGES + 1], y_new,
                         bind(y_new, K[-1])))
-    estimate, errors = np.stack([dop853.E5, dop853.E3]).dot, np.empty((2, size))
+    estimate, errors = dop853._E5_E3.dot, np.empty((2, size))
     err5, err3 = errors
     # |y| carries over from the accepted step; scale = atols + max(|y|, |y_new|) * rtols
     abs_y, abs_y_new, scale = np.empty(size), np.empty(size), np.empty(size)
@@ -449,7 +483,9 @@ def flow(field, x0, T: float, rtol: float = 1e-10, atol: float = 1e-10,
     np.abs(y, out=abs_y)
     rhs_calls, steps, rejections = 2, 0, 0
     t = 0.0
-    ts, xs, stages = [t], [x0], []
+    # per accepted step, its start time and one copy of YK's state columns:
+    # its start state and its 13 state slopes
+    ts, records = [t], []
     while t < T:
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -477,13 +513,14 @@ def flow(field, x0, T: float, rtol: float = 1e-10, atol: float = 1e-10,
             if err5_2 == 0 and err3_2 == 0:
                 error = 0.0
             else:
-                error = float(h * err5_2 / np.sqrt((err5_2 + 0.01 * err3_2) * size))
+                error = h * err5_2 / math.sqrt((err5_2 + 0.01 * err3_2) * size)
             h_abs *= dop853.step_factor(error, rejected)
             if error < 1:
                 break
             rejected = True
             rejections += 1
         steps += 1
+        records.append(YK[:, :n].copy())
         t = t_new
         y[:] = y_new
         abs_y, abs_y_new = abs_y_new, abs_y
@@ -491,13 +528,11 @@ def flow(field, x0, T: float, rtol: float = 1e-10, atol: float = 1e-10,
             raise IntegrationError(f"trajectory left the domain (norm > {domain_bound:g})",
                                    exit_time=t)
         ts.append(t)
-        xs.append(x.copy())
-        stages.append(K[:, :n].copy())
         K[0] = K[-1]
     return FlowResult(
         endpoint=x,
         monodromy=y[n:].reshape(n, n),
-        solution=dop853.StateInterpolant(field, ts, xs, stages),
+        solution=dop853.StateInterpolant(field, ts, records, x.copy()),
         steps=steps,
         rejected=rejections,
         rhs_calls=rhs_calls,
@@ -563,6 +598,8 @@ class ContinuationConfig:
             raise ValueError("lambda_min must be below lambda_max")
         if self.sample_points < 2:
             raise ValueError("sample_points must be at least 2")
+        if self.sample_points > _MAX_SAMPLE_POINTS:
+            raise ValueError(f"sample_points must be at most {_MAX_SAMPLE_POINTS}")
 
 
 DEFAULT_CONFIG = ContinuationConfig()
@@ -571,17 +608,23 @@ DEFAULT_CONFIG = ContinuationConfig()
 def _orbit_diagnostics(field, equilibrium, x0, config, dense_sol):
     """Amplitude (largest distance from the equilibrium) and energy drift of
     the orbit, read from its dense interpolant: the drift over
-    ``sample_points`` equally spaced samples, the amplitude from the best
-    sample, refined towards the zero of ``d/dt |x - eq|^2 = 2 (x - eq) . f(x)``
-    between its two neighbours, with f the field at the interpolated state.
-    Each refining step is a secant step inside the bracket that the slope's
-    sign change keeps, or a bisection after a step that did not halve it, so
-    a flat maximum (a multiple zero) converges too; the amplitude is the
-    largest distance read, never less than the best sample's."""
+    ``sample_points`` equally spaced samples, read in one array and valued
+    by ``H`` in blocks of at most ``_DRIFT_BLOCK`` samples (one block by
+    default), the amplitude from the best sample, refined towards the zero
+    of ``d/dt |x - eq|^2 = 2 (x - eq) . f(x)`` between its two neighbours,
+    with f the field at the interpolated state.  Each refining step reads
+    the interpolant at one time, through the scalar path of
+    :class:`~hambif.dop853.StateInterpolant`.  It is a secant step inside
+    the bracket that the slope's sign change keeps, or a bisection after a
+    step that did not halve it, so a flat maximum (a multiple zero)
+    converges too; the amplitude is the largest distance read, never less
+    than the best sample's."""
     ts = np.linspace(0.0, TWO_PI, config.sample_points)
     states = dense_sol(ts)
     H = field.H
-    drift = float(np.max(np.abs(H.value(states.T) - H.value(x0))))
+    energy = H.value(x0)
+    drift = float(np.max([np.max(np.abs(H.value(states[:, i:i + _DRIFT_BLOCK].T) - energy))
+                          for i in range(0, ts.size, _DRIFT_BLOCK)]))
     distances = np.linalg.norm(states - equilibrium[:, None], axis=0)
     best = int(np.argmax(distances))
     amplitude = distances[best]
@@ -589,7 +632,9 @@ def _orbit_diagnostics(field, equilibrium, x0, config, dense_sol):
     def slope(t):
         """Half the slope of |x - eq|^2 at time t, and the distance there."""
         x = dense_sol(t % TWO_PI)
-        return float((x - equilibrium) @ field(x)), float(np.linalg.norm(x - equilibrium))
+        offset = x - equilibrium
+        # the 2-norm as np.linalg.norm computes it, bit for bit
+        return float(offset @ field(x)), math.sqrt(offset.dot(offset))
 
     # the bracket [lo, hi] keeps slope(lo) > 0 > slope(hi); inside it, with
     # the slope decreasing, |x - eq|^2 / 2 exceeds its value at either end,

@@ -8,6 +8,8 @@ the order-7 dense output.
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 
 N_STAGES = 12
@@ -82,6 +84,8 @@ for _col, _value in {0: 0.1312004499419488073250102996e-1, 5: -0.122515644637620
                      10: 0.8192320648511571246570742613e-1,
                      11: -0.2235530786388629525884427845e-1}.items():
     E5[_col] = _value
+# both error estimates as one product with the stage slopes
+_E5_E3 = np.stack([E5, E3])
 
 # the dense-output coefficients of powers 3 to 6; powers 0 to 2 come from the
 # step's end points and end slopes
@@ -160,28 +164,36 @@ def step_factor(error: float, rejected: bool) -> float:
 class StateInterpolant:
     """The order-7 DOP853 dense output of the state rows over accepted steps.
 
-    ``ts`` and ``xs`` are the accepted times and states (``steps + 1`` of
-    each), ``K`` the 13 stage slopes of the state rows in each step.  The 3
-    extra stages that the dense output needs are evaluated on the first call,
-    each by one state-only ``field(X)`` call over the ``(steps, n)`` array of
-    that stage's states in every step.  Called like scipy's ``OdeSolution``:
-    a scalar ``t`` gives shape ``(n,)``, an array of ``m`` times shape
-    ``(n, m)``; at a step boundary the earlier step is used.
+    ``ts`` lists the accepted times (``steps + 1``), ``records`` holds per
+    step one ``(14, n)`` array, its start state and its 13 state slopes, and
+    ``x_end`` is the state at ``ts[-1]``.  On the first call the records are
+    stacked, and the 3 extra stages that the dense output needs are
+    evaluated, each by one state-only ``field(X)`` call over the ``(steps,
+    n)`` array of that stage's states in every step.  Called like scipy's
+    ``OdeSolution``: a scalar ``t`` (a float or a 0-d array) gives shape
+    ``(n,)``, an array of ``m`` times shape ``(n, m)``; at a step boundary
+    the earlier step is used.  A scalar is read through its one step's
+    coefficients, found by bisection, with the same operations as an array
+    of times, so both give the same values bit for bit.
     """
 
-    def __init__(self, field, ts, xs, K):
+    def __init__(self, field, ts, records, x_end):
         self.ts = np.asarray(ts, dtype=float)
+        self._times = self.ts.tolist()
         self._field = field
-        self._xs = np.asarray(xs, dtype=float)
-        self._K = np.asarray(K, dtype=float)  # (steps, 13, n)
-        self._F = None
+        self._records = records
+        self._x_end = x_end
+        self._xs = self._F = None
 
     def _coefficients(self) -> np.ndarray:
         """Per step, the 7 coefficients of the interpolating polynomial."""
-        steps, _, n = self._K.shape
+        records = np.array(self._records)  # (steps, 14, n)
+        steps, _, n = records.shape
         h = np.diff(self.ts)[:, None]
+        self._xs = np.concatenate([records[:, 0], self._x_end[None]])
         x_old, x_new = self._xs[:-1], self._xs[1:]
-        K = np.concatenate([self._K, np.empty((steps, N_STAGES_EXTENDED - N_STAGES - 1, n))], axis=1)
+        K = np.concatenate([records[:, 1:], np.empty((steps, N_STAGES_EXTENDED - N_STAGES - 1, n))],
+                           axis=1)
         for s in range(N_STAGES + 1, N_STAGES_EXTENDED):
             K[:, s] = self._field(x_old + h * (A[s, :s] @ K[:, :s]))
         delta = x_new - x_old
@@ -194,15 +206,26 @@ class StateInterpolant:
     def __call__(self, t):
         if self._F is None:
             self._F = self._coefficients()
-        t = np.asarray(t, dtype=float)
-        times = t.reshape(-1)
-        step = np.clip(np.searchsorted(self.ts, times, side="left") - 1, 0, self.ts.size - 2)
+        ts, last = self._times, len(self._times) - 2
+        if isinstance(t, float) or np.ndim(t) == 0:
+            t = float(t)
+            # the step that searchsorted finds below (a NaN reads NaN in any step)
+            step = min(max(bisect.bisect_left(ts, t) - 1, 0), last)
+            return self._horner(step, (t - ts[step]) / (ts[step + 1] - ts[step]))
+        times = np.asarray(t, dtype=float).reshape(-1)
+        step = np.clip(np.searchsorted(self.ts, times, side="left") - 1, 0, last)
         x = ((times - self.ts[step]) / (self.ts[step + 1] - self.ts[step]))[:, None]
+        return self._horner(step, x).T
+
+    def _horner(self, step, x):
+        """The polynomial of step (an index or an array of them) at the
+        fraction x of it: Horner's scheme in x and 1 - x alternately, from
+        the highest power, then the step's start state added."""
         F = self._F[step]
-        # Horner's scheme in x and 1 - x alternately, from the highest power
-        y = np.zeros((times.size, F.shape[2]))
-        for i in range(F.shape[1]):
-            y += F[:, -1 - i]
-            y *= x if i % 2 == 0 else 1.0 - x
+        y = np.zeros(F.shape[:-2] + F.shape[-1:])
+        factors = x, 1.0 - x
+        for i in range(F.shape[-2]):
+            y += F[..., -1 - i, :]
+            y *= factors[i % 2]
         y += self._xs[step]
-        return y[0] if t.ndim == 0 else y.T
+        return y

@@ -190,6 +190,17 @@ def table_bytes(H):
     return sum(v.nbytes for v in vars(H).values() if isinstance(v, np.ndarray))
 
 
+def full_power_monomials(x, variables, powers, table):
+    """The monomials of a column-indexed factor table, read from the full
+    table of x_k ** p over every variable k and every power p up to the
+    highest the table reads, as a (variable, power) table was evaluated
+    before it indexed only the columns it reads."""
+    degrees = np.arange(powers.max(initial=0.0) + 1.0)
+    full = (x[..., None] ** degrees).reshape(x.shape[:-1] + (x.shape[-1] * degrees.size,))
+    index = (variables * degrees.size + powers.astype(np.intp))[table]
+    return np.multiply.reduce(full.take(index, axis=-1), axis=-1)
+
+
 class TestCompiledPolynomial:
     def test_matches_reference_loop(self, rng):
         for dim in (2, 4, 6):
@@ -253,6 +264,37 @@ class TestCompiledPolynomial:
         zeros = (quadratic.gradient(np.zeros(4)), quadratic.hessian(np.zeros(4)))
         assert all(not np.any(np.signbit(v)) for v in zeros)
 
+    @pytest.mark.parametrize("case", FIELD_CASES + ["random"])
+    def test_column_powers_equal_the_full_power_table_bit_for_bit(self, case, rng, monkeypatch):
+        # every path through the factor tables: value, gradient, hessian,
+        # symplectic_derivatives, and the table path of field(X) and bind
+        H = random_polynomial(rng, 4, count=10) if case == "random" else field_test_hamiltonian(case, rng)
+        n = H.dim
+        degree = max(max(e) for _, e in H.terms)
+        assert H._value_variables.size < n * (degree + 1)  # not every (variable, power) column
+        points = rng.uniform(-1.5, 1.5, (10, n))
+        points[0] = 0.0
+        points[1, ::2] = 0.0
+        points[2, 0], points[3, -1] = 1e200, -1e200  # powers overflow to inf
+        points[4, 1], points[5, 0] = math.inf, -math.inf
+        y = np.concatenate([points[6], rng.uniform(-1.0, 1.0, n * n)])
+        field = HamiltonianField(H, 0.9)
+
+        def evaluations():
+            out = np.empty(n + n * n)
+            field.bind(y, out)()
+            return [H.value(points), H.value(points[:0]), H.gradient(points), H.gradient(points[:0]),
+                    field(points), out, *(H.value(x) for x in points), *(H.hessian(x) for x in points),
+                    *(part for x in points for part in H.symplectic_derivatives(x))]
+
+        with np.errstate(all="ignore"):
+            columns = evaluations()
+            monkeypatch.setattr("hambif.continuation._monomials", full_power_monomials)
+            full = evaluations()
+        for ours, reference in zip(columns, full):
+            assert np.shape(ours) == np.shape(reference)
+            assert np.asarray(ours).tobytes() == np.asarray(reference).tobytes()
+
     def test_64_dim_quadratic_compiles_small(self, rng):
         A = rng.uniform(-1, 1, (64, 64))
         A = 0.5 * (A + A.T)
@@ -308,9 +350,15 @@ class TestPolynomialHamiltonian:
         with pytest.raises(ValueError, match="lambda must be positive"):
             HamiltonianField(quartic_radial(), lam)
 
-    @pytest.mark.parametrize("case", FIELD_CASES)
+    @pytest.mark.parametrize("case", FIELD_CASES + ["linear_term"])
     def test_batched_gradient_and_field_match_pointwise_bit_for_bit(self, case, rng):
-        H = field_test_hamiltonian(case, rng)
+        if case == "linear_term":
+            # p2 enters only through 0.7 p2, so q2' is the constant 0.7 lam:
+            # a kernel output that reads no coordinate, broadcast over the batch
+            H = PolynomialHamiltonian(4, ((0.5, (2, 0, 0, 0)), (0.5, (0, 0, 2, 0)), (0.25, (4, 0, 0, 0)),
+                                          (0.5, (2, 0, 2, 0)), (0.5, (0, 2, 0, 0)), (0.7, (0, 0, 0, 1))))
+        else:
+            H = field_test_hamiltonian(case, rng)
         points = rng.uniform(-1.0, 1.0, (50, H.dim))
         points[0] = 0.0
         for f in (H.gradient, HamiltonianField(H, 0.9)):
@@ -624,6 +672,25 @@ class TestStepper:
             assert np.max(np.abs(state - theirs.sol(t)[:n])) <= 1e-12
 
 
+class TestStateInterpolant:
+    @pytest.mark.parametrize("case", FIELD_CASES)
+    def test_scalar_reads_equal_the_array_path_bit_for_bit(self, case, rng):
+        # a scalar time is read through its one step's coefficients, found
+        # by bisection; an array of times through searchsorted and a gather
+        H = field_test_hamiltonian(case, rng)
+        solution = flow(HamiltonianField(H, 0.9), rng.uniform(-0.5, 0.5, H.dim), TWO_PI).solution
+        times = [0.0, TWO_PI, *solution.ts.tolist(), *rng.uniform(0.0, TWO_PI, 16).tolist(),
+                 -0.0, -1e-3, math.nextafter(TWO_PI, math.inf), TWO_PI + 0.5, math.nan]
+        batch = solution(np.array(times))
+        assert batch.shape == (H.dim, len(times))
+        for k, t in enumerate(times):
+            for scalar in (t, np.float64(t), np.array(t)):
+                value = solution(scalar)
+                assert value.shape == (H.dim,)
+                assert value.tobytes() == batch[:, k].tobytes(), (t, type(scalar))
+        assert np.all(np.isnan(solution(math.nan)))
+
+
 class TestContinuationConfig:
     @pytest.mark.parametrize(
         "settings",
@@ -643,11 +710,17 @@ class TestContinuationConfig:
             {"max_corrector_iters": 0},
             {"lambda_min": 2.0, "lambda_max": 2.0},
             {"corrector_tol": math.nan},
+            {"sample_points": 100_001},
+            {"sample_points": 10**12},
         ],
     )
     def test_unusable_settings_rejected(self, settings):
         with pytest.raises(ValueError):
             ContinuationConfig(**settings)
+
+    @pytest.mark.parametrize("sample_points", [2, 256, 100_000])
+    def test_sample_points_bounds_are_inclusive(self, sample_points):
+        assert ContinuationConfig(sample_points=sample_points).sample_points == sample_points
 
 
 class TestCorrector:

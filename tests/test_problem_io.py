@@ -103,6 +103,16 @@ class TestParsing:
         assert "sample_points" in str(info.value)
         assert "analysis.continuation" in str(info.value)
 
+    # 10**12 samples would ask the dense output of the first converged orbit
+    # for terabytes; the file is refused before anything is traced
+    @pytest.mark.parametrize("sample_points", [100_001, 10**12])
+    def test_sample_points_above_the_cap_rejected(self, sample_points):
+        data = json.loads(quartic_spec())
+        data["analysis"]["continuation"]["sample_points"] = sample_points
+        with pytest.raises(SpecError, match="sample_points must be at most 100000") as info:
+            parse_problem(json.dumps(data))
+        assert "analysis.continuation" in str(info.value)
+
     @pytest.mark.parametrize("field,value", [
         ("continuation.max_steps", 2.5),
         ("continuation.sample_points", 100.0),

@@ -33,8 +33,8 @@ from .linalg import (
     DEFAULT_TOL,
     TolerancePolicy,
     _refuse_zero_band,
+    _spectrum_band,
     as_symmetric,
-    matrix_norm,
     morse_index,
     standard_symplectic,
 )
@@ -176,7 +176,7 @@ def _doubled_morse_index(A: np.ndarray, lam: float, tol: TolerancePolicy) -> int
     max|w| = ||T(lam)||_2, and an eigenvalue inside it raises the same
     :class:`DegeneracyError`."""
     w = np.linalg.eigvalsh(-lam * A - 1j * standard_symplectic(A.shape[0] // 2))
-    band = tol.zero_band(np.max(np.abs(w)))
+    band = _spectrum_band(w, tol)
     _refuse_zero_band(w, band, "morse_index")
     return 2 * int(np.count_nonzero(w < -band))
 
@@ -357,8 +357,8 @@ def check_classical_assumptions(A, tol: TolerancePolicy = DEFAULT_TOL) -> Assump
     N = A.shape[0] // 2
     summary = spectral_summary(standard_symplectic(N) @ A, tol)
     betas = summary.betas
-    band = tol.zero_band(matrix_norm(A))
     eigs = np.linalg.eigvalsh(A)
+    band = _spectrum_band(eigs, tol)
     nondegenerate = bool(np.min(np.abs(eigs)) > band) if eigs.size else False
     has_zero_eig = any(abs(z) <= band for z in summary.other_eigenvalues)
 
@@ -432,8 +432,7 @@ def _nonresonance(betas, report_for, tol: TolerancePolicy) -> NonresonanceReport
     return NonresonanceReport(flags=tuple(flags), lower_bound=bound)
 
 
-def nonresonance_and_branch_count(A, tol: TolerancePolicy = DEFAULT_TOL,
-                                  brouwer: int | None = None) -> NonresonanceReport:
+def nonresonance_and_branch_count(A, tol: TolerancePolicy = DEFAULT_TOL) -> NonresonanceReport:
     """Flag frequencies no larger frequency divides, and count how many of the
     flagged ones also pass the branch condition (a lower bound on connected
     families with distinct minimal periods)."""
@@ -441,11 +440,10 @@ def nonresonance_and_branch_count(A, tol: TolerancePolicy = DEFAULT_TOL,
     betas = _spectrum_betas(A, tol)
     if not betas:
         raise EigenvalueNotFoundError("J A has no purely imaginary frequencies")
-    if brouwer is None:
-        try:
-            brouwer = brouwer_nondegenerate(A, tol)
-        except DegeneracyError:
-            brouwer = None
+    try:
+        brouwer = brouwer_nondegenerate(A, tol)
+    except DegeneracyError:
+        brouwer = None
     return _nonresonance(betas, lambda beta: check_main_condition(A, brouwer, beta, tol), tol)
 
 

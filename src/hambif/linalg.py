@@ -111,6 +111,12 @@ def is_symplectic(S, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     return residual <= tol.residual_tol * (1.0 + matrix_norm(S) ** 2)
 
 
+def _spectrum_band(w: np.ndarray, tol: TolerancePolicy) -> float:
+    """Zero band of a symmetric or Hermitian matrix with eigenvalues w: its
+    2-norm is max|w|, so the band needs no SVD."""
+    return tol.zero_band(np.max(np.abs(w), initial=0.0))
+
+
 def _refuse_zero_band(w: np.ndarray, band: float, caller: str) -> None:
     """Raise :class:`DegeneracyError` when an eigenvalue lies inside the band."""
     if w.size and np.min(np.abs(w)) <= band:
@@ -121,9 +127,8 @@ def _refuse_zero_band(w: np.ndarray, band: float, caller: str) -> None:
 
 
 def _checked_spectrum(A, tol, caller):
-    A = as_symmetric(A, tol, name=f"{caller} argument")
-    w = np.linalg.eigvalsh(A)
-    band = tol.zero_band(matrix_norm(A))
+    w = np.linalg.eigvalsh(as_symmetric(A, tol, name=f"{caller} argument"))
+    band = _spectrum_band(w, tol)
     _refuse_zero_band(w, band, caller)
     return w, band
 
@@ -167,10 +172,10 @@ def numeric_rank_with_gap(M, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[int, f
     return rank, float(margin)
 
 
-def random_symmetric(dim: int, seed: int, lo: float = -1.0, hi: float = 1.0) -> np.ndarray:
-    """Seeded symmetric matrix with entries drawn uniformly from [lo, hi]."""
+def random_symmetric(dim: int, seed: int) -> np.ndarray:
+    """Seeded symmetric matrix with entries drawn uniformly from [-1, 1]."""
     rng = np.random.default_rng(seed)
-    A = rng.uniform(lo, hi, size=(dim, dim))
+    A = rng.uniform(-1.0, 1.0, size=(dim, dim))
     return 0.5 * (A + A.T)
 
 

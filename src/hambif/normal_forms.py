@@ -51,33 +51,18 @@ class BlockSpec:
 
 @dataclass(frozen=True)
 class NormalForm:
-    """An ordered list of catalogue blocks plus an opaque leftover part.
-
-    ``other_part``, when present, is a Hamiltonian matrix carrying spectrum
-    away from the catalogued frequencies; it is assembled verbatim and never
-    synthesized here.
-    """
+    """An ordered, nonempty list of catalogue blocks."""
 
     blocks: tuple[BlockSpec, ...]
-    other_part: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", canonical_block_order(self.blocks))
-        if self.other_part is not None:
-            other = as_matrix(self.other_part, "other_part")
-            half_dimension(other, "other_part")
-            if not is_hamiltonian(other):
-                raise StructureError("other_part must be a Hamiltonian matrix")
-            object.__setattr__(self, "other_part", other)
-        if not self.blocks and self.other_part is None:
-            raise ValueError("normal form needs at least one block or an other_part")
+        if not self.blocks:
+            raise ValueError("normal form needs at least one block")
 
     @property
     def half_dims(self) -> tuple[int, ...]:
-        dims = [b.half_dim for b in self.blocks]
-        if self.other_part is not None:
-            dims.append(self.other_part.shape[0] // 2)
-        return tuple(dims)
+        return tuple(b.half_dim for b in self.blocks)
 
     @property
     def dim(self) -> int:
@@ -201,9 +186,6 @@ def assemble_hessian(nf: NormalForm) -> np.ndarray:
     """Hessian of the assembled normal form: the blocks' Hessians stacked, then
     interleaved (all x coordinates first, all y coordinates second)."""
     hessians = [block_hessian(b) for b in nf.blocks]
-    if nf.other_part is not None:
-        other = nf.other_part
-        hessians.append(-standard_symplectic(other.shape[0] // 2) @ other)
     P = interleave_permutation(nf.half_dims)
     return P @ scipy.linalg.block_diag(*hessians) @ P.T
 
@@ -213,14 +195,11 @@ def assemble_normal_form(nf: NormalForm) -> np.ndarray:
     return standard_symplectic(nf.dim // 2) @ assemble_hessian(nf)
 
 
-def block_counts(source, beta: float, tol: TolerancePolicy = DEFAULT_TOL) -> BlockCounts:
-    """Count odd blocks at the given frequency.
-
-    ``source`` is a :class:`NormalForm` or an iterable of :class:`BlockSpec`.
-    Blocks of even half-dimension never enter the counts; an absent frequency
-    yields all zeros.
+def block_counts(blocks, beta: float, tol: TolerancePolicy = DEFAULT_TOL) -> BlockCounts:
+    """Count the odd blocks of an iterable of :class:`BlockSpec` at the given
+    frequency.  Blocks of even half-dimension never enter the counts; an
+    absent frequency yields all zeros.
     """
-    blocks = source.blocks if isinstance(source, NormalForm) else tuple(source)
     if beta <= 0.0:
         raise ValueError("beta must be positive")
     band = tol.zero_band(beta)

@@ -106,7 +106,7 @@ def test_criterion_05_cross_route_identity_100_cases():
         Mc = np.linalg.solve(S, M @ S)
         Ac = S.T @ A @ S
         for beta in sorted({b.beta for b in nf.blocks}):
-            kappa = block_counts(nf, beta).kappa
+            kappa = block_counts(nf.blocks, beta).kappa
             assert gamma_jump(Ac, beta) == -2 * kappa
             got = structural_decomposition(Mc, beta)
             want = [b for b in nf.blocks if abs(b.beta - beta) < 1e-12]

@@ -376,7 +376,7 @@ class TestCrossRouteIdentity:
             for beta in sorted({b.beta for b in nf.blocks}):
                 from hambif import block_counts
 
-                kappa = block_counts(nf, beta).kappa
+                kappa = block_counts(nf.blocks, beta).kappa
                 assert gamma_jump(Ac, beta) == -2 * kappa
 
 
@@ -491,6 +491,28 @@ class TestClassicalAssumptions:
         report = check_classical_assumptions(A)
         assert report.signature_resonant.holds is True
         assert len(report.signature_resonant.certified_betas) == 2
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_one_zero_band_for_every_inertia(self, sign, rng):
+        # diag(d) conjugated by a random orthogonal Q, one eigenvalue at half
+        # and at twice the band eig_zero_tol * max|d|: the Morse index, the
+        # signature and the nondegeneracy of hypothesis a2 read one band
+        tol = DEFAULT_TOL
+        Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        for factor, outside in ((0.5, False), (2.0, True)):
+            d = np.array([3.0, -2.0, 1.5, sign * factor * tol.eig_zero_tol * 3.0])
+            A = Q @ np.diag(d) @ Q.T
+            A = 0.5 * (A + A.T)
+            details = check_classical_assumptions(A, tol).signature_resonant.details
+            assert f"nondegenerate={outside}" in details
+            if outside:
+                assert morse_index(A, tol) == int(np.count_nonzero(d < 0))
+                assert signature(A, tol) == int(np.count_nonzero(d > 0) - np.count_nonzero(d < 0))
+                assert f"signature={signature(A, tol)}" in details
+            else:
+                for decide in (morse_index, signature):
+                    with pytest.raises(DegeneracyError, match="inside the zero band"):
+                        decide(A, tol)
 
     def test_hypotheses_imply_the_condition(self, rng):
         """The abstract's implication, on seeded normal forms conjugated by

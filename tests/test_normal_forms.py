@@ -147,15 +147,6 @@ class TestAssembly:
         J_stacked = scipy.linalg.block_diag(standard_symplectic(3), standard_symplectic(1))
         assert np.array_equal(P @ J_stacked @ P.T, standard_symplectic(4))
 
-    def test_other_part_appended(self):
-        saddle = standard_symplectic(1) @ np.diag([1.0, -1.0])
-        nf = NormalForm((BlockSpec(1.0, 1, -1),), other_part=saddle)
-        M = assemble_normal_form(nf)
-        assert M.shape == (4, 4)
-        assert is_hamiltonian(M)
-        w = np.sort(np.linalg.eigvals(M).imag)
-        assert np.allclose(w, [-1.0, 0.0, 0.0, 1.0], atol=1e-9)
-
     def test_dimension_bookkeeping(self):
         nf = NormalForm((BlockSpec(1.0, 2, 1), BlockSpec(1.5, 3, -1)))
         assert nf.dim == 10
@@ -165,7 +156,7 @@ class TestAssembly:
 class TestBlockCounts:
     def test_worked_example_counts(self):
         nf = NormalForm((BlockSpec(1.0, 5, -1), BlockSpec(1.0, 3, +1), BlockSpec(1.0, 2, +1)))
-        counts = block_counts(nf, 1.0)
+        counts = block_counts(nf.blocks, 1.0)
         assert (counts.o_plus, counts.o_minus, counts.e_plus, counts.e_minus) == (0, 1, 1, 0)
         assert counts.kappa == -2
 

@@ -31,7 +31,10 @@ _SAFETY = 1.0e-2
 # 10 us at 512 (Python 3.11, numpy 2.4, one core of a shared 2-core x86 VM,
 # whose runs spread by up to 2x).  The gain is small by 128 triplets and gone
 # by 200, while generating and compiling, 2-3.5 ms per Hamiltonian at 128,
-# grows with the table; so the cap sits below 128
+# grows with the table; so the cap sits below 128.  The kernel also writes
+# one line per power step x_k^e = x_k^(e-1) * x_k, so a table whose power
+# steps exceed the same cap stays on numpy: a term x^100000 would otherwise
+# generate 100000 lines
 _KERNEL_MAX_TRIPLETS = 96
 
 # _orbit_diagnostics refines the largest distance from the equilibrium by at
@@ -76,6 +79,28 @@ def _monomials(x, variables, powers, table) -> np.ndarray:
     return np.multiply.reduce((x.take(variables, axis=-1) ** powers).take(table, axis=-1), axis=-1)
 
 
+def _jet_coefficient(scaled: float, factor: int, term) -> float:
+    """``scaled * factor``, one derivative coefficient of a term, c*e or
+    c*e*e'; one that is not a finite float, as when an exponent lies beyond
+    the float range, raises ValueError naming the term."""
+    try:
+        value = scaled * factor
+    except OverflowError:  # an integer factor beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"term {term}: an exponent or a derivative coefficient is not a finite float")
+    return value
+
+
+def _top_powers(factors) -> dict[int, int]:
+    """The highest power of each variable that the monomials ``factors`` read."""
+    top = {}
+    for f in factors:
+        for k, e in f:
+            top[k] = max(top.get(k, 1), e)
+    return top
+
+
 def _compile_kernel(rows, factors, dim: int, grad_size: int):
     """Straight-line Python for a jet table, compiled once.
 
@@ -116,10 +141,7 @@ def _compile_kernel(rows, factors, dim: int, grad_size: int):
 
     def powers(count):
         """Assignments of the powers above 1 that the first ``count`` triplets read."""
-        top = {}
-        for f in factors[:count]:
-            for k, e in f:
-                top[k] = max(top.get(k, 1), e)
+        top = _top_powers(factors[:count])
         return [f"{power(k, e)} = {power(k, e - 1)} * x{k}"
                 for k in sorted(top) for e in range(2, top[k] + 1)]
 
@@ -167,8 +189,8 @@ class PolynomialHamiltonian:
     reads the table's prefix, J grad H and J hess H together read all of it,
     and the gradient and the hessian are -J applied to those.
 
-    A table of at most ``_KERNEL_MAX_TRIPLETS`` triplets is also generated
-    into straight-line Python once, here: one kernel per Hamiltonian, which
+    A table of at most ``_KERNEL_MAX_TRIPLETS`` triplets and as many power
+    steps is also generated into straight-line Python once, here: one kernel per Hamiltonian, which
     each :class:`HamiltonianField` binds to its ``lam``-scaled coefficients.
     The numpy evaluation stays the path of this class's own methods, and of
     every field above the cap.
@@ -198,16 +220,17 @@ class PolynomialHamiltonian:
         # a monomial as its (variable, power) factors with nonzero power
         monomials = [tuple((k, e) for k, e in enumerate(exps) if e) for _, exps in self.terms]
         jet_grad, jet_hess = [], []  # (output index, coefficient, monomial)
-        for (coeff, _), factors in zip(self.terms, monomials):
+        for term, factors in zip(self.terms, monomials):
             for k, ek in factors:
                 d1 = _divide(factors, k)
                 # J = [[0, I], [-I, 0]] as a signed row permutation
                 row, sign = (k - half, 1.0) if k >= half else (k + half, -1.0)
-                jet_grad.append((row, sign * coeff * ek, d1))
+                jet_grad.append((row, _jet_coefficient(sign * term[0], ek, term), d1))
                 # both orders (k, l) and (l, k), each with the same integer
                 # factor, so the assembled hessian is exactly symmetric
                 for l, el in d1:
-                    jet_hess.append((dim + row * dim + l, sign * coeff * (ek * el), _divide(d1, l)))
+                    jet_hess.append((dim + row * dim + l, _jet_coefficient(sign * term[0], ek * el, term),
+                                     _divide(d1, l)))
         rows, coeffs, factors = zip(*(jet_grad + jet_hess)) if jet_grad else ((), (), ())
         value_variables, value_powers, value_monomials = _factor_table(monomials)
         jet_variables, jet_powers, jet_monomials = _factor_table(factors)
@@ -226,7 +249,8 @@ class PolynomialHamiltonian:
         # J grad H reads the first _grad_size triplets, sliced at each call
         object.__setattr__(self, "_grad_size", len(jet_grad))
         kernel = None
-        if len(rows) <= _KERNEL_MAX_TRIPLETS:
+        steps = sum(e - 1 for e in _top_powers(factors).values())
+        if max(len(rows), steps) <= _KERNEL_MAX_TRIPLETS:
             kernel = _compile_kernel(rows, factors, dim, len(jet_grad))
         object.__setattr__(self, "_kernel", kernel)
 
@@ -305,12 +329,12 @@ class HamiltonianField:
     differently from ``lam`` times the unscaled sums.
 
     Each field takes one derivative path, chosen by the size of ``H``'s jet
-    table.  At most ``_KERNEL_MAX_TRIPLETS`` triplets: ``H``'s generated
-    kernel, bound here to the folded coefficients, whose ``field(X)`` is one
-    call of its ``state`` on the batch's columns; its powers are products,
-    so it agrees with the table to rounding, not bit for bit.  Above the cap: the
-    numpy table, with one gather of powers, one product per triplet and one
-    sum.  Either way ``J hess H @ Phi`` is one ``ndarray.dot``.
+    table.  At most ``_KERNEL_MAX_TRIPLETS`` triplets and power steps:
+    ``H``'s generated kernel, bound here to the folded coefficients, whose
+    ``field(X)`` is one call of its ``state`` on the batch's columns; its
+    powers are products, so it agrees with the table to rounding, not bit
+    for bit.  Above the cap: the numpy table, with one gather of powers, one
+    product per triplet and one sum.  Either way ``J hess H @ Phi`` is one ``ndarray.dot``.
     """
 
     H: PolynomialHamiltonian

@@ -220,12 +220,14 @@ class StateInterpolant:
     def _horner(self, step, x):
         """The polynomial of step (an index or an array of them) at the
         fraction x of it: Horner's scheme in x and 1 - x alternately, from
-        the highest power, then the step's start state added."""
-        F = self._F[step]
-        y = np.zeros(F.shape[:-2] + F.shape[-1:])
+        the highest power, then the step's start state added.  Each Horner
+        step gathers one coefficient row per step, so a read of m times
+        holds (m, n) arrays, not the (m, 7, n) coefficients."""
+        F = self._F
+        y = np.zeros(np.shape(step) + F.shape[-1:])
         factors = x, 1.0 - x
-        for i in range(F.shape[-2]):
-            y += F[..., -1 - i, :]
+        for i in range(F.shape[1]):
+            y += F[step, -1 - i]
             y *= factors[i % 2]
         y += self._xs[step]
         return y

@@ -149,7 +149,7 @@ def parse_problem(text: str) -> ProblemSpec:
     """
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of over 4300 digits
         raise SpecError(f"not valid JSON: {exc}", "$") from None
     _require(isinstance(data, dict), "top level must be an object", "$")
     unknown = set(data) - {"dim", "equilibria", "hamiltonian", "analysis"}
@@ -209,14 +209,14 @@ def parse_problem(text: str) -> ProblemSpec:
         if hamiltonian is not None:
             grad = hamiltonian.gradient(point)
             gnorm = float(np.linalg.norm(grad))
-            if gnorm > tolerances.residual_tol * scale:
+            if not gnorm <= tolerances.residual_tol * scale:  # NaN included
                 raise ConsistencyError(
                     f"equilibrium {i}: Hamiltonian gradient norm {gnorm:.3e} does not vanish",
                     f"{path}.point",
                 )
             derived = hamiltonian.hessian(point)
             mismatch = float(np.max(np.abs(derived - hessian)))
-            if mismatch > tolerances.residual_tol * scale:
+            if not mismatch <= tolerances.residual_tol * scale:
                 raise ConsistencyError(
                     f"equilibrium {i}: declared hessian differs from the Hamiltonian's by {mismatch:.3e}",
                     f"{path}.hessian",

@@ -417,15 +417,37 @@ class TestPolynomialHamiltonian:
 
     @pytest.mark.parametrize("case", FIELD_CASES)
     def test_one_derivative_path_chosen_by_the_jet_size(self, case, rng):
-        # the generated kernel up to the triplet cap and the numpy table above
-        # it, each for field(x), field(X) of any batch shape and the bound
-        # evaluators
+        # the generated kernel up to the cap on triplets and on power steps,
+        # the numpy table above it, each for field(x), field(X) of any batch
+        # shape and the bound evaluators
         H = field_test_hamiltonian(case, rng)
         field = HamiltonianField(H, 0.9)
-        assert (field._kernel is None) == (H._jet_rows.size > _KERNEL_MAX_TRIPLETS)
+        top = {}  # the highest power of each variable in the jet table
+        for k, e in zip(H._jet_variables.tolist(), H._jet_powers.tolist()):
+            top[k] = max(top.get(k, 1.0), e)
+        steps = sum(e - 1.0 for e in top.values())
+        assert (field._kernel is None) == (max(H._jet_rows.size, steps) > _KERNEL_MAX_TRIPLETS)
         assert (field._kernel is None) == (case == "quadratic_above_cap")
         points = rng.uniform(-1.0, 1.0, (2, 3, H.dim))
         assert np.array_equal(field(points), np.stack([field(x) for x in points]))
+
+    def test_kernel_not_generated_for_a_high_power(self):
+        # the kernel writes one line per power step: x^100000 stays on the
+        # table, which raises each power in one numpy call
+        import tracemalloc
+
+        terms = quartic_radial().terms + ((1e-9, (100_000, 0)),)
+        tracemalloc.start()
+        try:
+            H = PolynomialHamiltonian(2, terms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert H._kernel is None and H._jet_rows.size < _KERNEL_MAX_TRIPLETS
+        assert peak < 1e6
+        x = np.array([0.5, 0.2])
+        assert np.allclose(HamiltonianField(H, 1.0)(x), HamiltonianField(quartic_radial(), 1.0)(x),
+                           rtol=1e-15, atol=0.0)
 
     def test_generated_kernel_overflows_to_inf_without_raising(self):
         # a stage state far outside the domain: the kernel's powers are
@@ -689,6 +711,35 @@ class TestStateInterpolant:
                 assert value.shape == (H.dim,)
                 assert value.tobytes() == batch[:, k].tobytes(), (t, type(scalar))
         assert np.all(np.isnan(solution(math.nan)))
+
+
+    @pytest.mark.parametrize("case", ["coupled4", "quadratic_above_cap"])
+    def test_array_reads_hold_a_few_times_their_output(self, case, rng):
+        # one coefficient row per Horner step, not every step's (m, 7, n)
+        # coefficients at once, with the same sums bit for bit
+        import tracemalloc
+
+        H = field_test_hamiltonian(case, rng)
+        solution = flow(HamiltonianField(H, 0.9), rng.uniform(-0.5, 0.5, H.dim), TWO_PI).solution
+        solution(0.0)  # the first read computes the coefficients
+        times = np.linspace(0.0, TWO_PI, 100_000)
+        tracemalloc.start()
+        try:
+            states = solution(times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * states.nbytes
+        ts = solution.ts
+        step = np.clip(np.searchsorted(ts, times, side="left") - 1, 0, ts.size - 2)
+        x = ((times - ts[step]) / (ts[step + 1] - ts[step]))[:, None]
+        F = solution._F[step]  # the whole gather, as reads were made before
+        y = np.zeros(F.shape[:-2] + F.shape[-1:])
+        for i in range(F.shape[-2]):
+            y += F[..., -1 - i, :]
+            y *= (x, 1.0 - x)[i % 2]
+        y += solution._xs[step]
+        assert states.tobytes() == y.T.tobytes()
 
 
 class TestContinuationConfig:

@@ -312,6 +312,34 @@ class TestCli:
             assert cli_main(["analyze", "--input", str(path)]) == 2
             assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
 
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda d: d["hamiltonian"]["terms"].append({"coefficient": 1e-9, "exponents": [10**400, 0]}),
+                     "$.hamiltonian: term", id="exponent-beyond-the-float-range"),
+        pytest.param(lambda d: d["hamiltonian"]["terms"][2].update(coefficient=1e308),
+                     "$.hamiltonian: term (1e+308, (4, 0))", id="derivative-coefficient-overflows"),
+        # at (2, 0) the gradient of x0^2000 * x1 is [nan, inf]
+        pytest.param(lambda d: d.update(
+            equilibria=[{"point": [2.0, 0.0], "hessian": [[1.0, 0.0], [0.0, 1.0]]}],
+            hamiltonian={"terms": [{"coefficient": 1.0, "exponents": [2000, 1]}]}),
+                     "$.equilibria[0].point: equilibrium 0: Hamiltonian gradient norm nan", id="nan-gradient"),
+    ])
+    def test_terms_outside_the_float_range_are_refused(self, edit, message, tmp_path, capsys):
+        """A term whose exponent or derivative coefficients overflow the
+        floats, and a point where the Hamiltonian's gradient is NaN, are spec
+        errors, not tracebacks or analyses of infinities."""
+        data = json.loads(quartic_spec())
+        edit(data)
+        problem = self.write(tmp_path, json.dumps(data))
+        with np.errstate(all="ignore"):
+            assert cli_main(["analyze", "--input", problem]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    def test_integer_of_too_many_digits_is_a_spec_error(self, tmp_path, capsys):
+        # json.loads refuses it with a ValueError that is no JSONDecodeError
+        problem = self.write(tmp_path, quartic_spec().replace("[4, 0]", f"[{'9' * 5000}, 0]"))
+        assert cli_main(["analyze", "--input", problem]) == 2
+        assert capsys.readouterr().err.startswith("error: $: not valid JSON: ")
+
     def test_removed_seed_rejected(self, tmp_path):
         """The seed drove nothing; the problem key and the flag are gone."""
         path = self.write(tmp_path, oscillator_spec(seed=5))

@@ -190,10 +190,10 @@ class PolynomialHamiltonian:
     and the gradient and the hessian are -J applied to those.
 
     A table of at most ``_KERNEL_MAX_TRIPLETS`` triplets and as many power
-    steps is also generated into straight-line Python once, here: one kernel per Hamiltonian, which
-    each :class:`HamiltonianField` binds to its ``lam``-scaled coefficients.
-    The numpy evaluation stays the path of this class's own methods, and of
-    every field above the cap.
+    steps is also generated into straight-line Python once, here: one
+    kernel per Hamiltonian, which each :class:`HamiltonianField` binds to
+    its ``lam``-scaled coefficients.  The numpy evaluation stays the path of
+    this class's own methods, and of every field above the cap.
     """
 
     dim: int
@@ -334,7 +334,8 @@ class HamiltonianField:
     ``field(X)`` is one call of its ``state`` on the batch's columns; its
     powers are products, so it agrees with the table to rounding, not bit
     for bit.  Above the cap: the numpy table, with one gather of powers, one
-    product per triplet and one sum.  Either way ``J hess H @ Phi`` is one ``ndarray.dot``.
+    product per triplet and one sum.  Either way ``J hess H @ Phi`` is one
+    ``ndarray.dot``.
     """
 
     H: PolynomialHamiltonian

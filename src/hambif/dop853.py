@@ -222,7 +222,7 @@ class StateInterpolant:
         fraction x of it: Horner's scheme in x and 1 - x alternately, from
         the highest power, then the step's start state added.  Each Horner
         step gathers one coefficient row per step, so a read of m times
-        holds (m, n) arrays, not the (m, 7, n) coefficients."""
+        holds (m, n) arrays only."""
         F = self._F
         y = np.zeros(np.shape(step) + F.shape[-1:])
         factors = x, 1.0 - x

@@ -712,7 +712,6 @@ class TestStateInterpolant:
                 assert value.tobytes() == batch[:, k].tobytes(), (t, type(scalar))
         assert np.all(np.isnan(solution(math.nan)))
 
-
     @pytest.mark.parametrize("case", ["coupled4", "quadratic_above_cap"])
     def test_array_reads_hold_a_few_times_their_output(self, case, rng):
         # one coefficient row per Horner step, not every step's (m, 7, n)
@@ -733,7 +732,7 @@ class TestStateInterpolant:
         ts = solution.ts
         step = np.clip(np.searchsorted(ts, times, side="left") - 1, 0, ts.size - 2)
         x = ((times - ts[step]) / (ts[step + 1] - ts[step]))[:, None]
-        F = solution._F[step]  # the whole gather, as reads were made before
+        F = solution._F[step]  # the reference: every step's (m, 7, n) coefficients at once
         y = np.zeros(F.shape[:-2] + F.shape[-1:])
         for i in range(F.shape[-2]):
             y += F[..., -1 - i, :]

@@ -24,11 +24,9 @@ from .bifurcation import (
 )
 from .continuation import TWO_PI, continue_branch, seed_from_linearization, verify_period_limit
 from .errors import (
-    CorrectorError,
     DecompositionError,
     DegeneracyError,
     EigenvalueNotFoundError,
-    IntegrationError,
     LevelCountError,
     PlanarDegreeError,
 )
@@ -143,12 +141,15 @@ def run_analysis(spec: ProblemSpec, stages: frozenset[str] = ALL_STAGES) -> dict
         if spec.options.betas == "all":
             requested = found
         else:
-            requested = []
+            requested = []  # one entry per named frequency, in first-request order
             for want in spec.options.betas:
                 try:
-                    requested.append(spectral._cluster_at(M, want, tol)[0])
+                    beta = spectral._cluster_at(M, want, tol)[0]
                 except EigenvalueNotFoundError:
                     entry["errors"].append(f"requested beta {want} is not in the spectrum")
+                    continue
+                if beta not in requested:
+                    requested.append(beta)
         try:
             ls = lambda_set(A, spec.options.lambda_max, tol)
             entry["lambda_set"] = {
@@ -182,7 +183,7 @@ def run_analysis(spec: ProblemSpec, stages: frozenset[str] = ALL_STAGES) -> dict
                         continue
                 try:
                     reports[beta] = check_main_condition(A, brouwer, beta, tol)
-                except (DegeneracyError, EigenvalueNotFoundError) as exc:
+                except DegeneracyError as exc:
                     reports[beta] = None
                     entry["errors"].append(f"condition check at beta={beta:.6g} failed: {exc}")
                     continue
@@ -228,20 +229,11 @@ def run_analysis(spec: ProblemSpec, stages: frozenset[str] = ALL_STAGES) -> dict
             for beta in requested:
                 if "index" in stages and not (reports[beta] and reports[beta].condition_holds):
                     continue
-                try:
-                    seed = seed_from_linearization(
-                        A, beta, spec.options.continuation.seed_amplitude, eq.point
-                    )
-                    branch = continue_branch(spec.hamiltonian, seed, spec.options.continuation, eq.point)
-                except (CorrectorError, IntegrationError, EigenvalueNotFoundError) as exc:
-                    entry["errors"].append(f"continuation at beta={beta:.6g} failed: {exc}")
-                    continue
-                eps = PERIOD_LIMIT_EPSILON_FACTOR * TWO_PI
-                verified = (
-                    verify_period_limit(branch, beta, eps, PERIOD_LIMIT_DELTA)
-                    if branch.orbits
-                    else False
+                seed = seed_from_linearization(
+                    A, beta, spec.options.continuation.seed_amplitude, eq.point, tol
                 )
+                branch = continue_branch(spec.hamiltonian, seed, spec.options.continuation, eq.point)
+                eps = PERIOD_LIMIT_EPSILON_FACTOR * TWO_PI
                 branches.append(
                     {
                         "beta0": beta,
@@ -250,7 +242,7 @@ def run_analysis(spec: ProblemSpec, stages: frozenset[str] = ALL_STAGES) -> dict
                         "period_limit": {
                             "epsilon": eps,
                             "delta": PERIOD_LIMIT_DELTA,
-                            "verified": verified,
+                            "verified": verify_period_limit(branch, beta, eps, PERIOD_LIMIT_DELTA),
                         },
                         "orbits": [_orbit_entry(o) for o in branch.orbits],
                     }

@@ -369,7 +369,7 @@ def check_classical_assumptions(A, tol: TolerancePolicy = DEFAULT_TOL) -> Assump
             try:
                 if gamma_jump(A, beta, tol) != 0:
                     certified.append(beta)
-            except (DegeneracyError, EigenvalueNotFoundError):
+            except DegeneracyError:
                 continue
         return AssumptionResult(holds=holds, certified_betas=tuple(certified), details=details)
 

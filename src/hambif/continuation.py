@@ -14,8 +14,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CorrectorError, EigenvalueNotFoundError, IntegrationError
-from .linalg import as_symmetric, standard_symplectic
+from . import spectral
+from .errors import CorrectorError, IntegrationError
+from .linalg import DEFAULT_TOL, TolerancePolicy, as_symmetric, standard_symplectic
 
 TWO_PI = 2.0 * math.pi
 
@@ -304,11 +305,15 @@ class PolynomialHamiltonian:
         half = self.dim // 2
         return np.concatenate([0.0 - JH[half:], JH[:half]])  # -J JH, as in gradient
 
+    def _jet(self, x, coeffs) -> np.ndarray:
+        """J grad H(x) followed by vec J hess H(x), from one evaluation of the
+        jet table with ``coeffs`` in place of its coefficients."""
+        m = _monomials(x, self._jet_variables, self._jet_powers, self._jet_monomials)
+        return np.bincount(self._jet_rows, weights=coeffs * m, minlength=self.dim * (self.dim + 1))
+
     def symplectic_derivatives(self, x) -> tuple[np.ndarray, np.ndarray]:
         """J grad H(x) and J hess H(x) from one evaluation of the jet table."""
-        m = _monomials(np.asarray(x, dtype=float), self._jet_variables, self._jet_powers,
-                       self._jet_monomials)
-        flat = np.bincount(self._jet_rows, weights=self._jet_coeffs * m, minlength=self.dim * (self.dim + 1))
+        flat = self._jet(np.asarray(x, dtype=float), self._jet_coeffs)
         return flat[:self.dim], flat[self.dim:].reshape(self.dim, self.dim)
 
 
@@ -376,16 +381,13 @@ class HamiltonianField:
         :meth:`PolynomialHamiltonian.symplectic_derivatives`, gives both."""
         if self._kernel is not None:
             return self._kernel[1](y, out)
-        H, coeffs = self.H, self._coeffs
-        n = H.dim
-        variables, powers = H._jet_variables, H._jet_powers
-        monomials, rows = H._jet_monomials, H._jet_rows
+        jet, coeffs = self.H._jet, self._coeffs
+        n = self.H.dim
         x, Jg = y[:n], out[:n]
         Phi, JH_Phi = y[n:].reshape(n, n), out[n:].reshape(n, n)
 
         def evaluate():
-            weights = coeffs * _monomials(x, variables, powers, monomials)
-            flat = np.bincount(rows, weights=weights, minlength=n * (n + 1))
+            flat = jet(x, coeffs)
             Jg[:] = flat[:n]
             flat[n:].reshape(n, n).dot(Phi, out=JH_Phi)
         return evaluate
@@ -745,22 +747,24 @@ def correct_orbit(H: PolynomialHamiltonian, guess: PeriodicOrbit,
     )
 
 
-def seed_from_linearization(A, beta0: float, amplitude: float,
-                            equilibrium=None) -> PeriodicOrbit:
-    """Predictor on the eigendirection of i*beta0, at the linear level 1/beta0."""
-    A = as_symmetric(A)
+def seed_from_linearization(A, beta0: float, amplitude: float, equilibrium=None,
+                            tol: TolerancePolicy = DEFAULT_TOL) -> PeriodicOrbit:
+    """Predictor on the eigendirection of i*beta0, at the linear level 1/beta0.
+
+    beta0 names a frequency of J A by the rule of ``jordan_partition`` (see
+    ``spectral._cluster_at``), which raises EigenvalueNotFoundError when it
+    names none and DecompositionError when the spectrum is undecided."""
+    A = as_symmetric(A, tol)
     if amplitude <= 0.0:
         raise ValueError("amplitude must be positive")
     n = A.shape[0]
     equilibrium = np.zeros(n) if equilibrium is None else np.asarray(equilibrium, dtype=float)
     M = standard_symplectic(n // 2) @ A
+    spectral._cluster_at(M, beta0, tol)
     # a geometric eigenvector always exists; the SVD null vector of the shifted
     # matrix stays machine-accurate even when i*beta0 is defective
     shifted = M.astype(complex) - 1j * beta0 * np.eye(n)
-    _, s, Vh = np.linalg.svd(shifted)
-    if s[-1] > 1e-6 * s[0]:
-        raise EigenvalueNotFoundError(f"i*{beta0} is not in the spectrum")
-    v = Vh[-1].conj()
+    v = np.linalg.svd(shifted)[2][-1].conj()
     direction = v.real
     if np.linalg.norm(direction) < 1e-8:
         direction = v.imag
@@ -896,12 +900,8 @@ def continue_branch(H: PolynomialHamiltonian, seed: PeriodicOrbit,
 
 
 def verify_period_limit(branch: Branch, beta0: float, epsilon: float, delta: float) -> bool:
-    """True iff every branch orbit with amplitude < delta has its unscaled
-    period 2*pi*lambda within epsilon of 2*pi/beta0."""
-    if not branch.orbits:
-        raise ValueError("branch is empty")
-    for orbit in branch.orbits:
-        if orbit.amplitude < delta:
-            if abs(TWO_PI * orbit.lam - TWO_PI / beta0) >= epsilon:
-                return False
-    return True
+    """True iff the branch has an orbit with amplitude < delta and every such
+    orbit has its unscaled period 2*pi*lambda within epsilon of 2*pi/beta0;
+    an empty branch, or one with no orbit that small, verifies nothing."""
+    small = [orbit.lam for orbit in branch.orbits if orbit.amplitude < delta]
+    return bool(small) and all(abs(TWO_PI * lam - TWO_PI / beta0) < epsilon for lam in small)

@@ -207,14 +207,16 @@ def parse_problem(text: str) -> ProblemSpec:
         if brouwer is not None:
             _require(_is_integer(brouwer), "brouwer_index must be an integer", f"{path}.brouwer_index")
         if hamiltonian is not None:
-            grad = hamiltonian.gradient(point)
+            # a term that overflows at the point is refused below, with no numpy warning first
+            with np.errstate(all="ignore"):
+                grad = hamiltonian.gradient(point)
+                derived = hamiltonian.hessian(point)
             gnorm = float(np.linalg.norm(grad))
             if not gnorm <= tolerances.residual_tol * scale:  # NaN included
                 raise ConsistencyError(
                     f"equilibrium {i}: Hamiltonian gradient norm {gnorm:.3e} does not vanish",
                     f"{path}.point",
                 )
-            derived = hamiltonian.hessian(point)
             mismatch = float(np.max(np.abs(derived - hessian)))
             if not mismatch <= tolerances.residual_tol * scale:
                 raise ConsistencyError(

@@ -838,6 +838,35 @@ class TestSeeding:
         with pytest.raises(EigenvalueNotFoundError):
             seed_from_linearization(np.eye(2), 3.0, 0.1)
 
+    def test_seed_names_frequencies_by_the_jordan_partition_rule(self):
+        """The seed accepts a beta exactly where jordan_partition does: near a
+        defective i, the smallest singular value of M - i*beta is tiny far
+        beyond the rule's radius, so a singular-value cutoff accepted 1.01 at
+        a (3,-1) block, 1.05 at a (5,-1) block and 1.0000015 at an oscillator."""
+        import warnings
+
+        from hambif import EigenvalueNotFoundError, jordan_partition, odd_block_hessian
+
+        def refused(call):
+            try:
+                call()
+            except EigenvalueNotFoundError:
+                return True
+            return False
+
+        offsets = (0.0, 1e-9, 5e-7, -5e-7, 1.5e-6, -1.5e-6, 1e-5, 1e-3, 0.01, 0.05, 0.3)
+        for A, outside in ((np.eye(2), 1.5e-6), (odd_block_hessian(3, 1.0, -1), 0.01),
+                           (odd_block_hessian(5, 1.0, -1), 0.05)):
+            M = standard_symplectic(A.shape[0] // 2) @ A
+            verdicts = []
+            for beta in (1.0 + d for d in offsets):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", hambif.ConditioningWarning)
+                    expected = refused(lambda: jordan_partition(M, beta))
+                verdicts.append(expected)
+                assert refused(lambda: seed_from_linearization(A, beta, 0.01)) == expected, (A.shape, beta)
+            assert verdicts[:4] == [False] * 4 and verdicts[offsets.index(outside)], verdicts
+
 
 class TestBranch:
     def test_linear_branch_is_vertical(self):
@@ -973,6 +1002,16 @@ class TestPeriodChecks:
             ContinuationConfig(amplitude_target=0.2),
         )
         assert verify_period_limit(branch, 1.0, 1e-6, math.inf)
+
+    def test_no_small_orbit_verifies_nothing(self):
+        """An empty branch, or one whose orbits all lie at or above delta,
+        has no small orbit whose period could approach 2*pi/beta0."""
+        assert verify_period_limit(hambif.Branch(orbits=(), termination="corrector_failure"),
+                                   1.0, 0.02 * TWO_PI, 0.1) is False
+        orbits = tuple(guess([a, 0.0], 1.0, a) for a in (0.1, 0.2))
+        branch = hambif.Branch(orbits=orbits, termination="amplitude_target")
+        assert verify_period_limit(branch, 1.0, 0.02 * TWO_PI, 0.1) is False
+        assert verify_period_limit(branch, 1.0, 0.02 * TWO_PI, 0.15) is True
 
 
 class TestOrbitInvariants:

@@ -334,6 +334,47 @@ class TestCli:
             assert cli_main(["analyze", "--input", problem]) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
+    def test_refused_point_prints_no_numpy_warning(self, tmp_path, capsys):
+        """The error line is all a refused overflowing point prints: the
+        consistency checks evaluate the Hamiltonian under np.errstate."""
+        import warnings
+
+        data = json.loads(quartic_spec())
+        data["equilibria"][0]["point"] = [2.0, 0.0]
+        data["hamiltonian"]["terms"] = [{"coefficient": 1.0, "exponents": [2000, 1]}]
+        problem = self.write(tmp_path, json.dumps(data))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli_main(["analyze", "--input", problem]) == 2
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err.startswith("error: $.equilibria[0].point: ")
+
+    def test_repeated_betas_name_one_frequency_once(self, tmp_path, capsys):
+        """Requested betas that name one frequency give one verdict, one index
+        and one branch, in first-request order, from the flag or the file."""
+        path = self.write(tmp_path, two_frequency_quartic_spec())
+        assert cli_main(["analyze", "--input", path, "--beta", "2.0", "--beta", "1.0",
+                         "--beta", "1.0000001", "--beta", "2.0"]) == 0
+        eq = parse_report(capsys.readouterr().out)["equilibria"][0]
+        for key in ("conditions", "bifurcation_indices", "branches"):
+            assert [round(x["beta0"], 6) for x in eq[key]] == [2.0, 1.0], key
+        data = json.loads(two_frequency_quartic_spec())
+        data["analysis"]["betas"] = [1.0, 1.0000001]
+        path = self.write(tmp_path, json.dumps(data), "file_betas.json")
+        assert cli_main(["continue", "--input", path]) == 0
+        branches = parse_report(capsys.readouterr().out)["equilibria"][0]["branches"]
+        assert [round(b["beta0"], 6) for b in branches] == [1.0]
+
+    def test_period_limit_needs_an_orbit_below_delta(self, tmp_path, capsys):
+        """A branch seeded at amplitude 0.2 has no orbit below delta 0.1, so
+        the small-orbit period check verifies nothing."""
+        path = self.write(tmp_path, quartic_spec(continuation={"seed_amplitude": 0.2, "amplitude_target": 0.3}))
+        assert cli_main(["analyze", "--input", path]) == 0
+        branch = parse_report(capsys.readouterr().out)["equilibria"][0]["branches"][0]
+        assert branch["orbit_count"] > 0
+        assert min(o["amplitude"] for o in branch["orbits"]) >= 0.1
+        assert branch["period_limit"]["verified"] is False
+
     def test_integer_of_too_many_digits_is_a_spec_error(self, tmp_path, capsys):
         # json.loads refuses it with a ValueError that is no JSONDecodeError
         problem = self.write(tmp_path, quartic_spec().replace("[4, 0]", f"[{'9' * 5000}, 0]"))

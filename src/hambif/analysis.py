@@ -338,9 +338,12 @@ def _human_report(report: dict) -> str:
                 if br["orbits"]
                 else "empty"
             )
+            limit = br["period_limit"]
+            small = sum(a < limit["delta"] for a in amp)
             lines.append(
                 f"  branch at beta0={br['beta0']:.9g}: {br['orbit_count']} orbits, {span}, "
                 f"terminated by {br['termination']}, small-orbit period check "
-                f"{'passed' if br['period_limit']['verified'] else 'failed'}"
+                f"{'passed' if limit['verified'] else 'not verified'} "
+                f"({small} orbits below delta {limit['delta']:g})"
             )
     return "\n".join(lines) + "\n"

@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Subcommands map to pipeline stages: ``analyze`` runs everything,
+Commands map to pipeline stages: ``analyze`` runs everything,
 ``normal-form`` only the block decomposition, ``index`` the candidate levels
-and bifurcation indices, ``continue`` only branch continuation.
+and bifurcation indices, ``continue`` only branch continuation.  One parser
+reads the command and the flags, which may come before or after it.
 
 Exit codes: 0 success, 2 bad input (a parse or consistency error, a bad flag
 value, an unreadable input or an unwritable output), 3 numerical failure,
@@ -22,11 +23,12 @@ from .analysis import ALL_STAGES, branch_csv, emit_report, run_analysis
 from .errors import SpecError
 from .problem import parse_problem
 
-STAGES_BY_COMMAND = {
-    "analyze": ALL_STAGES,
-    "normal-form": frozenset({"normal_form"}),
-    "index": frozenset({"index"}),
-    "continue": frozenset({"continuation"}),
+# each command: the pipeline stages it runs, and its line in --help
+_COMMANDS = {
+    "analyze": (ALL_STAGES, "full pipeline: spectrum, decomposition, indices, assumptions, branches"),
+    "normal-form": (frozenset({"normal_form"}), "block decomposition only"),
+    "index": (frozenset({"index"}), "candidate levels, Morse jumps and bifurcation indices only"),
+    "continue": (frozenset({"continuation"}), "branch continuation only (requires a Hamiltonian)"),
 }
 
 
@@ -45,7 +47,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="hambif",
+        description="Normal-form block counts, bifurcation indices and branch continuation\n"
+        "for Hamiltonian equilibria.",
+        epilog="commands:\n" + "\n".join(f"  {name:13}{text}" for name, (_, text) in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument("command", choices=_COMMANDS, metavar="command", help="one of the commands below")
     parser.add_argument("--input", required=True, help="problem description (JSON)")
     parser.add_argument("--output", help="output file (default: stdout)")
     parser.add_argument(
@@ -57,26 +67,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--j-max", type=_positive_int, help="override the index truncation")
     parser.add_argument(
-        "--beta", type=_positive, action="append", dest="betas",
+        "--beta", type=_positive, action="append", dest="betas", metavar="BETA",
         help="restrict to this frequency (repeatable)",
     )
     parser.add_argument("--tol-scale", type=_positive, help="scale all tolerances by this factor")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hambif",
-        description="Normal-form block counts, bifurcation indices and branch continuation "
-        "for Hamiltonian equilibria.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("analyze", "full pipeline: spectrum, decomposition, indices, assumptions, branches"),
-        ("normal-form", "block decomposition only"),
-        ("index", "candidate levels, Morse jumps and bifurcation indices only"),
-        ("continue", "branch continuation only (requires a Hamiltonian)"),
-    ):
-        _add_common(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -103,7 +97,9 @@ def _write(text: str, output: str | None) -> None:
 def _emit_csv(report: dict, output: str | None) -> None:
     """Branches as CSV: one file per branch in a directory when ``output``
     ends in a path separator, names an existing directory, or there are two
-    or more branches; otherwise all of them in one file or on stdout."""
+    or more branches; otherwise all of them in one file or on stdout.  A
+    file's name prints ``beta0`` with the fewest significant digits, 6 to
+    17, that give every branch of the export a name of its own."""
     pieces = []
     for eq in report["equilibria"]:
         for br in eq.get("branches", []):
@@ -111,9 +107,11 @@ def _emit_csv(report: dict, output: str | None) -> None:
     if output and (len(pieces) > 1 or output.endswith((os.sep, "/")) or Path(output).is_dir()):
         directory = Path(output)
         directory.mkdir(parents=True, exist_ok=True)
+        # distinct doubles differ at 17 digits
+        digits = next((d for d in range(6, 17)
+                       if len({(i, f"{br['beta0']:.{d}g}") for i, br in pieces}) == len(pieces)), 17)
         for index, br in pieces:
-            name = f"branch_eq{index}_beta{br['beta0']:.6g}.csv"
-            (directory / name).write_text(branch_csv(br))
+            (directory / f"branch_eq{index}_beta{br['beta0']:.{digits}g}.csv").write_text(branch_csv(br))
         return
     text = "".join(branch_csv(br) for _, br in pieces)
     _write(text, output)
@@ -138,7 +136,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # a --tol-scale that pushes a tolerance out of (0, 1)
         parser.error(str(exc))
 
-    stages = STAGES_BY_COMMAND[args.command]
+    stages, _ = _COMMANDS[args.command]
     if args.command == "continue" and spec.hamiltonian is None:
         print("error: continuation requires a polynomial Hamiltonian in the problem", file=sys.stderr)
         return 2

@@ -84,34 +84,20 @@ def _as_matrix(value, dim, path):
     return np.vstack([_as_float_list(row, dim, f"{path}[{i}]") for i, row in enumerate(value)])
 
 
-def _parse_tolerances(data, path):
+def _parse_settings(cls, data, path, kind):
+    """A ``cls`` settings object from a JSON object of its fields; null gives
+    the defaults.  No cast is needed: the fields' types are checked, and no
+    integer lies in ``TolerancePolicy``'s open range (0, 1)."""
     if data is None:
-        return TolerancePolicy()
+        return cls()
     _require(isinstance(data, dict), "expected an object", path)
-    known = {f.name for f in fields(TolerancePolicy)}
-    unknown = set(data) - known
-    _require(not unknown, f"unknown tolerance fields {sorted(unknown)}", path)
-    _check_types(data, {f.name: f.type for f in fields(TolerancePolicy)}, path)
-    try:
-        return TolerancePolicy(**{k: float(v) for k, v in data.items()})
-    except ValueError as exc:
-        raise SpecError(str(exc), path) from None
-
-
-def _parse_continuation(data, path):
-    if data is None:
-        return ContinuationConfig(), True
-    _require(isinstance(data, dict), "expected an object", path)
-    data = dict(data)
-    enabled = data.pop("enabled", True)
-    _require(isinstance(enabled, bool), "expected true or false", f"{path}.enabled")
-    types = {f.name: f.type for f in fields(ContinuationConfig)}
+    types = {f.name: f.type for f in fields(cls)}
     unknown = set(data) - set(types)
-    _require(not unknown, f"unknown continuation fields {sorted(unknown)}", path)
+    _require(not unknown, f"unknown {kind} fields {sorted(unknown)}", path)
     _check_types(data, types, path)
     try:
-        return ContinuationConfig(**data), enabled
-    except (TypeError, ValueError) as exc:
+        return cls(**data)
+    except ValueError as exc:
         raise SpecError(str(exc), path) from None
 
 
@@ -166,8 +152,14 @@ def parse_problem(text: str) -> ProblemSpec:
     _require(isinstance(analysis, dict), "expected an object", "$.analysis")
     unknown = set(analysis) - {"lambda_max", "j_max", "betas", "tolerances", "continuation"}
     _require(not unknown, f"unknown analysis fields {sorted(unknown)}", "$.analysis")
-    tolerances = _parse_tolerances(analysis.get("tolerances"), "$.analysis.tolerances")
-    continuation, enabled = _parse_continuation(analysis.get("continuation"), "$.analysis.continuation")
+    tolerances = _parse_settings(TolerancePolicy, analysis.get("tolerances"), "$.analysis.tolerances",
+                                 "tolerance")
+    continuation, enabled = analysis.get("continuation"), True
+    if isinstance(continuation, dict):
+        continuation = dict(continuation)
+        enabled = continuation.pop("enabled", True)
+        _require(isinstance(enabled, bool), "expected true or false", "$.analysis.continuation.enabled")
+    continuation = _parse_settings(ContinuationConfig, continuation, "$.analysis.continuation", "continuation")
     lambda_max = analysis.get("lambda_max", 10.0)
     _require(_is_number(lambda_max) and lambda_max > 0.0, "lambda_max must be a positive finite number",
              "$.analysis.lambda_max")

@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 from hambif import (
+    AnalysisOptions,
     ConditioningWarning,
     ConsistencyError,
+    ContinuationConfig,
     SpecError,
+    TolerancePolicy,
     branch_csv,
     emit_problem,
     emit_report,
@@ -135,6 +138,39 @@ class TestParsing:
         path.write_text(json.dumps(data))
         assert cli_main(["analyze", "--input", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: $.analysis.{field}: ")
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("tolerances", [], "$.analysis.tolerances: expected an object"),
+        ("tolerances", {"rank_tol": 1e-10, "zero_tol": 1e-9},
+         "$.analysis.tolerances: unknown tolerance fields ['zero_tol']"),
+        ("tolerances", {"rank_tol": "1e-10"}, "$.analysis.tolerances.rank_tol: expected a finite number"),
+        ("tolerances", {"residual_tol": 0}, "$.analysis.tolerances: all tolerances must lie strictly between 0 and 1"),
+        ("continuation", 5, "$.analysis.continuation: expected an object"),
+        ("continuation", {"enabled": 1, "seed": 3}, "$.analysis.continuation.enabled: expected true or false"),
+        ("continuation", {"enabled": False, "seed": 3, "steps": 4},
+         "$.analysis.continuation: unknown continuation fields ['seed', 'steps']"),
+        ("continuation", {"max_steps": 2.5}, "$.analysis.continuation.max_steps: expected an integer"),
+        ("continuation", {"growth": 0.5}, "$.analysis.continuation: growth must be at least 1"),
+    ])
+    def test_settings_objects_are_read_by_one_rule(self, key, value, message):
+        """Tolerances and continuation settings: an object of known, typed
+        fields that the settings class accepts."""
+        data = json.loads(quartic_spec())
+        data["analysis"][key] = value
+        with pytest.raises(SpecError) as info:
+            parse_problem(json.dumps(data))
+        assert str(info.value) == message
+
+    def test_null_settings_are_the_defaults(self):
+        data = json.loads(quartic_spec())
+        data["analysis"].update(tolerances=None, continuation=None)
+        options = parse_problem(json.dumps(data)).options
+        assert options == AnalysisOptions(lambda_max=3.0)
+        data["analysis"].update(tolerances={"rank_tol": 0.5}, continuation={"enabled": False, "max_steps": 7})
+        options = parse_problem(json.dumps(data)).options
+        assert options.tolerances == TolerancePolicy(rank_tol=0.5)
+        assert options.continuation == ContinuationConfig(max_steps=7)
+        assert options.continuation_enabled is False
 
     @pytest.mark.parametrize("edit,path", [
         pytest.param(lambda d: d["hamiltonian"].update(terms=5), "$.hamiltonian.terms", id="terms-not-a-list"),
@@ -375,6 +411,21 @@ class TestCli:
         assert min(o["amplitude"] for o in branch["orbits"]) >= 0.1
         assert branch["period_limit"]["verified"] is False
 
+    def test_human_period_check_counts_the_orbits_below_delta(self, tmp_path, capsys):
+        """With no orbit below delta the check compared nothing: the human
+        line says so, not "failed"."""
+        large = self.write(tmp_path, quartic_spec(continuation={"seed_amplitude": 0.2, "amplitude_target": 0.3}))
+        assert cli_main(["analyze", "--input", large, "--format", "human"]) == 0
+        line = next(l for l in capsys.readouterr().out.splitlines() if "branch at beta0=" in l)
+        assert line.endswith("small-orbit period check not verified (0 orbits below delta 0.1)"), line
+        small = self.write(tmp_path, quartic_spec(), "small.json")
+        assert cli_main(["analyze", "--input", small]) == 0
+        branch = parse_report(capsys.readouterr().out)["equilibria"][0]["branches"][0]
+        below = sum(o["amplitude"] < 0.1 for o in branch["orbits"])
+        assert branch["period_limit"]["verified"] is True and below > 0
+        assert cli_main(["analyze", "--input", small, "--format", "human"]) == 0
+        assert f"small-orbit period check passed ({below} orbits below delta 0.1)" in capsys.readouterr().out
+
     def test_integer_of_too_many_digits_is_a_spec_error(self, tmp_path, capsys):
         # json.loads refuses it with a ValueError that is no JSONDecodeError
         problem = self.write(tmp_path, quartic_spec().replace("[4, 0]", f"[{'9' * 5000}, 0]"))
@@ -443,6 +494,25 @@ class TestCli:
         assert sorted(f.name for f in out.iterdir()) == ["branch_eq0_beta1.csv", "branch_eq0_beta2.csv"]
         for f in out.iterdir():
             assert f.read_text().startswith("index,lambda,amplitude")
+
+    def test_continue_csv_names_frequencies_equal_to_six_digits_apart(self, tmp_path, capsys):
+        """Frequencies 1 and 1.000004 print alike at 6 significant digits:
+        the names take the digits they need, and no branch overwrites another."""
+        data = json.loads(two_frequency_quartic_spec())
+        beta = 1.000004
+        for term in data["hamiltonian"]["terms"]:
+            if term["exponents"] in ([0, 2, 0, 0], [0, 0, 0, 2]):
+                term["coefficient"] = beta / 2
+        data["equilibria"][0]["hessian"] = np.diag([1.0, beta, 1.0, beta]).tolist()
+        path = self.write(tmp_path, json.dumps(data))
+        assert cli_main(["continue", "--input", path]) == 0
+        branches = parse_report(capsys.readouterr().out)["equilibria"][0]["branches"]
+        assert [round(b["beta0"], 9) for b in branches] == [beta, 1.0]
+        out = tmp_path / "branches"
+        assert cli_main(["continue", "--input", path, "--format", "csv", "--output", str(out)]) == 0
+        assert sorted(f.name for f in out.iterdir()) == ["branch_eq0_beta1.000004.csv", "branch_eq0_beta1.csv"]
+        assert (out / "branch_eq0_beta1.000004.csv").read_text() == branch_csv(branches[0])
+        assert (out / "branch_eq0_beta1.csv").read_text() == branch_csv(branches[1])
 
     @pytest.mark.parametrize("form", ["trailing separator", "existing directory"])
     def test_continue_csv_directory_holds_a_single_branch(self, tmp_path, form):
@@ -544,6 +614,31 @@ class TestCli:
         assert info.value.code == 0
         out = capsys.readouterr().out
         assert all(name in out for name in ("analyze", "normal-form", "index", "continue"))
+
+
+    def test_flags_may_come_before_the_command(self, tmp_path, capsys):
+        path = self.write(tmp_path, quartic_spec())
+        assert cli_main(["analyze", "--input", path]) == 0
+        after = capsys.readouterr().out
+        assert cli_main(["--input", path, "analyze"]) == 0
+        assert capsys.readouterr().out == after
+
+    def test_command_help_lists_every_command_and_flag(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli_main(["analyze", "--help"])
+        assert info.value.code == 0
+        out = capsys.readouterr().out
+        assert all(name in out for name in ("analyze", "normal-form", "index", "continue"))
+        flags = ("--input", "--output", "--format", "--lambda-max", "--j-max", "--beta", "--tol-scale")
+        assert all(flag in out for flag in flags)
+
+    def test_no_command_exits_two(self, tmp_path, capsys):
+        """The input path is not taken for a command."""
+        path = self.write(tmp_path, quartic_spec())
+        with pytest.raises(SystemExit) as info:
+            cli_main(["--input", path])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.endswith("hambif: error: the following arguments are required: command\n")
 
 
 def oscillators_problem(tmp_path, *betas):

@@ -316,6 +316,9 @@ def _human_report(report: dict) -> str:
         for cond in eq.get("conditions", []):
             if "gamma" in cond:
                 lines.append(_verdict_line(cond))
+            else:  # the normal-form stage alone: blocks, no verdict
+                blocks = ", ".join(f"({n}, {eps:+d})" for n, eps in cond["blocks"])
+                lines.append(f"  beta0={cond['beta0']:.9g}: blocks (half_dim, epsilon) {blocks}")
         for bif in eq.get("bifurcation_indices", []):
             entries = bif["entries"] or {}
             shown = ", ".join(f"eta_{j}={eta}" for j, eta in sorted(entries.items(), key=lambda t: int(t[0])))

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegeneracyError, StructureError
 
@@ -185,4 +184,6 @@ def random_symplectic(N: int, seed: int, scale: float = 1.0) -> np.ndarray:
         raise ValueError("scale must lie in (0, 1]")
     A = random_symmetric(2 * N, seed)
     J = standard_symplectic(N)
+    import scipy.linalg  # the only scipy use here; keeps ``import hambif`` numpy-only
+
     return scipy.linalg.expm(scale * J @ A)

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DecompositionError, StructureError
 from .linalg import (
@@ -185,9 +184,14 @@ def interleave_permutation(half_dims) -> np.ndarray:
 def assemble_hessian(nf: NormalForm) -> np.ndarray:
     """Hessian of the assembled normal form: the blocks' Hessians stacked, then
     interleaved (all x coordinates first, all y coordinates second)."""
-    hessians = [block_hessian(b) for b in nf.blocks]
     P = interleave_permutation(nf.half_dims)
-    return P @ scipy.linalg.block_diag(*hessians) @ P.T
+    stacked = np.zeros_like(P)
+    start = 0
+    for b in nf.blocks:
+        stop = start + 2 * b.half_dim
+        stacked[start:stop, start:stop] = block_hessian(b)
+        start = stop
+    return P @ stacked @ P.T
 
 
 def assemble_normal_form(nf: NormalForm) -> np.ndarray:
@@ -271,6 +275,8 @@ def _invariant_subspace(M: np.ndarray, beta: float, expected_dim: int, tol: Tole
             raise DecompositionError(
                 f"no eigenvalue gap separates the cluster at beta={beta}"
             )
+    import scipy.linalg  # loaded at the first Schur form, not at ``import hambif``
+
     # one Schur form per matrix, kept read-only in the memo; trsen reorders copies
     T, Z = spectral._MEMO.lookup(
         M, tol, "schur", lambda: scipy.linalg.schur(M.astype(complex), output="complex"))

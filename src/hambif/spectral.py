@@ -276,6 +276,11 @@ def _jordan_data(cluster):
     once."""
     _, _, sizes, note = cluster
     if note is not None:
+        # scipy's first import runs warnings.catch_warnings, which re-arms the
+        # default filter: load it before the first note, or the note prints
+        # again once a later stage reaches a Schur form
+        import scipy.linalg  # noqa: F401
+
         warnings.warn(note, ConditioningWarning)
     return sizes, note
 

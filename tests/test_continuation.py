@@ -520,32 +520,48 @@ class TestFlow:
         assert field.state_calls == 3  # one batched call per extra stage
         assert field.calls == result.rhs_calls
 
-    def test_import_leaves_scipy_integrate_unloaded(self, tmp_path):
-        # neither the package import nor a branch analysis through the CLI
-        # loads scipy.integrate
+    def test_scipy_stays_unloaded_until_needed(self, tmp_path):
+        # the package import, --help, a refusal and a branch traced by
+        # `continue` load no scipy module; `analyze`, which reaches a Schur
+        # form, loads scipy.linalg but still not scipy.integrate
         src = str(Path(hambif.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        code = "import sys, hambif; print('scipy.integrate' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True, timeout=120).stdout
-        assert out.strip() == "False"
+        code = ("import sys\n"
+                "from hambif.cli import main\n"
+                "try:\n"
+                "    status = main(sys.argv[1:])\n"
+                "except SystemExit as exc:\n"
+                "    status = exc.code\n"
+                "loaded = sorted({m.split('.')[0] for m in sys.modules} & {'scipy'})\n"
+                "print(loaded, 'scipy.integrate' in sys.modules, file=sys.stderr)\n"
+                "sys.exit(status)")
+
+        def run(*argv):
+            done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                                  text=True, timeout=120)
+            return done.returncode, done.stderr.splitlines()[-1], done.stdout
+
+        imported = subprocess.run([sys.executable, "-c", "import sys, hambif; print(sorted(sys.modules))"],
+                                  env=env, capture_output=True, text=True, check=True, timeout=120).stdout
+        assert "hambif" in imported and "scipy" not in imported
 
         H = quartic_radial()
-        spec = ProblemSpec(
-            dim=2,
-            equilibria=(Equilibrium(point=np.zeros(2), hessian=H.hessian(np.zeros(2))),),
-            hamiltonian=H,
-            options=AnalysisOptions(continuation=ContinuationConfig(amplitude_target=0.1)),
-        )
+        equilibrium = Equilibrium(point=np.zeros(2), hessian=H.hessian(np.zeros(2)))
+        spec = ProblemSpec(dim=2, equilibria=(equilibrium,), hamiltonian=H,
+                           options=AnalysisOptions(continuation=ContinuationConfig(amplitude_target=0.1)))
         problem = tmp_path / "quartic.json"
         problem.write_text(emit_problem(spec))
-        code = ("import sys; from hambif.cli import main; status = main(sys.argv[1:]); "
-                "print('scipy.integrate' in sys.modules, file=sys.stderr); sys.exit(status)")
-        run = subprocess.run([sys.executable, "-c", code, "analyze", "--input", str(problem)],
-                             env=env, capture_output=True, text=True, timeout=120)
-        assert run.returncode == 0, run.stderr
-        assert '"orbit_count": 0' not in run.stdout and '"orbit_count"' in run.stdout
-        assert run.stderr.splitlines()[-1] == "False"
+        linear = tmp_path / "linear.json"
+        linear.write_text(emit_problem(ProblemSpec(dim=2, equilibria=(equilibrium,))))
+
+        assert run("--help")[:2] == (0, "[] False")
+        assert run("continue", "--input", str(linear))[:2] == (2, "[] False")
+        status, loaded, out = run("continue", "--input", str(problem))
+        assert (status, loaded) == (0, "[] False")
+        assert '"orbit_count": 0' not in out and '"orbit_count"' in out
+        status, loaded, out = run("analyze", "--input", str(problem))
+        assert (status, loaded) == (0, "['scipy'] False")
+        assert '"orbit_count": 0' not in out and '"orbit_count"' in out
 
     def test_energy_conservation(self):
         H = quartic_radial()

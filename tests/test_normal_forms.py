@@ -6,8 +6,10 @@ from hambif import (
     BlockSpec,
     DecompositionError,
     NormalForm,
+    assemble_hessian,
     assemble_normal_form,
     block_counts,
+    block_hessian,
     even_block_hessian,
     interleave_permutation,
     is_hamiltonian,
@@ -146,6 +148,20 @@ class TestAssembly:
 
         J_stacked = scipy.linalg.block_diag(standard_symplectic(3), standard_symplectic(1))
         assert np.array_equal(P @ J_stacked @ P.T, standard_symplectic(4))
+
+    @pytest.mark.parametrize("blocks", [
+        ((1.0, 5, -1), (1.0, 3, +1), (1.0, 2, +1)),
+        ((0.7, 3, +1), (1.9, 2, -1), (0.7, 1, -1)),
+    ])
+    def test_assembly_matches_block_diag_bit_for_bit(self, blocks):
+        import scipy.linalg
+
+        nf = NormalForm(tuple(BlockSpec(*b) for b in blocks))
+        P = interleave_permutation(nf.half_dims)
+        expected = P @ scipy.linalg.block_diag(*(block_hessian(b) for b in nf.blocks)) @ P.T
+        assembled = assemble_hessian(nf)
+        assert assembled.dtype == expected.dtype and assembled.shape == expected.shape
+        assert assembled.tobytes() == expected.tobytes()
 
     def test_dimension_bookkeeping(self):
         nf = NormalForm((BlockSpec(1.0, 2, 1), BlockSpec(1.5, 3, -1)))

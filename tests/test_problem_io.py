@@ -558,6 +558,22 @@ class TestCli:
         cond = report["equilibria"][0]["conditions"][0]
         assert cond["blocks"] == [[1, -1]]
 
+    def test_normal_form_human_lists_the_blocks(self, tmp_path, capsys):
+        """The normal-form stage alone gives blocks and no verdict; the human
+        report prints one line of blocks per frequency."""
+        from hambif import BlockSpec, NormalForm, assemble_hessian
+
+        A = assemble_hessian(NormalForm((BlockSpec(1.0, 3, 1), BlockSpec(1.0, 1, -1), BlockSpec(2.0, 2, 1))))
+        path = self.write(tmp_path, json.dumps({"dim": A.shape[0], "equilibria": [
+            {"point": [0.0] * A.shape[0], "hessian": A.tolist()}]}))
+        assert cli_main(["normal-form", "--input", path, "--format", "human"]) == 0
+        assert capsys.readouterr().out.splitlines()[2:] == [
+            "  frequency beta=2: mult 2/1, partition [2], strictly_nonsemisimple",
+            "  frequency beta=1: mult 4/2, partition [3, 1], partially_semisimple",
+            "  beta0=2: blocks (half_dim, epsilon) (2, +1)",
+            "  beta0=1: blocks (half_dim, epsilon) (3, +1), (1, -1)",
+        ]
+
     def test_beta_and_overrides(self, tmp_path, capsys):
         path = self.write(tmp_path, oscillator_spec())
         assert cli_main(["index", "--input", path, "--beta", "1.0", "--lambda-max", "2.0",

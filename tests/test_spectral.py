@@ -471,9 +471,26 @@ def test_simple_pair_beside_a_hyperbolic_quartet(a, tmp_path):
     assert cli_main(["analyze", "--input", str(path), "--output", str(tmp_path / "report.json")]) == 0
 
 
-def test_marginal_rank_decision_warns_once_per_analysis(tmp_path):
-    """``hambif analyze`` prints each ConditioningWarning once, though every
-    stage of the analysis reads the spectrum that raised it."""
+# library calls that read the spectrum, then reach a Schur form, then read
+# the spectrum again through a whole analysis
+LIBRARY_READS = (
+    "import sys; from pathlib import Path; import hambif as hb; "
+    "spec = hb.parse_problem(Path(sys.argv[1]).read_text()); tol = spec.options.tolerances; "
+    "M = hb.standard_symplectic(2) @ spec.equilibria[0].hessian; hb.spectral_summary(M, tol); "
+    "hb.structural_decomposition(M, 1.0, tol); print(hb.emit_report(hb.run_analysis(spec)), end='')"
+)
+
+
+@pytest.mark.parametrize("argv", [
+    ["-m", "hambif.cli", "analyze", "--input"],
+    ["-m", "hambif.cli", "normal-form", "--input"],
+    ["-m", "hambif.cli", "index", "--input"],
+    ["-c", LIBRARY_READS],
+], ids=["analyze", "normal-form", "index", "library"])
+def test_marginal_rank_decision_warns_once_per_analysis(tmp_path, argv):
+    """Each command prints each ConditioningWarning once, though every stage
+    of the analysis reads the spectrum that raised it and scipy loads partway
+    through the process, at the first Schur form; so do library calls."""
     import os
     import subprocess
     import sys
@@ -488,7 +505,7 @@ def test_marginal_rank_decision_warns_once_per_analysis(tmp_path):
     src = str(Path(hambif.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     env.pop("PYTHONWARNINGS", None)
-    run = subprocess.run([sys.executable, "-m", "hambif.cli", "analyze", "--input", str(path)],
+    run = subprocess.run([sys.executable, *argv, str(path)],
                          env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0
     warned = [line for line in run.stderr.splitlines() if "ConditioningWarning:" in line]

@@ -198,8 +198,13 @@ def _morse_jump(A, lam0: float, mu: float, tol: TolerancePolicy) -> int:
 def gamma_jump(A, beta0: float, tol: TolerancePolicy = DEFAULT_TOL) -> int:
     """Jump of the Morse index of T(lam) across lam = 1/beta0, always even.
     The spectral memo keeps it with the spectrum of J A, so every reader at
-    beta0 shares one computation; a failure is not kept."""
-    A = as_symmetric(A, tol)
+    beta0 shares one computation; a failure is not kept.  The public
+    functions of this module check A once and hand it to ``_gamma_jump``."""
+    return _gamma_jump(as_symmetric(A, tol), beta0, tol)
+
+
+def _gamma_jump(A: np.ndarray, beta0: float, tol: TolerancePolicy) -> int:
+    """``gamma_jump`` of an A already passed through ``as_symmetric``."""
     M = standard_symplectic(A.shape[0] // 2) @ A
 
     def jump():
@@ -286,7 +291,7 @@ def bifurcation_index(A, brouwer: int, lambda0: float, j_max: int | None = None,
         for b, j in levels:
             if j > j_max or abs(lambda0 / j - 1.0 / b) > band:
                 continue
-            eta = brouwer * gamma_jump(A, b, tol)
+            eta = brouwer * _gamma_jump(A, b, tol)
             if eta != 0:
                 entries.append((j, eta))
     truncated = any(b * lambda0 > j_max + band for b in betas)
@@ -367,7 +372,7 @@ def check_classical_assumptions(A, tol: TolerancePolicy = DEFAULT_TOL) -> Assump
         certified = []
         for beta in candidates if holds else ():
             try:
-                if gamma_jump(A, beta, tol) != 0:
+                if _gamma_jump(A, beta, tol) != 0:
                     certified.append(beta)
             except DegeneracyError:
                 continue
@@ -456,7 +461,7 @@ def check_main_condition(A, brouwer: int | None, beta0: float,
     ``condition_holds`` is None when the Brouwer index is unknown.
     """
     A = as_symmetric(A, tol)
-    gamma = gamma_jump(A, beta0, tol)
+    gamma = _gamma_jump(A, beta0, tol)
     try:
         blocks = tuple(structural_decomposition(standard_symplectic(A.shape[0] // 2) @ A, beta0, tol))
         counts = block_counts(blocks, beta0, tol)

@@ -21,7 +21,6 @@ from .linalg import (
     TolerancePolicy,
     as_matrix,
     half_dimension,
-    is_hamiltonian,
     standard_symplectic,
 )
 from . import spectral
@@ -329,12 +328,13 @@ def structural_decomposition(
     Sizes come from the Jordan partition; signs from the signatures of the
     Hermitian moment forms on the generalized eigenspace.  The output is
     invariant under symplectic conjugation of M.  A repeat at the same M and
-    beta is read from the spectral memo, as a list of its own.
+    beta is read from the spectral memo, as a list of its own; so is whether
+    M is Hamiltonian, which ``spectral_summary`` checks through the same step.
     """
     M = as_matrix(M)
     if 2 * half_dimension(M) > 64:
         raise DecompositionError("decomposition supported up to dimension 64")
-    if not is_hamiltonian(M, tol):
+    if not spectral._is_hamiltonian(M, tol):
         raise StructureError("structural_decomposition expects a Hamiltonian matrix")
     if beta <= 0.0:
         raise ValueError("beta must be positive")

@@ -103,12 +103,12 @@ def _single_linkage(points: list[complex], threshold: float) -> list[list[comple
 class _OneMatrixMemo:
     """Results of the pure spectral steps for the most recent matrix only.
 
-    Every stage of an analysis asks again for the eigenvalues, clusters and
-    Schur form of the same ``J A`` and for its frequencies' Morse jumps and
-    blocks; keeping the last matrix's results makes those repeats free,
-    while memory stays bounded by one matrix however many problems a
-    process analyzes.  A matrix is keyed by its bytes, so one changed in
-    place is a new matrix.
+    Every stage of an analysis asks again whether the same ``J A`` is
+    Hamiltonian, for its eigenvalues, clusters and Schur form, and for its
+    frequencies' Morse jumps and blocks; keeping the last matrix's results
+    makes those repeats free, while memory stays bounded by one matrix
+    however many problems a process analyzes.  A matrix is keyed by its
+    bytes, so one changed in place is a new matrix.
     Values are pure functions of the key and are immutable, so sharing them
     between callers is safe; failures are not stored.
     """
@@ -137,6 +137,11 @@ def _eigenvalues(M: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
     w = _MEMO.lookup(M, tol, "eigvals", lambda: np.linalg.eigvals(M))
     w.flags.writeable = False
     return w
+
+
+def _is_hamiltonian(M: np.ndarray, tol: TolerancePolicy) -> bool:
+    """``is_hamiltonian(M, tol)``, checked once per matrix."""
+    return _MEMO.lookup(M, tol, "hamiltonian", lambda: is_hamiltonian(M, tol))
 
 
 def _imaginary_clusters(M: np.ndarray, tol: TolerancePolicy):
@@ -305,10 +310,12 @@ def spectral_summary(M, tol: TolerancePolicy = DEFAULT_TOL) -> SpectralSummary:
 
     Raises :class:`DecompositionError` when a cluster on the imaginary axis,
     where a rank staircase finds a kernel, is confirmed by no staircase, whole
-    or split; every function that reads the spectrum passes it on.
+    or split; every function that reads the spectrum passes it on.  Whether M
+    is Hamiltonian is one more step the memo keeps, so the readers of one
+    matrix check it once; a non-Hamiltonian M is refused on every call.
     """
     M = as_matrix(M)
-    if not is_hamiltonian(M, tol):
+    if not _is_hamiltonian(M, tol):
         raise StructureError("spectral_summary expects a Hamiltonian matrix")
     clusters, others, _ = _imaginary_clusters(M, tol)
 

@@ -56,6 +56,19 @@ def conjugated_pair(nf, seed, scale=0.5):
     return np.linalg.solve(S, M @ S), S.T @ A @ S
 
 
+def squeezed_readme_example(seed, t):
+    """Hessian of the 20-dim README example, blocks (5,-1), (3,+1), (2,+1) at
+    beta 1, conjugated by S1 D S2: S1 and S2 random symplectic, D the
+    symplectic squeeze diag(exp(t d), exp(-t d))."""
+    S1 = random_symplectic(10, seed=seed, scale=0.5)
+    S2 = random_symplectic(10, seed=seed + 1, scale=0.5)
+    d = np.random.default_rng(seed).uniform(-1.0, 1.0, 10)
+    S = S1 @ np.diag(np.exp(t * np.concatenate([d, -d]))) @ S2
+    nf = NormalForm((BlockSpec(1.0, 5, -1), BlockSpec(1.0, 3, +1), BlockSpec(1.0, 2, +1)))
+    A = S.T @ assemble_hessian(nf) @ S
+    return 0.5 * (A + A.T)
+
+
 def staircase_oracle(M, beta, rel_cutoff=1e-8, shift=None):
     """Jordan partition of the eigenvalue ``shift`` (default i*beta) via plain
     SVD ranks of shifted powers."""

@@ -37,9 +37,10 @@ from hambif.errors import (
     EigenvalueNotFoundError,
     LevelCountError,
     PlanarDegreeError,
+    StructureError,
 )
 
-from conftest import conjugated_pair, random_normal_form
+from conftest import conjugated_pair, random_normal_form, squeezed_readme_example
 
 
 def oscillators(*betas):
@@ -601,3 +602,58 @@ class TestNonresonance:
         assert entry["nonresonance"]["lower_bound"] == 1
         assert [c["beta0"] for c in entry["conditions"]] == [pytest.approx(np.sqrt(2.0))]
         assert any("condition check at beta=1 failed" in e for e in entry["errors"])
+
+
+class TestEachMatrixCheckedOnce:
+    def test_analysis_checks_each_matrix_once(self, monkeypatch):
+        """While run_analysis runs the 20-dim README example, J A is checked
+        to be Hamiltonian once, and A to be symmetric only at the public
+        bifurcation calls the pipeline makes: the Morse jump of each verdict,
+        index coordinate and hypothesis certificate reuses the checked A.
+        The summary and the decomposition both check J A through spectral."""
+        import hambif.analysis as analysis
+        import hambif.bifurcation as bifurcation
+        from hambif import Equilibrium, ProblemSpec, run_analysis, spectral
+
+        def count(module, name, calls):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        hamiltonian_checks, symmetry_checks, public_calls = [], [], []
+        count(spectral, "is_hamiltonian", hamiltonian_checks)
+        count(bifurcation, "as_symmetric", symmetry_checks)
+        for name in ("lambda_set", "check_main_condition", "bifurcation_index",
+                     "check_classical_assumptions"):
+            count(analysis, name, public_calls)
+
+        A = squeezed_readme_example(5, 1.0)
+        spec = ProblemSpec(dim=20, equilibria=(Equilibrium(point=np.zeros(20), hessian=A),))
+        entry = run_analysis(spec)["equilibria"][0]
+        assert entry["errors"] == []
+        # the index coordinate reads the jump: the Brouwer sign is known
+        eta = entry["brouwer_index"] * entry["conditions"][0]["gamma"]
+        assert entry["bifurcation_indices"][0]["entries"] == {"1": eta} != {"1": 0}
+        assert len(hamiltonian_checks) == 1
+        assert len(symmetry_checks) == len(public_calls) == 4
+
+    @pytest.mark.parametrize("call", [
+        lambda A: gamma_jump(A, 1.0),
+        lambda A: check_main_condition(A, 1, 1.0),
+        lambda A: bifurcation_index(A, 1, 1.0),
+        check_classical_assumptions,
+    ], ids=["gamma_jump", "check_main_condition", "bifurcation_index", "check_classical_assumptions"])
+    def test_asymmetric_hessian_refused_after_its_symmetric_part(self, call):
+        """A checked once is handed on, not remembered: a visibly asymmetric
+        A is refused right after its symmetric part succeeds."""
+        A = oscillators(1.0, 2.0)
+        call(A)
+        bad = A.copy()
+        bad[0, 1] += 0.1
+        bad[1, 0] -= 0.1
+        with pytest.raises(StructureError, match="not symmetric"):
+            call(bad)

@@ -19,7 +19,7 @@ from hambif import (
 )
 from hambif.errors import EigenvalueNotFoundError, StructureError
 
-from conftest import catalogue_block, staircase_oracle
+from conftest import catalogue_block, squeezed_readme_example, staircase_oracle
 
 
 def conjugate(M, seed, scale=0.5):
@@ -61,6 +61,22 @@ class TestImaginarySpectrum:
     def test_requires_hamiltonian(self):
         with pytest.raises(StructureError):
             spectral_summary(np.eye(2))
+
+    def test_refusals_hold_when_the_memo_is_warm(self):
+        """The memo keeps whether M is Hamiltonian, so the summary and the
+        decomposition refuse a non-Hamiltonian M on every call, also after
+        a reader that does not check has filled the memo for it."""
+        from hambif import structural_decomposition
+
+        S = np.eye(4)
+        S[0, 1] = 1.0  # q1 += q2 with the momenta left alone: not symplectic
+        M = S @ standard_symplectic(2) @ np.linalg.inv(S)
+        assert jordan_partition(M, 1.0) == (1, 1)  # the memo now holds M
+        for _ in range(2):
+            with pytest.raises(StructureError, match="spectral_summary expects"):
+                spectral_summary(M)
+            with pytest.raises(StructureError, match="structural_decomposition expects"):
+                structural_decomposition(M, 1.0)
 
     def test_nonimaginary_flagged(self):
         # saddle: J*diag(1,-1) has spectrum {+-1}, no imaginary part
@@ -338,21 +354,6 @@ def test_summary_climbs_each_staircase_once(monkeypatch):
     for ev in summary.imaginary:
         assert jordan_partition(M, ev.beta) == ev.jordan_partition
     assert len(svds) == search
-
-
-def squeezed_readme_example(seed, t):
-    """Hessian of the 20-dim README example, blocks (5,-1), (3,+1), (2,+1) at
-    beta 1, conjugated by S1 D S2: S1 and S2 random symplectic, D the
-    symplectic squeeze diag(exp(t d), exp(-t d))."""
-    from hambif import assemble_hessian
-
-    S1 = random_symplectic(10, seed=seed, scale=0.5)
-    S2 = random_symplectic(10, seed=seed + 1, scale=0.5)
-    d = np.random.default_rng(seed).uniform(-1.0, 1.0, 10)
-    S = S1 @ np.diag(np.exp(t * np.concatenate([d, -d]))) @ S2
-    nf = NormalForm((BlockSpec(1.0, 5, -1), BlockSpec(1.0, 3, +1), BlockSpec(1.0, 2, +1)))
-    A = S.T @ assemble_hessian(nf) @ S
-    return 0.5 * (A + A.T)
 
 
 # cond(S) 8.7e5, 3.8e6 and 9.9e6: the ten eigenvalues near i form one

@@ -35,6 +35,7 @@ from .linalg import (
     _refuse_zero_band,
     _spectrum_band,
     as_symmetric,
+    half_dimension,
     morse_index,
     standard_symplectic,
 )
@@ -103,14 +104,15 @@ def t_matrix(lam: float, A) -> np.ndarray:
     H(lam); ``morse_index`` of this matrix is the reference that count
     equals."""
     A = as_symmetric(A, name="t_matrix argument")
-    if A.shape[0] % 2 != 0:
-        raise ValueError("A must have even dimension")
-    J = standard_symplectic(A.shape[0] // 2)
+    J = standard_symplectic(half_dimension(A, "t_matrix argument"))
     return np.block([[-lam * A, J], [-J, -lam * A]])
 
 
-def _spectrum_betas(A, tol: TolerancePolicy) -> tuple[float, ...]:
-    return spectral_summary(standard_symplectic(A.shape[0] // 2) @ A, tol).betas
+def _hessian_pair(A, tol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:
+    """``(A, J A)`` for a Hessian checked symmetric at ``tol`` and of even
+    dimension: the one entry of every public function that reads J A."""
+    A = as_symmetric(A, tol)
+    return A, standard_symplectic(half_dimension(A)) @ A
 
 
 # lambda_set refuses a truncation that asks for more levels than this: their
@@ -125,8 +127,8 @@ def lambda_set(A, lambda_max: float, tol: TolerancePolicy = DEFAULT_TOL) -> Lamb
     them raise :class:`LevelCountError`."""
     if lambda_max <= 0.0:
         raise ValueError("lambda_max must be positive")
-    A = as_symmetric(A)
-    betas = _spectrum_betas(A, tol)
+    _, M = _hessian_pair(A, tol)
+    betas = spectral_summary(M, tol).betas
     # clipped at MAX_LEVELS + 1, where lambda_max * beta may overflow to inf
     counts = [math.floor(min(lambda_max * beta + 1e-12, MAX_LEVELS + 1)) for beta in betas]
     if sum(counts) > MAX_LEVELS:
@@ -183,29 +185,27 @@ def _doubled_morse_index(A: np.ndarray, lam: float, tol: TolerancePolicy) -> int
 
 def _morse_jump(A, lam0: float, mu: float, tol: TolerancePolicy) -> int:
     jump_tol = replace(tol, eig_zero_tol=min(tol.eig_zero_tol, _JUMP_ZERO_TOL))
-    for attempt in range(2):
-        try:
-            upper = _doubled_morse_index(A, lam0 + mu, jump_tol)
-            lower = _doubled_morse_index(A, lam0 - mu, jump_tol)
-            return upper - lower
-        except DegeneracyError:
-            if attempt == 1:
-                raise
-            mu *= 0.5
-    raise AssertionError("unreachable")
+
+    def jump(radius):
+        return (_doubled_morse_index(A, lam0 + radius, jump_tol)
+                - _doubled_morse_index(A, lam0 - radius, jump_tol))
+
+    try:
+        return jump(mu)
+    except DegeneracyError:
+        return jump(0.5 * mu)
 
 
 def gamma_jump(A, beta0: float, tol: TolerancePolicy = DEFAULT_TOL) -> int:
     """Jump of the Morse index of T(lam) across lam = 1/beta0, always even.
     The spectral memo keeps it with the spectrum of J A, so every reader at
     beta0 shares one computation; a failure is not kept.  The public
-    functions of this module check A once and hand it to ``_gamma_jump``."""
-    return _gamma_jump(as_symmetric(A, tol), beta0, tol)
+    functions of this module hand ``_gamma_jump`` the pair they checked."""
+    return _gamma_jump(*_hessian_pair(A, tol), beta0, tol)
 
 
-def _gamma_jump(A: np.ndarray, beta0: float, tol: TolerancePolicy) -> int:
-    """``gamma_jump`` of an A already passed through ``as_symmetric``."""
-    M = standard_symplectic(A.shape[0] // 2) @ A
+def _gamma_jump(A: np.ndarray, M: np.ndarray, beta0: float, tol: TolerancePolicy) -> int:
+    """``gamma_jump`` of a pair ``(A, M)`` from ``_hessian_pair``."""
 
     def jump():
         betas = spectral_summary(M, tol).betas
@@ -272,8 +272,8 @@ def bifurcation_index(A, brouwer: int, lambda0: float, j_max: int | None = None,
     ``j_max`` covers every coordinate at lambda0 = 1/beta; at lambda0 = m/beta
     with m >= 2 it can fall short, and ``truncated`` then says so.
     """
-    A = as_symmetric(A, tol)
-    betas = sorted(_spectrum_betas(A, tol))
+    A, M = _hessian_pair(A, tol)
+    betas = sorted(spectral_summary(M, tol).betas)
     if not betas:
         raise EigenvalueNotFoundError("J A has no purely imaginary frequencies")
     if j_max is None:
@@ -291,7 +291,7 @@ def bifurcation_index(A, brouwer: int, lambda0: float, j_max: int | None = None,
         for b, j in levels:
             if j > j_max or abs(lambda0 / j - 1.0 / b) > band:
                 continue
-            eta = brouwer * _gamma_jump(A, b, tol)
+            eta = brouwer * _gamma_jump(A, M, b, tol)
             if eta != 0:
                 entries.append((j, eta))
     truncated = any(b * lambda0 > j_max + band for b in betas)
@@ -358,30 +358,29 @@ def check_classical_assumptions(A, tol: TolerancePolicy = DEFAULT_TOL) -> Assump
     Each is decided (``holds`` is a bool), and each that holds reports the
     frequencies it certifies, those with a nonzero Morse jump.
     """
-    A = as_symmetric(A, tol)
-    N = A.shape[0] // 2
-    summary = spectral_summary(standard_symplectic(N) @ A, tol)
+    A, M = _hessian_pair(A, tol)
+    summary = spectral_summary(M, tol)
     betas = summary.betas
     eigs = np.linalg.eigvalsh(A)
+    # the band by which morse_index and brouwer_nondegenerate refuse A
     band = _spectrum_band(eigs, tol)
     nondegenerate = bool(np.min(np.abs(eigs)) > band) if eigs.size else False
-    has_zero_eig = any(abs(z) <= band for z in summary.other_eigenvalues)
 
     def result(holds, candidates, details) -> AssumptionResult:
         """A hypothesis's outcome; only one that holds certifies frequencies."""
         certified = []
         for beta in candidates if holds else ():
             try:
-                if _gamma_jump(A, beta, tol) != 0:
+                if _gamma_jump(A, M, beta, tol) != 0:
                     certified.append(beta)
             except DegeneracyError:
                 continue
         return AssumptionResult(holds=holds, certified_betas=tuple(certified), details=details)
 
-    # classical nonresonance: a simple pair no larger frequency is a multiple of
+    # classical nonresonance: a trivial kernel, a simple pair no larger frequency is a multiple of
     a0_betas = [
         ev.beta for ev in summary.imaginary
-        if ev.algebraic_mult == 1 and not has_zero_eig and not _has_multiple(ev.beta, betas, tol)
+        if nondegenerate and ev.algebraic_mult == 1 and not _has_multiple(ev.beta, betas, tol)
     ]
     a0 = result(
         bool(a0_betas),
@@ -441,8 +440,8 @@ def nonresonance_and_branch_count(A, tol: TolerancePolicy = DEFAULT_TOL) -> Nonr
     """Flag frequencies no larger frequency divides, and count how many of the
     flagged ones also pass the branch condition (a lower bound on connected
     families with distinct minimal periods)."""
-    A = as_symmetric(A, tol)
-    betas = _spectrum_betas(A, tol)
+    A, M = _hessian_pair(A, tol)
+    betas = spectral_summary(M, tol).betas
     if not betas:
         raise EigenvalueNotFoundError("J A has no purely imaginary frequencies")
     try:
@@ -460,10 +459,10 @@ def check_main_condition(A, brouwer: int | None, beta0: float,
     counts) is best effort and its failure only downgrades ``routes_agree``.
     ``condition_holds`` is None when the Brouwer index is unknown.
     """
-    A = as_symmetric(A, tol)
-    gamma = _gamma_jump(A, beta0, tol)
+    A, M = _hessian_pair(A, tol)
+    gamma = _gamma_jump(A, M, beta0, tol)
     try:
-        blocks = tuple(structural_decomposition(standard_symplectic(A.shape[0] // 2) @ A, beta0, tol))
+        blocks = tuple(structural_decomposition(M, beta0, tol))
         counts = block_counts(blocks, beta0, tol)
     except DecompositionError:
         blocks = counts = None

@@ -15,8 +15,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import spectral
+from .bifurcation import _hessian_pair
 from .errors import CorrectorError, IntegrationError
-from .linalg import DEFAULT_TOL, TolerancePolicy, as_symmetric, standard_symplectic
+from .linalg import DEFAULT_TOL, TolerancePolicy, as_symmetric
 
 TWO_PI = 2.0 * math.pi
 
@@ -754,12 +755,11 @@ def seed_from_linearization(A, beta0: float, amplitude: float, equilibrium=None,
     beta0 names a frequency of J A by the rule of ``jordan_partition`` (see
     ``spectral._cluster_at``), which raises EigenvalueNotFoundError when it
     names none and DecompositionError when the spectrum is undecided."""
-    A = as_symmetric(A, tol)
+    A, M = _hessian_pair(A, tol)
     if amplitude <= 0.0:
         raise ValueError("amplitude must be positive")
     n = A.shape[0]
     equilibrium = np.zeros(n) if equilibrium is None else np.asarray(equilibrium, dtype=float)
-    M = standard_symplectic(n // 2) @ A
     spectral._cluster_at(M, beta0, tol)
     # a geometric eigenvector always exists; the SVD null vector of the shifted
     # matrix stays machine-accurate even when i*beta0 is defective

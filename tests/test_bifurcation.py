@@ -26,6 +26,7 @@ from hambif import (
     nonresonance_and_branch_count,
     odd_block_hessian,
     random_symplectic,
+    seed_from_linearization,
     signature,
     spectral_summary,
     standard_symplectic,
@@ -46,6 +47,19 @@ from conftest import conjugated_pair, random_normal_form, squeezed_readme_exampl
 def oscillators(*betas):
     """Hessian whose linearization has simple frequencies at the given betas."""
     return assemble_hessian(NormalForm(tuple(BlockSpec(b, 1, -1) for b in betas)))
+
+
+# the seven public functions that take a Hessian A, each at the frequency 1
+HESSIAN_ENTRIES = pytest.mark.parametrize("call", [
+    lambda A, tol=DEFAULT_TOL: lambda_set(A, 2.0, tol),
+    lambda A, tol=DEFAULT_TOL: gamma_jump(A, 1.0, tol),
+    lambda A, tol=DEFAULT_TOL: bifurcation_index(A, 1, 1.0, tol=tol),
+    lambda A, tol=DEFAULT_TOL: check_classical_assumptions(A, tol),
+    lambda A, tol=DEFAULT_TOL: nonresonance_and_branch_count(A, tol),
+    lambda A, tol=DEFAULT_TOL: check_main_condition(A, 1, 1.0, tol),
+    lambda A, tol=DEFAULT_TOL: seed_from_linearization(A, 1.0, 0.1, tol=tol),
+], ids=["lambda_set", "gamma_jump", "bifurcation_index", "check_classical_assumptions",
+        "nonresonance_and_branch_count", "check_main_condition", "seed_from_linearization"])
 
 
 class TestTMatrix:
@@ -515,6 +529,19 @@ class TestClassicalAssumptions:
                     with pytest.raises(DegeneracyError, match="inside the zero band"):
                         decide(A, tol)
 
+    def test_kernel_is_read_from_the_hessian_zero_band(self):
+        """diag(1, 1e-10) has an eigenvalue inside A's zero band: hypothesis
+        a0 fails and certifies nothing, as a2 reads it degenerate and the
+        Brouwer sign is refused, though J A shows the pair +-i*1e-5."""
+        A = np.diag([1.0, 1e-10])
+        report = check_classical_assumptions(A)
+        assert report.nonresonant_pair.holds is False
+        assert report.nonresonant_pair.certified_betas == ()
+        assert "Hessian kernel is nontrivial" in report.nonresonant_pair.details
+        assert "nondegenerate=False" in report.signature_resonant.details
+        with pytest.raises(DegeneracyError, match="inside the zero band"):
+            brouwer_nondegenerate(A)
+
     def test_hypotheses_imply_the_condition(self, rng):
         """The abstract's implication, on seeded normal forms conjugated by
         random symplectic maps: a definite Hessian certifies every frequency,
@@ -641,12 +668,7 @@ class TestEachMatrixCheckedOnce:
         assert len(hamiltonian_checks) == 1
         assert len(symmetry_checks) == len(public_calls) == 4
 
-    @pytest.mark.parametrize("call", [
-        lambda A: gamma_jump(A, 1.0),
-        lambda A: check_main_condition(A, 1, 1.0),
-        lambda A: bifurcation_index(A, 1, 1.0),
-        check_classical_assumptions,
-    ], ids=["gamma_jump", "check_main_condition", "bifurcation_index", "check_classical_assumptions"])
+    @HESSIAN_ENTRIES
     def test_asymmetric_hessian_refused_after_its_symmetric_part(self, call):
         """A checked once is handed on, not remembered: a visibly asymmetric
         A is refused right after its symmetric part succeeds."""
@@ -657,3 +679,15 @@ class TestEachMatrixCheckedOnce:
         bad[1, 0] -= 0.1
         with pytest.raises(StructureError, match="not symmetric"):
             call(bad)
+
+    @HESSIAN_ENTRIES
+    def test_one_entry_checks_dimension_and_symmetry_at_the_callers_tol(self, call):
+        """An odd dimension is refused by name before any product with J,
+        and symmetry is judged at the tolerance the caller passes."""
+        with pytest.raises(ValueError, match="must have even dimension, got 3"):
+            call(np.eye(3))
+        A = np.eye(2)
+        A[0, 1] += 1e-7
+        with pytest.raises(StructureError, match="not symmetric"):
+            call(A)
+        call(A, DEFAULT_TOL.scaled(1e3))

@@ -161,6 +161,33 @@ class TestGammaJump:
         report = check_main_condition(np.eye(2), 1, 1.0 + 1e-8)
         assert (report.gamma, report.routes_agree) == (2, True)
 
+    @pytest.mark.parametrize("refused_radii", [(1.0,), (1.0, 0.5)])
+    def test_refused_radius_is_retried_once_at_half(self, refused_radii, monkeypatch):
+        """The jump across lam0 = 1 is read at the isolation radius mu, and
+        once more at mu / 2 when a count at lam0 +- mu is refused."""
+        import hambif.bifurcation as bif
+
+        lam0 = 1.0
+        mu = isolation_radius(lam0, [1.0])
+        doubled, asked, counts = bif._doubled_morse_index, [], []
+
+        def refusing(A, lam, tol):
+            asked.append(lam)
+            if any(abs(abs(lam - lam0) - r * mu) < 1e-12 for r in refused_radii):
+                raise DegeneracyError("morse_index: eigenvalue inside the zero band")
+            counts.append(doubled(A, lam, tol))
+            return counts[-1]
+
+        monkeypatch.setattr(bif, "_doubled_morse_index", refusing)
+        if len(refused_radii) == 2:
+            with pytest.raises(DegeneracyError):
+                gamma_jump(np.eye(2), 1.0)
+            assert asked == pytest.approx([lam0 + mu, lam0 + mu / 2])
+            return
+        gamma = gamma_jump(np.eye(2), 1.0)
+        assert asked == pytest.approx([lam0 + mu, lam0 + mu / 2, lam0 - mu / 2])
+        assert gamma == counts[0] - counts[1] == 2
+
     def test_higher_index_resonance(self):
         # the level-2 family jumps across lam = 1 as T does across 1/2
         A = oscillators(1.0, 2.0)

@@ -983,6 +983,31 @@ class TestBranch:
         assert branch.termination == "amplitude_target" and len(branch.orbits) == 18
         assert len(calls) <= 44
 
+    def test_leaving_the_lambda_domain_ends_the_branch(self):
+        # on the quartic lam = 1/(1+a^2) falls below 0.98 past a = 0.143
+        config = ContinuationConfig(lambda_min=0.98, amplitude_target=0.4)
+        branch = continue_branch(quartic_radial(), seed_from_linearization(np.eye(2), 1.0, 0.01), config)
+        assert branch.termination == "domain_boundary"
+        assert branch.orbits[-1].lam <= 0.98 < min(o.lam for o in branch.orbits[:-1])
+
+    def test_failed_second_anchor_keeps_the_first_orbit(self, monkeypatch):
+        import hambif.continuation as continuation
+
+        guesses = []
+
+        def first_only(H, g, config, equilibrium=None, constraint=None):
+            guesses.append(g)
+            if len(guesses) > 1:
+                raise CorrectorError("no convergence", residual=1.0)
+            return correct_orbit(H, g, config, equilibrium, constraint)
+
+        monkeypatch.setattr(continuation, "correct_orbit", first_only)
+        branch = continue_branch(quartic_radial(), seed_from_linearization(np.eye(2), 1.0, 0.01),
+                                 ContinuationConfig(amplitude_target=0.3))
+        assert branch.termination == "corrector_failure"
+        assert len(guesses) == 2 and len(branch.orbits) == 1
+        assert branch.orbits[0].residual < 1e-9
+
     def test_hopeless_seed_gives_empty_branch(self):
         H = PolynomialHamiltonian.from_quadratic(np.eye(2))
         bad = guess([0.05, 0.0], 0.2, 0.05)  # far off the level grid

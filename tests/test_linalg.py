@@ -7,12 +7,15 @@ import scipy.linalg
 from hambif import (
     DegeneracyError,
     TolerancePolicy,
+    gamma_jump,
     is_hamiltonian,
     is_symplectic,
     morse_index,
     random_symplectic,
     signature,
+    spectral_summary,
     standard_symplectic,
+    structural_decomposition,
 )
 from hambif.linalg import as_symmetric, numeric_rank_with_gap
 from hambif.errors import StructureError
@@ -170,6 +173,25 @@ class TestHelpers:
     def test_as_symmetric_rejects(self):
         with pytest.raises(StructureError):
             as_symmetric([[0.0, 1.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("call", [
+        spectral_summary,
+        lambda M: gamma_jump(M, 1.0),
+        lambda M: structural_decomposition(M, 1.0),
+        morse_index,
+    ], ids=["spectral_summary", "gamma_jump", "structural_decomposition", "morse_index"])
+    @pytest.mark.parametrize("M, message", [
+        (np.ones((2, 3)), " must be square, got shape (2, 3)"),
+        (np.ones(4), " must be square, got shape (4,)"),
+        (np.array([[1.0, math.nan], [math.nan, 1.0]]), " has non-finite entries"),
+        (np.array([[math.inf, 0.0], [0.0, 1.0]]), " has non-finite entries"),
+    ], ids=["non-square", "vector", "nan", "inf"])
+    def test_malformed_matrix_refused(self, call, M, message):
+        """Every reader of a matrix refuses a non-square or non-finite one,
+        named as its caller names it, before any spectrum is computed."""
+        with pytest.raises(ValueError) as info:
+            call(M)
+        assert str(info.value).endswith(message)
 
     def test_numeric_rank(self):
         M = np.diag([1.0, 1e-3, 0.0])

@@ -8,11 +8,18 @@ import pytest
 
 from hambif import (
     AnalysisOptions,
+    BlockSpec,
     ConditioningWarning,
     ConsistencyError,
     ContinuationConfig,
+    CorrectorError,
+    Equilibrium,
+    NormalForm,
+    PolynomialHamiltonian,
+    ProblemSpec,
     SpecError,
     TolerancePolicy,
+    assemble_hessian,
     branch_csv,
     emit_problem,
     emit_report,
@@ -205,6 +212,19 @@ class TestParsing:
         assert cli_main(["analyze", "--input", str(problem)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
+    def test_term_may_be_a_coefficient_exponents_pair(self):
+        """The pair form of a term parses to the problem of the object form;
+        a list of any other length is refused."""
+        data = json.loads(quartic_spec())
+        data["hamiltonian"]["terms"] = [[t["coefficient"], t["exponents"]] for t in data["hamiltonian"]["terms"]]
+        objects, pairs = parse_problem(quartic_spec()), parse_problem(json.dumps(data))
+        assert pairs.hamiltonian.terms == objects.hamiltonian.terms
+        assert problem_to_dict(pairs) == problem_to_dict(objects)
+        data["hamiltonian"]["terms"][0] = [0.5, [2, 0], 1]
+        with pytest.raises(SpecError) as info:
+            parse_problem(json.dumps(data))
+        assert str(info.value) == "$.hamiltonian.terms[0]: term must be [coefficient, exponents]"
+
     def test_problem_round_trip(self):
         spec = parse_problem(quartic_spec())
         text = emit_problem(spec)
@@ -254,10 +274,36 @@ class TestReports:
         assert entry["imaginary_spectrum"] == []
         assert "no candidate frequencies" in entry["note"]
         assert entry["branches"] == []
+        human = emit_report(report, "human")
+        assert human.splitlines()[2] == "  no candidate frequencies: no purely imaginary spectrum"
+
+    def test_human_verdict_without_the_structural_route(self, monkeypatch):
+        """The blocks are refused inside the condition check: the verdict
+        line reads the Morse jump alone."""
+        import hambif.bifurcation as bifurcation
+        from hambif.errors import DecompositionError
+
+        def refused(M, beta, tol):
+            raise DecompositionError("moment-form rank gap too small")
+
+        monkeypatch.setattr(bifurcation, "structural_decomposition", refused)
+        human = emit_report(run_analysis(parse_problem(oscillator_spec())), "human")
+        assert "  beta0=1: structural route unavailable; gamma=2; brouwer=1; " \
+               "routes_agree=structural unavailable; condition HOLDS" in human.splitlines()
+
+    def test_human_report_of_an_empty_branch(self, monkeypatch):
+        import hambif.continuation as continuation
+
+        def refused(*args, **kwargs):
+            raise CorrectorError("no convergence", residual=1.0)
+
+        monkeypatch.setattr(continuation, "correct_orbit", refused)
+        human = emit_report(run_analysis(parse_problem(quartic_spec())), "human")
+        assert human.splitlines()[-1] == (
+            "  branch at beta0=1: 0 orbits, empty, terminated by corrector_failure, "
+            "small-orbit period check not verified (0 orbits below delta 0.1)")
 
     def test_worked_example_via_pipeline(self):
-        from hambif import BlockSpec, NormalForm, assemble_hessian
-
         nf = NormalForm((BlockSpec(1.0, 5, -1), BlockSpec(1.0, 3, +1), BlockSpec(1.0, 2, +1)))
         A = assemble_hessian(nf)
         data = {
@@ -302,6 +348,28 @@ class TestReports:
         entry = run_analysis(parse_problem(json.dumps(data)))["equilibria"][0]
         assert entry["brouwer_index"] == degree
         assert entry["brouwer_provenance"] == provenance
+
+    def test_user_brouwer_index_drives_the_index_and_the_verdicts(self, tmp_path):
+        """A supplied brouwer_index overrides the determinant sign +1 of two
+        oscillators: -1 flips every index coordinate, and 0 fails the
+        condition at every frequency."""
+        path = oscillators_problem(tmp_path, 1.0, 2.0)
+        determinant = run_analysis(parse_problem(Path(path).read_text()))["equilibria"][0]
+        assert determinant["brouwer_provenance"] == "determinant" and determinant["brouwer_index"] == 1
+
+        def with_user_index(value):
+            data = json.loads(Path(path).read_text())
+            data["equilibria"][0]["brouwer_index"] = value
+            return run_analysis(parse_problem(json.dumps(data)))["equilibria"][0]
+
+        flipped = with_user_index(-1)
+        assert flipped["brouwer_provenance"] == "user" and flipped["brouwer_index"] == -1
+        assert [i["entries"] for i in determinant["bifurcation_indices"]] == [{"1": 2}, {"1": 2, "2": 2}]
+        assert [i["entries"] for i in flipped["bifurcation_indices"]] == [{"1": -2}, {"1": -2, "2": -2}]
+        assert [c["condition_holds"] for c in flipped["conditions"]] == [True, True]
+        zero = with_user_index(0)
+        assert zero["brouwer_provenance"] == "user"
+        assert [c["condition_holds"] for c in zero["conditions"]] == [False, False]
 
     def test_branch_entries_present_with_hamiltonian(self):
         report = run_analysis(parse_problem(quartic_spec()))
@@ -390,7 +458,7 @@ class TestCli:
         and one branch, in first-request order, from the flag or the file."""
         path = self.write(tmp_path, two_frequency_quartic_spec())
         assert cli_main(["analyze", "--input", path, "--beta", "2.0", "--beta", "1.0",
-                         "--beta", "1.0000001", "--beta", "2.0"]) == 0
+                         "--beta", "1.0000001", "--beta", "2.0", "--beta", "1.0000005"]) == 0
         eq = parse_report(capsys.readouterr().out)["equilibria"][0]
         for key in ("conditions", "bifurcation_indices", "branches"):
             assert [round(x["beta0"], 6) for x in eq[key]] == [2.0, 1.0], key
@@ -464,6 +532,69 @@ class TestCli:
         }
         path = self.write(tmp_path, json.dumps(data))
         assert cli_main(["analyze", "--input", path]) == 4
+
+    def test_hessian_eigenvalue_in_the_zero_band_exit_four(self, tmp_path, capsys):
+        """diag(1, 1e-10): the second eigenvalue lies in the zero band of A,
+        so the Brouwer index is user-required and hypothesis a0 (a trivial
+        kernel) does not hold."""
+        data = {"dim": 2, "equilibria": [{"point": [0.0, 0.0], "hessian": [[1.0, 0.0], [0.0, 1e-10]]}]}
+        path = self.write(tmp_path, json.dumps(data))
+        assert cli_main(["analyze", "--input", path]) == 4
+        a0 = parse_report(capsys.readouterr().out)["equilibria"][0]["classical_assumptions"]["nonresonant_pair"]
+        assert a0["holds"] is False and a0["certified_betas"] == []
+
+    def test_report_names_the_three_classical_hypotheses(self, tmp_path, capsys):
+        path = self.write(tmp_path, quartic_spec())
+        assert cli_main(["analyze", "--input", path]) == 0
+        hypotheses = parse_report(capsys.readouterr().out)["equilibria"][0]["classical_assumptions"]
+        assert sorted(hypotheses) == ["nonresonant_pair", "positive_definite", "signature_resonant"]
+        assert all(isinstance(h["holds"], bool) for h in hypotheses.values())
+
+    def test_index_at_a_huge_j_max_within_20_seconds(self, tmp_path):
+        """The index work grows with the number of frequencies, not with j_max."""
+        path = self.write(tmp_path, quartic_spec())
+        start = time.perf_counter()
+        assert cli_main(["index", "--input", path, "--j-max", "100000000"]) == 0
+        assert time.perf_counter() - start < 20.0
+
+    def test_nonsemisimple_blocks_and_index(self, tmp_path, capsys):
+        """Blocks (3,-1) at beta 1 and (1,+1) at beta 1.5 each jump gamma by -2."""
+        A = assemble_hessian(NormalForm((BlockSpec(1.0, 3, -1), BlockSpec(1.5, 1, +1))))
+        path = self.write(tmp_path, json.dumps({"dim": A.shape[0], "equilibria": [
+            {"point": [0.0] * A.shape[0], "hessian": A.tolist()}]}))
+        assert cli_main(["normal-form", "--input", path]) == 0
+        conditions = parse_report(capsys.readouterr().out)["equilibria"][0]["conditions"]
+        assert [c["blocks"] for c in conditions] == [[[1, 1]], [[3, -1]]]
+        assert cli_main(["index", "--input", path]) == 0
+        conditions = parse_report(capsys.readouterr().out)["equilibria"][0]["conditions"]
+        assert [(c["gamma"], c["condition_holds"]) for c in conditions] == [(-2, True), (-2, True)]
+
+    def test_problem_above_the_generated_kernel_cap_reaches_its_amplitude_target(self, tmp_path, capsys):
+        """A seeded full quadratic in dimension 8 plus x_i^4/4 terms has 144
+        jet triplets, so its field runs on the numpy table path."""
+        B = np.random.default_rng(8).uniform(-0.5, 0.5, (8, 8))
+        quartic = tuple((0.25, tuple(4 * (k == i) for k in range(8))) for i in range(8))
+        H = PolynomialHamiltonian(8, PolynomialHamiltonian.from_quadratic(B @ B.T + 0.5 * np.eye(8)).terms + quartic)
+        assert H._jet_rows.size == 144 and H._kernel is None
+        eq = Equilibrium(point=np.zeros(8), hessian=H.hessian(np.zeros(8)))
+        options = AnalysisOptions(continuation=ContinuationConfig(amplitude_target=0.05))
+        path = self.write(tmp_path, emit_problem(ProblemSpec(dim=8, equilibria=(eq,), hamiltonian=H, options=options)))
+        assert cli_main(["analyze", "--input", path]) == 0
+        branches = parse_report(capsys.readouterr().out)["equilibria"][0]["branches"]
+        assert branches and all(b["orbit_count"] > 0 and b["termination"] == "amplitude_target" for b in branches)
+
+    def test_high_power_term_analyzes_within_60_seconds(self, tmp_path, capsys):
+        """1e-9*x0^100000 has 99999 power steps, which keep it off the
+        generated kernel; it vanishes near the origin and the branch is traced."""
+        data = json.loads(quartic_spec())
+        data["hamiltonian"]["terms"].append({"coefficient": 1e-9, "exponents": [100000, 0]})
+        path = self.write(tmp_path, json.dumps(data))
+        assert parse_problem(json.dumps(data)).hamiltonian._kernel is None
+        start = time.perf_counter()
+        assert cli_main(["analyze", "--input", path]) == 0
+        assert time.perf_counter() - start < 60.0
+        branches = parse_report(capsys.readouterr().out)["equilibria"][0]["branches"]
+        assert branches and branches[0]["orbit_count"] > 0
 
     def test_numerical_failure_exit_three(self, tmp_path):
         data = json.loads(oscillator_spec())
@@ -561,8 +692,6 @@ class TestCli:
     def test_normal_form_human_lists_the_blocks(self, tmp_path, capsys):
         """The normal-form stage alone gives blocks and no verdict; the human
         report prints one line of blocks per frequency."""
-        from hambif import BlockSpec, NormalForm, assemble_hessian
-
         A = assemble_hessian(NormalForm((BlockSpec(1.0, 3, 1), BlockSpec(1.0, 1, -1), BlockSpec(2.0, 2, 1))))
         path = self.write(tmp_path, json.dumps({"dim": A.shape[0], "equilibria": [
             {"point": [0.0] * A.shape[0], "hessian": A.tolist()}]}))
@@ -659,8 +788,6 @@ class TestCli:
 
 def oscillators_problem(tmp_path, *betas):
     """Problem file for one equilibrium with simple frequencies at the given betas."""
-    from hambif import BlockSpec, NormalForm, assemble_hessian
-
     A = assemble_hessian(NormalForm(tuple(BlockSpec(b, 1, -1) for b in betas)))
     path = tmp_path / "oscillators.json"
     path.write_text(json.dumps({"dim": A.shape[0], "equilibria": [{"point": [0.0] * A.shape[0],

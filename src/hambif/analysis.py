@@ -12,8 +12,9 @@ from __future__ import annotations
 import dataclasses
 import json
 
-from . import __version__, spectral
+from . import __version__
 from .bifurcation import (
+    _linearize,
     _nonresonance,
     bifurcation_index,
     brouwer_nondegenerate,
@@ -30,7 +31,6 @@ from .errors import (
     LevelCountError,
     PlanarDegreeError,
 )
-from .linalg import standard_symplectic
 from .normal_forms import structural_decomposition
 from .problem import ProblemSpec
 from .spectral import classify_eigenvalue, spectral_summary
@@ -107,15 +107,13 @@ def run_analysis(spec: ProblemSpec, stages: frozenset[str] = ALL_STAGES) -> dict
         "equilibria": [],
     }
 
-    N = spec.dim // 2
-    J = standard_symplectic(N)
     for index, eq in enumerate(spec.equilibria):
         entry: dict = {"index": index, "point": [float(v) for v in eq.point], "errors": []}
         report["equilibria"].append(entry)
-        A = eq.hessian
-        M = J @ A
+        # every stage below reads this equilibrium's J A through one object
+        lin = _linearize(eq.hessian, tol)
         try:
-            summary = spectral_summary(M, tol)
+            summary = spectral_summary(lin, tol)
         except DecompositionError as exc:
             entry["errors"].append(f"spectral analysis failed: {exc}")
             continue
@@ -144,14 +142,14 @@ def run_analysis(spec: ProblemSpec, stages: frozenset[str] = ALL_STAGES) -> dict
             requested = []  # one entry per named frequency, in first-request order
             for want in spec.options.betas:
                 try:
-                    beta = spectral._cluster_at(M, want, tol)[0]
+                    beta = lin.cluster_at(want)[0]
                 except EigenvalueNotFoundError:
                     entry["errors"].append(f"requested beta {want} is not in the spectrum")
                     continue
                 if beta not in requested:
                     requested.append(beta)
         try:
-            ls = lambda_set(A, spec.options.lambda_max, tol)
+            ls = lambda_set(lin, spec.options.lambda_max, tol)
             entry["lambda_set"] = {
                 "points": list(ls.points),
                 "lambda_max": ls.lambda_max,
@@ -173,7 +171,7 @@ def run_analysis(spec: ProblemSpec, stages: frozenset[str] = ALL_STAGES) -> dict
             for beta in requested:
                 if "normal_form" in stages:
                     try:
-                        blocks = structural_decomposition(M, beta, tol)
+                        blocks = structural_decomposition(lin, beta, tol)
                     except DecompositionError as exc:
                         blocks = None
                         entry["errors"].append(f"decomposition at beta={beta:.6g} unavailable: {exc}")
@@ -182,7 +180,7 @@ def run_analysis(spec: ProblemSpec, stages: frozenset[str] = ALL_STAGES) -> dict
                             conditions.append({"beta0": beta, "blocks": [[b.half_dim, b.epsilon] for b in blocks]})
                         continue
                 try:
-                    reports[beta] = check_main_condition(A, brouwer, beta, tol)
+                    reports[beta] = check_main_condition(lin, brouwer, beta, tol)
                 except DegeneracyError as exc:
                     reports[beta] = None
                     entry["errors"].append(f"condition check at beta={beta:.6g} failed: {exc}")
@@ -190,7 +188,7 @@ def run_analysis(spec: ProblemSpec, stages: frozenset[str] = ALL_STAGES) -> dict
                 conditions.append(_condition_entry(reports[beta], "normal_form" in stages))
                 try:
                     bif = bifurcation_index(
-                        A, 0 if brouwer is None else brouwer, 1.0 / beta, spec.options.j_max, tol
+                        lin, 0 if brouwer is None else brouwer, 1.0 / beta, spec.options.j_max, tol
                     )
                     indices.append(
                         {
@@ -210,7 +208,7 @@ def run_analysis(spec: ProblemSpec, stages: frozenset[str] = ALL_STAGES) -> dict
         if "index" in stages:
             # every frequency is flagged and counted; one --beta left out is checked here
             non = _nonresonance(
-                found, lambda b: reports[b] if b in reports else check_main_condition(A, brouwer, b, tol), tol
+                found, lambda b: reports[b] if b in reports else check_main_condition(lin, brouwer, b, tol), tol
             )
             entry["nonresonance"] = {
                 "flags": [[beta, flag] for beta, flag in non.flags],
@@ -218,7 +216,7 @@ def run_analysis(spec: ProblemSpec, stages: frozenset[str] = ALL_STAGES) -> dict
             }
 
         if "assumptions" in stages:
-            assumptions = check_classical_assumptions(A, tol=tol)
+            assumptions = check_classical_assumptions(lin, tol=tol)
             entry["classical_assumptions"] = {
                 f.name: _assumption_entry(getattr(assumptions, f.name))
                 for f in dataclasses.fields(assumptions)
@@ -230,7 +228,7 @@ def run_analysis(spec: ProblemSpec, stages: frozenset[str] = ALL_STAGES) -> dict
                 if "index" in stages and not (reports[beta] and reports[beta].condition_holds):
                     continue
                 seed = seed_from_linearization(
-                    A, beta, spec.options.continuation.seed_amplitude, eq.point, tol
+                    lin, beta, spec.options.continuation.seed_amplitude, eq.point, tol
                 )
                 branch = continue_branch(spec.hamiltonian, seed, spec.options.continuation, eq.point)
                 eps = PERIOD_LIMIT_EPSILON_FACTOR * TWO_PI

@@ -39,9 +39,8 @@ from .linalg import (
     morse_index,
     standard_symplectic,
 )
-from . import spectral
 from .normal_forms import BlockCounts, BlockSpec, block_counts, structural_decomposition
-from .spectral import spectral_summary
+from .spectral import Linearization, spectral_summary
 
 
 @dataclass(frozen=True)
@@ -108,11 +107,16 @@ def t_matrix(lam: float, A) -> np.ndarray:
     return np.block([[-lam * A, J], [-J, -lam * A]])
 
 
-def _hessian_pair(A, tol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:
-    """``(A, J A)`` for a Hessian checked symmetric at ``tol`` and of even
-    dimension: the one entry of every public function that reads J A."""
+def _linearize(A, tol: TolerancePolicy) -> Linearization:
+    """The Linearization of a Hessian checked symmetric at ``tol`` and of even
+    dimension, the one entry of every public function that reads J A; a
+    Linearization passes if built from a Hessian at ``tol``."""
+    if isinstance(A, Linearization):
+        if A.A is None:
+            raise ValueError("this function needs a Linearization built from a Hessian")
+        return Linearization.of(A, tol)
     A = as_symmetric(A, tol)
-    return A, standard_symplectic(half_dimension(A)) @ A
+    return Linearization(standard_symplectic(half_dimension(A)) @ A, tol, A)
 
 
 # lambda_set refuses a truncation that asks for more levels than this: their
@@ -125,10 +129,10 @@ def lambda_set(A, lambda_max: float, tol: TolerancePolicy = DEFAULT_TOL) -> Lamb
 
     The levels are counted before any is built: more than ``MAX_LEVELS`` of
     them raise :class:`LevelCountError`."""
-    if lambda_max <= 0.0:
-        raise ValueError("lambda_max must be positive")
-    _, M = _hessian_pair(A, tol)
-    betas = spectral_summary(M, tol).betas
+    if not lambda_max > 0.0:
+        raise ValueError(f"lambda_max must be positive, got {lambda_max}")
+    lin = _linearize(A, tol)
+    betas = spectral_summary(lin, tol).betas
     # clipped at MAX_LEVELS + 1, where lambda_max * beta may overflow to inf
     counts = [math.floor(min(lambda_max * beta + 1e-12, MAX_LEVELS + 1)) for beta in betas]
     if sum(counts) > MAX_LEVELS:
@@ -151,6 +155,8 @@ def lambda_set(A, lambda_max: float, tol: TolerancePolicy = DEFAULT_TOL) -> Lamb
 
 def isolation_radius(level: float, betas, tol: TolerancePolicy = DEFAULT_TOL) -> float:
     """Half the distance from ``level`` to the nearest distinct grid point m/beta."""
+    if not math.isfinite(level):
+        raise ValueError(f"level must be finite, got {level}")
     if not betas:
         raise ValueError("no frequencies: the level grid is empty")
     band = tol.zero_band(max(1.0, abs(level)))
@@ -198,23 +204,18 @@ def _morse_jump(A, lam0: float, mu: float, tol: TolerancePolicy) -> int:
 
 def gamma_jump(A, beta0: float, tol: TolerancePolicy = DEFAULT_TOL) -> int:
     """Jump of the Morse index of T(lam) across lam = 1/beta0, always even.
-    The spectral memo keeps it with the spectrum of J A, so every reader at
-    beta0 shares one computation; a failure is not kept.  The public
-    functions of this module hand ``_gamma_jump`` the pair they checked."""
-    return _gamma_jump(*_hessian_pair(A, tol), beta0, tol)
-
-
-def _gamma_jump(A: np.ndarray, M: np.ndarray, beta0: float, tol: TolerancePolicy) -> int:
-    """``gamma_jump`` of a pair ``(A, M)`` from ``_hessian_pair``."""
+    A Linearization keeps it per beta0, so every reader at beta0 shares one
+    computation; a failure is not kept."""
+    lin = _linearize(A, tol)
 
     def jump():
-        betas = spectral_summary(M, tol).betas
+        betas = spectral_summary(lin, tol).betas
         # the level of the spectrum's frequency: an interval of radius mu
         # around 1/beta0 itself can miss it
-        lam0 = 1.0 / spectral._cluster_at(M, beta0, tol)[0]
-        return _morse_jump(A, lam0, isolation_radius(lam0, betas, tol), tol)
+        lam0 = 1.0 / lin.cluster_at(beta0)[0]
+        return _morse_jump(lin.A, lam0, isolation_radius(lam0, betas, tol), tol)
 
-    return spectral._MEMO.lookup(M, tol, ("jump", beta0), jump)
+    return lin.keep(("jump", beta0), jump)
 
 
 def gamma_block(spec: BlockSpec) -> int:
@@ -237,11 +238,11 @@ def brouwer_planar(grad, center, radius: float, tol: TolerancePolicy = DEFAULT_T
     Angle increments are accumulated over 64 samples, and the sampling is
     doubled until every increment is below pi/2.
     """
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     center = np.asarray(center, dtype=float)
-    if center.shape != (2,):
-        raise ValueError("center must be a point in the plane")
+    if center.shape != (2,) or not np.all(np.isfinite(center)):
+        raise ValueError("center must be a finite point in the plane")
     n = 64
     while True:
         theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
@@ -272,8 +273,10 @@ def bifurcation_index(A, brouwer: int, lambda0: float, j_max: int | None = None,
     ``j_max`` covers every coordinate at lambda0 = 1/beta; at lambda0 = m/beta
     with m >= 2 it can fall short, and ``truncated`` then says so.
     """
-    A, M = _hessian_pair(A, tol)
-    betas = sorted(spectral_summary(M, tol).betas)
+    if not math.isfinite(lambda0):
+        raise ValueError(f"lambda0 must be finite, got {lambda0}")
+    lin = _linearize(A, tol)
+    betas = sorted(spectral_summary(lin, tol).betas)
     if not betas:
         raise EigenvalueNotFoundError("J A has no purely imaginary frequencies")
     if j_max is None:
@@ -291,7 +294,7 @@ def bifurcation_index(A, brouwer: int, lambda0: float, j_max: int | None = None,
         for b, j in levels:
             if j > j_max or abs(lambda0 / j - 1.0 / b) > band:
                 continue
-            eta = brouwer * _gamma_jump(A, M, b, tol)
+            eta = brouwer * gamma_jump(lin, b, tol)
             if eta != 0:
                 entries.append((j, eta))
     truncated = any(b * lambda0 > j_max + band for b in betas)
@@ -358,10 +361,10 @@ def check_classical_assumptions(A, tol: TolerancePolicy = DEFAULT_TOL) -> Assump
     Each is decided (``holds`` is a bool), and each that holds reports the
     frequencies it certifies, those with a nonzero Morse jump.
     """
-    A, M = _hessian_pair(A, tol)
-    summary = spectral_summary(M, tol)
+    lin = _linearize(A, tol)
+    summary = spectral_summary(lin, tol)
     betas = summary.betas
-    eigs = np.linalg.eigvalsh(A)
+    eigs = np.linalg.eigvalsh(lin.A)
     # the band by which morse_index and brouwer_nondegenerate refuse A
     band = _spectrum_band(eigs, tol)
     nondegenerate = bool(np.min(np.abs(eigs)) > band) if eigs.size else False
@@ -371,7 +374,7 @@ def check_classical_assumptions(A, tol: TolerancePolicy = DEFAULT_TOL) -> Assump
         certified = []
         for beta in candidates if holds else ():
             try:
-                if _gamma_jump(A, M, beta, tol) != 0:
+                if gamma_jump(lin, beta, tol) != 0:
                     certified.append(beta)
             except DegeneracyError:
                 continue
@@ -440,15 +443,15 @@ def nonresonance_and_branch_count(A, tol: TolerancePolicy = DEFAULT_TOL) -> Nonr
     """Flag frequencies no larger frequency divides, and count how many of the
     flagged ones also pass the branch condition (a lower bound on connected
     families with distinct minimal periods)."""
-    A, M = _hessian_pair(A, tol)
-    betas = spectral_summary(M, tol).betas
+    lin = _linearize(A, tol)
+    betas = spectral_summary(lin, tol).betas
     if not betas:
         raise EigenvalueNotFoundError("J A has no purely imaginary frequencies")
     try:
-        brouwer = brouwer_nondegenerate(A, tol)
+        brouwer = brouwer_nondegenerate(lin.A, tol)
     except DegeneracyError:
         brouwer = None
-    return _nonresonance(betas, lambda beta: check_main_condition(A, brouwer, beta, tol), tol)
+    return _nonresonance(betas, lambda beta: check_main_condition(lin, brouwer, beta, tol), tol)
 
 
 def check_main_condition(A, brouwer: int | None, beta0: float,
@@ -459,10 +462,10 @@ def check_main_condition(A, brouwer: int | None, beta0: float,
     counts) is best effort and its failure only downgrades ``routes_agree``.
     ``condition_holds`` is None when the Brouwer index is unknown.
     """
-    A, M = _hessian_pair(A, tol)
-    gamma = _gamma_jump(A, M, beta0, tol)
+    lin = _linearize(A, tol)
+    gamma = gamma_jump(lin, beta0, tol)
     try:
-        blocks = tuple(structural_decomposition(M, beta0, tol))
+        blocks = tuple(structural_decomposition(lin, beta0, tol))
         counts = block_counts(blocks, beta0, tol)
     except DecompositionError:
         blocks = counts = None

@@ -14,8 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import spectral
-from .bifurcation import _hessian_pair
+from .bifurcation import _linearize
 from .errors import CorrectorError, IntegrationError
 from .linalg import DEFAULT_TOL, TolerancePolicy, as_symmetric
 
@@ -752,18 +751,18 @@ def seed_from_linearization(A, beta0: float, amplitude: float, equilibrium=None,
                             tol: TolerancePolicy = DEFAULT_TOL) -> PeriodicOrbit:
     """Predictor on the eigendirection of i*beta0, at the linear level 1/beta0.
 
-    beta0 names a frequency of J A by the rule of ``jordan_partition`` (see
-    ``spectral._cluster_at``), which raises EigenvalueNotFoundError when it
-    names none and DecompositionError when the spectrum is undecided."""
-    A, M = _hessian_pair(A, tol)
-    if amplitude <= 0.0:
-        raise ValueError("amplitude must be positive")
-    n = A.shape[0]
+    beta0 names a frequency of J A by the rule of ``jordan_partition``, which
+    raises EigenvalueNotFoundError when it names none and DecompositionError
+    when the spectrum is undecided."""
+    lin = _linearize(A, tol)
+    if not 0.0 < amplitude < math.inf:
+        raise ValueError(f"amplitude must be positive and finite, got {amplitude}")
+    n = lin.M.shape[0]
     equilibrium = np.zeros(n) if equilibrium is None else np.asarray(equilibrium, dtype=float)
-    spectral._cluster_at(M, beta0, tol)
+    lin.cluster_at(beta0)
     # a geometric eigenvector always exists; the SVD null vector of the shifted
     # matrix stays machine-accurate even when i*beta0 is defective
-    shifted = M.astype(complex) - 1j * beta0 * np.eye(n)
+    shifted = lin.M.astype(complex) - 1j * beta0 * np.eye(n)
     v = np.linalg.svd(shifted)[2][-1].conj()
     direction = v.real
     if np.linalg.norm(direction) < 1e-8:

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DecompositionError, StructureError
+from .errors import DecompositionError
 from .linalg import (
     DEFAULT_TOL,
     TolerancePolicy,
-    as_matrix,
     half_dimension,
     standard_symplectic,
 )
@@ -256,7 +255,7 @@ def _sign_to_epsilon(n: int, sign: int) -> int:
     return sign if (n // 2) % 2 == 1 else -sign
 
 
-def _invariant_subspace(M: np.ndarray, beta: float, expected_dim: int, tol: TolerancePolicy):
+def _invariant_subspace(lin: spectral.Linearization, beta: float, expected_dim: int):
     """Orthonormal basis of the generalized eigenspace of +i*beta: M's one
     Schur form, reordered by LAPACK ``trsen`` to lead with the selected
     eigenvalues, as a Schur form sorted by ``gees`` is.
@@ -265,7 +264,7 @@ def _invariant_subspace(M: np.ndarray, beta: float, expected_dim: int, tol: Tole
     eigenvalues nearest to i*beta and the first one beyond them.
     """
     target = 1j * beta
-    dist = np.sort(np.abs(spectral._eigenvalues(M, tol) - target))
+    dist = np.sort(np.abs(lin.eigenvalues - target))
     if expected_dim >= dist.size:
         radius = np.inf
     else:
@@ -274,12 +273,10 @@ def _invariant_subspace(M: np.ndarray, beta: float, expected_dim: int, tol: Tole
             raise DecompositionError(
                 f"no eigenvalue gap separates the cluster at beta={beta}"
             )
-    import scipy.linalg  # loaded at the first Schur form, not at ``import hambif``
+    import scipy.linalg  # loaded with the Schur form, not at ``import hambif``
 
-    # one Schur form per matrix, kept read-only in the memo; trsen reorders copies
-    T, Z = spectral._MEMO.lookup(
-        M, tol, "schur", lambda: scipy.linalg.schur(M.astype(complex), output="complex"))
-    T.flags.writeable = Z.flags.writeable = False
+    # the Linearization keeps one Schur form; trsen reorders copies
+    T, Z = lin.schur
     select = np.abs(np.diag(T) - target) < radius
     _, Z, _, sdim, _, _, info = scipy.linalg.lapack.ztrsen(select, T, Z, job="N")
     if info != 0:
@@ -327,27 +324,26 @@ def structural_decomposition(
 
     Sizes come from the Jordan partition; signs from the signatures of the
     Hermitian moment forms on the generalized eigenspace.  The output is
-    invariant under symplectic conjugation of M.  A repeat at the same M and
-    beta is read from the spectral memo, as a list of its own; so is whether
-    M is Hamiltonian, which ``spectral_summary`` checks through the same step.
+    invariant under symplectic conjugation of M.  M may be a
+    :class:`~hambif.spectral.Linearization`, which keeps the blocks at each
+    beta; a repeat reads them from it, as a list of its own.
     """
-    M = as_matrix(M)
-    if 2 * half_dimension(M) > 64:
+    lin = spectral.Linearization.of(M, tol)
+    if 2 * half_dimension(lin.M) > 64:
         raise DecompositionError("decomposition supported up to dimension 64")
-    if not spectral._is_hamiltonian(M, tol):
-        raise StructureError("structural_decomposition expects a Hamiltonian matrix")
+    lin.check_hamiltonian("structural_decomposition")
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    return list(spectral._MEMO.lookup(M, tol, ("blocks", beta), lambda: _decompose(M, beta, tol)))
+    return list(lin.keep(("blocks", beta), lambda: _decompose(lin, beta)))
 
 
-def _decompose(M: np.ndarray, beta: float, tol: TolerancePolicy) -> tuple[BlockSpec, ...]:
-    partition = list(spectral.jordan_partition(M, beta, tol))
+def _decompose(lin: spectral.Linearization, beta: float) -> tuple[BlockSpec, ...]:
+    partition = list(spectral.jordan_partition(lin, beta, lin.tol))
     d = sum(partition)
-    E = _invariant_subspace(M, beta, d, tol)
+    E = _invariant_subspace(lin, beta, d)
 
-    T_sub = E.conj().T @ M @ E - 1j * beta * np.eye(d)
-    K_E = E.conj().T @ (-1j * standard_symplectic(M.shape[0] // 2)) @ E
+    T_sub = E.conj().T @ lin.M @ E - 1j * beta * np.eye(d)
+    K_E = E.conj().T @ (-1j * standard_symplectic(lin.M.shape[0] // 2)) @ E
     K_E = 0.5 * (K_E + K_E.conj().T)
 
     sizes = sorted(set(partition), reverse=True)

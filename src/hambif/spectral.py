@@ -100,71 +100,76 @@ def _single_linkage(points: list[complex], threshold: float) -> list[list[comple
     return clusters
 
 
-class _OneMatrixMemo:
-    """Results of the pure spectral steps for the most recent matrix only.
+class Linearization:
+    """``M = J A`` of one equilibrium at one tolerance, with the steps all its
+    readers share: whether M is Hamiltonian, its eigenvalues, confirmed
+    clusters and Schur form, and per frequency the Morse jump and the blocks.
+    Each is computed on first use and kept, immutable or read-only; a
+    failure is not kept.  ``A`` is the checked Hessian (see ``bifurcation``),
+    or None for a matrix alone.  Every function that reads J A takes a
+    Linearization in place of its matrix argument."""
 
-    Every stage of an analysis asks again whether the same ``J A`` is
-    Hamiltonian, for its eigenvalues, clusters and Schur form, and for its
-    frequencies' Morse jumps and blocks; keeping the last matrix's results
-    makes those repeats free, while memory stays bounded by one matrix
-    however many problems a process analyzes.  A matrix is keyed by its
-    bytes, so one changed in place is a new matrix.
-    Values are pure functions of the key and are immutable, so sharing them
-    between callers is safe; failures are not stored.
-    """
+    def __init__(self, M, tol: TolerancePolicy = DEFAULT_TOL, A: np.ndarray | None = None):
+        self.M = _read_only(as_matrix(M).copy())
+        self.tol = tol
+        self.A = None if A is None else _read_only(np.array(A, dtype=float))
+        self._kept: dict = {}
 
-    def __init__(self):
-        self._entry: tuple = (None, {})
+    @classmethod
+    def of(cls, M, tol: TolerancePolicy) -> "Linearization":
+        """M if it is a Linearization, refused unless built at ``tol``; else one of M."""
+        if not isinstance(M, cls):
+            return cls(M, tol)
+        if M.tol != tol:
+            raise ValueError(f"a Linearization built at {M.tol} was asked at {tol}")
+        return M
 
-    def lookup(self, M: np.ndarray, tol: TolerancePolicy, step, compute):
-        key = (M.shape, M.dtype.str, M.tobytes(), tol)
-        entry_key, results = self._entry
-        if entry_key != key:
-            results = {}
-            # a single reference swap: a concurrent caller never files its
-            # result under another matrix's key
-            self._entry = (key, results)
-        if step not in results:
-            results[step] = compute()
-        return results[step]
+    def keep(self, step, compute):
+        """``compute()``, run on the first request for ``step`` and kept."""
+        if step not in self._kept:
+            self._kept[step] = compute()
+        return self._kept[step]
 
+    def check_hamiltonian(self, caller: str) -> None:
+        """Raise StructureError, naming the caller, unless M is Hamiltonian."""
+        if not self.keep("hamiltonian", lambda: is_hamiltonian(self.M, self.tol)):
+            raise StructureError(f"{caller} expects a Hamiltonian matrix")
 
-_MEMO = _OneMatrixMemo()
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self.keep("eigvals", lambda: _read_only(np.linalg.eigvals(self.M)))
 
+    @property
+    def clusters(self):
+        """Confirmed conjugate-pair frequencies (beta, multiplicity, Jordan
+        partition, conditioning note), the leftover eigenvalues and the band."""
+        return self.keep("clusters", lambda: _find_clusters(self))
 
-def _eigenvalues(M: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
-    """The eigenvalues of M, computed once per matrix and read-only."""
-    w = _MEMO.lookup(M, tol, "eigvals", lambda: np.linalg.eigvals(M))
-    w.flags.writeable = False
-    return w
+    @property
+    def schur(self) -> tuple[np.ndarray, np.ndarray]:
+        import scipy.linalg  # loaded at the first Schur form, not at ``import hambif``
 
+        return self.keep("schur", lambda: tuple(
+            map(_read_only, scipy.linalg.schur(self.M.astype(complex), output="complex"))))
 
-def _is_hamiltonian(M: np.ndarray, tol: TolerancePolicy) -> bool:
-    """``is_hamiltonian(M, tol)``, checked once per matrix."""
-    return _MEMO.lookup(M, tol, "hamiltonian", lambda: is_hamiltonian(M, tol))
-
-
-def _imaginary_clusters(M: np.ndarray, tol: TolerancePolicy):
-    """Confirmed conjugate-pair frequencies (beta, multiplicity, Jordan
-    partition, conditioning note), the leftover eigenvalues and the band."""
-    clusters, others, band = _MEMO.lookup(M, tol, "clusters", lambda: _find_clusters(M, tol))
-    return clusters, np.array(others, dtype=complex), band
-
-
-def _cluster_at(M: np.ndarray, beta: float, tol: TolerancePolicy):
-    """The confirmed cluster nearest i*beta, the one rule for which frequency a
-    beta names; beyond max(band, 1e-6 * beta), or for a beta that is not
-    finite, it raises EigenvalueNotFoundError."""
-    clusters, _, band = _imaginary_clusters(M, tol)
-    cluster = min(clusters, key=lambda c: abs(c[0] - beta), default=None)
-    radius = max(band, 1e-6 * beta)
-    if cluster is None or not (math.isfinite(beta) and abs(cluster[0] - beta) <= radius):
-        raise EigenvalueNotFoundError(f"i*{beta} is not an eigenvalue within tolerance")
-    return cluster
+    def cluster_at(self, beta: float):
+        """The confirmed cluster nearest i*beta, the one rule for which
+        frequency a beta names; beyond max(band, 1e-6 * beta), or for a beta
+        that is not finite, it raises EigenvalueNotFoundError."""
+        clusters, _, band = self.clusters
+        cluster = min(clusters, key=lambda c: abs(c[0] - beta), default=None)
+        if cluster is None or not (math.isfinite(beta) and abs(cluster[0] - beta) <= max(band, 1e-6 * beta)):
+            raise EigenvalueNotFoundError(f"i*{beta} is not an eigenvalue within tolerance")
+        return cluster
 
 
-def _find_clusters(M: np.ndarray, tol: TolerancePolicy):
-    w = _eigenvalues(M, tol)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _find_clusters(lin: Linearization):
+    M, tol, w = lin.M, lin.tol, lin.eigenvalues
     N = M.shape[0] // 2
     scale = max(1.0, matrix_norm(M))
     band = max(tol.zero_band(scale), np.sqrt(np.finfo(float).eps) * scale)
@@ -294,15 +299,15 @@ def jordan_partition(M, beta: float, tol: TolerancePolicy = DEFAULT_TOL) -> tupl
     """Jordan block sizes of the eigenvalue i*beta, largest first.
 
     Read from the rank staircase that confirmed the cluster beta names (see
-    ``_cluster_at``), whether or not beta is its centre.  A marginal rank
-    decision emits a :class:`ConditioningWarning`.  Raises
+    ``Linearization.cluster_at``), whether or not beta is its centre.  A
+    marginal rank decision emits a :class:`ConditioningWarning`.  Raises
     :class:`DecompositionError` when the spectrum is undecided: a cluster on
     the imaginary axis that no rank staircase confirms.
     """
-    M = as_matrix(M)
+    lin = Linearization.of(M, tol)
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    return _jordan_data(_cluster_at(M, beta, tol))[0]
+    return _jordan_data(lin.cluster_at(beta))[0]
 
 
 def spectral_summary(M, tol: TolerancePolicy = DEFAULT_TOL) -> SpectralSummary:
@@ -310,14 +315,12 @@ def spectral_summary(M, tol: TolerancePolicy = DEFAULT_TOL) -> SpectralSummary:
 
     Raises :class:`DecompositionError` when a cluster on the imaginary axis,
     where a rank staircase finds a kernel, is confirmed by no staircase, whole
-    or split; every function that reads the spectrum passes it on.  Whether M
-    is Hamiltonian is one more step the memo keeps, so the readers of one
-    matrix check it once; a non-Hamiltonian M is refused on every call.
+    or split; every function that reads the spectrum passes it on.  A
+    non-Hamiltonian M is refused on every call.
     """
-    M = as_matrix(M)
-    if not _is_hamiltonian(M, tol):
-        raise StructureError("spectral_summary expects a Hamiltonian matrix")
-    clusters, others, _ = _imaginary_clusters(M, tol)
+    lin = Linearization.of(M, tol)
+    lin.check_hamiltonian("spectral_summary")
+    clusters, others, _ = lin.clusters
 
     entries = []
     for cluster in reversed(clusters):
@@ -332,7 +335,7 @@ def spectral_summary(M, tol: TolerancePolicy = DEFAULT_TOL) -> SpectralSummary:
                 conditioning=note,
             )
         )
-    other = tuple(sorted(map(complex, others), key=lambda z: (z.real, z.imag)))
+    other = tuple(sorted(others, key=lambda z: (z.real, z.imag)))
     return SpectralSummary(imaginary=tuple(entries), other_eigenvalues=other)
 
 

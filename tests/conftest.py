@@ -101,16 +101,6 @@ def pytest_runtest_logreport(report):
         print(f"\n[acceptance] {name}: {outcome}")
 
 
-@pytest.fixture(autouse=True)
-def fresh_spectral_memo(monkeypatch):
-    """An empty spectral memo for every test, so that a test patching an
-    uncached step (a rank staircase, a Morse jump) is never served a result
-    an earlier test filed for the same matrix."""
-    from hambif import spectral
-
-    monkeypatch.setattr(spectral, "_MEMO", spectral._OneMatrixMemo())
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

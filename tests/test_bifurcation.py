@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -30,9 +31,11 @@ from hambif import (
     signature,
     spectral_summary,
     standard_symplectic,
+    structural_decomposition,
     t_matrix,
 )
-from hambif.bifurcation import MAX_LEVELS, _doubled_morse_index
+from hambif.bifurcation import MAX_LEVELS, _doubled_morse_index, _linearize
+from hambif.spectral import Linearization
 from hambif.linalg import random_symmetric
 from hambif.errors import (
     EigenvalueNotFoundError,
@@ -97,6 +100,22 @@ class TestLambdaSet:
         for beta, ms in ls.source_betas:
             assert list(ms) == list(range(1, len(ms) + 1))
 
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_levels_refused(self, value):
+        """A level that is not finite is refused by the argument's name, not
+        by an OverflowError or numpy's NaN-to-integer error; an infinite
+        lambda_max keeps its LevelCountError."""
+        with pytest.raises(ValueError, match="lambda0 must be finite"):
+            bifurcation_index(np.eye(2), 1, value)
+        with pytest.raises(ValueError, match="level must be finite"):
+            isolation_radius(value, [1.0])
+        if math.isnan(value):
+            with pytest.raises(ValueError, match="lambda_max must be positive"):
+                lambda_set(np.eye(2), value)
+        else:
+            with pytest.raises(LevelCountError):
+                lambda_set(np.eye(2), value)
 
     def test_levels_counted_before_any_is_built(self):
         # MAX_LEVELS levels are built; one more, or a billion, is refused at once
@@ -248,6 +267,21 @@ class TestBrouwer:
     def test_planar_vanishing_field(self):
         with pytest.raises(PlanarDegreeError):
             brouwer_planar(lambda p: np.zeros(2), (0.0, 0.0), 1.0)
+
+    @pytest.mark.parametrize("center, radius, match", [
+        ((0.0, 0.0), math.nan, "radius"), ((0.0, 0.0), math.inf, "radius"),
+        ((math.nan, 0.0), 1.0, "center"), ((0.0, -math.inf), 1.0, "center"),
+    ], ids=["nan-radius", "inf-radius", "nan-center", "inf-center"])
+    def test_planar_non_finite_circle_refused_before_sampling(self, center, radius, match):
+        calls = []
+
+        def grad(p):
+            calls.append(p)
+            return p
+
+        with pytest.raises(ValueError, match=match):
+            brouwer_planar(grad, center, radius)
+        assert calls == []
 
 
 # frequencies 1, 2 and 3, the last on a nonsemisimple block
@@ -660,11 +694,10 @@ class TestNonresonance:
 
 class TestEachMatrixCheckedOnce:
     def test_analysis_checks_each_matrix_once(self, monkeypatch):
-        """While run_analysis runs the 20-dim README example, J A is checked
-        to be Hamiltonian once, and A to be symmetric only at the public
-        bifurcation calls the pipeline makes: the Morse jump of each verdict,
-        index coordinate and hypothesis certificate reuses the checked A.
-        The summary and the decomposition both check J A through spectral."""
+        """While run_analysis runs the 20-dim README example, its one
+        Linearization checks A to be symmetric once and J A to be Hamiltonian
+        once, and every verdict, index coordinate and hypothesis certificate
+        reads the Morse jump through the public gamma_jump, computed once."""
         import hambif.analysis as analysis
         import hambif.bifurcation as bifurcation
         from hambif import Equilibrium, ProblemSpec, run_analysis, spectral
@@ -678,9 +711,11 @@ class TestEachMatrixCheckedOnce:
 
             monkeypatch.setattr(module, name, counted)
 
-        hamiltonian_checks, symmetry_checks, public_calls = [], [], []
+        hamiltonian_checks, symmetry_checks, public_calls, jumps, morse_jumps = [], [], [], [], []
         count(spectral, "is_hamiltonian", hamiltonian_checks)
         count(bifurcation, "as_symmetric", symmetry_checks)
+        count(bifurcation, "gamma_jump", jumps)
+        count(bifurcation, "_morse_jump", morse_jumps)
         for name in ("lambda_set", "check_main_condition", "bifurcation_index",
                      "check_classical_assumptions"):
             count(analysis, name, public_calls)
@@ -692,8 +727,9 @@ class TestEachMatrixCheckedOnce:
         # the index coordinate reads the jump: the Brouwer sign is known
         eta = entry["brouwer_index"] * entry["conditions"][0]["gamma"]
         assert entry["bifurcation_indices"][0]["entries"] == {"1": eta} != {"1": 0}
-        assert len(hamiltonian_checks) == 1
-        assert len(symmetry_checks) == len(public_calls) == 4
+        assert len(hamiltonian_checks) == len(symmetry_checks) == 1
+        assert len(public_calls) == 4
+        assert len(jumps) >= 2 and len(morse_jumps) == 1
 
     @HESSIAN_ENTRIES
     def test_asymmetric_hessian_refused_after_its_symmetric_part(self, call):
@@ -718,3 +754,66 @@ class TestEachMatrixCheckedOnce:
         with pytest.raises(StructureError, match="not symmetric"):
             call(A)
         call(A, DEFAULT_TOL.scaled(1e3))
+
+
+# every public function that reads J A, called on a Hessian A, its matrix
+# M = J A, or a Linearization in place of either, at a frequency beta of J A
+READS_J_A = pytest.mark.parametrize("call", [
+    lambda A, M, beta, tol: spectral_summary(M, tol),
+    lambda A, M, beta, tol: jordan_partition(M, beta, tol),
+    lambda A, M, beta, tol: structural_decomposition(M, beta, tol),
+    lambda A, M, beta, tol: lambda_set(A, 3.0, tol),
+    lambda A, M, beta, tol: gamma_jump(A, beta, tol),
+    lambda A, M, beta, tol: bifurcation_index(A, 1, 1.0 / beta, tol=tol),
+    lambda A, M, beta, tol: check_classical_assumptions(A, tol),
+    lambda A, M, beta, tol: nonresonance_and_branch_count(A, tol),
+    lambda A, M, beta, tol: check_main_condition(A, 1, beta, tol),
+    lambda A, M, beta, tol: seed_from_linearization(A, beta, 0.1, tol=tol),
+], ids=["spectral_summary", "jordan_partition", "structural_decomposition", "lambda_set",
+        "gamma_jump", "bifurcation_index", "check_classical_assumptions",
+        "nonresonance_and_branch_count", "check_main_condition", "seed_from_linearization"])
+
+
+def _plain(value):
+    """A result with its dataclasses and arrays unpacked, for comparison by ==."""
+    if dataclasses.is_dataclass(value):
+        return tuple(_plain(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return tuple(_plain(v) for v in value)
+    return value
+
+
+def _two_frequency_form():
+    _, A = conjugated_pair(NormalForm((BlockSpec(1.0, 3, +1), BlockSpec(1.5, 1, -1))), seed=3)
+    return 0.5 * (A + A.T)
+
+
+class TestLinearizationArgument:
+    @READS_J_A
+    @pytest.mark.parametrize("hessian", [lambda: squeezed_readme_example(5, 1.0), _two_frequency_form],
+                             ids=["readme", "two_frequencies"])
+    def test_same_result_on_the_matrix_and_its_linearization(self, call, hessian):
+        A = hessian()
+        M = standard_symplectic(A.shape[0] // 2) @ A
+        beta = min(spectral_summary(M).betas)
+        lin = _linearize(A, DEFAULT_TOL)
+        assert _plain(call(lin, lin, beta, DEFAULT_TOL)) == _plain(call(A, M, beta, DEFAULT_TOL))
+        # a second call reads what the first kept, and reads the same
+        assert _plain(call(lin, lin, beta, DEFAULT_TOL)) == _plain(call(A, M, beta, DEFAULT_TOL))
+
+    @READS_J_A
+    def test_other_tolerance_refused(self, call):
+        lin = _linearize(oscillators(1.0, 2.0), DEFAULT_TOL)
+        with pytest.raises(ValueError, match="Linearization built at"):
+            call(lin, lin, 1.0, DEFAULT_TOL.scaled(10.0))
+
+    @pytest.mark.parametrize("call", [
+        lambda lin: lambda_set(lin, 2.0),
+        lambda lin: gamma_jump(lin, 1.0),
+        lambda lin: seed_from_linearization(lin, 1.0, 0.1),
+    ], ids=["lambda_set", "gamma_jump", "seed_from_linearization"])
+    def test_a_matrix_alone_is_refused_where_the_hessian_is_read(self, call):
+        with pytest.raises(ValueError, match="built from a Hessian"):
+            call(Linearization(standard_symplectic(1)))

@@ -848,6 +848,11 @@ class TestSeeding:
         with pytest.raises(ValueError):
             seed_from_linearization(np.eye(2), 1.0, 0.0)
 
+    @pytest.mark.parametrize("amplitude", [math.nan, math.inf])
+    def test_non_finite_amplitude_rejected(self, amplitude):
+        with pytest.raises(ValueError, match="amplitude must be positive and finite"):
+            seed_from_linearization(np.eye(2), 1.0, amplitude)
+
     def test_missing_frequency_rejected(self):
         from hambif import EigenvalueNotFoundError
 

@@ -20,6 +20,8 @@ from hambif import (
     structural_decomposition,
 )
 
+from hambif.spectral import Linearization
+
 from conftest import catalogue_block, conjugated_pair, random_normal_form, staircase_oracle
 
 
@@ -253,8 +255,8 @@ class TestStructuralDecomposition:
         with pytest.raises(DecompositionError, match="up to dimension 64"):
             structural_decomposition(np.zeros((66, 66)), 1.0)
 
-    def test_repeat_is_a_fresh_copy_from_the_memo(self, monkeypatch):
-        """A second decomposition of the same matrix at the same frequency
+    def test_repeat_is_a_fresh_copy_from_the_linearization(self, monkeypatch):
+        """A second decomposition of one Linearization at the same frequency
         runs no second Schur, equals the first, and is a list of its own."""
         import scipy.linalg
 
@@ -266,17 +268,17 @@ class TestStructuralDecomposition:
             return schur(*args, **kwargs)
 
         monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
-        M = assemble_normal_form(NormalForm((BlockSpec(1.0, 3, +1), BlockSpec(1.0, 2, -1))))
+        M = Linearization(assemble_normal_form(NormalForm((BlockSpec(1.0, 3, +1), BlockSpec(1.0, 2, -1)))))
         first = structural_decomposition(M, 1.0)
         first.append(BlockSpec(1.0, 1, +1))
-        second = structural_decomposition(M.copy(), 1.0)
+        second = structural_decomposition(M, 1.0)
         assert [(b.half_dim, b.epsilon) for b in second] == [(3, 1), (2, -1)]
         assert second is not structural_decomposition(M, 1.0)
         assert len(schurs) == 1
 
-    def test_invariant_subspace_reads_the_memo_eigenvalues(self, monkeypatch):
-        """The summary and the decomposition of one matrix share one eigvals,
-        and its frequencies reorder one Schur form."""
+    def test_invariant_subspace_reads_the_linearization_eigenvalues(self, monkeypatch):
+        """The summary and the decomposition of one Linearization share one
+        eigvals, and its frequencies reorder one Schur form."""
         import scipy.linalg
 
         calls, schurs = [], []
@@ -292,7 +294,7 @@ class TestStructuralDecomposition:
 
         monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
         monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
-        M = assemble_normal_form(NormalForm((BlockSpec(1.0, 3, +1), BlockSpec(1.5, 1, -1))))
+        M = Linearization(assemble_normal_form(NormalForm((BlockSpec(1.0, 3, +1), BlockSpec(1.5, 1, -1)))))
         betas = sorted(spectral_summary(M).betas)
         blocks = [[(b.half_dim, b.epsilon) for b in structural_decomposition(M, beta)] for beta in betas]
         assert len(calls) == 1

@@ -801,17 +801,17 @@ class TestOneVerdictPerFrequency:
 
     def test_one_decomposition_and_one_jump_per_frequency(self, tmp_path, monkeypatch):
         """The pipeline and ``check_main_condition`` both ask for each
-        frequency's blocks; the second request is a memo hit, so only the
-        uncached body is counted."""
+        frequency's blocks; the equilibrium's Linearization answers the
+        second request, so the decomposition itself runs once."""
         import hambif.bifurcation as bifurcation
         import hambif.normal_forms as normal_forms
 
         decompositions, jumps = [], []
         decompose, morse_jump = normal_forms._decompose, bifurcation._morse_jump
 
-        def counting_decomposition(M, beta, tol):
+        def counting_decomposition(lin, beta):
             decompositions.append(round(beta, 9))
-            return decompose(M, beta, tol)
+            return decompose(lin, beta)
 
         def counting_jump(A, lam0, mu, tol):
             jumps.append(round(1.0 / lam0, 9))

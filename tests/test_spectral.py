@@ -18,6 +18,7 @@ from hambif import (
     TolerancePolicy,
 )
 from hambif.errors import EigenvalueNotFoundError, StructureError
+from hambif.spectral import Linearization
 
 from conftest import catalogue_block, squeezed_readme_example, staircase_oracle
 
@@ -63,15 +64,15 @@ class TestImaginarySpectrum:
             spectral_summary(np.eye(2))
 
     def test_refusals_hold_when_the_memo_is_warm(self):
-        """The memo keeps whether M is Hamiltonian, so the summary and the
-        decomposition refuse a non-Hamiltonian M on every call, also after
-        a reader that does not check has filled the memo for it."""
+        """A Linearization keeps whether M is Hamiltonian, so the summary and
+        the decomposition refuse a non-Hamiltonian M on every call, also
+        after a reader that does not check has filled it."""
         from hambif import structural_decomposition
 
         S = np.eye(4)
         S[0, 1] = 1.0  # q1 += q2 with the momenta left alone: not symplectic
-        M = S @ standard_symplectic(2) @ np.linalg.inv(S)
-        assert jordan_partition(M, 1.0) == (1, 1)  # the memo now holds M
+        M = Linearization(S @ standard_symplectic(2) @ np.linalg.inv(S))
+        assert jordan_partition(M, 1.0) == (1, 1)  # M now holds its clusters
         for _ in range(2):
             with pytest.raises(StructureError, match="spectral_summary expects"):
                 spectral_summary(M)
@@ -175,26 +176,22 @@ class TestInvariants:
 
 @pytest.fixture
 def counted(monkeypatch):
-    """The calls that reach the uncached steps: one matrix digest per cluster
-    search, (digest, beta, mult) per staircase that yields a partition, and
-    the same per staircase that rejects a candidate cluster."""
-    import hashlib
-
+    """The calls that reach the steps a Linearization keeps: the
+    Linearization of each cluster search, (beta, mult) per staircase that
+    yields a partition, and the same per staircase that rejects a candidate
+    cluster."""
     from hambif import spectral
 
     calls = {"clusters": [], "staircase": [], "rejected": []}
     find_clusters, rank_staircase = spectral._find_clusters, spectral._rank_staircase
 
-    def digest(M):
-        return hashlib.sha256(M.tobytes()).hexdigest()
-
-    def clusters(M, tol):
-        calls["clusters"].append(digest(M))
-        return find_clusters(M, tol)
+    def clusters(lin):
+        calls["clusters"].append(lin)
+        return find_clusters(lin)
 
     def staircase(M, beta, tol, mult):
         result = rank_staircase(M, beta, tol, mult)
-        calls["staircase" if result[0] == mult else "rejected"].append((digest(M), beta, mult))
+        calls["staircase" if result[0] == mult else "rejected"].append((beta, mult))
         return result
 
     monkeypatch.setattr(spectral, "_find_clusters", clusters)
@@ -202,45 +199,43 @@ def counted(monkeypatch):
     return calls
 
 
-class TestSpectralMemo:
-    """The spectrum of the last matrix is kept; a hit must read like a miss."""
+class TestLinearization:
+    """One Linearization keeps the spectrum of its matrix; a repeat must read
+    like the first call."""
 
     def worked_example(self):
         nf = NormalForm((BlockSpec(1.0, 5, -1), BlockSpec(1.0, 3, +1), BlockSpec(1.3, 2, +1)))
         return conjugate(assemble_normal_form(nf), seed=7)
 
-    def test_hit_equals_miss(self, counted):
-        from hambif import spectral
-        from hambif.linalg import DEFAULT_TOL
-
+    def test_repeat_equals_first(self, counted):
         M = self.worked_example()
-        miss_summary = spectral_summary(M)
-        miss_partition = jordan_partition(M, 1.0)
-        miss_clusters = spectral._imaginary_clusters(M, DEFAULT_TOL)
+        lin = Linearization(M)
+        first_summary = spectral_summary(lin)
+        first_partition = jordan_partition(lin, 1.0)
+        first_clusters = lin.clusters
         assert len(counted["clusters"]) == 1
         # the cluster search's two frequencies; 1.0 differs from the estimate
         # of its cluster in the last bits, and reads that cluster's partition
         assert len(counted["staircase"]) == 2
 
-        assert spectral_summary(M.copy()) == miss_summary
-        assert jordan_partition(M.copy(), 1.0) == miss_partition == (5, 3)
-        hit_clusters = spectral._imaginary_clusters(M.copy(), DEFAULT_TOL)
-        assert hit_clusters[0] == miss_clusters[0]
-        assert np.array_equal(hit_clusters[1], miss_clusters[1])
-        assert hit_clusters[2] == miss_clusters[2]
-        assert len(counted["clusters"]) == 1
-        assert len(counted["staircase"]) == 2
+        assert spectral_summary(lin) == first_summary == spectral_summary(M)
+        assert jordan_partition(lin, 1.0) == first_partition == (5, 3)
+        assert lin.clusters is first_clusters
+        # a call on the raw M builds a Linearization, and a search, of its own
+        assert len(counted["clusters"]) == 2 and counted["clusters"][0] is lin
+        assert len(counted["staircase"]) == 4
 
-    def test_hit_warns_again(self, counted):
+    def test_repeat_warns_again(self, counted):
         M = assemble_normal_form(NormalForm((BlockSpec(1.0, 1, -1), BlockSpec(2.0, 1, -1))))
         tol = TolerancePolicy(rank_tol=0.1)  # puts the kept singular values near the cutoff
+        lin = Linearization(M, tol)
         with pytest.warns(ConditioningWarning, match="beta=1.0$"):
-            miss = jordan_partition(M, 1.0, tol)
+            first = jordan_partition(lin, 1.0, tol)
         with pytest.warns(ConditioningWarning, match="beta=1.0$"):
-            hit = jordan_partition(M, 1.0, tol)
-        assert miss == hit == (1,)
+            repeat = jordan_partition(lin, 1.0, tol)
+        assert first == repeat == (1,)
         with pytest.warns(ConditioningWarning):
-            summary = spectral_summary(M, tol)
+            summary = spectral_summary(lin, tol)
         assert len(counted["staircase"]) == 2  # beta = 2 once, beta = 1 once
         notes = {round(ev.beta, 6): ev.conditioning for ev in summary.imaginary}
         assert notes == {
@@ -250,39 +245,37 @@ class TestSpectralMemo:
                  "Jordan blocks at beta=1.0",
         }
 
-    def test_matrix_changed_in_place_is_recomputed(self, counted):
+    def test_holds_a_copy_of_its_matrix(self, counted):
+        """A matrix changed in place after its Linearization was built leaves
+        the Linearization as it was; a call on the raw matrix reads it anew."""
         M = assemble_normal_form(NormalForm((BlockSpec(1.0, 2, +1),)))
-        before = spectral_summary(M)
+        lin = Linearization(M)
         M[:] = assemble_normal_form(NormalForm((BlockSpec(1.5, 1, -1), BlockSpec(0.5, 1, -1))))
-        after = spectral_summary(M)
-        assert before.betas == pytest.approx((1.0,))
-        assert after.betas == pytest.approx((1.5, 0.5))
+        assert spectral_summary(lin).betas == pytest.approx((1.0,))
+        assert spectral_summary(M).betas == pytest.approx((1.5, 0.5))
         assert len(counted["clusters"]) == 2
 
-    def test_second_matrix_evicts_the_first(self, counted):
-        M1 = assemble_normal_form(NormalForm((BlockSpec(1.0, 1, -1),)))
-        M2 = assemble_normal_form(NormalForm((BlockSpec(2.0, 1, -1),)))
-        first = spectral_summary(M1)
-        spectral_summary(M2)
-        assert spectral_summary(M1) == first
-        assert len(counted["clusters"]) == 3
-        assert len(set(counted["clusters"])) == 2
+    def test_two_linearizations_keep_their_own(self, counted):
+        """Nothing is evicted: each Linearization keeps its spectrum while
+        another is read."""
+        lin1 = Linearization(assemble_normal_form(NormalForm((BlockSpec(1.0, 1, -1),))))
+        lin2 = Linearization(assemble_normal_form(NormalForm((BlockSpec(2.0, 1, -1),))))
+        first = spectral_summary(lin1)
+        spectral_summary(lin2)
+        assert spectral_summary(lin1) == first
+        assert counted["clusters"] == [lin1, lin2]
 
-    def test_returned_values_cannot_corrupt_the_memo(self, counted):
-        from hambif import spectral
-        from hambif.linalg import DEFAULT_TOL
-
+    def test_returned_values_cannot_corrupt_the_linearization(self, counted):
         A = np.diag([1.0, -1.0, 1.0, 1.0])  # an oscillator and a saddle
-        M = conjugate(standard_symplectic(2) @ A, seed=3)
-        clusters, others, band = spectral._imaginary_clusters(M, DEFAULT_TOL)
-        assert others.size == 2
-        kept = others.copy()
-        others[:] = 0.0
+        lin = Linearization(conjugate(standard_symplectic(2) @ A, seed=3))
+        clusters, others, band = lin.clusters
+        assert len(others) == 2
         with pytest.raises(TypeError):
             clusters[0] = (9.0, 1)
-        again = spectral._imaginary_clusters(M, DEFAULT_TOL)
-        assert again[0] == clusters
-        assert np.array_equal(again[1], kept)
+        for array in (lin.M, lin.eigenvalues, *lin.schur):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        assert lin.clusters == (clusters, others, band)
         assert len(counted["clusters"]) == 1
 
 
@@ -322,15 +315,15 @@ def test_one_spectrum_per_equilibrium(counted):
     assert len(counted["staircase"]) == 3
     assert len(set(counted["staircase"])) == 3
     # the first candidate merges all twelve eigenvalues; its staircase rejects it
-    assert [mult for _, _, mult in counted["rejected"]] == [12]
+    assert [mult for _, mult in counted["rejected"]] == [12]
 
 
 def test_summary_climbs_each_staircase_once(monkeypatch):
     """The rank staircase that accepts a cluster is the one that yields its
     partition: one spectral_summary makes only the rank SVDs of its cluster
-    search, and jordan_partition at each frequency then makes none."""
+    search, and jordan_partition at each frequency of the same Linearization
+    then makes none."""
     from hambif import spectral
-    from hambif.linalg import DEFAULT_TOL
 
     svds = []
     rank_with_gap = spectral.numeric_rank_with_gap
@@ -342,17 +335,18 @@ def test_summary_climbs_each_staircase_once(monkeypatch):
     monkeypatch.setattr(spectral, "numeric_rank_with_gap", counting)
     M = standard_symplectic(12) @ conjugated_24()
 
-    spectral._find_clusters(M, DEFAULT_TOL)
+    spectral._find_clusters(Linearization(M))
     search = len(svds)
     # one step per size of the largest block of each frequency (5 + 3 + 2),
     # and one for the twelve-member candidate, whose first step finds no kernel
     assert search == 11
 
     svds.clear()
-    summary = spectral_summary(M)
+    lin = Linearization(M)
+    summary = spectral_summary(lin)
     assert len(svds) == search
     for ev in summary.imaginary:
-        assert jordan_partition(M, ev.beta) == ev.jordan_partition
+        assert jordan_partition(lin, ev.beta) == ev.jordan_partition
     assert len(svds) == search
 
 

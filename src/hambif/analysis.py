@@ -41,13 +41,13 @@ PERIOD_LIMIT_DELTA = 0.1            # amplitude window for the small-orbit perio
 ALL_STAGES = frozenset({"normal_form", "index", "assumptions", "continuation"})
 
 
-def _brouwer_for(eq, spec, tol):
-    """Brouwer index with provenance: user value, determinant sign, planar
-    winding number, or unresolved."""
+def _brouwer_for(eq, lin, spec, tol):
+    """Brouwer index with provenance: user value, determinant sign read from
+    the equilibrium's Linearization, planar winding number, or unresolved."""
     if eq.brouwer_index is not None:
         return eq.brouwer_index, "user"
     try:
-        return brouwer_nondegenerate(eq.hessian, tol), "determinant"
+        return brouwer_nondegenerate(lin, tol), "determinant"
     except DegeneracyError:
         pass
     if spec.dim == 2 and spec.hamiltonian is not None:
@@ -131,7 +131,7 @@ def run_analysis(spec: ProblemSpec, stages: frozenset[str] = ALL_STAGES) -> dict
         entry["has_nonimaginary"] = summary.has_nonimaginary
         entry["other_eigenvalues"] = [[z.real, z.imag] for z in summary.other_eigenvalues]
 
-        brouwer, provenance = _brouwer_for(eq, spec, tol)
+        brouwer, provenance = _brouwer_for(eq, lin, spec, tol)
         entry["brouwer_index"] = brouwer
         entry["brouwer_provenance"] = provenance
 

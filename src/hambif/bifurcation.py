@@ -32,11 +32,9 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     TolerancePolicy,
-    _refuse_zero_band,
-    _spectrum_band,
+    _inertia,
     as_symmetric,
     half_dimension,
-    morse_index,
     standard_symplectic,
 )
 from .normal_forms import BlockCounts, BlockSpec, block_counts, structural_decomposition
@@ -109,7 +107,7 @@ def t_matrix(lam: float, A) -> np.ndarray:
 
 def _linearize(A, tol: TolerancePolicy) -> Linearization:
     """The Linearization of a Hessian checked symmetric at ``tol`` and of even
-    dimension, the one entry of every public function that reads J A; a
+    dimension, the one entry of every public function that reads J A or A; a
     Linearization passes if built from a Hessian at ``tol``."""
     if isinstance(A, Linearization):
         if A.A is None:
@@ -162,6 +160,8 @@ def isolation_radius(level: float, betas, tol: TolerancePolicy = DEFAULT_TOL) ->
     band = tol.zero_band(max(1.0, abs(level)))
     best = math.inf
     for beta in betas:
+        if not 0.0 < beta < math.inf:
+            raise ValueError(f"frequency {beta} in betas must be positive and finite")
         t = level * beta
         for m in range(max(1, math.floor(t) - 1), math.ceil(t) + 2):
             d = abs(level - m / beta)
@@ -179,14 +179,10 @@ _JUMP_ZERO_TOL = 1e-12
 
 
 def _doubled_morse_index(A: np.ndarray, lam: float, tol: TolerancePolicy) -> int:
-    """``morse_index(t_matrix(lam, A), tol)`` of a symmetric A, read as twice
-    the count of the Hermitian H(lam) = -lam A - iJ: the band scales with
-    max|w| = ||T(lam)||_2, and an eigenvalue inside it raises the same
-    :class:`DegeneracyError`."""
+    """``morse_index(t_matrix(lam, A), tol)`` of a symmetric A, refusal included,
+    read as twice that of the Hermitian H(lam) = -lam A - iJ, whose max|w| is ||T(lam)||_2."""
     w = np.linalg.eigvalsh(-lam * A - 1j * standard_symplectic(A.shape[0] // 2))
-    band = _spectrum_band(w, tol)
-    _refuse_zero_band(w, band, "morse_index")
-    return 2 * int(np.count_nonzero(w < -band))
+    return 2 * _inertia(w, tol, "morse_index")[0]
 
 
 def _morse_jump(A, lam0: float, mu: float, tol: TolerancePolicy) -> int:
@@ -229,7 +225,8 @@ def gamma_block(spec: BlockSpec) -> int:
 def brouwer_nondegenerate(A, tol: TolerancePolicy = DEFAULT_TOL) -> int:
     """sign(det A) for a nondegenerate symmetric A (the local index of its
     gradient); a degenerate A raises :class:`DegeneracyError`."""
-    return -1 if morse_index(A, tol) % 2 else 1
+    below, _, _ = _inertia(_linearize(A, tol).hessian_eigenvalues, tol, "brouwer_nondegenerate")
+    return -1 if below % 2 else 1
 
 
 def brouwer_planar(grad, center, radius: float, tol: TolerancePolicy = DEFAULT_TOL) -> int:
@@ -248,6 +245,8 @@ def brouwer_planar(grad, center, radius: float, tol: TolerancePolicy = DEFAULT_T
         theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
         points = center[None, :] + radius * np.column_stack([np.cos(theta), np.sin(theta)])
         values = np.array([grad(p) for p in points], dtype=float)
+        if not np.all(np.isfinite(values)):
+            raise PlanarDegreeError("field is not finite on the circle")
         norms = np.hypot(values[:, 0], values[:, 1])
         if np.min(norms) <= tol.residual_tol:
             raise PlanarDegreeError(
@@ -263,6 +262,11 @@ def brouwer_planar(grad, center, radius: float, tol: TolerancePolicy = DEFAULT_T
             raise PlanarDegreeError("winding number did not stabilize under refinement")
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer, not a bool: the one integer rule of arguments and problem fields."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def bifurcation_index(A, brouwer: int, lambda0: float, j_max: int | None = None,
                       tol: TolerancePolicy = DEFAULT_TOL) -> BifurcationIndex:
     """All nonzero coordinates eta_j = brouwer * gamma_jump(A, b) for
@@ -275,14 +279,16 @@ def bifurcation_index(A, brouwer: int, lambda0: float, j_max: int | None = None,
     """
     if not math.isfinite(lambda0):
         raise ValueError(f"lambda0 must be finite, got {lambda0}")
+    if not _is_integer(brouwer):
+        raise ValueError(f"brouwer must be an integer, got {brouwer!r}")
+    if j_max is not None and not (_is_integer(j_max) and j_max >= 1):
+        raise ValueError("j_max must be a positive integer")
     lin = _linearize(A, tol)
     betas = sorted(spectral_summary(lin, tol).betas)
     if not betas:
         raise EigenvalueNotFoundError("J A has no purely imaginary frequencies")
     if j_max is None:
         j_max = int(math.ceil(max(betas) / min(betas))) + 1
-    if j_max < 1:
-        raise ValueError("j_max must be a positive integer")
     band = tol.zero_band(max(1.0, lambda0))
     levels = [(b, max(1, round(lambda0 * b))) for b in betas]
     if not any(abs(lambda0 - j / b) <= band for b, j in levels):
@@ -364,10 +370,8 @@ def check_classical_assumptions(A, tol: TolerancePolicy = DEFAULT_TOL) -> Assump
     lin = _linearize(A, tol)
     summary = spectral_summary(lin, tol)
     betas = summary.betas
-    eigs = np.linalg.eigvalsh(lin.A)
-    # the band by which morse_index and brouwer_nondegenerate refuse A
-    band = _spectrum_band(eigs, tol)
-    nondegenerate = bool(np.min(np.abs(eigs)) > band) if eigs.size else False
+    below, inside, above = _inertia(lin.hessian_eigenvalues, tol)
+    nondegenerate = not inside
 
     def result(holds, candidates, details) -> AssumptionResult:
         """A hypothesis's outcome; only one that holds certifies frequencies."""
@@ -394,17 +398,15 @@ def check_classical_assumptions(A, tol: TolerancePolicy = DEFAULT_TOL) -> Assump
     )
 
     # definite Hessian
-    posdef = bool(eigs.size and np.min(eigs) > band)
-    a1 = result(
-        posdef, betas, "Hessian positive definite" if posdef else "Hessian not positive definite"
-    )
+    posdef = not (below or inside)
+    a1 = result(posdef, betas, "Hessian positive definite" if posdef else "Hessian not positive definite")
 
     # nondegenerate + nonzero signature + fully periodic linearized flow
     # a nonempty imaginary spectrum, every pair semisimple, no other eigenvalue
     semisimple = bool(betas) and not summary.has_nonimaginary and all(
         ev.geometric_mult == ev.algebraic_mult for ev in summary.imaginary
     )
-    sig = int(np.count_nonzero(eigs > band) - np.count_nonzero(eigs < -band))
+    sig = above - below
     period = _common_period(betas, tol) if semisimple else None
     a2_holds = nondegenerate and sig != 0 and semisimple and period is not None
     a2 = result(
@@ -448,7 +450,7 @@ def nonresonance_and_branch_count(A, tol: TolerancePolicy = DEFAULT_TOL) -> Nonr
     if not betas:
         raise EigenvalueNotFoundError("J A has no purely imaginary frequencies")
     try:
-        brouwer = brouwer_nondegenerate(lin.A, tol)
+        brouwer = brouwer_nondegenerate(lin, tol)
     except DegeneracyError:
         brouwer = None
     return _nonresonance(betas, lambda beta: check_main_condition(lin, brouwer, beta, tol), tol)
@@ -462,6 +464,8 @@ def check_main_condition(A, brouwer: int | None, beta0: float,
     counts) is best effort and its failure only downgrades ``routes_agree``.
     ``condition_holds`` is None when the Brouwer index is unknown.
     """
+    if not (brouwer is None or _is_integer(brouwer)):
+        raise ValueError(f"brouwer must be an integer or None, got {brouwer!r}")
     lin = _linearize(A, tol)
     gamma = gamma_jump(lin, beta0, tol)
     try:
@@ -474,7 +478,7 @@ def check_main_condition(A, brouwer: int | None, beta0: float,
         gamma=gamma,
         counts=counts,
         brouwer=brouwer,
-        condition_holds=None if brouwer is None else (gamma != 0 and brouwer != 0),
+        condition_holds=None if brouwer is None else bool(gamma and brouwer),
         routes_agree=None if counts is None else (gamma == -2 * counts.kappa),
         blocks=blocks,
     )

@@ -110,40 +110,32 @@ def is_symplectic(S, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     return residual <= tol.residual_tol * (1.0 + matrix_norm(S) ** 2)
 
 
-def _spectrum_band(w: np.ndarray, tol: TolerancePolicy) -> float:
-    """Zero band of a symmetric or Hermitian matrix with eigenvalues w: its
-    2-norm is max|w|, so the band needs no SVD."""
-    return tol.zero_band(np.max(np.abs(w), initial=0.0))
-
-
-def _refuse_zero_band(w: np.ndarray, band: float, caller: str) -> None:
-    """Raise :class:`DegeneracyError` when an eigenvalue lies inside the band."""
-    if w.size and np.min(np.abs(w)) <= band:
+def _inertia(w: np.ndarray, tol: TolerancePolicy, caller: str | None = None) -> tuple[int, int, int]:
+    """The counts (below, inside, above) of the eigenvalues w of a symmetric or
+    Hermitian matrix against its zero band, scaled by its 2-norm max|w|: the
+    one inertia rule.  Given a caller, an eigenvalue inside the band raises
+    :class:`DegeneracyError` naming it."""
+    band = tol.zero_band(np.max(np.abs(w), initial=0.0))
+    below, above = int(np.count_nonzero(w < -band)), int(np.count_nonzero(w > band))
+    if caller is not None and below + above < w.size:
         worst = w[np.argmin(np.abs(w))]
-        raise DegeneracyError(
-            f"{caller}: eigenvalue {worst:.3e} inside the zero band (+-{band:.3e})"
-        )
-
-
-def _checked_spectrum(A, tol, caller):
-    w = np.linalg.eigvalsh(as_symmetric(A, tol, name=f"{caller} argument"))
-    band = _spectrum_band(w, tol)
-    _refuse_zero_band(w, band, caller)
-    return w, band
+        raise DegeneracyError(f"{caller}: eigenvalue {worst:.3e} inside the zero band (+-{band:.3e})")
+    return below, w.size - below - above, above
 
 
 def morse_index(A, tol: TolerancePolicy = DEFAULT_TOL) -> int:
     """Number of eigenvalues below the zero band of a symmetric matrix; an
     eigenvalue inside the band raises :class:`DegeneracyError`."""
-    w, band = _checked_spectrum(A, tol, "morse_index")
-    return int(np.count_nonzero(w < -band))
+    w = np.linalg.eigvalsh(as_symmetric(A, tol, name="morse_index argument"))
+    return _inertia(w, tol, "morse_index")[0]
 
 
 def signature(A, tol: TolerancePolicy = DEFAULT_TOL) -> int:
     """Signature m^-(-A) - m^-(A) of a symmetric matrix; an eigenvalue
     inside the zero band raises :class:`DegeneracyError`."""
-    w, band = _checked_spectrum(A, tol, "signature")
-    return int(np.count_nonzero(w > band) - np.count_nonzero(w < -band))
+    w = np.linalg.eigvalsh(as_symmetric(A, tol, name="signature argument"))
+    below, _, above = _inertia(w, tol, "signature")
+    return above - below
 
 
 def numeric_rank_with_gap(M, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[int, float]:

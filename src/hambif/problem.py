@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from .bifurcation import _is_integer
 from .continuation import ContinuationConfig, PolynomialHamiltonian
 from .errors import ConsistencyError, SpecError
 from .linalg import TolerancePolicy, matrix_norm
@@ -46,10 +47,6 @@ class ProblemSpec:
 def _require(condition, message, path):
     if not condition:
         raise SpecError(message, path)
-
-
-def _is_integer(value):
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_number(value):

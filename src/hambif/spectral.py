@@ -103,11 +103,11 @@ def _single_linkage(points: list[complex], threshold: float) -> list[list[comple
 class Linearization:
     """``M = J A`` of one equilibrium at one tolerance, with the steps all its
     readers share: whether M is Hamiltonian, its eigenvalues, confirmed
-    clusters and Schur form, and per frequency the Morse jump and the blocks.
-    Each is computed on first use and kept, immutable or read-only; a
-    failure is not kept.  ``A`` is the checked Hessian (see ``bifurcation``),
-    or None for a matrix alone.  Every function that reads J A takes a
-    Linearization in place of its matrix argument."""
+    clusters and Schur form, A's eigenvalues, and per frequency the Morse
+    jump and the blocks.  Each is computed on first use and kept, immutable
+    or read-only; a failure is not kept.  ``A`` is the checked Hessian (see
+    ``bifurcation``), or None for a matrix alone.  Every function that reads
+    J A or A takes a Linearization in place of its matrix argument."""
 
     def __init__(self, M, tol: TolerancePolicy = DEFAULT_TOL, A: np.ndarray | None = None):
         self.M = _read_only(as_matrix(M).copy())
@@ -138,6 +138,11 @@ class Linearization:
     @property
     def eigenvalues(self) -> np.ndarray:
         return self.keep("eigvals", lambda: _read_only(np.linalg.eigvals(self.M)))
+
+    @property
+    def hessian_eigenvalues(self) -> np.ndarray:
+        """``eigvalsh(A)``, ascending: the one spectrum every inertia of A reads."""
+        return self.keep("eigvalsh", lambda: _read_only(np.linalg.eigvalsh(self.A)))
 
     @property
     def clusters(self):

@@ -52,8 +52,9 @@ def oscillators(*betas):
     return assemble_hessian(NormalForm(tuple(BlockSpec(b, 1, -1) for b in betas)))
 
 
-# the seven public functions that take a Hessian A, each at the frequency 1
+# the eight public functions that take a Hessian A, each at the frequency 1
 HESSIAN_ENTRIES = pytest.mark.parametrize("call", [
+    lambda A, tol=DEFAULT_TOL: brouwer_nondegenerate(A, tol),
     lambda A, tol=DEFAULT_TOL: lambda_set(A, 2.0, tol),
     lambda A, tol=DEFAULT_TOL: gamma_jump(A, 1.0, tol),
     lambda A, tol=DEFAULT_TOL: bifurcation_index(A, 1, 1.0, tol=tol),
@@ -61,8 +62,9 @@ HESSIAN_ENTRIES = pytest.mark.parametrize("call", [
     lambda A, tol=DEFAULT_TOL: nonresonance_and_branch_count(A, tol),
     lambda A, tol=DEFAULT_TOL: check_main_condition(A, 1, 1.0, tol),
     lambda A, tol=DEFAULT_TOL: seed_from_linearization(A, 1.0, 0.1, tol=tol),
-], ids=["lambda_set", "gamma_jump", "bifurcation_index", "check_classical_assumptions",
-        "nonresonance_and_branch_count", "check_main_condition", "seed_from_linearization"])
+], ids=["brouwer_nondegenerate", "lambda_set", "gamma_jump", "bifurcation_index",
+        "check_classical_assumptions", "nonresonance_and_branch_count", "check_main_condition",
+        "seed_from_linearization"])
 
 
 class TestTMatrix:
@@ -149,6 +151,13 @@ class TestChooseMu:
         # nearest neighbour of lambda0=3 is 4, beyond lambda_max: still exact
         ls = lambda_set(np.eye(2), 3.0)
         assert isolation_radius(3.0, ls.betas) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.inf, math.nan])
+    def test_frequency_that_is_not_positive_and_finite_refused(self, beta):
+        """Refused by name, not by a ZeroDivisionError, an OverflowError,
+        numpy's NaN-to-integer error or an infinite radius."""
+        with pytest.raises(ValueError, match=f"frequency {beta} in betas must be positive and finite"):
+            isolation_radius(1.0, [1.0, beta])
 
 
 class TestGammaJump:
@@ -283,6 +292,19 @@ class TestBrouwer:
             brouwer_planar(grad, center, radius)
         assert calls == []
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_planar_non_finite_field_refused_at_the_first_sampling(self, value):
+        """Neither a made-up degree nor a doubling of the sampling up to its cap."""
+        calls = []
+
+        def grad(p):
+            calls.append(p)
+            return np.array([value, 1.0])
+
+        with pytest.raises(PlanarDegreeError, match="field is not finite"):
+            brouwer_planar(grad, (0.0, 0.0), 0.1)
+        assert len(calls) == 64
+
 
 # frequencies 1, 2 and 3, the last on a nonsemisimple block
 _ONE_TWO_THREE = assemble_hessian(NormalForm((
@@ -407,6 +429,30 @@ class TestMainCondition:
         report = check_main_condition(np.eye(2), None, 1.0)
         assert report.condition_holds is None
         assert report.gamma == 2
+
+    @pytest.mark.parametrize("brouwer, j_max, match", [
+        (math.nan, None, "brouwer must be an integer"),
+        (0.5, None, "brouwer must be an integer"),
+        (True, None, "brouwer must be an integer"),
+        (1.0, None, "brouwer must be an integer"),
+        (1, math.nan, "j_max must be a positive integer"),
+        (1, 2.5, "j_max must be a positive integer"),
+        (1, True, "j_max must be a positive integer"),
+        (1, math.inf, "j_max must be a positive integer"),
+        (1, 0, "j_max must be a positive integer"),
+    ])
+    def test_index_that_is_not_an_integer_refused(self, brouwer, j_max, match):
+        """A Brouwer index or a truncation that is not an integer would make a
+        verdict up or silently lift the truncation."""
+        with pytest.raises(ValueError, match=match):
+            bifurcation_index(np.eye(2), brouwer, 1.0, j_max)
+        if j_max is None:
+            with pytest.raises(ValueError, match=match):
+                check_main_condition(np.eye(2), brouwer, 1.0)
+
+    def test_numpy_integers_accepted(self):
+        assert check_main_condition(np.eye(2), np.int64(-1), 1.0).condition_holds is True
+        assert bifurcation_index(np.eye(2), np.int32(1), 1.0, np.int64(2)).entries == ((1, 2),)
 
 
 class TestOneFrequencyRule:
@@ -572,21 +618,29 @@ class TestClassicalAssumptions:
     def test_one_zero_band_for_every_inertia(self, sign, rng):
         # diag(d) conjugated by a random orthogonal Q, one eigenvalue at half
         # and at twice the band eig_zero_tol * max|d|: the Morse index, the
-        # signature and the nondegeneracy of hypothesis a2 read one band
+        # signature, the Brouwer sign and hypotheses a1 and a2 read one band
         tol = DEFAULT_TOL
         Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-        for factor, outside in ((0.5, False), (2.0, True)):
-            d = np.array([3.0, -2.0, 1.5, sign * factor * tol.eig_zero_tol * 3.0])
+
+        def conjugated(d):
             A = Q @ np.diag(d) @ Q.T
-            A = 0.5 * (A + A.T)
+            return 0.5 * (A + A.T)
+
+        for factor, outside in ((0.5, False), (2.0, True)):
+            small = sign * factor * tol.eig_zero_tol * 3.0
+            d = np.array([3.0, -2.0, 1.5, small])
+            A = conjugated(d)
             details = check_classical_assumptions(A, tol).signature_resonant.details
             assert f"nondegenerate={outside}" in details
+            definite = check_classical_assumptions(conjugated(np.array([3.0, 2.0, 1.5, small])), tol)
+            assert definite.positive_definite.holds is (outside and sign > 0)
             if outside:
                 assert morse_index(A, tol) == int(np.count_nonzero(d < 0))
                 assert signature(A, tol) == int(np.count_nonzero(d > 0) - np.count_nonzero(d < 0))
                 assert f"signature={signature(A, tol)}" in details
+                assert brouwer_nondegenerate(A, tol) == (-1) ** int(np.count_nonzero(d < 0))
             else:
-                for decide in (morse_index, signature):
+                for decide in (morse_index, signature, brouwer_nondegenerate):
                     with pytest.raises(DegeneracyError, match="inside the zero band"):
                         decide(A, tol)
 
@@ -695,39 +749,48 @@ class TestNonresonance:
 class TestEachMatrixCheckedOnce:
     def test_analysis_checks_each_matrix_once(self, monkeypatch):
         """While run_analysis runs the 20-dim README example, its one
-        Linearization checks A to be symmetric once and J A to be Hamiltonian
-        once, and every verdict, index coordinate and hypothesis certificate
-        reads the Morse jump through the public gamma_jump, computed once."""
+        Linearization checks A to be symmetric once, takes A's spectrum once
+        for the Brouwer sign and the hypotheses, and checks J A to be
+        Hamiltonian once; every verdict, index coordinate and hypothesis
+        certificate reads the Morse jump through the public gamma_jump,
+        computed once."""
         import hambif.analysis as analysis
         import hambif.bifurcation as bifurcation
+        import hambif.linalg as linalg
         from hambif import Equilibrium, ProblemSpec, run_analysis, spectral
 
-        def count(module, name, calls):
+        A = squeezed_readme_example(5, 1.0)
+
+        def count(module, name, calls, when=lambda *args: True):
             real = getattr(module, name)
 
             def counted(*args, **kwargs):
-                calls.append(name)
+                if when(*args):
+                    calls.append(name)
                 return real(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
 
-        hamiltonian_checks, symmetry_checks, public_calls, jumps, morse_jumps = [], [], [], [], []
+        hamiltonian_checks, symmetry_checks, hessian_spectra = [], [], []
+        public_calls, jumps, morse_jumps = [], [], []
         count(spectral, "is_hamiltonian", hamiltonian_checks)
         count(bifurcation, "as_symmetric", symmetry_checks)
+        count(linalg, "as_symmetric", symmetry_checks)
+        count(np.linalg, "eigvalsh", hessian_spectra, lambda a, *rest: np.array_equal(a, A))
         count(bifurcation, "gamma_jump", jumps)
         count(bifurcation, "_morse_jump", morse_jumps)
         for name in ("lambda_set", "check_main_condition", "bifurcation_index",
                      "check_classical_assumptions"):
             count(analysis, name, public_calls)
 
-        A = squeezed_readme_example(5, 1.0)
         spec = ProblemSpec(dim=20, equilibria=(Equilibrium(point=np.zeros(20), hessian=A),))
         entry = run_analysis(spec)["equilibria"][0]
         assert entry["errors"] == []
+        assert entry["brouwer_provenance"] == "determinant"
         # the index coordinate reads the jump: the Brouwer sign is known
         eta = entry["brouwer_index"] * entry["conditions"][0]["gamma"]
         assert entry["bifurcation_indices"][0]["entries"] == {"1": eta} != {"1": 0}
-        assert len(hamiltonian_checks) == len(symmetry_checks) == 1
+        assert len(hamiltonian_checks) == len(symmetry_checks) == len(hessian_spectra) == 1
         assert len(public_calls) == 4
         assert len(jumps) >= 2 and len(morse_jumps) == 1
 
@@ -756,9 +819,11 @@ class TestEachMatrixCheckedOnce:
         call(A, DEFAULT_TOL.scaled(1e3))
 
 
-# every public function that reads J A, called on a Hessian A, its matrix
-# M = J A, or a Linearization in place of either, at a frequency beta of J A
+# every public function that reads J A or A, called on a Hessian A, its
+# matrix M = J A, or a Linearization in place of either, at a frequency beta
+# of J A
 READS_J_A = pytest.mark.parametrize("call", [
+    lambda A, M, beta, tol: brouwer_nondegenerate(A, tol),
     lambda A, M, beta, tol: spectral_summary(M, tol),
     lambda A, M, beta, tol: jordan_partition(M, beta, tol),
     lambda A, M, beta, tol: structural_decomposition(M, beta, tol),
@@ -769,8 +834,8 @@ READS_J_A = pytest.mark.parametrize("call", [
     lambda A, M, beta, tol: nonresonance_and_branch_count(A, tol),
     lambda A, M, beta, tol: check_main_condition(A, 1, beta, tol),
     lambda A, M, beta, tol: seed_from_linearization(A, beta, 0.1, tol=tol),
-], ids=["spectral_summary", "jordan_partition", "structural_decomposition", "lambda_set",
-        "gamma_jump", "bifurcation_index", "check_classical_assumptions",
+], ids=["brouwer_nondegenerate", "spectral_summary", "jordan_partition", "structural_decomposition",
+        "lambda_set", "gamma_jump", "bifurcation_index", "check_classical_assumptions",
         "nonresonance_and_branch_count", "check_main_condition", "seed_from_linearization"])
 
 

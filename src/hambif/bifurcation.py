@@ -152,10 +152,11 @@ def lambda_set(A, lambda_max: float, tol: TolerancePolicy = DEFAULT_TOL) -> Lamb
 
 
 def isolation_radius(level: float, betas, tol: TolerancePolicy = DEFAULT_TOL) -> float:
-    """Half the distance from ``level`` to the nearest distinct grid point m/beta."""
+    """Half the distance from ``level`` to the nearest distinct grid point
+    m/beta, for ``betas`` any sequence of frequencies (a numpy array too)."""
     if not math.isfinite(level):
         raise ValueError(f"level must be finite, got {level}")
-    if not betas:
+    if len(betas) == 0:
         raise ValueError("no frequencies: the level grid is empty")
     band = tol.zero_band(max(1.0, abs(level)))
     best = math.inf
@@ -245,6 +246,9 @@ def brouwer_planar(grad, center, radius: float, tol: TolerancePolicy = DEFAULT_T
         theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
         points = center[None, :] + radius * np.column_stack([np.cos(theta), np.sin(theta)])
         values = np.array([grad(p) for p in points], dtype=float)
+        if values.shape != (n, 2):
+            raise PlanarDegreeError(f"field values must be planar vectors of shape (2,), "
+                                    f"got shape {values.shape[1:]}")
         if not np.all(np.isfinite(values)):
             raise PlanarDegreeError("field is not finite on the circle")
         norms = np.hypot(values[:, 0], values[:, 1])

@@ -3,14 +3,20 @@
 The family traced here keeps the period fixed at 2*pi and continues in the
 time-scale parameter lambda, so orbits of x' = lambda J grad H(x) correspond
 to orbits of the unscaled field with period 2*pi*lambda.  Orbits are corrected
-by Gauss-Newton shooting with variational-equation Jacobians and continued by
+by Newton shooting with variational-equation Jacobians and continued by
 pseudo-arclength steps in (x0, lambda).
+
+When H has a diagonal anti-symplectic reversor R that fixes the equilibrium,
+the family is made of symmetric orbits (Devaney, "Reversible diffeomorphisms
+and flows", Trans. AMS 218, 1976), each crossing Fix(R) at t = 0 and again
+at t = pi; such a branch starts on Fix(R) and is shot over half the period.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +56,10 @@ _MAX_SAMPLE_POINTS = 10**5
 # H.value holds samples x terms x factors powers at once, so the drift is
 # read over blocks of at most this many samples
 _DRIFT_BLOCK = 256
+
+# a linear seed is moved to Fix(R) when a point of its linear orbit has its
+# flipped coordinates within this fraction of the seed's size of zero
+_FIX_TOL = 1e-8
 
 
 def _divide(factors, k: int) -> tuple[tuple[int, int], ...]:
@@ -100,6 +110,37 @@ def _top_powers(factors) -> dict[int, int]:
         for k, e in f:
             top[k] = max(top.get(k, 1), e)
     return top
+
+
+def _reversor_flips(terms, half: int) -> np.ndarray | None:
+    """The coordinates that a diagonal anti-symplectic reversor of the
+    polynomial ``terms`` flips, or None when it has none.
+
+    ``R = diag(S, -S)`` with ``S = diag(+-1)`` flips ``q_i`` when ``b_i = 1``
+    and ``p_i`` when ``b_i = 0``, and keeps a monomial ``x^e`` exactly when
+    ``sum_i e_(p_i) + sum_i b_i (e_(q_i) + e_(p_i))`` is even: one linear
+    equation over GF(2) per term.  The equations are reduced by Gauss-Jordan
+    elimination over bit masks, with no search, and every free ``b_i`` is 0:
+    R flips ``p_i`` wherever the terms allow it.  A term is read on its own,
+    so two that cancel each other exactly still count."""
+    pivots: dict[int, tuple[int, int]] = {}  # pivot bit -> (mask, parity), reduced
+    for _, e in terms:
+        mask = sum(1 << i for i in range(half) if (e[i] + e[half + i]) % 2)
+        parity = sum(e[half:]) % 2
+        for bit, (m, p) in pivots.items():
+            if mask >> bit & 1:
+                mask, parity = mask ^ m, parity ^ p
+        if not mask:
+            if parity:
+                return None
+            continue
+        bit = mask.bit_length() - 1
+        for other, (m, p) in list(pivots.items()):
+            if m >> bit & 1:
+                pivots[other] = (m ^ mask, p ^ parity)
+        pivots[bit] = (mask, parity)
+    flips_q = [pivots.get(i, (0, 0))[1] for i in range(half)]
+    return np.array([i if b else half + i for i, b in enumerate(flips_q)], dtype=np.intp)
 
 
 def _compile_kernel(rows, factors, dim: int, grad_size: int):
@@ -254,6 +295,13 @@ class PolynomialHamiltonian:
         if max(len(rows), steps) <= _KERNEL_MAX_TRIPLETS:
             kernel = _compile_kernel(rows, factors, dim, len(jet_grad))
         object.__setattr__(self, "_kernel", kernel)
+
+    @cached_property
+    def _reversor(self) -> np.ndarray | None:
+        """The coordinates flipped by H's diagonal anti-symplectic reversor
+        (see :func:`_reversor_flips`), or None; found once, when the first
+        branch or orbit on H asks for it, so building H does not pay for it."""
+        return _reversor_flips(self.terms, self.dim // 2)
 
     @classmethod
     def from_quadratic(cls, A) -> "PolynomialHamiltonian":
@@ -632,9 +680,12 @@ class ContinuationConfig:
 DEFAULT_CONFIG = ContinuationConfig()
 
 
-def _orbit_diagnostics(field, equilibrium, x0, config, dense_sol):
+def _orbit_diagnostics(field, equilibrium, x0, config, dense_sol, window):
     """Amplitude (largest distance from the equilibrium) and energy drift of
-    the orbit, read from its dense interpolant: the drift over
+    the orbit, read from its dense interpolant over ``[0, window]``: the
+    whole period, or its first half on a symmetric orbit, whose other half
+    is its mirror image ``x(2 pi - t) = R x(t)`` at the same distances and
+    energies.  The drift is read over
     ``sample_points`` equally spaced samples, read in one array and valued
     by ``H`` in blocks of at most ``_DRIFT_BLOCK`` samples (one block by
     default), the amplitude from the best sample, refined towards the zero
@@ -645,8 +696,9 @@ def _orbit_diagnostics(field, equilibrium, x0, config, dense_sol):
     the bracket that the slope's sign change keeps, or a bisection after a
     step that did not halve it, so a flat maximum (a multiple zero)
     converges too; the amplitude is the largest distance read, never less
-    than the best sample's."""
-    ts = np.linspace(0.0, TWO_PI, config.sample_points)
+    than the best sample's.  A half window's bracket stays inside it: the
+    distance of a symmetric orbit is stationary at both of its ends."""
+    ts = np.linspace(0.0, window, config.sample_points)
     states = dense_sol(ts)
     H = field.H
     energy = H.value(x0)
@@ -668,6 +720,8 @@ def _orbit_diagnostics(field, equilibrium, x0, config, dense_sol):
     # and so amplitude^2 / 2, by at most min(g_lo, -g_hi) * (hi - lo)
     width = ts[1] - ts[0]
     lo, hi = ts[best] - width, ts[best] + width
+    if window < TWO_PI:
+        lo, hi = max(lo, 0.0), min(hi, window)
     (g_lo, _), (g_hi, _) = slope(lo), slope(hi)
     halved = True
     for _ in range(_REFINE_STEPS):
@@ -685,18 +739,61 @@ def _orbit_diagnostics(field, equilibrium, x0, config, dense_sol):
     return float(amplitude), drift
 
 
+def _symmetric_coordinates(H: PolynomialHamiltonian, equilibrium) -> np.ndarray | None:
+    """The coordinates flipped by H's reversor R when R fixes the
+    equilibrium, which then has them all 0; else None."""
+    flipped = H._reversor
+    if flipped is None or np.any(equilibrium[flipped]):
+        return None
+    return flipped
+
+
 def correct_orbit(H: PolynomialHamiltonian, guess: PeriodicOrbit,
                   config: ContinuationConfig = DEFAULT_CONFIG,
                   equilibrium=None, constraint=None) -> PeriodicOrbit:
-    """Gauss-Newton correction of the 2*pi shooting system.
+    """Newton correction of the shooting system.
 
     The bordered system is {shooting defect, phase anchor, one scalar
     constraint}; by default the constraint pins the distance from the
     equilibrium at the guess amplitude, while branch stepping passes a
-    pseudo-arclength row instead.
+    pseudo-arclength row instead.  When H has a diagonal anti-symplectic
+    reversor R that fixes the equilibrium, and the guess lies on Fix(R)
+    (the coordinates R flips are exactly 0), the orbit is corrected as a
+    symmetric one, by half-period shooting on Fix(R); otherwise over the
+    whole period.  See :func:`_correct_orbit`.
+    """
+    equilibrium = np.zeros(H.dim) if equilibrium is None else np.asarray(equilibrium, dtype=float)
+    flipped = _symmetric_coordinates(H, equilibrium)
+    if flipped is not None and np.any(np.asarray(guess.x0, dtype=float)[flipped]):
+        flipped = None
+    return _correct_orbit(H, guess, config, equilibrium, constraint, flipped)
+
+
+def _correct_orbit(H: PolynomialHamiltonian, guess: PeriodicOrbit, config: ContinuationConfig,
+                   equilibrium: np.ndarray, constraint, flipped: np.ndarray | None) -> PeriodicOrbit:
+    """The corrector of :func:`correct_orbit`, over the whole period when
+    ``flipped`` is None, else over half of it, on the Fix(R) of the reversor
+    that flips the coordinates ``flipped``.
+
+    Both systems are read off one bordered Jacobian of the defect
+    ``x(T) - x0``, the phase anchor and the constraint, over ``(x0, lam)``.
+    Over the whole period, ``T = 2 pi``: all of it, overdetermined, solved
+    by least squares.  On Fix(R), ``T = pi``: the flipped components of the
+    defect, which are those of ``x(pi)`` and vanish exactly on a symmetric
+    orbit, and the constraint, over the coordinates that R fixes and
+    ``lam``.  That system is square, with no phase row, since a symmetric
+    orbit crosses Fix(R) at isolated points; it is solved by LU, and a
+    singular one raises :class:`CorrectorError`.  Its ``residual`` is the
+    full-period defect to first order: with ``d = x(pi) - R x(pi)``, the
+    flow over the second half maps ``x(pi)`` to ``x0 - R Phi(pi)^-1 d``,
+    for ``Phi(pi)`` the half-period monodromy, so the residual is
+    ``||Phi(pi)^-1 d||``.  It must fall to ``corrector_tol`` times
+    ``min(1, |x0 - eq|)``: the defect moves by about ``2 pi beta |x0 - eq|``
+    per unit of ``lam``, so ``lam`` is then held to about
+    ``corrector_tol / (2 pi beta)`` at every amplitude, where the absolute
+    bound of the whole-period system lets it stray by that over ``|x0 - eq|``.
     """
     n = H.dim
-    equilibrium = np.zeros(n) if equilibrium is None else np.asarray(equilibrium, dtype=float)
     x0 = np.asarray(guess.x0, dtype=float).copy()
     lam = float(guess.lam)
     if constraint is None:
@@ -715,31 +812,53 @@ def correct_orbit(H: PolynomialHamiltonian, guess: PeriodicOrbit,
     f_ref = HamiltonianField(H, lam)(x_ref)
     if np.linalg.norm(f_ref) == 0.0:
         raise CorrectorError("phase anchor sits at an equilibrium", residual=np.inf)
+    if flipped is None:
+        period = TWO_PI
+    else:
+        period = math.pi
+        rows = np.append(flipped, n + 1)  # the flipped components of x(pi), the constraint
+        cols = np.append(np.setdiff1d(np.arange(n), flipped), n)  # Fix(R) coordinates, lam
 
     residual = math.inf
     for _ in range(config.max_corrector_iters):
         if not (max(config.lambda_min / 10.0, 0.0) < lam < config.lambda_max * 10.0):
             raise CorrectorError(f"lambda {lam:g} left the trust window", residual=residual)
         field = HamiltonianField(H, lam)
-        shot = flow(field, x0, TWO_PI, rtol=config.integrator_rtol, atol=config.integrator_atol,
+        shot = flow(field, x0, period, rtol=config.integrator_rtol, atol=config.integrator_atol,
                     domain_bound=config.domain_bound)
         defect = shot.endpoint - x0
-        phase = float(f_ref @ (x0 - x_ref))
         cval, crow = constraint(x0, lam)
+        if flipped is None:
+            phase = float(f_ref @ (x0 - x_ref))
+            residual = float(np.linalg.norm(defect))
+            residual_tol = config.corrector_tol
+        else:
+            phase = 0.0  # a point of Fix(R) leaves no phase to pin
+            d = np.zeros(n)
+            d[flipped] = 2.0 * defect[flipped]  # x(pi) - R x(pi)
+            residual = float(np.linalg.norm(np.linalg.solve(shot.monodromy, d)))
+            residual_tol = config.corrector_tol * min(1.0, float(np.linalg.norm(x0 - equilibrium)))
         F = np.concatenate([defect, [phase, cval]])
-        residual = float(np.linalg.norm(defect))
-        if residual <= config.corrector_tol and abs(phase) <= config.corrector_tol and \
+        if residual <= residual_tol and abs(phase) <= config.corrector_tol and \
                 abs(cval) <= config.corrector_tol:
-            amplitude, drift = _orbit_diagnostics(field, equilibrium, x0, config, shot.solution)
+            amplitude, drift = _orbit_diagnostics(field, equilibrium, x0, config, shot.solution,
+                                                  period)
             return PeriodicOrbit(
                 x0=x0, lam=lam, amplitude=amplitude, residual=residual, energy_drift=drift
             )
         jac = np.zeros((n + 2, n + 1))
         jac[:n, :n] = shot.monodromy - np.eye(n)
-        jac[:n, n] = (TWO_PI / lam) * field(shot.endpoint)
+        jac[:n, n] = (period / lam) * field(shot.endpoint)
         jac[n, :n] = f_ref
         jac[n + 1, :] = crow
-        step, *_ = np.linalg.lstsq(jac, -F, rcond=None)
+        if flipped is None:
+            step, *_ = np.linalg.lstsq(jac, -F, rcond=None)
+        else:
+            step = np.zeros(n + 1)
+            try:
+                step[cols] = np.linalg.solve(jac[np.ix_(rows, cols)], -F[rows])
+            except np.linalg.LinAlgError:
+                raise CorrectorError("singular half-period system", residual=residual) from None
         x0 = x0 + step[:n]
         lam = lam + step[n]
     raise CorrectorError(
@@ -775,6 +894,35 @@ def seed_from_linearization(A, beta0: float, amplitude: float, equilibrium=None,
         residual=math.inf,
         energy_drift=math.inf,
     )
+
+
+def _seed_on_fix(H: PolynomialHamiltonian, seed: PeriodicOrbit, equilibrium,
+                 flipped: np.ndarray) -> PeriodicOrbit | None:
+    """The seed moved along its linear orbit to Fix(R), or None when that
+    orbit does not meet Fix(R).
+
+    A linear seed ``eq + d`` of frequency ``beta = 1/lam`` runs along
+    ``eq + cos(t) d + sin(t) e``, with ``e = J hess H(eq) d / beta`` a
+    quarter period later.  The point whose flipped coordinates are smallest
+    in norm is taken at the ``t`` that minimizes that quadratic form, with
+    no eigensolver; its flipped coordinates are set to 0 if they lie within
+    ``_FIX_TOL`` of the seed's size of it, and of the two such points of the
+    orbit, ``eq + x`` and ``eq - x``, the one whose first coordinate beyond
+    that tolerance is positive is kept.  So the seed depends on its linear
+    orbit, not on the phase the linear algebra gave it.  A seed of several
+    modes at once (at a multiple frequency) can have no point on Fix(R)."""
+    d = np.asarray(seed.x0, dtype=float) - equilibrium
+    e = H.symplectic_derivatives(equilibrium)[1] @ d * seed.lam
+    a, b = d[flipped], e[flipped]
+    t = 0.5 * math.atan2(2.0 * float(a @ b), float(a @ a - b @ b)) + 0.5 * math.pi
+    x = math.cos(t) * d + math.sin(t) * e
+    size = np.linalg.norm(d)
+    if not (size > 0.0 and np.linalg.norm(x[flipped]) <= _FIX_TOL * size):
+        return None
+    x[flipped] = 0.0
+    if x[np.argmax(np.abs(x) > _FIX_TOL * size)] < 0.0:
+        x = -x
+    return replace(seed, x0=equilibrium + x, amplitude=float(np.linalg.norm(x)))
 
 
 def _extrapolate(points, s, h):
@@ -818,13 +966,34 @@ def continue_branch(H: PolynomialHamiltonian, seed: PeriodicOrbit,
     consecutive successes.  The branch holds the corrected orbits and its
     termination, one of step_budget / domain_boundary / corrector_failure /
     amplitude_target.
+
+    When H has a diagonal anti-symplectic reversor R that fixes the
+    equilibrium, the first orbit is corrected from the seed moved along its
+    linear orbit to Fix(R) (:func:`_seed_on_fix`).  The second anchor and
+    every prediction are affine combinations of points of Fix(R), so they
+    stay on it, and each orbit is corrected by half-period shooting
+    (:func:`correct_orbit`), its ``x0`` a point of Fix(R).  A seed whose
+    linear orbit misses Fix(R), or whose point there does not converge, is
+    corrected as given, which off Fix(R) means full-period shooting for the
+    whole branch.  The point on Fix(R) of a nonsemisimple block's linear
+    orbit is one that does not converge: there the branch's orbits lie far
+    from the linear ones at the seed amplitude.
     """
     n = H.dim
     equilibrium = np.zeros(n) if equilibrium is None else np.asarray(equilibrium, dtype=float)
-
-    try:
-        first = correct_orbit(H, seed, config, equilibrium)
-    except (CorrectorError, IntegrationError):
+    flipped = _symmetric_coordinates(H, equilibrium)
+    guesses = [seed]
+    if flipped is not None:
+        symmetric = _seed_on_fix(H, seed, equilibrium, flipped)
+        if symmetric is not None:
+            guesses.insert(0, symmetric)
+    for guess in guesses:
+        try:
+            first = correct_orbit(H, guess, config, equilibrium)
+            break
+        except (CorrectorError, IntegrationError):
+            continue
+    else:
         return Branch(orbits=(), termination="corrector_failure")
     orbits = [first]
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import time
 
 import numpy as np
@@ -159,6 +160,18 @@ class TestChooseMu:
         with pytest.raises(ValueError, match=f"frequency {beta} in betas must be positive and finite"):
             isolation_radius(1.0, [1.0, beta])
 
+    @pytest.mark.parametrize("empty", [[], (), np.array([])], ids=["list", "tuple", "array"])
+    def test_any_sequence_of_frequencies(self, empty):
+        """An empty sequence of any kind is refused by name, and a numpy array
+        gives the radius of the same frequencies as a tuple, not numpy's
+        ambiguous truth value."""
+        with pytest.raises(ValueError, match="no frequencies"):
+            isolation_radius(1.0, empty)
+        radius = isolation_radius(1.0, (1.0, 2.0))
+        assert radius == 0.25
+        assert isolation_radius(1.0, np.array([1.0, 2.0])) == radius
+        assert isolation_radius(1.0, [1.0, 2.0]) == radius
+
 
 class TestGammaJump:
     def test_oscillator(self):
@@ -303,6 +316,24 @@ class TestBrouwer:
 
         with pytest.raises(PlanarDegreeError, match="field is not finite"):
             brouwer_planar(grad, (0.0, 0.0), 0.1)
+        assert len(calls) == 64
+
+    @pytest.mark.parametrize("field, shape", [
+        (lambda p: np.array([p[0], p[1], 5.0]), "(3,)"),
+        (lambda p: np.array([p[0]]), "(1,)"),
+    ], ids=["3-vector", "1-vector"])
+    def test_planar_field_of_another_shape_refused_at_the_first_sampling(self, field, shape):
+        """A 3-vector field is not read as its first two components (whose
+        winding number is 1 here), and a 1-vector field raises no bare
+        IndexError: both are refused, naming the shape, after one sampling."""
+        calls = []
+
+        def grad(p):
+            calls.append(p)
+            return field(p)
+
+        with pytest.raises(PlanarDegreeError, match=re.escape(f"got shape {shape}")):
+            brouwer_planar(grad, (0.0, 0.0), 0.5)
         assert len(calls) == 64
 
 

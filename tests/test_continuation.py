@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -972,21 +973,23 @@ class TestBranch:
         assert np.allclose(tangent, slope / np.linalg.norm(slope), rtol=0.0, atol=1e-13)
 
     def test_quartic_branch_flow_budget(self, monkeypatch):
-        # criterion 09's branch to amplitude 0.55, as in the branch benchmark:
-        # 51 flows with the quadratic predictor, 44 with the cubic one
+        # criterion 09's branch to amplitude 0.55, as in the branch benchmark.
+        # Flows of pi and of 2 pi differ in length, so the work is counted in
+        # accepted steps: 1149 in 44 flows of 2 pi with full-period shooting,
+        # 695 in 50 flows of pi with half-period shooting on Fix(R)
         import hambif.continuation as continuation
 
-        calls = []
+        shots = []
 
         def counting_flow(*args, **kwargs):
-            calls.append(1)
-            return flow(*args, **kwargs)
+            shots.append(flow(*args, **kwargs))
+            return shots[-1]
 
         monkeypatch.setattr(continuation, "flow", counting_flow)
         branch = continue_branch(quartic_radial(), seed_from_linearization(np.eye(2), 1.0, 0.01),
                                  ContinuationConfig(amplitude_target=0.55))
         assert branch.termination == "amplitude_target" and len(branch.orbits) == 18
-        assert len(calls) <= 44
+        assert sum(shot.steps for shot in shots) <= 700
 
     def test_leaving_the_lambda_domain_ends_the_branch(self):
         # on the quartic lam = 1/(1+a^2) falls below 0.98 past a = 0.143
@@ -1031,6 +1034,183 @@ class TestBranch:
                 # convergence back to an on-grid level counts as failure to stay off-grid
                 if abs(orbit.lam - round(orbit.lam)) > 1e-6:
                     raise CorrectorError("landed off-grid")
+
+
+def with_quartic(A):
+    """x^T A x / 2 + sum_i x_i^4 / 4, the test Hamiltonian of a catalogue block."""
+    dim = A.shape[0]
+    quartic = tuple((0.25, tuple(4 if k == i else 0 for k in range(dim))) for i in range(dim))
+    return PolynomialHamiltonian(dim, PolynomialHamiltonian.from_quadratic(A).terms + quartic)
+
+
+def resonant_cubic():
+    """The 1:2 resonant cubic with s = +1, in (q1, q2, p1, p2): A = diag(1, 2, 1, 2)
+    and C = q1^2 p2 / 2 - p1^2 p2 / 2 - q1 q2 p1."""
+    return PolynomialHamiltonian(4, (
+        (0.5, (2, 0, 0, 0)), (1.0, (0, 2, 0, 0)), (0.5, (0, 0, 2, 0)), (1.0, (0, 0, 0, 2)),
+        (0.5, (2, 0, 0, 1)), (-0.5, (0, 0, 2, 1)), (-1.0, (1, 1, 1, 0)),
+    ))
+
+
+def reversor_matrix(flipped, dim):
+    R = np.eye(dim)
+    R[flipped, flipped] = -1.0
+    return R
+
+
+# the branches of the branch benchmark: Hamiltonian, frequency, amplitude target
+BENCH_BRANCHES = [("quartic2", 1.0, 0.55), ("coupled4", 1.0, 0.5), ("coupled4", math.sqrt(2.0), 0.5)]
+
+
+class TestHalfPeriodShooting:
+    """Reversible Hamiltonians: the reversor found from the terms, the seed
+    moved to Fix(R), and orbits shot over half the period."""
+
+    @pytest.mark.parametrize("half_dim", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("epsilon", [1, -1])
+    def test_reversor_of_every_catalogue_block(self, half_dim, epsilon):
+        from hambif import BlockSpec, NormalForm, assemble_hessian
+
+        A = assemble_hessian(NormalForm((BlockSpec(1.0, half_dim, epsilon),)))
+        H = with_quartic(A)
+        flipped = H._reversor
+        assert flipped is not None and len(flipped) == half_dim
+        # one of q_i, p_i per degree of freedom
+        assert sorted(k % half_dim for k in flipped) == list(range(half_dim))
+        R = reversor_matrix(flipped, H.dim)
+        J = standard_symplectic(half_dim)
+        assert np.array_equal(R.T @ J @ R, -J)  # anti-symplectic
+        assert np.array_equal(R @ A @ R, A)
+        points = np.random.default_rng(half_dim).uniform(-1.0, 1.0, (8, H.dim))
+        assert np.allclose(H.value(points @ R), H.value(points), rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("make, flipped", [
+        (quartic_radial, [1]),  # p flipped: H is even in p
+        (coupled4, [2, 3]),
+        (resonant_cubic, [2, 1]),  # p1 and q2, as no term allows p2
+    ], ids=["quartic2", "coupled4", "resonant_cubic"])
+    def test_reversor_of_the_benchmark_and_resonant_problems(self, make, flipped):
+        H = make()
+        assert H._reversor.tolist() == flipped
+        R = reversor_matrix(flipped, H.dim)
+        points = np.random.default_rng(1).uniform(-1.0, 1.0, (8, H.dim))
+        assert np.allclose(H.value(points @ R), H.value(points), rtol=1e-14, atol=1e-14)
+
+    def test_no_reversor_when_the_terms_allow_none(self):
+        # q^3 needs p flipped, q^2 p needs q flipped
+        H = PolynomialHamiltonian(2, ((0.5, (2, 0)), (0.5, (0, 2)), (0.1, (3, 0)), (0.1, (2, 1))))
+        assert H._reversor is None
+        from hambif.continuation import _symmetric_coordinates
+
+        assert _symmetric_coordinates(H, np.zeros(2)) is None
+
+    def test_no_reversor_when_the_equilibrium_lies_off_fix(self):
+        # (p^2 - 1)^2 / 4 + q^2 / 2 + q^3 / 3 is even in p, and q^3 allows no
+        # other reversor; its elliptic equilibrium (0, 1) is not on p = 0
+        from hambif.continuation import _symmetric_coordinates
+
+        H = PolynomialHamiltonian(2, ((0.25, (0, 4)), (-0.5, (0, 2)), (0.25, (0, 0)),
+                                      (0.5, (2, 0)), (1.0 / 3.0, (3, 0))))
+        eq = np.array([0.0, 1.0])
+        assert np.array_equal(H.gradient(eq), np.zeros(2))
+        assert H._reversor.tolist() == [1]
+        assert _symmetric_coordinates(H, eq) is None
+        assert _symmetric_coordinates(H, np.zeros(2)).tolist() == [1]
+
+    @pytest.mark.parametrize("name, beta, _", BENCH_BRANCHES)
+    def test_half_and_full_period_shooting_agree(self, name, beta, _):
+        from hambif.continuation import _correct_orbit, _seed_on_fix
+
+        H = quartic_radial() if name == "quartic2" else coupled4()
+        eq = np.zeros(H.dim)
+        flipped = H._reversor
+        config = ContinuationConfig()
+        A = H.hessian(eq)
+        for amplitude in (0.05, 0.2):
+            g = _seed_on_fix(H, seed_from_linearization(A, beta, amplitude), eq, flipped)
+            assert not np.any(g.x0[flipped])
+            half = correct_orbit(H, g, config)
+            full = _correct_orbit(H, g, config, eq, None, None)
+            assert not np.any(half.x0[flipped]) and np.any(full.x0[flipped])
+            assert abs(half.amplitude - full.amplitude) <= 1e-8
+            assert abs(half.lam - full.lam) <= 1e-8
+            assert half.residual <= config.corrector_tol and full.residual <= config.corrector_tol
+
+    @pytest.mark.parametrize("name, beta, target", BENCH_BRANCHES)
+    def test_every_orbit_of_a_symmetric_branch_closes_over_the_full_period(self, name, beta, target):
+        H = quartic_radial() if name == "quartic2" else coupled4()
+        branch = continue_branch(H, seed_from_linearization(H.hessian(np.zeros(H.dim)), beta, 0.01),
+                                 ContinuationConfig(amplitude_target=target))
+        assert branch.termination == "amplitude_target" and len(branch.orbits) >= 10
+        ts = np.linspace(0.0, TWO_PI, 256)
+        for orbit in branch.orbits:
+            assert not np.any(orbit.x0[H._reversor])  # on Fix(R), exactly
+            whole = flow(HamiltonianField(H, orbit.lam), orbit.x0, TWO_PI)
+            assert np.linalg.norm(whole.endpoint - orbit.x0) <= 1e-8
+            drift = np.max(np.abs(H.value(whole.solution(ts).T) - H.value(orbit.x0)))
+            assert drift <= 1e-8 and orbit.energy_drift <= 1e-8
+            # the half window's amplitude is the whole orbit's
+            distances = np.linalg.norm(whole.solution(ts), axis=0)
+            assert orbit.amplitude >= distances.max() - 1e-9
+
+    def test_seed_point_on_fix_does_not_depend_on_the_seed_phase(self):
+        """Any point of the seed's linear orbit, of either sign, gives the one
+        point on Fix(R) whose first nonzero coordinate is positive."""
+        from hambif.continuation import _seed_on_fix
+
+        H = coupled4()
+        eq = np.zeros(4)
+        seed = seed_from_linearization(H.hessian(eq), math.sqrt(2.0), 0.01)
+        d = seed.x0
+        e = H.symplectic_derivatives(eq)[1] @ d * seed.lam
+        points = [_seed_on_fix(H, replace(seed, x0=math.cos(t) * d + math.sin(t) * e), eq, H._reversor).x0
+                  for t in np.linspace(0.0, TWO_PI, 9)]
+        for x0 in points:
+            assert np.allclose(x0, points[0], rtol=0.0, atol=1e-17)
+        assert points[0][1] > 0.0 and not np.any(points[0][H._reversor])
+
+    def test_seed_whose_linear_orbit_misses_fix_keeps_full_shooting(self):
+        # two oscillators at frequency 1, excited a quarter period apart: the
+        # momenta (p1, p2) = (0, a) cos t - (a, 0) sin t never vanish together
+        from hambif.continuation import _seed_on_fix
+
+        H = PolynomialHamiltonian.from_quadratic(np.eye(4))
+        seed = guess([0.01, 0.0, 0.0, 0.01], 1.0, math.sqrt(2.0) * 0.01)
+        assert H._reversor.tolist() == [2, 3]
+        assert _seed_on_fix(H, seed, np.zeros(4), H._reversor) is None
+        branch = continue_branch(H, seed, ContinuationConfig(amplitude_target=0.05))
+        assert branch.orbits and all(np.any(o.x0[2:]) for o in branch.orbits)
+
+    def test_nonsemisimple_block_falls_back_to_full_shooting(self):
+        """At a (3,-1) block the point of the linear orbit on Fix(R) lies
+        too far from the branch for the half-period corrector; the branch is
+        the one full-period shooting traces from the seed as given."""
+        from hambif import odd_block_hessian
+        from hambif.continuation import _correct_orbit
+
+        A = odd_block_hessian(3, 1.0, -1)
+        H = with_quartic(A)
+        seed = seed_from_linearization(A, 1.0, 0.01)
+        branch = continue_branch(H, seed, ContinuationConfig(amplitude_target=0.3))
+        assert branch.termination == "amplitude_target" and len(branch.orbits) >= 10
+        first = _correct_orbit(H, seed, ContinuationConfig(), np.zeros(6), None, None)
+        assert branch.orbits[0].x0.tobytes() == first.x0.tobytes() and branch.orbits[0].lam == first.lam
+
+    def test_report_of_a_problem_without_reversor_is_unchanged(self):
+        """Full-period shooting, byte for byte: the sha256 of this report as
+        taken before half-period shooting existed."""
+        import hashlib
+
+        from hambif import emit_report, parse_problem, run_analysis
+
+        H = PolynomialHamiltonian(2, ((0.5, (2, 0)), (0.5, (0, 2)), (0.1, (3, 0)), (0.1, (2, 1))))
+        eq = Equilibrium(point=np.zeros(2), hessian=H.hessian(np.zeros(2)))
+        spec = ProblemSpec(dim=2, equilibria=(eq,), hamiltonian=H,
+                           options=AnalysisOptions(continuation=ContinuationConfig(amplitude_target=0.2)))
+        text = emit_report(run_analysis(parse_problem(emit_problem(spec))))
+        assert '"orbit_count": 9' in text
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "72090dc3d3cadf93aad9b612632db32797082fa4062b67cec201694661b69cf7"
 
 
 class TestPeriodChecks:

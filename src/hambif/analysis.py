@@ -15,13 +15,13 @@ import json
 from . import __version__
 from .bifurcation import (
     _linearize,
-    _nonresonance,
     bifurcation_index,
     brouwer_nondegenerate,
     brouwer_planar,
     check_classical_assumptions,
     check_main_condition,
     lambda_set,
+    nonresonance_and_branch_count,
 )
 from .continuation import TWO_PI, continue_branch, seed_from_linearization, verify_period_limit
 from .errors import (
@@ -142,7 +142,7 @@ def run_analysis(spec: ProblemSpec, stages: frozenset[str] = ALL_STAGES) -> dict
             requested = []  # one entry per named frequency, in first-request order
             for want in spec.options.betas:
                 try:
-                    beta = lin.cluster_at(want)[0]
+                    beta = lin.cluster_at(want).beta
                 except EigenvalueNotFoundError:
                     entry["errors"].append(f"requested beta {want} is not in the spectrum")
                     continue
@@ -206,10 +206,8 @@ def run_analysis(spec: ProblemSpec, stages: frozenset[str] = ALL_STAGES) -> dict
         entry["bifurcation_indices"] = indices
 
         if "index" in stages:
-            # every frequency is flagged and counted; one --beta left out is checked here
-            non = _nonresonance(
-                found, lambda b: reports[b] if b in reports else check_main_condition(lin, brouwer, b, tol), tol
-            )
+            # every frequency is flagged and counted, one --beta left out too
+            non = nonresonance_and_branch_count(lin, brouwer, tol)
             entry["nonresonance"] = {
                 "flags": [[beta, flag] for beta, flag in non.flags],
                 "lower_bound": non.lower_bound,

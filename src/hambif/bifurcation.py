@@ -209,7 +209,7 @@ def gamma_jump(A, beta0: float, tol: TolerancePolicy = DEFAULT_TOL) -> int:
         betas = spectral_summary(lin, tol).betas
         # the level of the spectrum's frequency: an interval of radius mu
         # around 1/beta0 itself can miss it
-        lam0 = 1.0 / lin.cluster_at(beta0)[0]
+        lam0 = 1.0 / lin.cluster_at(beta0).beta
         return _morse_jump(lin.A, lam0, isolation_radius(lam0, betas, tol), tol)
 
     return lin.keep(("jump", beta0), jump)
@@ -425,11 +425,17 @@ def check_classical_assumptions(A, tol: TolerancePolicy = DEFAULT_TOL) -> Assump
     return AssumptionReport(a0, a1, a2)
 
 
-def _nonresonance(betas, report_for, tol: TolerancePolicy) -> NonresonanceReport:
-    """Flag the frequencies no larger one divides, and count the flagged ones
-    whose condition holds.  ``report_for(beta)`` gives the frequency's
-    ConditionReport, or None when its check failed."""
-    betas = sorted(betas, reverse=True)
+def nonresonance_and_branch_count(A, brouwer: int | None,
+                                  tol: TolerancePolicy = DEFAULT_TOL) -> NonresonanceReport:
+    """Flag the frequencies no larger frequency divides, and count how many of
+    the flagged ones also pass the branch condition at the Brouwer index
+    ``brouwer``, as ``check_main_condition`` takes it (a lower bound on
+    connected families with distinct minimal periods).  A frequency whose
+    check raises DegeneracyError is left out of the count."""
+    lin = _linearize(A, tol)
+    betas = sorted(spectral_summary(lin, tol).betas, reverse=True)
+    if not betas:
+        raise EigenvalueNotFoundError("J A has no purely imaginary frequencies")
     flags = []
     bound = 0
     for beta in betas:
@@ -437,27 +443,10 @@ def _nonresonance(betas, report_for, tol: TolerancePolicy) -> NonresonanceReport
         flags.append((beta, flag))
         if flag:
             try:
-                report = report_for(beta)
+                bound += bool(check_main_condition(lin, brouwer, beta, tol).condition_holds)
             except DegeneracyError:
                 continue  # undecided: a lower bound may leave the frequency out
-            if report is not None and report.condition_holds:
-                bound += 1
     return NonresonanceReport(flags=tuple(flags), lower_bound=bound)
-
-
-def nonresonance_and_branch_count(A, tol: TolerancePolicy = DEFAULT_TOL) -> NonresonanceReport:
-    """Flag frequencies no larger frequency divides, and count how many of the
-    flagged ones also pass the branch condition (a lower bound on connected
-    families with distinct minimal periods)."""
-    lin = _linearize(A, tol)
-    betas = spectral_summary(lin, tol).betas
-    if not betas:
-        raise EigenvalueNotFoundError("J A has no purely imaginary frequencies")
-    try:
-        brouwer = brouwer_nondegenerate(lin, tol)
-    except DegeneracyError:
-        brouwer = None
-    return _nonresonance(betas, lambda beta: check_main_condition(lin, brouwer, beta, tol), tol)
 
 
 def check_main_condition(A, brouwer: int | None, beta0: float,

@@ -261,7 +261,11 @@ def _invariant_subspace(lin: spectral.Linearization, beta: float, expected_dim: 
     eigenvalues, as a Schur form sorted by ``gees`` is.
 
     The selection radius is data-driven: halfway between the expected_dim
-    eigenvalues nearest to i*beta and the first one beyond them.
+    eigenvalues nearest to i*beta and the first one beyond them.  A
+    subspace of another dimension is refused, not replaced by the kernel of
+    the rank staircase's last power: where an ill-conditioned pair splits
+    into two nearby frequencies, that kernel gives each half a block of its
+    own, of opposite signs, which the normal form does not have.
     """
     target = 1j * beta
     dist = np.sort(np.abs(lin.eigenvalues - target))

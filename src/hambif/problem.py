@@ -35,6 +35,17 @@ class AnalysisOptions:
     continuation: ContinuationConfig = field(default_factory=ContinuationConfig)
     continuation_enabled: bool = True
 
+    def __post_init__(self):
+        """Refuse the values the problem file refuses, so that none reaches
+        ``run_analysis``."""
+        if not (_is_number(self.lambda_max) and self.lambda_max > 0.0):
+            raise ValueError(f"lambda_max must be a positive finite number, got {self.lambda_max!r}")
+        if not (self.j_max is None or (_is_integer(self.j_max) and self.j_max >= 1)):
+            raise ValueError(f"j_max must be None or a positive integer, got {self.j_max!r}")
+        if self.betas != "all" and not (
+                isinstance(self.betas, tuple) and all(_is_number(b) and b > 0.0 for b in self.betas)):
+            raise ValueError(f'betas must be "all" or a tuple of positive finite numbers, got {self.betas!r}')
+
 
 @dataclass(frozen=True)
 class ProblemSpec:

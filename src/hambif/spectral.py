@@ -102,8 +102,8 @@ def _single_linkage(points: list[complex], threshold: float) -> list[list[comple
 
 class Linearization:
     """``M = J A`` of one equilibrium at one tolerance, with the steps all its
-    readers share: whether M is Hamiltonian, its eigenvalues, confirmed
-    clusters and Schur form, A's eigenvalues, and per frequency the Morse
+    readers share: whether M is Hamiltonian, its eigenvalues, spectral
+    summary and Schur form, A's eigenvalues, and per frequency the Morse
     jump and the blocks.  Each is computed on first use and kept, immutable
     or read-only; a failure is not kept.  ``A`` is the checked Hessian (see
     ``bifurcation``), or None for a matrix alone.  Every function that reads
@@ -145,9 +145,10 @@ class Linearization:
         return self.keep("eigvalsh", lambda: _read_only(np.linalg.eigvalsh(self.A)))
 
     @property
-    def clusters(self):
-        """Confirmed conjugate-pair frequencies (beta, multiplicity, Jordan
-        partition, conditioning note), the leftover eigenvalues and the band."""
+    def clusters(self) -> tuple[SpectralSummary, float]:
+        """The SpectralSummary that every reader of a frequency reads: one
+        ImaginaryEigenvalue per confirmed cluster, largest beta first, and
+        the leftover eigenvalues; with the band of the imaginary axis."""
         return self.keep("clusters", lambda: _find_clusters(self))
 
     @property
@@ -157,15 +158,15 @@ class Linearization:
         return self.keep("schur", lambda: tuple(
             map(_read_only, scipy.linalg.schur(self.M.astype(complex), output="complex"))))
 
-    def cluster_at(self, beta: float):
-        """The confirmed cluster nearest i*beta, the one rule for which
+    def cluster_at(self, beta: float) -> ImaginaryEigenvalue:
+        """The summary's entry nearest i*beta, the one rule for which
         frequency a beta names; beyond max(band, 1e-6 * beta), or for a beta
         that is not finite, it raises EigenvalueNotFoundError."""
-        clusters, _, band = self.clusters
-        cluster = min(clusters, key=lambda c: abs(c[0] - beta), default=None)
-        if cluster is None or not (math.isfinite(beta) and abs(cluster[0] - beta) <= max(band, 1e-6 * beta)):
+        summary, band = self.clusters
+        ev = min(summary.imaginary, key=lambda e: abs(e.beta - beta), default=None)
+        if ev is None or not (math.isfinite(beta) and abs(ev.beta - beta) <= max(band, 1e-6 * beta)):
             raise EigenvalueNotFoundError(f"i*{beta} is not an eigenvalue within tolerance")
-        return cluster
+        return ev
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -173,7 +174,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _find_clusters(lin: Linearization):
+def _find_clusters(lin: Linearization) -> tuple[SpectralSummary, float]:
     M, tol, w = lin.M, lin.tol, lin.eigenvalues
     N = M.shape[0] // 2
     scale = max(1.0, matrix_norm(M))
@@ -181,7 +182,7 @@ def _find_clusters(lin: Linearization):
     threshold = scale * max(tol.eig_zero_tol, _RING_EPS ** (1.0 / max(N, 1)))
 
     upper = [complex(z) for z in w[w.imag > 0.0]]
-    clusters: list[tuple[float, int, tuple[int, ...], str | None]] = []
+    found: list[ImaginaryEigenvalue] = []
     others: list[complex] = []
 
     # a plausible candidate with no plausible ancestor is a root.  A root
@@ -208,7 +209,7 @@ def _find_clusters(lin: Linearization):
                 roots.append((beta, len(members)))
             kernel, sizes, note = _rank_staircase(M, beta, tol, len(members))
             if sizes:
-                clusters.append((beta, len(members), sizes, note))
+                found.append(ImaginaryEigenvalue(beta, len(members), len(sizes), sizes, note))
                 confirmed.add(root)
                 continue
             if kernel:
@@ -239,7 +240,11 @@ def _find_clusters(lin: Linearization):
         )
     # eigvals of a real matrix pairs its complex eigenvalues as exact conjugates
     others += [z.conjugate() for z in others] + [complex(z) for z in w[w.imag == 0.0]]
-    return tuple(sorted(clusters, key=lambda c: c[0])), tuple(others), band
+    summary = SpectralSummary(
+        imaginary=tuple(sorted(found, key=lambda e: e.beta, reverse=True)),
+        other_eigenvalues=tuple(sorted(others, key=lambda z: (z.real, z.imag))),
+    )
+    return summary, band
 
 
 def _rank_staircase(M: np.ndarray, beta: float, tol: TolerancePolicy, mult: int):
@@ -285,19 +290,16 @@ def _rank_staircase(M: np.ndarray, beta: float, tol: TolerancePolicy, mult: int)
     return kernel, tuple(sizes), note
 
 
-def _jordan_data(cluster):
-    """Partition and conditioning note of a confirmed cluster.  The one place
-    that issues the note as a warning, so the default filter shows each note
-    once."""
-    _, _, sizes, note = cluster
-    if note is not None:
+def _warn(ev: ImaginaryEigenvalue) -> None:
+    """Issue the conditioning note of ``ev``, if any, as a warning: the one
+    place that does, so the default filter shows each note once."""
+    if ev.conditioning is not None:
         # scipy's first import runs warnings.catch_warnings, which re-arms the
         # default filter: load it before the first note, or the note prints
         # again once a later stage reaches a Schur form
         import scipy.linalg  # noqa: F401
 
-        warnings.warn(note, ConditioningWarning)
-    return sizes, note
+        warnings.warn(ev.conditioning, ConditioningWarning)
 
 
 def jordan_partition(M, beta: float, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[int, ...]:
@@ -312,36 +314,28 @@ def jordan_partition(M, beta: float, tol: TolerancePolicy = DEFAULT_TOL) -> tupl
     lin = Linearization.of(M, tol)
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    return _jordan_data(lin.cluster_at(beta))[0]
+    ev = lin.cluster_at(beta)
+    _warn(ev)
+    return ev.jordan_partition
 
 
 def spectral_summary(M, tol: TolerancePolicy = DEFAULT_TOL) -> SpectralSummary:
-    """All conjugate pairs +-i*beta with Jordan data, plus the leftover spectrum.
+    """All conjugate pairs +-i*beta with Jordan data, largest beta first,
+    plus the leftover spectrum: the summary the Linearization keeps, so
+    every call on one Linearization returns one object.
 
     Raises :class:`DecompositionError` when a cluster on the imaginary axis,
     where a rank staircase finds a kernel, is confirmed by no staircase, whole
     or split; every function that reads the spectrum passes it on.  A
-    non-Hamiltonian M is refused on every call.
+    non-Hamiltonian M is refused, and each conditioning note issued, on
+    every call.
     """
     lin = Linearization.of(M, tol)
     lin.check_hamiltonian("spectral_summary")
-    clusters, others, _ = lin.clusters
-
-    entries = []
-    for cluster in reversed(clusters):
-        beta, mult = cluster[:2]
-        partition, note = _jordan_data(cluster)
-        entries.append(
-            ImaginaryEigenvalue(
-                beta=beta,
-                algebraic_mult=mult,
-                geometric_mult=len(partition),
-                jordan_partition=partition,
-                conditioning=note,
-            )
-        )
-    other = tuple(sorted(others, key=lambda z: (z.real, z.imag)))
-    return SpectralSummary(imaginary=tuple(entries), other_eigenvalues=other)
+    summary, _ = lin.clusters
+    for ev in summary.imaginary:
+        _warn(ev)
+    return summary
 
 
 def classify_eigenvalue(ev: ImaginaryEigenvalue) -> EigenvalueClass:

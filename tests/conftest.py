@@ -56,17 +56,22 @@ def conjugated_pair(nf, seed, scale=0.5):
     return np.linalg.solve(S, M @ S), S.T @ A @ S
 
 
-def squeezed_readme_example(seed, t):
-    """Hessian of the 20-dim README example, blocks (5,-1), (3,+1), (2,+1) at
-    beta 1, conjugated by S1 D S2: S1 and S2 random symplectic, D the
-    symplectic squeeze diag(exp(t d), exp(-t d))."""
-    S1 = random_symplectic(10, seed=seed, scale=0.5)
-    S2 = random_symplectic(10, seed=seed + 1, scale=0.5)
-    d = np.random.default_rng(seed).uniform(-1.0, 1.0, 10)
+def squeezed(nf, seed, t):
+    """Hessian of the normal form ``nf`` conjugated by S1 D S2: S1 and S2
+    random symplectic, D the symplectic squeeze diag(exp(t d), exp(-t d))."""
+    H = assemble_hessian(nf)
+    n = H.shape[0] // 2
+    S1 = random_symplectic(n, seed=seed, scale=0.5)
+    S2 = random_symplectic(n, seed=seed + 1, scale=0.5)
+    d = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
     S = S1 @ np.diag(np.exp(t * np.concatenate([d, -d]))) @ S2
-    nf = NormalForm((BlockSpec(1.0, 5, -1), BlockSpec(1.0, 3, +1), BlockSpec(1.0, 2, +1)))
-    A = S.T @ assemble_hessian(nf) @ S
+    A = S.T @ H @ S
     return 0.5 * (A + A.T)
+
+
+def squeezed_readme_example(seed, t):
+    """The 20-dim README example, blocks (5,-1), (3,+1), (2,+1) at beta 1, squeezed."""
+    return squeezed(NormalForm((BlockSpec(1.0, 5, -1), BlockSpec(1.0, 3, +1), BlockSpec(1.0, 2, +1))), seed, t)
 
 
 def staircase_oracle(M, beta, rel_cutoff=1e-8, shift=None):

@@ -228,7 +228,7 @@ def test_criterion_10_positive_definite_sweep():
 
 def test_criterion_11_nonresonance_branch_count():
     resonant = assemble_hessian(NormalForm((BlockSpec(1.0, 1, -1), BlockSpec(2.0, 1, -1))))
-    report = nonresonance_and_branch_count(resonant)
+    report = nonresonance_and_branch_count(resonant, brouwer_nondegenerate(resonant))
     flags = {round(beta, 9): flag for beta, flag in report.flags}
     assert flags == {2.0: True, 1.0: False}
     assert report.lower_bound == 1
@@ -236,6 +236,6 @@ def test_criterion_11_nonresonance_branch_count():
     irrational = assemble_hessian(
         NormalForm((BlockSpec(1.0, 1, -1), BlockSpec(math.sqrt(2.0), 1, -1)))
     )
-    report = nonresonance_and_branch_count(irrational)
+    report = nonresonance_and_branch_count(irrational, brouwer_nondegenerate(irrational))
     assert all(flag for _, flag in report.flags)
     assert report.lower_bound == 2

@@ -60,7 +60,7 @@ HESSIAN_ENTRIES = pytest.mark.parametrize("call", [
     lambda A, tol=DEFAULT_TOL: gamma_jump(A, 1.0, tol),
     lambda A, tol=DEFAULT_TOL: bifurcation_index(A, 1, 1.0, tol=tol),
     lambda A, tol=DEFAULT_TOL: check_classical_assumptions(A, tol),
-    lambda A, tol=DEFAULT_TOL: nonresonance_and_branch_count(A, tol),
+    lambda A, tol=DEFAULT_TOL: nonresonance_and_branch_count(A, brouwer_nondegenerate(A, tol), tol),
     lambda A, tol=DEFAULT_TOL: check_main_condition(A, 1, 1.0, tol),
     lambda A, tol=DEFAULT_TOL: seed_from_linearization(A, 1.0, 0.1, tol=tol),
 ], ids=["brouwer_nondegenerate", "lambda_set", "gamma_jump", "bifurcation_index",
@@ -726,13 +726,15 @@ class TestClassicalAssumptions:
 
 class TestNonresonance:
     def test_integer_ratio_pair(self):
-        report = nonresonance_and_branch_count(oscillators(1.0, 2.0))
+        A = oscillators(1.0, 2.0)
+        report = nonresonance_and_branch_count(A, brouwer_nondegenerate(A))
         flags = {round(b, 6): f for b, f in report.flags}
         assert flags == {2.0: True, 1.0: False}
         assert report.lower_bound == 1
 
     def test_irrational_pair(self):
-        report = nonresonance_and_branch_count(oscillators(1.0, np.sqrt(2.0)))
+        A = oscillators(1.0, np.sqrt(2.0))
+        report = nonresonance_and_branch_count(A, brouwer_nondegenerate(A))
         assert all(f for _, f in report.flags)
         assert report.lower_bound == 2
 
@@ -740,13 +742,37 @@ class TestNonresonance:
     def test_flags_are_the_nonresonant_pairs(self, betas):
         """One resonance test: hypothesis a0 certifies exactly the flagged frequencies."""
         A = oscillators(*betas)
-        flagged = [b for b, flag in nonresonance_and_branch_count(A).flags if flag]
+        flagged = [b for b, flag in nonresonance_and_branch_count(A, brouwer_nondegenerate(A)).flags if flag]
         assert list(check_classical_assumptions(A).nonresonant_pair.certified_betas) == flagged
 
     def test_single_frequency(self):
-        report = nonresonance_and_branch_count(np.eye(2))
+        report = nonresonance_and_branch_count(np.eye(2), brouwer_nondegenerate(np.eye(2)))
         assert report.flags[0][1] is True
         assert report.lower_bound == 1
+
+    def test_brouwer_index_zero_counts_no_branch(self, monkeypatch):
+        """A problem file's brouwer_index of 0 reaches the count through the
+        public function, and no frequency's condition holds at it."""
+        import json
+
+        import hambif.analysis as analysis
+        from hambif import parse_problem, run_analysis
+
+        A = oscillators(1.0, np.sqrt(2.0))
+        assert nonresonance_and_branch_count(A, brouwer_nondegenerate(A)).lower_bound == 2
+        calls = []
+
+        def counted(lin, brouwer, tol):
+            calls.append(brouwer)
+            return nonresonance_and_branch_count(lin, brouwer, tol)
+
+        monkeypatch.setattr(analysis, "nonresonance_and_branch_count", counted)
+        problem = {"dim": 4, "equilibria": [{"point": [0.0] * 4, "hessian": A.tolist(), "brouwer_index": 0}]}
+        entry = run_analysis(parse_problem(json.dumps(problem)))["equilibria"][0]
+        assert calls == [0]
+        assert [flag for _, flag in entry["nonresonance"]["flags"]] == [True, True]
+        assert entry["nonresonance"]["lower_bound"] == 0
+        assert [c["condition_holds"] for c in entry["conditions"]] == [False, False]
 
     def test_undecided_frequency_is_left_out_of_the_bound(self, monkeypatch):
         """A Morse jump that stays inside the zero band at one frequency
@@ -766,7 +792,7 @@ class TestNonresonance:
 
         monkeypatch.setattr(bif, "_morse_jump", degenerate_at_one)
         A = oscillators(1.0, np.sqrt(2.0))
-        report = nonresonance_and_branch_count(A)
+        report = nonresonance_and_branch_count(A, brouwer_nondegenerate(A))
         assert all(f for _, f in report.flags)
         assert report.lower_bound == 1
 
@@ -862,7 +888,7 @@ READS_J_A = pytest.mark.parametrize("call", [
     lambda A, M, beta, tol: gamma_jump(A, beta, tol),
     lambda A, M, beta, tol: bifurcation_index(A, 1, 1.0 / beta, tol=tol),
     lambda A, M, beta, tol: check_classical_assumptions(A, tol),
-    lambda A, M, beta, tol: nonresonance_and_branch_count(A, tol),
+    lambda A, M, beta, tol: nonresonance_and_branch_count(A, brouwer_nondegenerate(A, tol), tol),
     lambda A, M, beta, tol: check_main_condition(A, 1, beta, tol),
     lambda A, M, beta, tol: seed_from_linearization(A, beta, 0.1, tol=tol),
 ], ids=["brouwer_nondegenerate", "spectral_summary", "jordan_partition", "structural_decomposition",

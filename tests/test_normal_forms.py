@@ -4,6 +4,7 @@ import pytest
 from hambif import (
     BlockCounts,
     BlockSpec,
+    ConditioningWarning,
     DecompositionError,
     NormalForm,
     assemble_hessian,
@@ -22,7 +23,7 @@ from hambif import (
 
 from hambif.spectral import Linearization
 
-from conftest import catalogue_block, conjugated_pair, random_normal_form, staircase_oracle
+from conftest import catalogue_block, conjugated_pair, random_normal_form, squeezed, staircase_oracle
 
 
 def transcribed_even_block(n, beta, eps):
@@ -300,3 +301,22 @@ class TestStructuralDecomposition:
         assert len(calls) == 1
         assert len(schurs) == 1
         assert blocks == [[(3, 1)], [(1, -1)]]
+
+    def test_split_pair_is_refused_not_guessed(self):
+        """Squeezed at cond(S) 1.15e4, the (2,+1) block of this normal form
+        splits into two simple frequencies 1.4e-5 apart.  The Schur form
+        selects no eigenvalue within half their distance of either, and the
+        decomposition refuses both; the kernel of (M - i beta I) would answer
+        (1,+1) at one and (1,-1) at the other."""
+        nf = random_normal_form(np.random.default_rng(46))
+        assert [(b.half_dim, b.epsilon) for b in nf.blocks] == [(2, 1), (5, -1)]
+        A = squeezed(nf, 46, 4.0)
+        lin = Linearization(standard_symplectic(A.shape[0] // 2) @ A)
+        with pytest.warns(ConditioningWarning, match="within factor 6.79 of the cutoff"):
+            split = [ev for ev in spectral_summary(lin).imaginary if abs(ev.beta - nf.blocks[0].beta) < 1e-4]
+        assert [(round(ev.beta, 7), ev.jordan_partition) for ev in split] == [
+            (1.0906326, (1,)), (1.0906186, (1,))]
+        for ev in split:
+            with pytest.raises(DecompositionError, match="has dimension 0, expected 1"), \
+                    pytest.warns(ConditioningWarning):
+                structural_decomposition(lin, ev.beta)

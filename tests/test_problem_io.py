@@ -179,6 +179,25 @@ class TestParsing:
         assert options.continuation == ContinuationConfig(max_steps=7)
         assert options.continuation_enabled is False
 
+    @pytest.mark.parametrize("field, value", [
+        ("lambda_max", -1.0), ("lambda_max", 0.0), ("lambda_max", math.nan), ("lambda_max", math.inf),
+        ("lambda_max", True), ("j_max", 0), ("j_max", -3), ("j_max", 2.5), ("j_max", True),
+        ("betas", (-1.0,)), ("betas", (1.0, 0.0)), ("betas", (math.nan,)), ("betas", (math.inf,)),
+        ("betas", [1.0]), ("betas", "some"), ("lambda_max", np.float32(2.0)),
+    ])
+    def test_analysis_options_refuse_what_the_problem_file_refuses(self, field, value):
+        """A value the problem file refuses is refused when the options are
+        built, before run_analysis can stop on it: a float32, which no report
+        can emit as JSON, too."""
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            AnalysisOptions(**{field: value})
+
+    def test_analysis_options_round_trip_through_the_problem_file(self):
+        """Accepted options are emitted as a file that parses back to them."""
+        options = AnalysisOptions(lambda_max=np.float64(2.0), j_max=3, betas=(np.float64(1.0), 2))
+        spec = ProblemSpec(dim=2, equilibria=(Equilibrium(np.zeros(2), np.eye(2)),), options=options)
+        assert parse_problem(emit_problem(spec)).options == options
+
     @pytest.mark.parametrize("edit,path", [
         pytest.param(lambda d: d["hamiltonian"].update(terms=5), "$.hamiltonian.terms", id="terms-not-a-list"),
         pytest.param(lambda d: d["hamiltonian"]["terms"][0].update(exponents=[2.5, 0]),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -245,6 +246,18 @@ class TestLinearization:
                  "Jordan blocks at beta=1.0",
         }
 
+    def test_one_kept_record_per_frequency(self, counted):
+        """A repeat spectral_summary returns the summary the Linearization
+        keeps, and every beta of a frequency names one of its entries."""
+        lin = Linearization(self.worked_example())
+        summary = spectral_summary(lin)
+        assert spectral_summary(lin) is summary
+        assert [ev.jordan_partition for ev in summary.imaginary] == [(2,), (5, 3)]
+        for ev in summary.imaginary:
+            assert lin.cluster_at(ev.beta) is lin.cluster_at(ev.beta * (1 + 1e-9)) is ev
+        assert lin.cluster_at(1.0) is summary.imaginary[1]
+        assert len(counted["clusters"]) == 1
+
     def test_holds_a_copy_of_its_matrix(self, counted):
         """A matrix changed in place after its Linearization was built leaves
         the Linearization as it was; a call on the raw matrix reads it anew."""
@@ -268,14 +281,16 @@ class TestLinearization:
     def test_returned_values_cannot_corrupt_the_linearization(self, counted):
         A = np.diag([1.0, -1.0, 1.0, 1.0])  # an oscillator and a saddle
         lin = Linearization(conjugate(standard_symplectic(2) @ A, seed=3))
-        clusters, others, band = lin.clusters
-        assert len(others) == 2
+        summary, band = lin.clusters
+        assert len(summary.other_eigenvalues) == 2
         with pytest.raises(TypeError):
-            clusters[0] = (9.0, 1)
+            summary.imaginary[0] = summary.imaginary[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            summary.imaginary[0].jordan_partition = (2,)
         for array in (lin.M, lin.eigenvalues, *lin.schur):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
-        assert lin.clusters == (clusters, others, band)
+        assert lin.clusters == (summary, band)
         assert len(counted["clusters"]) == 1
 
 

@@ -20,7 +20,6 @@ from .bifurcation import (
     isolation_radius,
     lambda_set,
     nonresonance_and_branch_count,
-    t_matrix,
 )
 from .continuation import (
     Branch,
@@ -53,7 +52,6 @@ from .linalg import (
     is_symplectic,
     morse_index,
     random_symplectic,
-    signature,
     standard_symplectic,
 )
 from .normal_forms import (
@@ -78,7 +76,7 @@ from .spectral import (
     spectral_summary,
 )
 
-from .analysis import branch_csv, emit_report, parse_report, run_analysis  # noqa: E402
+from .analysis import branch_csv, emit_report, run_analysis  # noqa: E402
 from .problem import (  # noqa: E402
     AnalysisOptions,
     Equilibrium,
@@ -93,7 +91,7 @@ __all__ = [
     "AssumptionReport", "AssumptionResult", "BifurcationIndex", "ConditionReport", "LambdaSet",
     "NonresonanceReport", "bifurcation_index", "brouwer_nondegenerate", "brouwer_planar",
     "check_classical_assumptions", "check_main_condition", "gamma_block", "gamma_jump",
-    "isolation_radius", "lambda_set", "nonresonance_and_branch_count", "t_matrix",
+    "isolation_radius", "lambda_set", "nonresonance_and_branch_count",
     # continuation
     "Branch", "ContinuationConfig", "HamiltonianField", "PeriodicOrbit", "PolynomialHamiltonian",
     "continue_branch", "correct_orbit", "flow", "seed_from_linearization", "verify_period_limit",
@@ -103,7 +101,7 @@ __all__ = [
     "SpecError", "StructureError",
     # linalg
     "DEFAULT_TOL", "TolerancePolicy", "is_hamiltonian", "is_symplectic", "morse_index",
-    "random_symplectic", "signature", "standard_symplectic",
+    "random_symplectic", "standard_symplectic",
     # normal_forms
     "BlockCounts", "BlockSpec", "NormalForm", "assemble_hessian", "assemble_normal_form",
     "block_counts", "block_hessian", "even_block_hessian", "interleave_permutation",
@@ -112,7 +110,7 @@ __all__ = [
     "EigenvalueClass", "ImaginaryEigenvalue", "SpectralSummary", "classify_eigenvalue",
     "jordan_partition", "spectral_summary",
     # analysis
-    "branch_csv", "emit_report", "parse_report", "run_analysis",
+    "branch_csv", "emit_report", "run_analysis",
     # problem
     "AnalysisOptions", "Equilibrium", "ProblemSpec", "emit_problem", "parse_problem",
     "problem_to_dict",

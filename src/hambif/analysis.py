@@ -256,10 +256,6 @@ def emit_report(report: dict, format: str = "structured") -> str:
     raise ValueError(f"unknown format {format!r}")
 
 
-def parse_report(text: str) -> dict:
-    return json.loads(text)
-
-
 def branch_csv(branch_entry: dict) -> str:
     """CSV export of one branch, floats at 17 significant digits."""
     orbits = branch_entry["orbits"]

@@ -92,19 +92,6 @@ class ConditionReport:
         return None if self.counts is None else self.counts.kappa
 
 
-def t_matrix(lam: float, A) -> np.ndarray:
-    """The symmetric 4N x 4N matrix [[-lam A, J], [-J, -lam A]]; the level-j
-    family is ``t_matrix(lam / j, A)``.
-
-    It is the real form of the Hermitian H(lam) = -lam A - iJ and has its
-    eigenvalues, each doubled.  The Morse jump counts on the half-size
-    H(lam); ``morse_index`` of this matrix is the reference that count
-    equals."""
-    A = as_symmetric(A, name="t_matrix argument")
-    J = standard_symplectic(half_dimension(A, "t_matrix argument"))
-    return np.block([[-lam * A, J], [-J, -lam * A]])
-
-
 def _linearize(A, tol: TolerancePolicy) -> Linearization:
     """The Linearization of a Hessian checked symmetric at ``tol`` and of even
     dimension, the one entry of every public function that reads J A or A; a
@@ -180,8 +167,9 @@ _JUMP_ZERO_TOL = 1e-12
 
 
 def _doubled_morse_index(A: np.ndarray, lam: float, tol: TolerancePolicy) -> int:
-    """``morse_index(t_matrix(lam, A), tol)`` of a symmetric A, refusal included,
-    read as twice that of the Hermitian H(lam) = -lam A - iJ, whose max|w| is ||T(lam)||_2."""
+    """The Morse index of the doubled family T(lam) of a symmetric A, refusal
+    included, read as twice that of the Hermitian H(lam) = -lam A - iJ, whose
+    max|w| is ||T(lam)||_2."""
     w = np.linalg.eigvalsh(-lam * A - 1j * standard_symplectic(A.shape[0] // 2))
     return 2 * _inertia(w, tol, "morse_index")[0]
 
@@ -200,19 +188,13 @@ def _morse_jump(A, lam0: float, mu: float, tol: TolerancePolicy) -> int:
 
 
 def gamma_jump(A, beta0: float, tol: TolerancePolicy = DEFAULT_TOL) -> int:
-    """Jump of the Morse index of T(lam) across lam = 1/beta0, always even.
-    A Linearization keeps it per beta0, so every reader at beta0 shares one
-    computation; a failure is not kept."""
+    """Jump of the Morse index of T(lam) across lam = 1/beta0, always even."""
     lin = _linearize(A, tol)
-
-    def jump():
-        betas = spectral_summary(lin, tol).betas
-        # the level of the spectrum's frequency: an interval of radius mu
-        # around 1/beta0 itself can miss it
-        lam0 = 1.0 / lin.cluster_at(beta0).beta
-        return _morse_jump(lin.A, lam0, isolation_radius(lam0, betas, tol), tol)
-
-    return lin.keep(("jump", beta0), jump)
+    betas = spectral_summary(lin, tol).betas
+    # the level of the spectrum's frequency: an interval of radius mu around
+    # 1/beta0 itself can miss it
+    lam0 = 1.0 / lin.cluster_at(beta0).beta
+    return _morse_jump(lin.A, lam0, isolation_radius(lam0, betas, tol), tol)
 
 
 def gamma_block(spec: BlockSpec) -> int:
@@ -273,8 +255,8 @@ def _is_integer(value) -> bool:
 
 def bifurcation_index(A, brouwer: int, lambda0: float, j_max: int | None = None,
                       tol: TolerancePolicy = DEFAULT_TOL) -> BifurcationIndex:
-    """All nonzero coordinates eta_j = brouwer * gamma_jump(A, b) for
-    j <= j_max, where lambda0/j = 1/b for a frequency b.
+    """All nonzero coordinates eta_j = brouwer * gamma of the verdict at b,
+    for j <= j_max, where lambda0/j = 1/b for a frequency b.
 
     Each frequency b can only sit at j = round(lambda0*b), so the work grows
     with the number of frequencies, not with ``j_max``.  The default
@@ -304,7 +286,7 @@ def bifurcation_index(A, brouwer: int, lambda0: float, j_max: int | None = None,
         for b, j in levels:
             if j > j_max or abs(lambda0 / j - 1.0 / b) > band:
                 continue
-            eta = brouwer * gamma_jump(lin, b, tol)
+            eta = brouwer * _verdict(lin, b).gamma
             if eta != 0:
                 entries.append((j, eta))
     truncated = any(b * lambda0 > j_max + band for b in betas)
@@ -369,7 +351,7 @@ def check_classical_assumptions(A, tol: TolerancePolicy = DEFAULT_TOL) -> Assump
     periodic.
 
     Each is decided (``holds`` is a bool), and each that holds reports the
-    frequencies it certifies, those with a nonzero Morse jump.
+    frequencies it certifies, those whose verdict has a nonzero Morse jump.
     """
     lin = _linearize(A, tol)
     summary = spectral_summary(lin, tol)
@@ -382,7 +364,7 @@ def check_classical_assumptions(A, tol: TolerancePolicy = DEFAULT_TOL) -> Assump
         certified = []
         for beta in candidates if holds else ():
             try:
-                if gamma_jump(lin, beta, tol) != 0:
+                if _verdict(lin, beta).gamma != 0:
                     certified.append(beta)
             except DegeneracyError:
                 continue
@@ -431,7 +413,7 @@ def nonresonance_and_branch_count(A, brouwer: int | None,
     the flagged ones also pass the branch condition at the Brouwer index
     ``brouwer``, as ``check_main_condition`` takes it (a lower bound on
     connected families with distinct minimal periods).  A frequency whose
-    check raises DegeneracyError is left out of the count."""
+    verdict abstains (DegeneracyError) is left out of the count."""
     lin = _linearize(A, tol)
     betas = sorted(spectral_summary(lin, tol).betas, reverse=True)
     if not betas:
@@ -449,29 +431,40 @@ def nonresonance_and_branch_count(A, brouwer: int | None,
     return NonresonanceReport(flags=tuple(flags), lower_bound=bound)
 
 
+def _verdict(lin: Linearization, beta0: float) -> ConditionReport:
+    """The Brouwer-free verdict at beta0, kept on the Linearization with its
+    refusal: the one place the two routes meet, read by every check of a
+    frequency.  It decides only where gamma = -2 kappa (when the blocks are
+    known) and gamma obeys the partition bound: kappa sums +-1 over the odd
+    parts of the Jordan partition, so |gamma|/2 <= odd and gamma/2 = odd
+    (mod 2).  Otherwise it raises DegeneracyError."""
+    def verdict():
+        gamma = gamma_jump(lin, beta0, lin.tol)
+        try:
+            blocks = tuple(structural_decomposition(lin, beta0, lin.tol))
+            counts = block_counts(blocks, beta0, lin.tol)
+        except DecompositionError:
+            blocks = counts = None
+        odd = sum(p % 2 for p in lin.cluster_at(beta0).jordan_partition)
+        if ((counts is not None and gamma != -2 * counts.kappa)
+                or abs(gamma) // 2 > odd or (gamma // 2 - odd) % 2):
+            kappa = "unavailable" if counts is None else counts.kappa
+            raise DegeneracyError(
+                f"the routes disagree at beta={beta0:.6g}: Morse jump gamma={gamma}, "
+                f"block counts kappa={kappa}, {odd} odd part(s) in the Jordan partition")
+        return ConditionReport(beta0=beta0, gamma=gamma, counts=counts, brouwer=None, condition_holds=None,
+                               routes_agree=None if counts is None else True, blocks=blocks)
+
+    return lin.keep(("verdict", beta0), verdict)
+
+
 def check_main_condition(A, brouwer: int | None, beta0: float,
                          tol: TolerancePolicy = DEFAULT_TOL) -> ConditionReport:
-    """Evaluate the branch-existence condition at beta0 by both routes.
-
-    The spectral route (gamma) always runs; the structural route (block
-    counts) is best effort and its failure only downgrades ``routes_agree``.
-    ``condition_holds`` is None when the Brouwer index is unknown.
-    """
+    """The kept verdict at beta0 (see ``_verdict``) with the Brouwer index
+    applied; ``condition_holds`` is None when it is unknown.  A verdict that
+    abstains raises DegeneracyError, so ``routes_agree`` is never False."""
     if not (brouwer is None or _is_integer(brouwer)):
         raise ValueError(f"brouwer must be an integer or None, got {brouwer!r}")
-    lin = _linearize(A, tol)
-    gamma = gamma_jump(lin, beta0, tol)
-    try:
-        blocks = tuple(structural_decomposition(lin, beta0, tol))
-        counts = block_counts(blocks, beta0, tol)
-    except DecompositionError:
-        blocks = counts = None
-    return ConditionReport(
-        beta0=beta0,
-        gamma=gamma,
-        counts=counts,
-        brouwer=brouwer,
-        condition_holds=None if brouwer is None else bool(gamma and brouwer),
-        routes_agree=None if counts is None else (gamma == -2 * counts.kappa),
-        blocks=blocks,
-    )
+    report = _verdict(_linearize(A, tol), beta0)
+    return replace(report, brouwer=brouwer,
+                   condition_holds=None if brouwer is None else bool(report.gamma and brouwer))

@@ -12,10 +12,11 @@ class EigenvalueNotFoundError(ValueError):
 
 
 class DegeneracyError(ArithmeticError):
-    """An eigenvalue landed inside the zero band where a sign was needed.
+    """An eigenvalue landed inside the zero band where a sign was needed, or a
+    frequency's Morse jump disagrees with its block counts or Jordan partition.
 
     Callers are expected to re-pick the evaluation point, or to catch it
-    where a degenerate matrix is an outcome rather than a failure.
+    where a degenerate matrix or an undecided frequency is an outcome.
     """
 
 

@@ -130,14 +130,6 @@ def morse_index(A, tol: TolerancePolicy = DEFAULT_TOL) -> int:
     return _inertia(w, tol, "morse_index")[0]
 
 
-def signature(A, tol: TolerancePolicy = DEFAULT_TOL) -> int:
-    """Signature m^-(-A) - m^-(A) of a symmetric matrix; an eigenvalue
-    inside the zero band raises :class:`DegeneracyError`."""
-    w = np.linalg.eigvalsh(as_symmetric(A, tol, name="signature argument"))
-    below, _, above = _inertia(w, tol, "signature")
-    return above - below
-
-
 def numeric_rank_with_gap(M, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[int, float]:
     """Rank by relative singular-value cutoff plus the decision margin.
 

@@ -25,6 +25,13 @@ class Equilibrium:
     hessian: np.ndarray
     brouwer_index: int | None = None
 
+    def __post_init__(self):
+        """Refuse a Brouwer index that is not an integer; keep a numpy one as the int JSON emits."""
+        if self.brouwer_index is not None:
+            if not _is_integer(self.brouwer_index):
+                raise ValueError(f"brouwer_index must be None or an integer, got {self.brouwer_index!r}")
+            object.__setattr__(self, "brouwer_index", int(self.brouwer_index))
+
 
 @dataclass(frozen=True)
 class AnalysisOptions:
@@ -42,6 +49,8 @@ class AnalysisOptions:
             raise ValueError(f"lambda_max must be a positive finite number, got {self.lambda_max!r}")
         if not (self.j_max is None or (_is_integer(self.j_max) and self.j_max >= 1)):
             raise ValueError(f"j_max must be None or a positive integer, got {self.j_max!r}")
+        if self.j_max is not None:
+            object.__setattr__(self, "j_max", int(self.j_max))
         if self.betas != "all" and not (
                 isinstance(self.betas, tuple) and all(_is_number(b) and b > 0.0 for b in self.betas)):
             raise ValueError(f'betas must be "all" or a tuple of positive finite numbers, got {self.betas!r}')

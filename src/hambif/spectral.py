@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConditioningWarning, DecompositionError, EigenvalueNotFoundError, StructureError
+from .errors import (ConditioningWarning, DecompositionError, DegeneracyError, EigenvalueNotFoundError,
+                     StructureError)
 from .linalg import (
     DEFAULT_TOL,
     TolerancePolicy,
@@ -27,6 +28,7 @@ from .linalg import (
 )
 
 MARGIN_FLOOR = 10.0  # rank decisions closer than this to the cutoff get flagged
+_REFUSALS = (DegeneracyError, DecompositionError)  # the exceptions a Linearization keeps
 
 
 class EigenvalueClass(enum.Enum):
@@ -103,11 +105,11 @@ def _single_linkage(points: list[complex], threshold: float) -> list[list[comple
 class Linearization:
     """``M = J A`` of one equilibrium at one tolerance, with the steps all its
     readers share: whether M is Hamiltonian, its eigenvalues, spectral
-    summary and Schur form, A's eigenvalues, and per frequency the Morse
-    jump and the blocks.  Each is computed on first use and kept, immutable
-    or read-only; a failure is not kept.  ``A`` is the checked Hessian (see
-    ``bifurcation``), or None for a matrix alone.  Every function that reads
-    J A or A takes a Linearization in place of its matrix argument."""
+    summary and Schur form, A's eigenvalues, and per frequency the blocks
+    and the verdict.  Each is computed on first use and kept, immutable or
+    read-only, and so is its typed refusal.  ``A`` is the checked Hessian
+    (see ``bifurcation``), or None for a matrix alone.  Every function that
+    reads J A or A takes a Linearization in place of its matrix argument."""
 
     def __init__(self, M, tol: TolerancePolicy = DEFAULT_TOL, A: np.ndarray | None = None):
         self.M = _read_only(as_matrix(M).copy())
@@ -125,9 +127,16 @@ class Linearization:
         return M
 
     def keep(self, step, compute):
-        """``compute()``, run on the first request for ``step`` and kept."""
+        """``compute()``, run on the first request for ``step`` and kept.  A
+        DegeneracyError or DecompositionError it raises is kept the same way,
+        and raised again on each request; any other exception is not kept."""
         if step not in self._kept:
-            self._kept[step] = compute()
+            try:
+                self._kept[step] = compute()
+            except _REFUSALS as exc:
+                self._kept[step] = exc
+        if isinstance(self._kept[step], _REFUSALS):
+            raise self._kept[step].with_traceback(None)
         return self._kept[step]
 
     def check_hamiltonian(self, caller: str) -> None:

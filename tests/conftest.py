@@ -5,7 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from hambif import BlockSpec, NormalForm, assemble_hessian, assemble_normal_form, random_symplectic
+from hambif import (
+    DEFAULT_TOL,
+    BlockSpec,
+    NormalForm,
+    assemble_hessian,
+    assemble_normal_form,
+    random_symplectic,
+    standard_symplectic,
+)
+from hambif.linalg import _inertia, as_symmetric, half_dimension
 
 
 def _draw_betas(rng, max_frequencies, min_separation, min_isolation):
@@ -72,6 +81,24 @@ def squeezed(nf, seed, t):
 def squeezed_readme_example(seed, t):
     """The 20-dim README example, blocks (5,-1), (3,+1), (2,+1) at beta 1, squeezed."""
     return squeezed(NormalForm((BlockSpec(1.0, 5, -1), BlockSpec(1.0, 3, +1), BlockSpec(1.0, 2, +1))), seed, t)
+
+
+def t_matrix(lam, A):
+    """The doubled family T(lam) = [[-lam A, J], [-J, -lam A]], 4N x 4N; the
+    level-j family is ``t_matrix(lam / j, A)``.  It is the real form of the
+    Hermitian H(lam) = -lam A - iJ, whose inertia the Morse jump counts, and
+    ``morse_index`` of it is the oracle that count must equal."""
+    A = as_symmetric(A, name="t_matrix argument")
+    J = standard_symplectic(half_dimension(A, "t_matrix argument"))
+    return np.block([[-lam * A, J], [-J, -lam * A]])
+
+
+def signature(A, tol=DEFAULT_TOL):
+    """Signature m^-(-A) - m^-(A) of a symmetric matrix, at the package's one
+    zero band; an eigenvalue inside it raises DegeneracyError."""
+    w = np.linalg.eigvalsh(as_symmetric(A, tol, name="signature argument"))
+    below, _, above = _inertia(w, tol, "signature")
+    return above - below
 
 
 def staircase_oracle(M, beta, rel_cutoff=1e-8, shift=None):

@@ -33,11 +33,10 @@ from hambif import (
     spectral_summary,
     standard_symplectic,
     structural_decomposition,
-    t_matrix,
     verify_period_limit,
 )
 
-from conftest import random_normal_form
+from conftest import random_normal_form, t_matrix
 
 BETAS = (0.5, 1.0, 2.0)
 ODD_SIZES = (1, 3, 5, 7, 9)

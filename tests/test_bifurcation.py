@@ -29,23 +29,23 @@ from hambif import (
     odd_block_hessian,
     random_symplectic,
     seed_from_linearization,
-    signature,
     spectral_summary,
     standard_symplectic,
     structural_decomposition,
-    t_matrix,
 )
 from hambif.bifurcation import MAX_LEVELS, _doubled_morse_index, _linearize
 from hambif.spectral import Linearization
 from hambif.linalg import random_symmetric
 from hambif.errors import (
+    DecompositionError,
     EigenvalueNotFoundError,
     LevelCountError,
     PlanarDegreeError,
     StructureError,
 )
 
-from conftest import conjugated_pair, random_normal_form, squeezed_readme_example
+from conftest import conjugated_pair, random_normal_form, signature, squeezed_readme_example, t_matrix
+from frontier import frontier
 
 
 def oscillators(*betas):
@@ -803,14 +803,110 @@ class TestNonresonance:
         assert any("condition check at beta=1 failed" in e for e in entry["errors"])
 
 
+class TestOneKeptVerdict:
+    """Every reader of a frequency reads its one verdict, kept on the
+    Linearization with its refusal, and the verdict decides only where the
+    routes agree."""
+
+    def test_a_refused_jump_is_computed_once(self, monkeypatch):
+        """A Morse jump refused at beta = 1 is computed once for the four
+        readers of one Linearization, asked twice each, and each still
+        abstains there: the check and the index raise, the hypotheses
+        certify and the count counts only the other frequency."""
+        import hambif.bifurcation as bif
+
+        morse_jump, refused = bif._morse_jump, []
+
+        def degenerate_at_one(A, lam0, mu, tol):
+            if abs(lam0 - 1.0) < 1e-9:
+                refused.append(lam0)
+                raise DegeneracyError("morse_index: eigenvalue inside the zero band")
+            return morse_jump(A, lam0, mu, tol)
+
+        monkeypatch.setattr(bif, "_morse_jump", degenerate_at_one)
+        lin = _linearize(oscillators(1.0, np.sqrt(2.0)), DEFAULT_TOL)
+        other = lin.cluster_at(np.sqrt(2.0)).beta
+        for _ in range(2):
+            with pytest.raises(DegeneracyError, match="inside the zero band"):
+                check_main_condition(lin, 1, 1.0)
+            with pytest.raises(DegeneracyError, match="inside the zero band"):
+                bifurcation_index(lin, 1, 1.0)
+            hypotheses = check_classical_assumptions(lin)
+            assert hypotheses.nonresonant_pair.certified_betas == (other,)
+            assert hypotheses.positive_definite.certified_betas == (other,)
+            assert nonresonance_and_branch_count(lin, 1).lower_bound == 1
+        assert len(refused) == 1
+
+    def test_a_repeat_check_counts_the_blocks_once(self, monkeypatch):
+        """The check at one frequency with the Brouwer index None, +1 or -1
+        applies it to one kept verdict."""
+        import hambif.bifurcation as bif
+
+        counted, real = [], bif.block_counts
+
+        def counting(*args):
+            counted.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(bif, "block_counts", counting)
+        lin = _linearize(assemble_hessian(NormalForm((BlockSpec(1.0, 3, +1), BlockSpec(1.0, 1, -1)))),
+                         DEFAULT_TOL)
+        reports = [check_main_condition(lin, brouwer, 1.0) for brouwer in (None, 1, -1, None)]
+        assert len(counted) == 1
+        assert [(r.brouwer, r.condition_holds) for r in reports] == [
+            (None, None), (1, True), (-1, True), (None, None)]
+        assert {(r.gamma, r.kappa, r.routes_agree, r.blocks) for r in reports} == {
+            (4, -2, True, reports[0].blocks)}
+
+    @pytest.mark.parametrize("gamma, blocks_known, decides", [
+        (2, True, True),      # the truth at a simple pair: gamma = -2 kappa = 2
+        (-2, True, False),    # the routes disagree
+        (-2, False, True),    # the partition bound alone cannot see a sign
+        (0, False, False),    # gamma/2 and the one odd part differ in parity
+        (4, False, False),    # |gamma|/2 exceeds the one odd part
+    ])
+    def test_verdict_rule(self, gamma, blocks_known, decides, monkeypatch):
+        """At the simple pair of np.eye(2), partition (1,) and kappa = -1, a
+        jump decides only if it agrees with the blocks, where they are known,
+        and obeys the partition bound."""
+        import hambif.bifurcation as bif
+
+        monkeypatch.setattr(bif, "gamma_jump", lambda lin, beta0, tol: gamma)
+        if not blocks_known:
+            def unavailable(lin, beta, tol):
+                raise DecompositionError("moment-form rank gap too small")
+
+            monkeypatch.setattr(bif, "structural_decomposition", unavailable)
+        if decides:
+            report = check_main_condition(np.eye(2), 1, 1.0)
+            assert (report.gamma, report.routes_agree) == (gamma, True if blocks_known else None)
+            assert report.condition_holds is True
+            return
+        kappa = -1 if blocks_known else "unavailable"
+        with pytest.raises(DegeneracyError, match=re.escape(
+                f"Morse jump gamma={gamma}, block counts kappa={kappa}, "
+                f"1 odd part(s) in the Jordan partition")):
+            check_main_condition(np.eye(2), 1, 1.0)
+
+    @pytest.mark.parametrize("t", [3.0, 4.0])
+    def test_no_decided_gamma_is_wrong_on_the_frontier(self, t):
+        """Over the squeezed family (see ``frontier.py``), every decided Morse
+        jump at a constructed frequency is the construction's; before the
+        verdict rule, s = 158 and 165 at t = 3, and s = 0, 13, 22, 138, 158
+        and 165 at t = 4, read a wrong one with routes_agree false."""
+        counts = frontier(t)
+        assert counts.wrong == 0, counts.wrong_seeds
+        assert counts.right == {3.0: 375, 4.0: 350}[t]
+
+
 class TestEachMatrixCheckedOnce:
     def test_analysis_checks_each_matrix_once(self, monkeypatch):
         """While run_analysis runs the 20-dim README example, its one
         Linearization checks A to be symmetric once, takes A's spectrum once
         for the Brouwer sign and the hypotheses, and checks J A to be
         Hamiltonian once; every verdict, index coordinate and hypothesis
-        certificate reads the Morse jump through the public gamma_jump,
-        computed once."""
+        certificate reads the Morse jump from the one kept verdict, which
+        asks the public gamma_jump once."""
         import hambif.analysis as analysis
         import hambif.bifurcation as bifurcation
         import hambif.linalg as linalg
@@ -849,7 +945,7 @@ class TestEachMatrixCheckedOnce:
         assert entry["bifurcation_indices"][0]["entries"] == {"1": eta} != {"1": 0}
         assert len(hamiltonian_checks) == len(symmetry_checks) == len(hessian_spectra) == 1
         assert len(public_calls) == 4
-        assert len(jumps) >= 2 and len(morse_jumps) == 1
+        assert len(jumps) == len(morse_jumps) == 1
 
     @HESSIAN_ENTRIES
     def test_asymmetric_hessian_refused_after_its_symmetric_part(self, call):

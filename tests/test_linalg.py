@@ -12,13 +12,14 @@ from hambif import (
     is_symplectic,
     morse_index,
     random_symplectic,
-    signature,
     spectral_summary,
     standard_symplectic,
     structural_decomposition,
 )
 from hambif.linalg import as_symmetric, numeric_rank_with_gap
 from hambif.errors import StructureError
+
+from conftest import signature, t_matrix
 
 
 class TestStandardSymplectic:
@@ -92,8 +93,6 @@ class TestMorseIndex:
 
     def test_doubled_oscillator_family(self):
         # [[-l*A, J], [-J, -l*A]] with A = Id2 has eigenvalues -l +- 1, twice each
-        from hambif import t_matrix
-
         T = t_matrix(0.5, np.eye(2))
         assert sorted(np.round(np.linalg.eigvalsh(T), 12)) == [-1.5, -1.5, 0.5, 0.5]
         assert morse_index(T) == 2

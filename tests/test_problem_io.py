@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,11 +25,12 @@ from hambif import (
     emit_problem,
     emit_report,
     parse_problem,
-    parse_report,
     problem_to_dict,
     run_analysis,
 )
 from hambif.cli import main as cli_main
+
+from conftest import random_normal_form, squeezed
 
 
 def oscillator_spec(**analysis):
@@ -198,6 +200,29 @@ class TestParsing:
         spec = ProblemSpec(dim=2, equilibria=(Equilibrium(np.zeros(2), np.eye(2)),), options=options)
         assert parse_problem(emit_problem(spec)).options == options
 
+    @pytest.mark.parametrize("j_max, brouwer", [(np.int64(3), None), (None, np.int64(1)),
+                                                (np.int32(2), np.int8(-1))])
+    def test_numpy_integers_are_kept_as_int(self, j_max, brouwer):
+        """A numpy integer j_max or Brouwer index is kept as an int, so the
+        analysis, its report and the problem file read as for a Python int."""
+        def spec(j_max, brouwer):
+            eq = Equilibrium(np.zeros(2), np.eye(2), brouwer_index=brouwer)
+            return ProblemSpec(dim=2, equilibria=(eq,), options=AnalysisOptions(j_max=j_max))
+
+        given = spec(j_max, brouwer)
+        plain = spec(None if j_max is None else int(j_max), None if brouwer is None else int(brouwer))
+        assert type(given.options.j_max) is type(plain.options.j_max)
+        assert type(given.equilibria[0].brouwer_index) is type(plain.equilibria[0].brouwer_index)
+        assert emit_report(run_analysis(given)) == emit_report(run_analysis(plain))
+        assert emit_problem(given) == emit_problem(plain)
+
+    @pytest.mark.parametrize("value", [2.5, True, np.float64(1.0), math.nan, "1"])
+    def test_equilibrium_refuses_a_brouwer_index_that_is_not_an_integer(self, value):
+        """Refused when the equilibrium is built, so that neither
+        run_analysis nor an emitter meets it."""
+        with pytest.raises(ValueError, match="^brouwer_index must be None or an integer"):
+            Equilibrium(np.zeros(2), np.eye(2), brouwer_index=value)
+
     @pytest.mark.parametrize("edit,path", [
         pytest.param(lambda d: d["hamiltonian"].update(terms=5), "$.hamiltonian.terms", id="terms-not-a-list"),
         pytest.param(lambda d: d["hamiltonian"]["terms"][0].update(exponents=[2.5, 0]),
@@ -269,7 +294,7 @@ class TestReports:
     def test_structured_round_trip(self):
         report = run_analysis(parse_problem(oscillator_spec()))
         text = emit_report(report, "structured")
-        assert parse_report(text) == report
+        assert json.loads(text) == report
 
     def test_determinism_byte_identical(self):
         spec_text = quartic_spec()
@@ -421,7 +446,7 @@ class TestCli:
         path = self.write(tmp_path, oscillator_spec())
         assert cli_main(["analyze", "--input", path]) == 0
         out = capsys.readouterr().out
-        assert parse_report(out)["equilibria"][0]["conditions"][0]["condition_holds"] is True
+        assert json.loads(out)["equilibria"][0]["conditions"][0]["condition_holds"] is True
 
     def test_parse_error_exit_two(self, tmp_path):
         path = self.write(tmp_path, "{not json")
@@ -478,14 +503,14 @@ class TestCli:
         path = self.write(tmp_path, two_frequency_quartic_spec())
         assert cli_main(["analyze", "--input", path, "--beta", "2.0", "--beta", "1.0",
                          "--beta", "1.0000001", "--beta", "2.0", "--beta", "1.0000005"]) == 0
-        eq = parse_report(capsys.readouterr().out)["equilibria"][0]
+        eq = json.loads(capsys.readouterr().out)["equilibria"][0]
         for key in ("conditions", "bifurcation_indices", "branches"):
             assert [round(x["beta0"], 6) for x in eq[key]] == [2.0, 1.0], key
         data = json.loads(two_frequency_quartic_spec())
         data["analysis"]["betas"] = [1.0, 1.0000001]
         path = self.write(tmp_path, json.dumps(data), "file_betas.json")
         assert cli_main(["continue", "--input", path]) == 0
-        branches = parse_report(capsys.readouterr().out)["equilibria"][0]["branches"]
+        branches = json.loads(capsys.readouterr().out)["equilibria"][0]["branches"]
         assert [round(b["beta0"], 6) for b in branches] == [1.0]
 
     def test_period_limit_needs_an_orbit_below_delta(self, tmp_path, capsys):
@@ -493,7 +518,7 @@ class TestCli:
         the small-orbit period check verifies nothing."""
         path = self.write(tmp_path, quartic_spec(continuation={"seed_amplitude": 0.2, "amplitude_target": 0.3}))
         assert cli_main(["analyze", "--input", path]) == 0
-        branch = parse_report(capsys.readouterr().out)["equilibria"][0]["branches"][0]
+        branch = json.loads(capsys.readouterr().out)["equilibria"][0]["branches"][0]
         assert branch["orbit_count"] > 0
         assert min(o["amplitude"] for o in branch["orbits"]) >= 0.1
         assert branch["period_limit"]["verified"] is False
@@ -507,7 +532,7 @@ class TestCli:
         assert line.endswith("small-orbit period check not verified (0 orbits below delta 0.1)"), line
         small = self.write(tmp_path, quartic_spec(), "small.json")
         assert cli_main(["analyze", "--input", small]) == 0
-        branch = parse_report(capsys.readouterr().out)["equilibria"][0]["branches"][0]
+        branch = json.loads(capsys.readouterr().out)["equilibria"][0]["branches"][0]
         below = sum(o["amplitude"] < 0.1 for o in branch["orbits"])
         assert branch["period_limit"]["verified"] is True and below > 0
         assert cli_main(["analyze", "--input", small, "--format", "human"]) == 0
@@ -559,13 +584,13 @@ class TestCli:
         data = {"dim": 2, "equilibria": [{"point": [0.0, 0.0], "hessian": [[1.0, 0.0], [0.0, 1e-10]]}]}
         path = self.write(tmp_path, json.dumps(data))
         assert cli_main(["analyze", "--input", path]) == 4
-        a0 = parse_report(capsys.readouterr().out)["equilibria"][0]["classical_assumptions"]["nonresonant_pair"]
+        a0 = json.loads(capsys.readouterr().out)["equilibria"][0]["classical_assumptions"]["nonresonant_pair"]
         assert a0["holds"] is False and a0["certified_betas"] == []
 
     def test_report_names_the_three_classical_hypotheses(self, tmp_path, capsys):
         path = self.write(tmp_path, quartic_spec())
         assert cli_main(["analyze", "--input", path]) == 0
-        hypotheses = parse_report(capsys.readouterr().out)["equilibria"][0]["classical_assumptions"]
+        hypotheses = json.loads(capsys.readouterr().out)["equilibria"][0]["classical_assumptions"]
         assert sorted(hypotheses) == ["nonresonant_pair", "positive_definite", "signature_resonant"]
         assert all(isinstance(h["holds"], bool) for h in hypotheses.values())
 
@@ -582,10 +607,10 @@ class TestCli:
         path = self.write(tmp_path, json.dumps({"dim": A.shape[0], "equilibria": [
             {"point": [0.0] * A.shape[0], "hessian": A.tolist()}]}))
         assert cli_main(["normal-form", "--input", path]) == 0
-        conditions = parse_report(capsys.readouterr().out)["equilibria"][0]["conditions"]
+        conditions = json.loads(capsys.readouterr().out)["equilibria"][0]["conditions"]
         assert [c["blocks"] for c in conditions] == [[[1, 1]], [[3, -1]]]
         assert cli_main(["index", "--input", path]) == 0
-        conditions = parse_report(capsys.readouterr().out)["equilibria"][0]["conditions"]
+        conditions = json.loads(capsys.readouterr().out)["equilibria"][0]["conditions"]
         assert [(c["gamma"], c["condition_holds"]) for c in conditions] == [(-2, True), (-2, True)]
 
     def test_problem_above_the_generated_kernel_cap_reaches_its_amplitude_target(self, tmp_path, capsys):
@@ -599,7 +624,7 @@ class TestCli:
         options = AnalysisOptions(continuation=ContinuationConfig(amplitude_target=0.05))
         path = self.write(tmp_path, emit_problem(ProblemSpec(dim=8, equilibria=(eq,), hamiltonian=H, options=options)))
         assert cli_main(["analyze", "--input", path]) == 0
-        branches = parse_report(capsys.readouterr().out)["equilibria"][0]["branches"]
+        branches = json.loads(capsys.readouterr().out)["equilibria"][0]["branches"]
         assert branches and all(b["orbit_count"] > 0 and b["termination"] == "amplitude_target" for b in branches)
 
     def test_high_power_term_analyzes_within_60_seconds(self, tmp_path, capsys):
@@ -612,7 +637,7 @@ class TestCli:
         start = time.perf_counter()
         assert cli_main(["analyze", "--input", path]) == 0
         assert time.perf_counter() - start < 60.0
-        branches = parse_report(capsys.readouterr().out)["equilibria"][0]["branches"]
+        branches = json.loads(capsys.readouterr().out)["equilibria"][0]["branches"]
         assert branches and branches[0]["orbit_count"] > 0
 
     def test_numerical_failure_exit_three(self, tmp_path):
@@ -620,6 +645,25 @@ class TestCli:
         data["analysis"]["betas"] = [7.0]  # not in the spectrum
         path = self.write(tmp_path, json.dumps(data))
         assert cli_main(["analyze", "--input", path]) == 3
+
+    def test_routes_that_disagree_abstain_exit_three(self, tmp_path, capsys):
+        """At s = 0 of the squeezed family at t = 4 the Morse jump reads -2 at
+        the (2,+1) frequency 1.6919, where the blocks give kappa = 0 (the
+        construction gives gamma = 0): the verdict abstains as one error
+        naming both routes, with no condition or index entry there."""
+        A = squeezed(random_normal_form(np.random.default_rng(0)), 0, 4.0)
+        spec = ProblemSpec(dim=A.shape[0], equilibria=(Equilibrium(np.zeros(A.shape[0]), A),))
+        path = self.write(tmp_path, emit_problem(spec))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditioningWarning)
+            assert cli_main(["analyze", "--input", path]) == 3
+        eq = json.loads(capsys.readouterr().out)["equilibria"][0]
+        assert [ev["beta"] for ev in eq["imaginary_spectrum"]] == [pytest.approx(1.6919, abs=1e-4)]
+        [error] = eq["errors"]
+        assert error.startswith("condition check at beta=1.69194 failed: the routes disagree")
+        assert "Morse jump gamma=-2" in error and "block counts kappa=0" in error
+        assert eq["conditions"] == eq["bifurcation_indices"] == []
+        assert eq["nonresonance"]["lower_bound"] == 0
 
     def test_unusable_continuation_settings_exit_two(self, tmp_path):
         data = json.loads(quartic_spec())
@@ -656,7 +700,7 @@ class TestCli:
         data["equilibria"][0]["hessian"] = np.diag([1.0, beta, 1.0, beta]).tolist()
         path = self.write(tmp_path, json.dumps(data))
         assert cli_main(["continue", "--input", path]) == 0
-        branches = parse_report(capsys.readouterr().out)["equilibria"][0]["branches"]
+        branches = json.loads(capsys.readouterr().out)["equilibria"][0]["branches"]
         assert [round(b["beta0"], 9) for b in branches] == [beta, 1.0]
         out = tmp_path / "branches"
         assert cli_main(["continue", "--input", path, "--format", "csv", "--output", str(out)]) == 0
@@ -685,7 +729,7 @@ class TestCli:
         start = time.perf_counter()
         assert cli_main(["index", "--input", path]) == 3
         assert time.perf_counter() - start < 1.0
-        eq = parse_report(capsys.readouterr().out)["equilibria"][0]
+        eq = json.loads(capsys.readouterr().out)["equilibria"][0]
         assert "lambda_set" not in eq
         assert eq["errors"] == ["candidate levels unavailable: lambda_max 1e+09 asks for "
                                 "more than 100000 candidate levels"]
@@ -704,7 +748,7 @@ class TestCli:
     def test_normal_form_subcommand(self, tmp_path, capsys):
         path = self.write(tmp_path, oscillator_spec())
         assert cli_main(["normal-form", "--input", path]) == 0
-        report = parse_report(capsys.readouterr().out)
+        report = json.loads(capsys.readouterr().out)
         cond = report["equilibria"][0]["conditions"][0]
         assert cond["blocks"] == [[1, -1]]
 
@@ -726,7 +770,7 @@ class TestCli:
         path = self.write(tmp_path, oscillator_spec())
         assert cli_main(["index", "--input", path, "--beta", "1.0", "--lambda-max", "2.0",
                          "--j-max", "3", "--tol-scale", "2.0"]) == 0
-        report = parse_report(capsys.readouterr().out)
+        report = json.loads(capsys.readouterr().out)
         assert "seed" not in report
         assert report["analysis"]["lambda_max"] == 2.0
         assert report["tolerances"]["rank_tol"] == 2e-10
@@ -760,7 +804,7 @@ class TestCli:
             return
         with pytest.warns(ConditioningWarning, match="within factor 5.06 of the cutoff"):
             assert cli_main(args) == 0
-        eq = parse_report(capsys.readouterr().out)["equilibria"][0]
+        eq = json.loads(capsys.readouterr().out)["equilibria"][0]
         assert [c["condition_holds"] for c in eq["conditions"]] == [True]
 
     def test_tolerance_of_one_is_a_spec_error(self, tmp_path, capsys):
@@ -881,7 +925,7 @@ class TestOneVerdictPerFrequency:
 
         def entry(command):
             assert cli_main([command, "--input", path]) == 3
-            eq = parse_report(capsys.readouterr().out)["equilibria"][0]
+            eq = json.loads(capsys.readouterr().out)["equilibria"][0]
             non = eq.get("nonresonance")
             return eq["errors"], eq["conditions"], eq["bifurcation_indices"], non and (
                 [[round(b, 9), flag] for b, flag in non["flags"]], non["lower_bound"])
@@ -907,7 +951,7 @@ class TestOneVerdictPerFrequency:
         """Only beta 2 is flagged; it counts although --beta leaves it out."""
         path = oscillators_problem(tmp_path, 1.0, 2.0)
         assert cli_main(["analyze", "--input", path, "--beta", "1"]) == 0
-        eq = parse_report(capsys.readouterr().out)["equilibria"][0]
+        eq = json.loads(capsys.readouterr().out)["equilibria"][0]
         assert [c["beta0"] for c in eq["conditions"]] == [1.0]
         assert [[round(b, 9), flag] for b, flag in eq["nonresonance"]["flags"]] == [[2.0, True], [1.0, False]]
         assert eq["nonresonance"]["lower_bound"] == 1
@@ -919,7 +963,7 @@ class TestTypedAbstentions:
     def test_decomposition_above_the_cap_is_an_abstention(self, tmp_path, capsys):
         path = oscillators_problem(tmp_path, *(1.0 + k / 32 for k in range(33)))
         assert cli_main(["analyze", "--input", path, "--beta", "1"]) == 3
-        eq = parse_report(capsys.readouterr().out)["equilibria"][0]
+        eq = json.loads(capsys.readouterr().out)["equilibria"][0]
         assert eq["errors"] == ["decomposition at beta=1 unavailable: decomposition supported up to dimension 64"]
 
     def test_value_error_from_the_decomposition_escapes(self, tmp_path, monkeypatch):

@@ -52,9 +52,9 @@ PUBLIC_NAMES = [
     "emit_problem", "emit_report", "even_block_hessian", "flow", "gamma_block", "gamma_jump",
     "interleave_permutation", "is_hamiltonian", "is_symplectic",
     "isolation_radius", "jordan_partition", "lambda_set", "morse_index",
-    "nonresonance_and_branch_count", "odd_block_hessian", "parse_problem", "parse_report",
-    "problem_to_dict", "random_symplectic", "run_analysis", "seed_from_linearization", "signature",
-    "spectral_summary", "standard_symplectic", "structural_decomposition", "t_matrix",
+    "nonresonance_and_branch_count", "odd_block_hessian", "parse_problem",
+    "problem_to_dict", "random_symplectic", "run_analysis", "seed_from_linearization",
+    "spectral_summary", "standard_symplectic", "structural_decomposition",
     "verify_period_limit",
 ]
 

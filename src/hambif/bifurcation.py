@@ -17,6 +17,7 @@ Schur form per matrix (see ``normal_forms``).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -251,6 +252,14 @@ def brouwer_planar(grad, center, radius: float, tol: TolerancePolicy = DEFAULT_T
 def _is_integer(value) -> bool:
     """A Python or numpy integer, not a bool: the one integer rule of arguments and problem fields."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A finite number: not a boolean, NaN, an infinity or an integer beyond
+    the float range; the one number rule of settings and problem fields."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    return abs(value) <= sys.float_info.max
 
 
 def bifurcation_index(A, brouwer: int, lambda0: float, j_max: int | None = None,

@@ -10,17 +10,22 @@ When H has a diagonal anti-symplectic reversor R that fixes the equilibrium,
 the family is made of symmetric orbits (Devaney, "Reversible diffeomorphisms
 and flows", Trans. AMS 218, 1976), each crossing Fix(R) at t = 0 and again
 at t = pi; such a branch starts on Fix(R) and is shot over half the period.
+When H is also even and the equilibrium is the origin, -R is a second
+reversor, and the orbits of the family are doubly symmetric (Lamb and
+Roberts, "Time-reversal symmetry in dynamical systems: a survey", Physica D
+112, 1998): each also crosses Fix(-R) at t = pi/2, and a branch whose first
+orbit does is shot over a quarter of the period from its second orbit on.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, fields, replace
+from functools import cached_property, partial
 
 import numpy as np
 
-from .bifurcation import _linearize
+from .bifurcation import _is_integer, _is_number, _linearize
 from .errors import CorrectorError, IntegrationError
 from .linalg import DEFAULT_TOL, TolerancePolicy, as_symmetric
 
@@ -657,7 +662,18 @@ class ContinuationConfig:
     sample_points: int = 256
 
     def __post_init__(self):
-        """Refuse only settings with which no branch can be traced."""
+        """Refuse the values the problem file refuses, by its rules: a float
+        field takes a finite number, ``amplitude_target`` also None, and an
+        int field an integer, kept as an int; then refuse only settings with
+        which no branch can be traced."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int":
+                if not _is_integer(value):
+                    raise ValueError(f"{f.name} must be an integer, got {value!r}")
+                object.__setattr__(self, f.name, int(value))
+            elif not (_is_number(value) or (value is None and f.type == "float | None")):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         positive = ("corrector_tol", "integrator_rtol", "integrator_atol", "seed_amplitude",
                     "initial_step", "min_step", "max_step", "domain_bound")
         for name in positive:
@@ -683,9 +699,11 @@ DEFAULT_CONFIG = ContinuationConfig()
 def _orbit_diagnostics(field, equilibrium, x0, config, dense_sol, window):
     """Amplitude (largest distance from the equilibrium) and energy drift of
     the orbit, read from its dense interpolant over ``[0, window]``: the
-    whole period, or its first half on a symmetric orbit, whose other half
-    is its mirror image ``x(2 pi - t) = R x(t)`` at the same distances and
-    energies.  The drift is read over
+    whole period, or its first half or quarter on a symmetric orbit.  Its
+    other half is its mirror image ``x(2 pi - t) = R x(t)``, and on a doubly
+    symmetric orbit, whose equilibrium is the origin, its second quarter is
+    ``x(pi - t) = -R x(t)``, each at the same distances and energies.  The
+    drift is read over
     ``sample_points`` equally spaced samples, read in one array and valued
     by ``H`` in blocks of at most ``_DRIFT_BLOCK`` samples (one block by
     default), the amplitude from the best sample, refined towards the zero
@@ -696,8 +714,9 @@ def _orbit_diagnostics(field, equilibrium, x0, config, dense_sol, window):
     the bracket that the slope's sign change keeps, or a bisection after a
     step that did not halve it, so a flat maximum (a multiple zero)
     converges too; the amplitude is the largest distance read, never less
-    than the best sample's.  A half window's bracket stays inside it: the
-    distance of a symmetric orbit is stationary at both of its ends."""
+    than the best sample's.  The bracket of a half or quarter window stays
+    inside it: the distance of a symmetric orbit is stationary at both of
+    the window's ends, where it meets a reversor."""
     ts = np.linspace(0.0, window, config.sample_points)
     states = dense_sol(ts)
     H = field.H
@@ -769,29 +788,51 @@ def correct_orbit(H: PolynomialHamiltonian, guess: PeriodicOrbit,
     return _correct_orbit(H, guess, config, equilibrium, constraint, flipped)
 
 
-def _correct_orbit(H: PolynomialHamiltonian, guess: PeriodicOrbit, config: ContinuationConfig,
-                   equilibrium: np.ndarray, constraint, flipped: np.ndarray | None) -> PeriodicOrbit:
-    """The corrector of :func:`correct_orbit`, over the whole period when
-    ``flipped`` is None, else over half of it, on the Fix(R) of the reversor
-    that flips the coordinates ``flipped``.
+def _symmetric_residual(shot: FlowResult, zero: np.ndarray) -> float:
+    """``|Phi(T)^-1 d|`` for a shot over ``[0, T]`` from Fix(R), with ``d =
+    x(T) - R' x(T)`` and ``R'`` the reversor that the orbit meets at T, which
+    negates the coordinates ``zero``: to first order, how far the orbit
+    continued over ``[T, 2T]`` ends from ``R' x(0)``, the point a symmetric
+    orbit reaches at ``2T`` (see :func:`_correct_orbit`)."""
+    d = np.zeros(shot.endpoint.size)
+    d[zero] = 2.0 * shot.endpoint[zero]
+    return float(np.linalg.norm(np.linalg.solve(shot.monodromy, d)))
 
-    Both systems are read off one bordered Jacobian of the defect
-    ``x(T) - x0``, the phase anchor and the constraint, over ``(x0, lam)``.
-    Over the whole period, ``T = 2 pi``: all of it, overdetermined, solved
-    by least squares.  On Fix(R), ``T = pi``: the flipped components of the
-    defect, which are those of ``x(pi)`` and vanish exactly on a symmetric
-    orbit, and the constraint, over the coordinates that R fixes and
-    ``lam``.  That system is square, with no phase row, since a symmetric
-    orbit crosses Fix(R) at isolated points; it is solved by LU, and a
-    singular one raises :class:`CorrectorError`.  Its ``residual`` is the
-    full-period defect to first order: with ``d = x(pi) - R x(pi)``, the
-    flow over the second half maps ``x(pi)`` to ``x0 - R Phi(pi)^-1 d``,
-    for ``Phi(pi)`` the half-period monodromy, so the residual is
-    ``||Phi(pi)^-1 d||``.  It must fall to ``corrector_tol`` times
-    ``min(1, |x0 - eq|)``: the defect moves by about ``2 pi beta |x0 - eq|``
-    per unit of ``lam``, so ``lam`` is then held to about
-    ``corrector_tol / (2 pi beta)`` at every amplitude, where the absolute
-    bound of the whole-period system lets it stray by that over ``|x0 - eq|``.
+
+def _correct_orbit(H: PolynomialHamiltonian, guess: PeriodicOrbit, config: ContinuationConfig,
+                   equilibrium: np.ndarray, constraint, flipped: np.ndarray | None,
+                   quarter: bool = False) -> PeriodicOrbit:
+    """The corrector of :func:`correct_orbit`, over the whole period when
+    ``flipped`` is None, else on the Fix(R) of the reversor R that flips the
+    coordinates ``flipped``: over half the period, or over a quarter of it
+    when ``quarter`` is set (H even, the equilibrium the origin, so that -R
+    is a reversor too).
+
+    Both systems are read off one bordered Jacobian of the shot ``x(T)``,
+    the phase anchor and the constraint, over ``(x0, lam)``.  Over the
+    whole period, ``T = 2 pi``: the defect ``x(T) - x0``, the phase anchor
+    and the constraint, overdetermined, solved by least squares.  On Fix(R)
+    a symmetric orbit meets a reversor ``R'`` again at ``T``, where the
+    coordinates ``zero`` that ``R'`` negates vanish: ``R' = R`` at ``T =
+    pi``, ``zero`` the flipped coordinates, and ``R' = -R`` at ``T = pi/2``,
+    ``zero`` those that R fixes.  The system is those components of
+    ``x(T)`` and the constraint, over the coordinates that R fixes and
+    ``lam``.  It is square, with no phase row, since a symmetric orbit
+    crosses Fix(R) at isolated points; it is solved by LU, and a singular
+    one raises :class:`CorrectorError`.  With ``x0[flipped]`` exactly 0,
+    the half system's ``x(pi)`` rows are those of its defect, bit for bit.
+
+    On Fix(R) the ``residual`` is first-order: with ``d = x(T) - R' x(T)``,
+    reversibility, ``phi_T(R' y) = R' phi_-T(y)``, says that the flow over
+    ``[T, 2T]`` maps ``R' x(T)`` to ``R' x0``, and so ``x(T)`` to ``R' x0 -
+    R' Phi(T)^-1 d`` to first order, for ``Phi(T)`` the monodromy over
+    ``[0, T]``.  The residual is ``|Phi(T)^-1 d|``: the full-period defect
+    for the half system, and the defect of ``x(pi)`` from ``-x0`` for the
+    quarter one.  It must fall to ``corrector_tol`` times ``min(1, |x0 -
+    eq|)``: the defect moves by about ``2 pi beta |x0 - eq|`` per unit of
+    ``lam``, so ``lam`` is then held to about ``corrector_tol / (2 pi
+    beta)`` at every amplitude, where the absolute bound of the
+    whole-period system lets it stray by that over ``|x0 - eq|``.
     """
     n = H.dim
     x0 = np.asarray(guess.x0, dtype=float).copy()
@@ -815,9 +856,10 @@ def _correct_orbit(H: PolynomialHamiltonian, guess: PeriodicOrbit, config: Conti
     if flipped is None:
         period = TWO_PI
     else:
-        period = math.pi
-        rows = np.append(flipped, n + 1)  # the flipped components of x(pi), the constraint
-        cols = np.append(np.setdiff1d(np.arange(n), flipped), n)  # Fix(R) coordinates, lam
+        fixed = np.setdiff1d(np.arange(n), flipped)  # the coordinates R fixes
+        period, zero = (0.5 * math.pi, fixed) if quarter else (math.pi, flipped)
+        rows = np.append(zero, n + 1)  # the components of x(T) that vanish, the constraint
+        cols = np.append(fixed, n)  # Fix(R) coordinates, lam
 
     residual = math.inf
     for _ in range(config.max_corrector_iters):
@@ -826,17 +868,16 @@ def _correct_orbit(H: PolynomialHamiltonian, guess: PeriodicOrbit, config: Conti
         field = HamiltonianField(H, lam)
         shot = flow(field, x0, period, rtol=config.integrator_rtol, atol=config.integrator_atol,
                     domain_bound=config.domain_bound)
-        defect = shot.endpoint - x0
         cval, crow = constraint(x0, lam)
         if flipped is None:
+            defect, jac_x = shot.endpoint - x0, shot.monodromy - np.eye(n)
             phase = float(f_ref @ (x0 - x_ref))
             residual = float(np.linalg.norm(defect))
             residual_tol = config.corrector_tol
         else:
+            defect, jac_x = shot.endpoint, shot.monodromy
             phase = 0.0  # a point of Fix(R) leaves no phase to pin
-            d = np.zeros(n)
-            d[flipped] = 2.0 * defect[flipped]  # x(pi) - R x(pi)
-            residual = float(np.linalg.norm(np.linalg.solve(shot.monodromy, d)))
+            residual = _symmetric_residual(shot, zero)
             residual_tol = config.corrector_tol * min(1.0, float(np.linalg.norm(x0 - equilibrium)))
         F = np.concatenate([defect, [phase, cval]])
         if residual <= residual_tol and abs(phase) <= config.corrector_tol and \
@@ -847,7 +888,7 @@ def _correct_orbit(H: PolynomialHamiltonian, guess: PeriodicOrbit, config: Conti
                 x0=x0, lam=lam, amplitude=amplitude, residual=residual, energy_drift=drift
             )
         jac = np.zeros((n + 2, n + 1))
-        jac[:n, :n] = shot.monodromy - np.eye(n)
+        jac[:n, :n] = jac_x
         jac[:n, n] = (period / lam) * field(shot.endpoint)
         jac[n, :n] = f_ref
         jac[n + 1, :] = crow
@@ -858,7 +899,7 @@ def _correct_orbit(H: PolynomialHamiltonian, guess: PeriodicOrbit, config: Conti
             try:
                 step[cols] = np.linalg.solve(jac[np.ix_(rows, cols)], -F[rows])
             except np.linalg.LinAlgError:
-                raise CorrectorError("singular half-period system", residual=residual) from None
+                raise CorrectorError("singular symmetric system", residual=residual) from None
         x0 = x0 + step[:n]
         lam = lam + step[n]
     raise CorrectorError(
@@ -925,6 +966,27 @@ def _seed_on_fix(H: PolynomialHamiltonian, seed: PeriodicOrbit, equilibrium,
     return replace(seed, x0=equilibrium + x, amplitude=float(np.linalg.norm(x)))
 
 
+def _doubly_symmetric(H: PolynomialHamiltonian, first: PeriodicOrbit, config: ContinuationConfig,
+                      equilibrium: np.ndarray, flipped: np.ndarray | None) -> bool:
+    """Whether the branch through its first orbit ``first`` is shot over a
+    quarter of the period: H has the reversor R that flips ``flipped`` and
+    is even, so -R is a reversor too; the equilibrium is the origin, the one
+    point that -R fixes; ``first`` lies on Fix(R); and one flow of ``pi/2``
+    from it meets Fix(-R) within the quarter system's residual bound, so
+    that the orbit is doubly symmetric and no Newton step moves it."""
+    if flipped is None or np.any(equilibrium) or np.any(first.x0[flipped]) or \
+            any(sum(e) % 2 for _, e in H.terms):
+        return False
+    try:
+        shot = flow(HamiltonianField(H, first.lam), first.x0, 0.5 * math.pi, rtol=config.integrator_rtol,
+                    atol=config.integrator_atol, domain_bound=config.domain_bound)
+    except IntegrationError:
+        return False
+    fixed = np.setdiff1d(np.arange(H.dim), flipped)
+    bound = config.corrector_tol * min(1.0, float(np.linalg.norm(first.x0)))
+    return _symmetric_residual(shot, fixed) <= bound
+
+
 def _extrapolate(points, s, h):
     """Point and unit tangent at chord length ``s[-1] + h`` on the polynomial
     that interpolates ``points`` at chord lengths ``s``: the secant through two
@@ -972,7 +1034,13 @@ def continue_branch(H: PolynomialHamiltonian, seed: PeriodicOrbit,
     linear orbit to Fix(R) (:func:`_seed_on_fix`).  The second anchor and
     every prediction are affine combinations of points of Fix(R), so they
     stay on it, and each orbit is corrected by half-period shooting
-    (:func:`correct_orbit`), its ``x0`` a point of Fix(R).  A seed whose
+    (:func:`correct_orbit`), its ``x0`` a point of Fix(R).  When H is also
+    even and the equilibrium is the origin, and the first orbit lies on
+    Fix(R) and already passes the quarter-period residual test with no
+    Newton step (one flow of ``pi/2``), every later orbit is corrected by
+    quarter-period shooting; a first orbit that fails the test, such as one
+    of a family whose orbits repeat after half the period, keeps half-period
+    shooting for the whole branch.  A seed whose
     linear orbit misses Fix(R), or whose point there does not converge, is
     corrected as given, which off Fix(R) means full-period shooting for the
     whole branch.  The point on Fix(R) of a nonsemisimple block's linear
@@ -996,6 +1064,9 @@ def continue_branch(H: PolynomialHamiltonian, seed: PeriodicOrbit,
     else:
         return Branch(orbits=(), termination="corrector_failure")
     orbits = [first]
+    correct = correct_orbit
+    if _doubly_symmetric(H, first, config, equilibrium, flipped):
+        correct = partial(_correct_orbit, flipped=flipped, quarter=True)
 
     # second anchor slightly farther out, still amplitude-pinned
     second_guess = replace(
@@ -1005,7 +1076,7 @@ def continue_branch(H: PolynomialHamiltonian, seed: PeriodicOrbit,
         amplitude=first.amplitude + config.initial_step,
     )
     try:
-        second = correct_orbit(H, second_guess, config, equilibrium)
+        second = correct(H, second_guess, config, equilibrium, None)
         orbits.append(second)
     except (CorrectorError, IntegrationError):
         return Branch(orbits=tuple(orbits), termination="corrector_failure")
@@ -1046,10 +1117,7 @@ def continue_branch(H: PolynomialHamiltonian, seed: PeriodicOrbit,
                     residual=math.inf,
                     energy_drift=math.inf,
                 )
-                nxt = correct_orbit(
-                    H, guess, config, equilibrium,
-                    constraint=_arclength_constraint(tangent, z_pred),
-                )
+                nxt = correct(H, guess, config, equilibrium, _arclength_constraint(tangent, z_pred))
             except (CorrectorError, IntegrationError):
                 h *= 0.5
                 streak = 0

@@ -8,12 +8,11 @@ names are frozen in docs/FORMAT.md.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .bifurcation import _is_integer
+from .bifurcation import _is_integer, _is_number
 from .continuation import ContinuationConfig, PolynomialHamiltonian
 from .errors import ConsistencyError, SpecError
 from .linalg import TolerancePolicy, matrix_norm
@@ -67,14 +66,6 @@ class ProblemSpec:
 def _require(condition, message, path):
     if not condition:
         raise SpecError(message, path)
-
-
-def _is_number(value):
-    """A finite JSON number: not a boolean, NaN, an infinity or an integer
-    beyond the float range."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        return False
-    return abs(value) <= sys.float_info.max
 
 
 def _check_types(data, types, path):

@@ -779,11 +779,42 @@ class TestContinuationConfig:
             {"corrector_tol": math.nan},
             {"sample_points": 100_001},
             {"sample_points": 10**12},
+            # values the problem file refuses: each used to be accepted, and
+            # gave a seed returned uncorrected (corrector_tol), a ValueError
+            # of flow out of continue_branch (integrator_rtol), a TypeError
+            # (an iteration count of 2.5), or RuntimeWarnings and NaN
+            # (infinite steps)
+            {"corrector_tol": math.inf},
+            {"integrator_rtol": math.inf},
+            {"max_corrector_iters": 2.5},
+            {"initial_step": math.inf, "max_step": math.inf},
+            {"amplitude_target": math.nan},
+            {"lambda_max": math.inf},
+            {"max_steps": True},
+            {"sample_points": 256.0},
+            {"growth": "1.3"},
+            {"domain_bound": 10**400},
         ],
     )
     def test_unusable_settings_rejected(self, settings):
         with pytest.raises(ValueError):
             ContinuationConfig(**settings)
+
+    def test_settings_follow_the_problem_file_rules(self):
+        """Every field that the problem file refuses by type is refused by
+        name; integer values of float fields and None as the amplitude
+        target are kept, and numpy integers are kept as int."""
+        import dataclasses
+
+        for f in dataclasses.fields(ContinuationConfig):
+            bad = 2.5 if f.type == "int" else math.inf
+            with pytest.raises(ValueError, match=f.name):
+                ContinuationConfig(**{f.name: bad})
+        config = ContinuationConfig(corrector_tol=1, amplitude_target=None, sample_points=np.int64(16),
+                                    max_steps=np.int32(7))
+        assert config.corrector_tol == 1 and config.amplitude_target is None
+        assert type(config.sample_points) is int and type(config.max_steps) is int
+        assert config.sample_points == 16 and config.max_steps == 7
 
     @pytest.mark.parametrize("sample_points", [2, 256, 100_000])
     def test_sample_points_bounds_are_inclusive(self, sample_points):
@@ -974,9 +1005,11 @@ class TestBranch:
 
     def test_quartic_branch_flow_budget(self, monkeypatch):
         # criterion 09's branch to amplitude 0.55, as in the branch benchmark.
-        # Flows of pi and of 2 pi differ in length, so the work is counted in
-        # accepted steps: 1149 in 44 flows of 2 pi with full-period shooting,
-        # 695 in 50 flows of pi with half-period shooting on Fix(R)
+        # Flows of different lengths differ in work, so the work is counted
+        # in accepted steps: 1149 in 44 flows of 2 pi with full-period
+        # shooting, 695 in 50 flows of pi with half-period shooting on
+        # Fix(R), 375 in 48 flows, all but 2 of pi/2, with quarter-period
+        # shooting after the first orbit
         import hambif.continuation as continuation
 
         shots = []
@@ -989,7 +1022,7 @@ class TestBranch:
         branch = continue_branch(quartic_radial(), seed_from_linearization(np.eye(2), 1.0, 0.01),
                                  ContinuationConfig(amplitude_target=0.55))
         assert branch.termination == "amplitude_target" and len(branch.orbits) == 18
-        assert sum(shot.steps for shot in shots) <= 700
+        assert sum(shot.steps for shot in shots) <= 400
 
     def test_leaving_the_lambda_domain_ends_the_branch(self):
         # on the quartic lam = 1/(1+a^2) falls below 0.98 past a = 0.143
@@ -999,17 +1032,21 @@ class TestBranch:
         assert branch.orbits[-1].lam <= 0.98 < min(o.lam for o in branch.orbits[:-1])
 
     def test_failed_second_anchor_keeps_the_first_orbit(self, monkeypatch):
+        # the quartic's branch is doubly symmetric: its first orbit goes
+        # through correct_orbit, its second anchor straight to the
+        # quarter-period corrector, and both through _correct_orbit
         import hambif.continuation as continuation
 
         guesses = []
+        corrector = continuation._correct_orbit
 
-        def first_only(H, g, config, equilibrium=None, constraint=None):
+        def first_only(H, g, *args, **kwargs):
             guesses.append(g)
             if len(guesses) > 1:
                 raise CorrectorError("no convergence", residual=1.0)
-            return correct_orbit(H, g, config, equilibrium, constraint)
+            return corrector(H, g, *args, **kwargs)
 
-        monkeypatch.setattr(continuation, "correct_orbit", first_only)
+        monkeypatch.setattr(continuation, "_correct_orbit", first_only)
         branch = continue_branch(quartic_radial(), seed_from_linearization(np.eye(2), 1.0, 0.01),
                                  ContinuationConfig(amplitude_target=0.3))
         assert branch.termination == "corrector_failure"
@@ -1211,6 +1248,136 @@ class TestHalfPeriodShooting:
         assert '"orbit_count": 9' in text
         assert hashlib.sha256(text.encode()).hexdigest() == \
             "72090dc3d3cadf93aad9b612632db32797082fa4062b67cec201694661b69cf7"
+
+
+# the branch of every catalogue block of half-dim 2-5, with sum x_i^4 / 4,
+# traced from seed_from_linearization(A, 1.0, 0.01) to amplitude 0.3: the
+# termination, the orbit count and the sha256 of the orbits' x0, lam and
+# drift bytes, taken before quarter-period shooting existed
+CATALOGUE_BRANCHES = {
+    (2, +1): ("corrector_failure", 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (2, -1): ("amplitude_target", 13, "67805bda1d2d12663493e1afe9bbe6f24609fb96035d15933f0cde93820fa4d4"),
+    (3, +1): ("amplitude_target", 14, "2bccddfde9a77edb14bacf34c06429dc1dfcff3b41c98f7025eb65f16a7066ad"),
+    (3, -1): ("amplitude_target", 18, "9986b838191afa1ad3a38a4921b2004039017c895d90fb8a25d11b0768c8ccec"),
+    (4, +1): ("corrector_failure", 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (4, -1): ("amplitude_target", 14, "afec4a2337fe28a041cfc2967d0d8f4eb9a480eb8b465d27b31071c4f91812ad"),
+    (5, +1): ("corrector_failure", 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (5, -1): ("corrector_failure", 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
+def flow_lengths(monkeypatch):
+    """The lengths T of the flows that continuation makes from now on."""
+    import hambif.continuation as continuation
+
+    lengths = []
+
+    def recording_flow(field, x0, T, **kwargs):
+        lengths.append(T)
+        return flow(field, x0, T, **kwargs)
+
+    monkeypatch.setattr(continuation, "flow", recording_flow)
+    return lengths
+
+
+class TestQuarterPeriodShooting:
+    """Even reversible Hamiltonians at the origin: -R is a second reversor,
+    and a branch whose first orbit crosses Fix(-R) at pi/2 is shot over a
+    quarter of the period from its second orbit on."""
+
+    @pytest.mark.parametrize("half_dim, epsilon", sorted(CATALOGUE_BRANCHES))
+    def test_catalogue_branches_are_unchanged(self, half_dim, epsilon):
+        """Without the level guard, quarter-period Newton from the seed sends
+        the (2,-1), (3,+1), (4,-1) and (5,-1) branches to first orbits at lam
+        3.03, 2.88, 2.75 and 2.61, a 3-fold cover filed under beta0 = 1.
+        With it every branch is
+        the one traced before, byte for byte, and each traced branch starts
+        within 15 % of the level 1/beta0."""
+        import hashlib
+
+        from hambif import BlockSpec, NormalForm, assemble_hessian
+
+        beta0 = 1.0
+        A = assemble_hessian(NormalForm((BlockSpec(beta0, half_dim, epsilon),)))
+        branch = continue_branch(with_quartic(A), seed_from_linearization(A, beta0, 0.01),
+                                 ContinuationConfig(amplitude_target=0.3))
+        digest = hashlib.sha256(b"".join(o.x0.tobytes() + np.float64(o.lam).tobytes()
+                                         + np.float64(o.energy_drift).tobytes()
+                                         for o in branch.orbits)).hexdigest()
+        assert (branch.termination, len(branch.orbits), digest) == CATALOGUE_BRANCHES[half_dim, epsilon]
+        if branch.orbits:
+            assert abs(branch.orbits[0].lam - 1.0 / beta0) <= 0.15 / beta0
+
+    def test_quartic_branch_shoots_quarter_periods_after_its_first_orbit(self, monkeypatch):
+        import hambif.continuation as continuation
+
+        lengths = flow_lengths(monkeypatch)
+        first_orbit_flows = []
+
+        def recording_correct_orbit(*args, **kwargs):
+            orbit = correct_orbit(*args, **kwargs)
+            first_orbit_flows.append(len(lengths))
+            return orbit
+
+        monkeypatch.setattr(continuation, "correct_orbit", recording_correct_orbit)
+        branch = continue_branch(quartic_radial(), seed_from_linearization(np.eye(2), 1.0, 0.01),
+                                 ContinuationConfig(amplitude_target=0.55))
+        assert branch.termination == "amplitude_target" and len(branch.orbits) == 18
+        # correct_orbit corrects the first orbit alone, over half the period
+        assert len(first_orbit_flows) == 1
+        k = first_orbit_flows[0]
+        assert k >= 1 and lengths[:k] == [math.pi] * k
+        # the guard's one flow, then the quarter-period corrector's
+        assert len(lengths) > k + 17 and lengths[k:] == [0.5 * math.pi] * (len(lengths) - k)
+        for orbit in branch.orbits:
+            assert not np.any(orbit.x0[1])  # on Fix(R), p = 0 exactly
+            assert abs(orbit.lam - 1.0 / (1.0 + orbit.amplitude ** 2)) <= 1e-9
+            assert orbit.residual <= 1e-9 * min(1.0, float(np.linalg.norm(orbit.x0)))
+
+    def test_odd_reversible_hamiltonian_keeps_half_period_shooting(self, monkeypatch):
+        """(q^2 + p^2)/2 + q^3/3 has the reversor p -> -p but is not even:
+        every flow is a half period, and the report's sha256 is the one taken
+        before quarter-period shooting existed."""
+        import hashlib
+
+        from hambif import emit_report, parse_problem, run_analysis
+
+        H = PolynomialHamiltonian(2, ((0.5, (2, 0)), (0.5, (0, 2)), (1.0 / 3.0, (3, 0))))
+        assert H._reversor.tolist() == [1]
+        lengths = flow_lengths(monkeypatch)
+        eq = Equilibrium(point=np.zeros(2), hessian=H.hessian(np.zeros(2)))
+        spec = ProblemSpec(dim=2, equilibria=(eq,), hamiltonian=H,
+                           options=AnalysisOptions(continuation=ContinuationConfig(amplitude_target=0.2)))
+        text = emit_report(run_analysis(parse_problem(emit_problem(spec))))
+        assert '"orbit_count": 9' in text
+        assert lengths and set(lengths) == {math.pi}
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "2f909922b30f5d4144390e260a0b0c4d169a87aa24e50df01a94496f5fe34cec"
+
+    def test_family_repeating_after_half_the_period_keeps_half_period_shooting(self, monkeypatch):
+        """At lam = 1 the frequency-2 oscillator's orbits close after pi, so
+        the first orbit meets Fix(R) again at pi/2, not Fix(-R): the guard
+        refuses the quarter system, and the branch stays on the half one."""
+        lengths = flow_lengths(monkeypatch)
+        H = PolynomialHamiltonian.from_quadratic(2.0 * np.eye(2))
+        branch = continue_branch(H, guess([0.01, 0.0], 1.0, 0.01), ContinuationConfig(amplitude_target=0.1))
+        assert branch.termination == "amplitude_target" and len(branch.orbits) >= 5
+        assert all(abs(o.lam - 1.0) < 1e-8 for o in branch.orbits)
+        assert lengths.count(0.5 * math.pi) == 1  # the guard's one flow
+        assert all(T == math.pi for T in lengths if T != 0.5 * math.pi)
+
+    def test_equilibrium_off_the_origin_keeps_half_period_shooting(self, monkeypatch):
+        """-R fixes the origin alone, so a branch about another equilibrium
+        is shot over half the period, even when H is even: here the double
+        well (q^2 - 1)^2 / 4 + p^2 / 2 about its minimum (1, 0)."""
+        lengths = flow_lengths(monkeypatch)
+        H = PolynomialHamiltonian(2, ((0.25, (4, 0)), (-0.5, (2, 0)), (0.25, (0, 0)), (0.5, (0, 2))))
+        eq = np.array([1.0, 0.0])
+        branch = continue_branch(H, seed_from_linearization(H.hessian(eq), math.sqrt(2.0), 0.01, eq),
+                                 ContinuationConfig(amplitude_target=0.2), eq)
+        assert branch.termination == "amplitude_target" and len(branch.orbits) >= 5
+        assert all(o.x0[1] == 0.0 for o in branch.orbits)
+        assert lengths and set(lengths) == {math.pi}
 
 
 class TestPeriodChecks:

@@ -14,7 +14,6 @@ import json
 
 from . import __version__
 from .bifurcation import (
-    _linearize,
     bifurcation_index,
     brouwer_nondegenerate,
     brouwer_planar,
@@ -31,9 +30,10 @@ from .errors import (
     LevelCountError,
     PlanarDegreeError,
 )
+from .linalg import standard_symplectic
 from .normal_forms import structural_decomposition
 from .problem import ProblemSpec
-from .spectral import classify_eigenvalue, spectral_summary
+from .spectral import Linearization, classify_eigenvalue, spectral_summary
 
 PERIOD_LIMIT_EPSILON_FACTOR = 0.02  # fraction of 2*pi allowed in the small-orbit period test
 PERIOD_LIMIT_DELTA = 0.1            # amplitude window for the small-orbit period test
@@ -110,8 +110,8 @@ def run_analysis(spec: ProblemSpec, stages: frozenset[str] = ALL_STAGES) -> dict
     for index, eq in enumerate(spec.equilibria):
         entry: dict = {"index": index, "point": [float(v) for v in eq.point], "errors": []}
         report["equilibria"].append(entry)
-        # every stage below reads this equilibrium's J A through one object
-        lin = _linearize(eq.hessian, tol)
+        # every stage below reads this equilibrium's J A through one object; ProblemSpec checked A
+        lin = Linearization(standard_symplectic(spec.dim // 2) @ eq.hessian, tol, eq.hessian)
         try:
             summary = spectral_summary(lin, tol)
         except DecompositionError as exc:

@@ -17,7 +17,6 @@ Schur form per matrix (see ``normal_forms``).
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -34,6 +33,7 @@ from .linalg import (
     DEFAULT_TOL,
     TolerancePolicy,
     _inertia,
+    _is_integer,
     as_symmetric,
     half_dimension,
     standard_symplectic,
@@ -247,19 +247,6 @@ def brouwer_planar(grad, center, radius: float, tol: TolerancePolicy = DEFAULT_T
         n *= 2
         if n > 2 ** 20:
             raise PlanarDegreeError("winding number did not stabilize under refinement")
-
-
-def _is_integer(value) -> bool:
-    """A Python or numpy integer, not a bool: the one integer rule of arguments and problem fields."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    """A finite number: not a boolean, NaN, an infinity or an integer beyond
-    the float range; the one number rule of settings and problem fields."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        return False
-    return abs(value) <= sys.float_info.max
 
 
 def bifurcation_index(A, brouwer: int, lambda0: float, j_max: int | None = None,

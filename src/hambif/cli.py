@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 from pathlib import Path
 
 from .analysis import ALL_STAGES, branch_csv, emit_report, run_analysis
 from .errors import SpecError
-from .problem import parse_problem
+from .problem import _build, parse_problem
 
 # each command: the pipeline stages it runs, and its line in --help
 _COMMANDS = {
@@ -57,15 +58,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(spec, args):
-    options = spec.options
-    if args.lambda_max is not None:
-        options = dataclasses.replace(options, lambda_max=args.lambda_max)
-    if args.j_max is not None:
-        options = dataclasses.replace(options, j_max=args.j_max)
+    """The parsed spec itself when no flag is set.  Otherwise the spec rebuilt
+    with the flags' options, which the problem's rules check again: a refused
+    flag is named by the problem file's path of its field, and a scaled
+    ``residual_tol`` re-checks the equilibria."""
+    changes = {name: getattr(args, name) for name in ("lambda_max", "j_max") if getattr(args, name) is not None}
     if args.betas:
-        options = dataclasses.replace(options, betas=tuple(args.betas))
+        changes["betas"] = tuple(args.betas)
     if args.tol_scale is not None:
-        options = dataclasses.replace(options, tolerances=options.tolerances.scaled(args.tol_scale))
+        changes["tolerances"] = _build("$.analysis.tolerances", spec.options.tolerances.scaled,
+                                       {"factor": args.tol_scale})
+    if not changes:
+        return spec
+    options = _build("$.analysis", functools.partial(dataclasses.replace, spec.options), changes)
     return dataclasses.replace(spec, options=options)
 
 
@@ -115,7 +120,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         spec = _apply_overrides(spec, args)
-    except ValueError as exc:  # a flag value the problem file would refuse
+    except ValueError as exc:  # a flag value, or a problem at a scaled tolerance, that the problem file would refuse
         parser.error(str(exc))
 
     stages, _ = _COMMANDS[args.command]

@@ -57,6 +57,7 @@ class SpecError(ValueError):
 
     def __init__(self, message, path="$"):
         super().__init__(f"{path}: {message}")
+        self.message = message
         self.path = path
 
 

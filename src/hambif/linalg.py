@@ -8,11 +8,56 @@ and signatures are exact integers once the zero band is respected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DegeneracyError, StructureError
+from .errors import DegeneracyError, SpecError, StructureError
+
+
+def _is_integer(value) -> bool:
+    """A Python or numpy integer, not a bool: the one integer rule of arguments and problem fields."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A finite number: not a boolean, NaN, an infinity or an integer beyond
+    the float range; the one number rule of settings and problem fields."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    return abs(value) <= sys.float_info.max
+
+
+_EXPECTED = {"int": "expected an integer", "float": "expected a finite number", "bool": "expected true or false"}
+_CASTS = {"int": int, "float": float, "bool": bool}
+
+
+def _typed(kind: str, value, path: str):
+    """``value`` as the int, float or bool a field of type ``kind`` holds:
+    an integer, a finite number, or True or False; the one field-type rule
+    of the problem's objects.  Anything else is a :class:`SpecError` at ``path``."""
+    if not (_is_integer(value) if kind == "int" else
+            _is_number(value) if kind == "float" else isinstance(value, bool)):
+        raise SpecError(_EXPECTED[kind], path)
+    return _CASTS[kind](value)
+
+
+def _check_fields(obj) -> None:
+    """Each ``int``, ``float`` and ``bool`` field of ``obj`` (``... | None``
+    also None) kept as :func:`_typed` returns it at ``$.<field>``."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        kind = f.type.removesuffix(" | None")
+        if kind in _CASTS and not (value is None and kind != f.type):
+            object.__setattr__(obj, f.name, _typed(kind, value, f"$.{f.name}"))
+
+
+def _even_dim(dim) -> int:
+    """``dim`` as an int if an even integer >= 2, the one dimension rule of problems and Hamiltonians."""
+    if not (_is_integer(dim) and dim >= 2 and dim % 2 == 0):
+        raise SpecError("'dim' must be an even integer >= 2", "$.dim")
+    return int(dim)
 
 
 @dataclass(frozen=True)
@@ -29,14 +74,13 @@ class TolerancePolicy:
     residual_tol: float = 1e-9
 
     def __post_init__(self):
+        _check_fields(self)
         # a tolerance of 1 or more calls every eigenvalue zero and every rank 0
         for value in (self.rank_tol, self.eig_zero_tol, self.residual_tol):
             if not 0.0 < value < 1.0:
                 raise ValueError("all tolerances must lie strictly between 0 and 1")
 
     def scaled(self, factor: float) -> "TolerancePolicy":
-        if factor <= 0.0:
-            raise ValueError("scale factor must be positive")
         return TolerancePolicy(
             rank_tol=self.rank_tol * factor,
             eig_zero_tol=self.eig_zero_tol * factor,
@@ -73,11 +117,18 @@ def matrix_norm(M: np.ndarray) -> float:
     return float(np.linalg.norm(M, 2))
 
 
+def _asymmetry(A: np.ndarray, tol: TolerancePolicy) -> tuple[float, float]:
+    """The largest entry of ``|A - A^T|`` of a square matrix and the bound
+    ``residual_tol * (1 + ||A||)`` it may reach: the one symmetry rule."""
+    asym = float(np.max(np.abs(A - A.T))) if A.size else 0.0
+    return asym, tol.residual_tol * (1.0 + matrix_norm(A))
+
+
 def as_symmetric(A, tol: TolerancePolicy = DEFAULT_TOL, name: str = "matrix") -> np.ndarray:
     """Validate symmetry within ``residual_tol`` and return the exact symmetrization."""
     A = as_matrix(A, name)
-    asym = np.max(np.abs(A - A.T)) if A.size else 0.0
-    if asym > tol.residual_tol * (1.0 + matrix_norm(A)):
+    asym, bound = _asymmetry(A, tol)
+    if asym > bound:
         raise StructureError(f"{name} is not symmetric (max asymmetry {asym:.3e})")
     return 0.5 * (A + A.T)
 

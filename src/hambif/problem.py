@@ -8,14 +8,13 @@ names are frozen in docs/FORMAT.md.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .bifurcation import _is_integer, _is_number
 from .continuation import ContinuationConfig, PolynomialHamiltonian
 from .errors import ConsistencyError, SpecError
-from .linalg import TolerancePolicy, matrix_norm
+from .linalg import TolerancePolicy, _asymmetry, _check_fields, _even_dim, _is_number, _typed
 
 
 @dataclass(frozen=True)
@@ -26,10 +25,7 @@ class Equilibrium:
 
     def __post_init__(self):
         """Refuse a Brouwer index that is not an integer; keep a numpy one as the int JSON emits."""
-        if self.brouwer_index is not None:
-            if not _is_integer(self.brouwer_index):
-                raise ValueError(f"brouwer_index must be None or an integer, got {self.brouwer_index!r}")
-            object.__setattr__(self, "brouwer_index", int(self.brouwer_index))
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -43,16 +39,16 @@ class AnalysisOptions:
 
     def __post_init__(self):
         """Refuse the values the problem file refuses, so that none reaches
-        ``run_analysis``."""
-        if not (_is_number(self.lambda_max) and self.lambda_max > 0.0):
-            raise ValueError(f"lambda_max must be a positive finite number, got {self.lambda_max!r}")
-        if not (self.j_max is None or (_is_integer(self.j_max) and self.j_max >= 1)):
-            raise ValueError(f"j_max must be None or a positive integer, got {self.j_max!r}")
-        if self.j_max is not None:
-            object.__setattr__(self, "j_max", int(self.j_max))
-        if self.betas != "all" and not (
-                isinstance(self.betas, tuple) and all(_is_number(b) and b > 0.0 for b in self.betas)):
-            raise ValueError(f'betas must be "all" or a tuple of positive finite numbers, got {self.betas!r}')
+        ``run_analysis``; keep betas as a tuple of floats."""
+        _check_fields(self)
+        if not self.lambda_max > 0.0:
+            raise SpecError("expected a positive number", "$.lambda_max")
+        if self.j_max is not None and self.j_max < 1:
+            raise SpecError("expected a positive integer", "$.j_max")
+        if isinstance(self.betas, tuple) and all(_is_number(b) and b > 0.0 for b in self.betas):
+            object.__setattr__(self, "betas", tuple(map(float, self.betas)))
+        elif not (isinstance(self.betas, str) and self.betas == "all"):
+            raise SpecError('expected "all" or a list of positive finite numbers', "$.betas")
 
 
 @dataclass(frozen=True)
@@ -62,59 +58,84 @@ class ProblemSpec:
     hamiltonian: PolynomialHamiltonian | None = None
     options: AnalysisOptions = field(default_factory=AnalysisOptions)
 
+    def __post_init__(self):
+        """Refuse what the problem file refuses of the whole problem, with its
+        text and JSON path (docs/FORMAT.md); keep each point and Hessian as
+        read-only finite float arrays, each Hessian symmetrized, which
+        ``run_analysis`` reads without a second check."""
+        object.__setattr__(self, "dim", _even_dim(self.dim))
+        _require(self.equilibria, "at least one equilibrium is required", "$.equilibria")
+        H = self.hamiltonian
+        _require(H is None or H.dim == self.dim, f"hamiltonian dim must be the integer {self.dim}", "$.hamiltonian.dim")
+        equilibria = []
+        for i, eq in enumerate(self.equilibria):
+            path = f"$.equilibria[{i}]"
+            point = _entries(eq.point, self.dim, f"{path}.point")
+            hessian = _entries(eq.hessian, self.dim, f"{path}.hessian", ndim=2)
+            asym, bound = _asymmetry(hessian, self.options.tolerances)
+            _require(asym <= bound, f"equilibrium {i}: hessian asymmetry {asym:.3e} exceeds tolerance",
+                     f"{path}.hessian", ConsistencyError)
+            hessian = 0.5 * (hessian + hessian.T)
+            if H is not None:
+                # a term that overflows at the point is refused below, with no numpy warning first
+                with np.errstate(all="ignore"):
+                    gnorm = float(np.linalg.norm(H.gradient(point)))
+                    mismatch = float(np.max(np.abs(H.hessian(point) - hessian)))
+                _require(gnorm <= bound, f"equilibrium {i}: Hamiltonian gradient norm {gnorm:.3e} does not vanish",
+                         f"{path}.point", ConsistencyError)  # NaN included
+                _require(mismatch <= bound, f"equilibrium {i}: declared hessian differs from the Hamiltonian's by "
+                         f"{mismatch:.3e}", f"{path}.hessian", ConsistencyError)
+            point.flags.writeable = hessian.flags.writeable = False
+            equilibria.append(replace(eq, point=point, hessian=hessian))
+        object.__setattr__(self, "equilibria", tuple(equilibria))
 
-def _require(condition, message, path):
+
+def _require(condition, message, path, error=SpecError):
     if not condition:
-        raise SpecError(message, path)
+        raise error(message, path)
 
 
-def _check_types(data, types, path):
-    """Each field of ``data`` against its declared type: ``int`` takes a
-    JSON integer, ``float`` a finite number, ``float | None`` one or null."""
-    for name, value in data.items():
-        kind = types[name]
-        ok = _is_integer(value) if kind == "int" else (
-            _is_number(value) or (value is None and kind == "float | None"))
-        _require(ok, f"expected {'an integer' if kind == 'int' else 'a finite number'}", f"{path}.{name}")
-
-
-def _as_float_list(value, length, path):
-    _require(isinstance(value, list), "expected a list of numbers", path)
-    _require(len(value) == length, f"expected length {length}, got {len(value)}", path)
-    for k, v in enumerate(value):
-        _require(_is_number(v), "expected a finite number", f"{path}[{k}]")
+def _entries(value, dim, path, ndim=1):
+    """``value`` as a float array of ``ndim`` axes of ``dim`` finite
+    numbers: a point (1) or a Hessian (2), read as rows."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()  # read as the file's lists are
+    if ndim == 2:
+        _require(isinstance(value, (list, tuple)), "expected a row-major matrix", path)
+        _require(len(value) == dim, f"expected {dim} rows, got {len(value)}", path)
+        return np.array([_entries(row, dim, f"{path}[{r}]") for r, row in enumerate(value)])
+    _require(isinstance(value, (list, tuple)), "expected a list of numbers", path)
+    _require(len(value) == dim, f"expected length {dim}, got {len(value)}", path)
+    if not all(map(_is_number, value)):
+        k = next(k for k, v in enumerate(value) if not _is_number(v))
+        raise SpecError("expected a finite number", f"{path}[{k}]")
     return np.array(value, dtype=float)
 
 
-def _as_matrix(value, dim, path):
-    _require(isinstance(value, list), "expected a row-major matrix", path)
-    _require(len(value) == dim, f"expected {dim} rows, got {len(value)}", path)
-    return np.vstack([_as_float_list(row, dim, f"{path}[{i}]") for i, row in enumerate(value)])
+def _build(path, make, values):
+    """``make(**values)``, the object at ``path`` in the file; a refusal of
+    one of its fields, at ``$.<field>``, is moved under ``path``."""
+    try:
+        return make(**values)
+    except SpecError as exc:
+        raise SpecError(exc.message, path + exc.path[1:]) from None
+    except ValueError as exc:
+        raise SpecError(str(exc), path) from None
 
 
 def _parse_settings(cls, data, path, kind):
     """A ``cls`` settings object from a JSON object of its fields; null gives
-    the defaults.  No cast is needed: the fields' types are checked, and no
-    integer lies in ``TolerancePolicy``'s open range (0, 1)."""
-    if data is None:
-        return cls()
+    the defaults."""
+    data = {} if data is None else data
     _require(isinstance(data, dict), "expected an object", path)
-    types = {f.name: f.type for f in fields(cls)}
-    unknown = set(data) - set(types)
+    unknown = set(data) - {f.name for f in fields(cls)}
     _require(not unknown, f"unknown {kind} fields {sorted(unknown)}", path)
-    _check_types(data, types, path)
-    try:
-        return cls(**data)
-    except ValueError as exc:
-        raise SpecError(str(exc), path) from None
+    return _build(path, cls, data)
 
 
 def _parse_hamiltonian(data, dim, path):
     _require(isinstance(data, dict), "expected an object", path)
     _require(isinstance(data.get("terms"), list), "hamiltonian needs a 'terms' list", f"{path}.terms")
-    declared = data.get("dim", dim)
-    _require(_is_integer(declared) and declared == dim, f"hamiltonian dim must be the integer {dim}",
-             f"{path}.dim")
     terms = []
     for i, term in enumerate(data["terms"]):
         tpath = f"{path}.terms[{i}]"
@@ -124,22 +145,18 @@ def _parse_hamiltonian(data, dim, path):
         else:
             _require(isinstance(term, list) and len(term) == 2, "term must be [coefficient, exponents]", tpath)
             coeff, exps = term
-        _require(_is_number(coeff), "coefficient must be a finite number", tpath)
-        _require(isinstance(exps, list) and len(exps) == dim and all(map(_is_integer, exps)),
-                 f"exponents must be {dim} integers", tpath)
-        terms.append((float(coeff), tuple(exps)))
-    try:
-        return PolynomialHamiltonian(dim=dim, terms=tuple(terms))
-    except ValueError as exc:
-        raise SpecError(str(exc), path) from None
+        _require(isinstance(exps, list), "exponents must be a list", tpath)
+        terms.append((coeff, tuple(exps)))
+    return _build(path, PolynomialHamiltonian, {"dim": data.get("dim", dim), "terms": tuple(terms)})
 
 
 def parse_problem(text: str) -> ProblemSpec:
-    """Parse and validate a JSON problem description.
+    """Read a JSON problem description.
 
-    Schema violations raise :class:`SpecError` with the offending path;
-    disagreements between declared and derived data raise
-    :class:`ConsistencyError` naming the equilibrium.
+    The reader checks the JSON's shape (objects, lists, known fields) and
+    ``dim``, against which the Hamiltonian is read; the objects it builds
+    check the rest.  A refusal is a :class:`SpecError` at the JSON path of
+    the field it names, or a :class:`ConsistencyError` naming the equilibrium.
     """
     try:
         data = json.loads(text)
@@ -149,10 +166,8 @@ def parse_problem(text: str) -> ProblemSpec:
     unknown = set(data) - {"dim", "equilibria", "hamiltonian", "analysis"}
     _require(not unknown, f"unknown top-level fields {sorted(unknown)}", "$")
     _require("dim" in data, "missing 'dim'", "$")
-    dim = data["dim"]
-    _require(_is_integer(dim) and dim >= 2 and dim % 2 == 0, "'dim' must be an even integer >= 2", "$.dim")
-    _require("equilibria" in data and isinstance(data["equilibria"], list) and data["equilibria"],
-             "at least one equilibrium is required", "$.equilibria")
+    dim = _even_dim(data["dim"])  # the shapes below are read against it
+    _require(isinstance(data.get("equilibria"), list), "at least one equilibrium is required", "$.equilibria")
 
     analysis = data.get("analysis")
     if analysis is None:
@@ -160,27 +175,19 @@ def parse_problem(text: str) -> ProblemSpec:
     _require(isinstance(analysis, dict), "expected an object", "$.analysis")
     unknown = set(analysis) - {"lambda_max", "j_max", "betas", "tolerances", "continuation"}
     _require(not unknown, f"unknown analysis fields {sorted(unknown)}", "$.analysis")
-    tolerances = _parse_settings(TolerancePolicy, analysis.get("tolerances"), "$.analysis.tolerances",
-                                 "tolerance")
-    continuation, enabled = analysis.get("continuation"), True
-    if isinstance(continuation, dict):
+    values = {key: analysis[key] for key in ("lambda_max", "j_max", "betas") if key in analysis}
+    if isinstance(values.get("betas"), list):
+        values["betas"] = tuple(values["betas"])
+    values["tolerances"] = _parse_settings(TolerancePolicy, analysis.get("tolerances"),
+                                           "$.analysis.tolerances", "tolerance")
+    continuation = analysis.get("continuation")
+    if isinstance(continuation, dict) and "enabled" in continuation:
         continuation = dict(continuation)
-        enabled = continuation.pop("enabled", True)
-        _require(isinstance(enabled, bool), "expected true or false", "$.analysis.continuation.enabled")
-    continuation = _parse_settings(ContinuationConfig, continuation, "$.analysis.continuation", "continuation")
-    lambda_max = analysis.get("lambda_max", 10.0)
-    _require(_is_number(lambda_max) and lambda_max > 0.0, "lambda_max must be a positive finite number",
-             "$.analysis.lambda_max")
-    lambda_max = float(lambda_max)
-    j_max = analysis.get("j_max")
-    if j_max is not None:
-        _require(_is_integer(j_max) and j_max >= 1, "j_max must be a positive integer", "$.analysis.j_max")
-    betas = analysis.get("betas", "all")
-    if betas != "all":
-        _require(isinstance(betas, list) and all(map(_is_number, betas)),
-                 'betas must be "all" or a list of numbers', "$.analysis.betas")
-        betas = tuple(float(b) for b in betas)
-        _require(all(b > 0 for b in betas), "requested betas must be positive", "$.analysis.betas")
+        values["continuation_enabled"] = _typed("bool", continuation.pop("enabled"),
+                                                "$.analysis.continuation.enabled")
+    values["continuation"] = _parse_settings(ContinuationConfig, continuation, "$.analysis.continuation",
+                                             "continuation")
+    options = _build("$.analysis", AnalysisOptions, values)
 
     hamiltonian = None
     if data.get("hamiltonian") is not None:
@@ -193,46 +200,7 @@ def parse_problem(text: str) -> ProblemSpec:
         unknown = set(eq) - {"point", "hessian", "brouwer_index"}
         _require(not unknown, f"unknown fields {sorted(unknown)}", path)
         _require("point" in eq and "hessian" in eq, "equilibrium needs 'point' and 'hessian'", path)
-        point = _as_float_list(eq["point"], dim, f"{path}.point")
-        hessian = _as_matrix(eq["hessian"], dim, f"{path}.hessian")
-        scale = 1.0 + matrix_norm(hessian)
-        asym = float(np.max(np.abs(hessian - hessian.T)))
-        if asym > tolerances.residual_tol * scale:
-            raise ConsistencyError(
-                f"equilibrium {i}: hessian asymmetry {asym:.3e} exceeds tolerance",
-                f"{path}.hessian",
-            )
-        hessian = 0.5 * (hessian + hessian.T)
-        brouwer = eq.get("brouwer_index")
-        if brouwer is not None:
-            _require(_is_integer(brouwer), "brouwer_index must be an integer", f"{path}.brouwer_index")
-        if hamiltonian is not None:
-            # a term that overflows at the point is refused below, with no numpy warning first
-            with np.errstate(all="ignore"):
-                grad = hamiltonian.gradient(point)
-                derived = hamiltonian.hessian(point)
-            gnorm = float(np.linalg.norm(grad))
-            if not gnorm <= tolerances.residual_tol * scale:  # NaN included
-                raise ConsistencyError(
-                    f"equilibrium {i}: Hamiltonian gradient norm {gnorm:.3e} does not vanish",
-                    f"{path}.point",
-                )
-            mismatch = float(np.max(np.abs(derived - hessian)))
-            if not mismatch <= tolerances.residual_tol * scale:
-                raise ConsistencyError(
-                    f"equilibrium {i}: declared hessian differs from the Hamiltonian's by {mismatch:.3e}",
-                    f"{path}.hessian",
-                )
-        equilibria.append(Equilibrium(point=point, hessian=hessian, brouwer_index=brouwer))
-
-    options = AnalysisOptions(
-        lambda_max=lambda_max,
-        j_max=j_max,
-        betas=betas,
-        tolerances=tolerances,
-        continuation=continuation,
-        continuation_enabled=enabled,
-    )
+        equilibria.append(_build(path, Equilibrium, eq))
     return ProblemSpec(dim=dim, equilibria=tuple(equilibria), hamiltonian=hamiltonian, options=options)
 
 
@@ -242,8 +210,8 @@ def problem_to_dict(spec: ProblemSpec) -> dict:
         "dim": spec.dim,
         "equilibria": [
             {
-                "point": [float(v) for v in eq.point],
-                "hessian": [[float(v) for v in row] for row in eq.hessian],
+                "point": eq.point.tolist(),
+                "hessian": eq.hessian.tolist(),
                 **({"brouwer_index": eq.brouwer_index} if eq.brouwer_index is not None else {}),
             }
             for eq in spec.equilibria

@@ -901,8 +901,9 @@ class TestOneKeptVerdict:
 
 class TestEachMatrixCheckedOnce:
     def test_analysis_checks_each_matrix_once(self, monkeypatch):
-        """While run_analysis runs the 20-dim README example, its one
-        Linearization checks A to be symmetric once, takes A's spectrum once
+        """While its spec is built and run_analysis runs the 20-dim README
+        example, A is checked symmetric once (by the ProblemSpec, which the
+        one Linearization then trusts); it takes A's spectrum once
         for the Brouwer sign and the hypotheses, and checks J A to be
         Hamiltonian once; every verdict, index coordinate and hypothesis
         certificate reads the Morse jump from the one kept verdict, which
@@ -910,6 +911,7 @@ class TestEachMatrixCheckedOnce:
         import hambif.analysis as analysis
         import hambif.bifurcation as bifurcation
         import hambif.linalg as linalg
+        import hambif.problem as problem
         from hambif import Equilibrium, ProblemSpec, run_analysis, spectral
 
         A = squeezed_readme_example(5, 1.0)
@@ -929,6 +931,7 @@ class TestEachMatrixCheckedOnce:
         count(spectral, "is_hamiltonian", hamiltonian_checks)
         count(bifurcation, "as_symmetric", symmetry_checks)
         count(linalg, "as_symmetric", symmetry_checks)
+        count(problem, "_asymmetry", symmetry_checks)
         count(np.linalg, "eigvalsh", hessian_spectra, lambda a, *rest: np.array_equal(a, A))
         count(bifurcation, "gamma_jump", jumps)
         count(bifurcation, "_morse_jump", morse_jumps)

@@ -204,8 +204,10 @@ class TestHelpers:
         ("rank_tol", 1.0), ("eig_zero_tol", math.nan), ("eig_zero_tol", 2.0), ("residual_tol", math.inf),
     ])
     def test_tolerance_finite_and_below_one(self, field, value):
-        """At 1 or above every eigenvalue is zero and every rank 0."""
-        with pytest.raises(ValueError, match="between 0 and 1"):
+        """At 1 or above every eigenvalue is zero and every rank 0; NaN and
+        infinities are refused by type, as the problem file refuses them."""
+        message = "between 0 and 1" if math.isfinite(value) else f"{field}: expected a finite number"
+        with pytest.raises(ValueError, match=message):
             TolerancePolicy(**{field: value})
 
     def test_rank_cutoff_never_below_rounding(self):

@@ -64,6 +64,31 @@ def quartic_spec(**analysis):
     return json.dumps(data)
 
 
+def quartic_problem(dim=2, point=(0.0, 0.0), hessian=((1.0, 0.0), (0.0, 1.0))):
+    """The problem of ``quartic_spec()`` built in Python, with the given
+    dimension, point and Hessian, passed on as they are."""
+    spec = parse_problem(quartic_spec())
+    eq = Equilibrium(point=point, hessian=hessian)
+    return ProblemSpec(dim=dim, equilibria=(eq,), hamiltonian=spec.hamiltonian, options=spec.options)
+
+
+# one refusal of each kind of a settings object in the file: the analysis
+# field, its value, and the file's error
+SETTINGS_REFUSALS = [
+    ("tolerances", [], "$.analysis.tolerances: expected an object"),
+    ("tolerances", {"rank_tol": 1e-10, "zero_tol": 1e-9},
+     "$.analysis.tolerances: unknown tolerance fields ['zero_tol']"),
+    ("tolerances", {"rank_tol": "1e-10"}, "$.analysis.tolerances.rank_tol: expected a finite number"),
+    ("tolerances", {"residual_tol": 0}, "$.analysis.tolerances: all tolerances must lie strictly between 0 and 1"),
+    ("continuation", 5, "$.analysis.continuation: expected an object"),
+    ("continuation", {"enabled": 1, "seed": 3}, "$.analysis.continuation.enabled: expected true or false"),
+    ("continuation", {"enabled": False, "seed": 3, "steps": 4},
+     "$.analysis.continuation: unknown continuation fields ['seed', 'steps']"),
+    ("continuation", {"max_steps": 2.5}, "$.analysis.continuation.max_steps: expected an integer"),
+    ("continuation", {"growth": 0.5}, "$.analysis.continuation: growth must be at least 1"),
+]
+
+
 class TestParsing:
     def test_oscillator_is_valid(self):
         spec = parse_problem(oscillator_spec())
@@ -148,19 +173,7 @@ class TestParsing:
         assert cli_main(["analyze", "--input", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: $.analysis.{field}: ")
 
-    @pytest.mark.parametrize("key,value,message", [
-        ("tolerances", [], "$.analysis.tolerances: expected an object"),
-        ("tolerances", {"rank_tol": 1e-10, "zero_tol": 1e-9},
-         "$.analysis.tolerances: unknown tolerance fields ['zero_tol']"),
-        ("tolerances", {"rank_tol": "1e-10"}, "$.analysis.tolerances.rank_tol: expected a finite number"),
-        ("tolerances", {"residual_tol": 0}, "$.analysis.tolerances: all tolerances must lie strictly between 0 and 1"),
-        ("continuation", 5, "$.analysis.continuation: expected an object"),
-        ("continuation", {"enabled": 1, "seed": 3}, "$.analysis.continuation.enabled: expected true or false"),
-        ("continuation", {"enabled": False, "seed": 3, "steps": 4},
-         "$.analysis.continuation: unknown continuation fields ['seed', 'steps']"),
-        ("continuation", {"max_steps": 2.5}, "$.analysis.continuation.max_steps: expected an integer"),
-        ("continuation", {"growth": 0.5}, "$.analysis.continuation: growth must be at least 1"),
-    ])
+    @pytest.mark.parametrize("key,value,message", SETTINGS_REFUSALS)
     def test_settings_objects_are_read_by_one_rule(self, key, value, message):
         """Tolerances and continuation settings: an object of known, typed
         fields that the settings class accepts."""
@@ -169,6 +182,79 @@ class TestParsing:
         with pytest.raises(SpecError) as info:
             parse_problem(json.dumps(data))
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("key,value,message", [
+        case for case in SETTINGS_REFUSALS if isinstance(case[1], dict) and "unknown" not in case[2]])
+    def test_settings_object_refuses_with_the_file_text(self, key, value, message):
+        """Each refusal by a settings rule reads the same from the object
+        built in Python as from the file, after the path: the file's names
+        the field's JSON path, the object's its path in the object.  (Not
+        an object, and unknown fields, are the file's shape alone.)"""
+        settings = dict(value)
+        if "enabled" in settings:
+            build, settings = AnalysisOptions, {"continuation_enabled": settings["enabled"]}
+        else:
+            build = TolerancePolicy if key == "tolerances" else ContinuationConfig
+        with pytest.raises(ValueError) as info:
+            build(**settings)
+        assert getattr(info.value, "message", str(info.value)) == message.split(": ", 1)[1]
+
+    @pytest.mark.parametrize("edit, build", [
+        pytest.param(lambda d: d["equilibria"][0].update(point=[0.3, 0.0]),
+                     lambda: quartic_problem(point=[0.3, 0.0]), id="point-off-the-critical-point"),
+        pytest.param(lambda d: d["equilibria"][0].update(hessian=[[1.0, 0.1], [0.0, 1.0]]),
+                     lambda: quartic_problem(hessian=[[1.0, 0.1], [0.0, 1.0]]), id="asymmetric-hessian"),
+        pytest.param(lambda d: d["equilibria"][0].update(hessian=[[1.0, math.nan], [math.nan, 1.0]]),
+                     lambda: quartic_problem(hessian=[[1.0, math.nan], [math.nan, 1.0]]), id="nan-hessian"),
+        pytest.param(lambda d: d["equilibria"][0].update(hessian=np.eye(4).tolist()),
+                     lambda: quartic_problem(hessian=np.eye(4)), id="4x4-hessian-in-dim-2"),
+        pytest.param(lambda d: d["equilibria"][0].update(hessian=[[1.0, "0"], [0.0, 1.0]]),
+                     lambda: quartic_problem(hessian=[[1.0, "0"], [0.0, 1.0]]), id="string-hessian-entry"),
+        pytest.param(lambda d: d["equilibria"][0].update(point=[False, 0.0]),
+                     lambda: quartic_problem(point=[False, 0.0]), id="boolean-point-entry"),
+        pytest.param(lambda d: d.update(dim=3), lambda: quartic_problem(dim=3), id="odd-dim"),
+        pytest.param(lambda d: d["equilibria"][0].update(point=[0.0, 0.0, 0.0]),
+                     lambda: quartic_problem(point=np.zeros(3)), id="point-of-length-3"),
+    ])
+    def test_problem_spec_refuses_what_the_file_refuses(self, edit, build):
+        """A ProblemSpec built in Python is refused on construction, with the
+        error the problem file gives for the same value; none reaches
+        run_analysis."""
+        data = json.loads(quartic_spec())
+        edit(data)
+        with pytest.raises(SpecError) as from_file:
+            parse_problem(json.dumps(data))
+        with pytest.raises(SpecError) as from_object:
+            build()
+        assert type(from_object.value) is type(from_file.value)
+        assert str(from_object.value) == str(from_file.value)
+
+    def test_problem_spec_keeps_its_checked_arrays_read_only(self):
+        """run_analysis reads each Hessian without checking it again, so the
+        checked point and Hessian cannot be changed afterwards."""
+        eq = quartic_problem().equilibria[0]
+        for array in (eq.point, eq.hessian):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 5.0
+
+    @pytest.mark.parametrize("build, file_value, key", [
+        pytest.param(lambda: TolerancePolicy(rank_tol=np.float32(1e-10)), {"tolerances": {"rank_tol": "1e-10"}},
+                     "tolerances", id="float32-tolerance"),
+        pytest.param(lambda: AnalysisOptions(continuation_enabled="false"), {"continuation": {"enabled": "false"}},
+                     "continuation", id="string-enabled"),
+    ])
+    def test_settings_refuse_what_the_file_refuses(self, build, file_value, key):
+        """A float32 tolerance, which no report can emit as JSON, and a
+        string ``continuation_enabled``, which used to trace branches, are
+        refused as the file refuses a value of the wrong type."""
+        data = json.loads(quartic_spec())
+        data["analysis"].update(file_value)
+        with pytest.raises(SpecError) as from_file:
+            parse_problem(json.dumps(data))
+        with pytest.raises(SpecError) as from_object:
+            build()
+        assert from_object.value.message == from_file.value.message
+        assert from_file.value.path.startswith(f"$.analysis.{key}.")
 
     def test_null_settings_are_the_defaults(self):
         data = json.loads(quartic_spec())
@@ -191,7 +277,7 @@ class TestParsing:
         """A value the problem file refuses is refused when the options are
         built, before run_analysis can stop on it: a float32, which no report
         can emit as JSON, too."""
-        with pytest.raises(ValueError, match=f"^{field} must be"):
+        with pytest.raises(SpecError, match=rf"^\$\.{field}: expected "):
             AnalysisOptions(**{field: value})
 
     def test_analysis_options_round_trip_through_the_problem_file(self):
@@ -220,7 +306,7 @@ class TestParsing:
     def test_equilibrium_refuses_a_brouwer_index_that_is_not_an_integer(self, value):
         """Refused when the equilibrium is built, so that neither
         run_analysis nor an emitter meets it."""
-        with pytest.raises(ValueError, match="^brouwer_index must be None or an integer"):
+        with pytest.raises(SpecError, match=r"^\$\.brouwer_index: expected an integer$"):
             Equilibrium(np.zeros(2), np.eye(2), brouwer_index=value)
 
     @pytest.mark.parametrize("edit,path", [
@@ -775,17 +861,62 @@ class TestCli:
         assert report["analysis"]["lambda_max"] == 2.0
         assert report["tolerances"]["rank_tol"] == 2e-10
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--tol-scale", "0"), ("--tol-scale", "nan"), ("--tol-scale", "inf"),
-        ("--lambda-max", "-1"), ("--lambda-max", "nan"), ("--lambda-max", "inf"),
-        ("--j-max", "0"), ("--beta", "-1"), ("--beta", "0"),
+    @pytest.mark.parametrize("flags, checks", [([], 1), (["--lambda-max", "2.0"], 2)])
+    def test_each_problem_is_checked_once_without_flags(self, tmp_path, monkeypatch, flags, checks):
+        """Without a flag the parsed spec is analysed as it is: one symmetry
+        check (one matrix norm) per equilibrium; a flag rebuilds the spec,
+        which checks it again."""
+        import hambif.problem as problem
+
+        calls = []
+        asymmetry = problem._asymmetry
+
+        def counting(A, tol):
+            calls.append(A.shape)
+            return asymmetry(A, tol)
+
+        monkeypatch.setattr(problem, "_asymmetry", counting)
+        path = oscillators_problem(tmp_path, 1.0, 2.0)
+        data = json.loads(Path(path).read_text())
+        data["equilibria"] *= 2
+        path = self.write(tmp_path, json.dumps(data))
+        assert cli_main(["index", "--input", path, *flags]) == 0
+        assert len(calls) == 2 * checks
+
+    def test_tol_scale_rechecks_the_equilibria(self, tmp_path, capsys):
+        """The quartic's gradient 5e-10 at (5e-10, 0) is within residual_tol
+        (1e-9 times 1 + |A| = 2); a --tol-scale of 0.1 refuses it, a usage
+        error naming the point."""
+        data = json.loads(quartic_spec())
+        data["equilibria"][0]["point"] = [5e-10, 0.0]
+        path = self.write(tmp_path, json.dumps(data))
+        assert cli_main(["index", "--input", path]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as info:
+            cli_main(["index", "--input", path, "--tol-scale", "0.1"])
+        assert info.value.code == 2
+        assert "error: $.equilibria[0].point: equilibrium 0: Hamiltonian gradient norm 5.000e-10 does not vanish" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--tol-scale", "0", "$.analysis.tolerances: all tolerances must lie strictly between 0 and 1"),
+        ("--tol-scale", "nan", "$.analysis.tolerances.rank_tol: expected a finite number"),
+        ("--tol-scale", "inf", "$.analysis.tolerances.rank_tol: expected a finite number"),
+        ("--lambda-max", "-1", "$.analysis.lambda_max: expected a positive number"),
+        ("--lambda-max", "nan", "$.analysis.lambda_max: expected a finite number"),
+        ("--lambda-max", "inf", "$.analysis.lambda_max: expected a finite number"),
+        ("--j-max", "0", "$.analysis.j_max: expected a positive integer"),
+        ("--beta", "-1", '$.analysis.betas: expected "all" or a list of positive finite numbers'),
+        ("--beta", "0", '$.analysis.betas: expected "all" or a list of positive finite numbers'),
     ])
-    def test_overrides_obey_the_problem_file_rules(self, tmp_path, flag, value):
-        """A value the problem file refuses is a usage error on the command line too."""
+    def test_overrides_obey_the_problem_file_rules(self, tmp_path, capsys, flag, value, message):
+        """A value the problem file refuses is a usage error on the command
+        line too, named by the file's path of the field the flag sets."""
         path = self.write(tmp_path, quartic_spec())
         with pytest.raises(SystemExit) as info:
             cli_main(["index", "--input", path, flag, value])
         assert info.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
 
     @pytest.mark.parametrize("tolerances, scale, refused", [
         (None, "1e-7", False), (None, "1e-300", False), ({"rank_tol": 1e-17}, None, False),

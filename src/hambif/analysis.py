@@ -61,24 +61,28 @@ def _brouwer_for(eq, lin, spec, tol):
     return None, "user-required"
 
 
-def _condition_entry(report, with_blocks):
-    counts, blocks = report.counts, report.blocks if with_blocks else None
+def _plain(value):
+    """A record as the report writes it: a dataclass as the dict of its
+    fields and a tuple as a list, recursively."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _condition_entry(report, pairs):
+    """The verdict at one frequency, with the normal-form stage's
+    ``[half_dim, epsilon]`` pairs, or None without them."""
+    counts = report.counts
     return {
         "beta0": report.beta0,
         "gamma": report.gamma,
-        "counts": None if counts is None else {**dataclasses.asdict(counts), "kappa": counts.kappa},
-        "blocks": None if blocks is None else [[b.half_dim, b.epsilon] for b in blocks],
+        "counts": None if counts is None else {**_plain(counts), "kappa": counts.kappa},
+        "blocks": pairs,
         "brouwer": report.brouwer,
         "condition_holds": report.condition_holds,
         "routes_agree": "structural unavailable" if report.routes_agree is None else report.routes_agree,
-    }
-
-
-def _assumption_entry(result):
-    return {
-        "holds": result.holds,
-        "certified_betas": list(result.certified_betas),
-        "details": result.details,
     }
 
 
@@ -93,19 +97,26 @@ def _orbit_entry(orbit):
 
 
 def run_analysis(spec: ProblemSpec, stages: frozenset[str] = ALL_STAGES) -> dict:
-    """Analyze every equilibrium of the problem; failures are collected
-    per equilibrium and never abort the others."""
-    tol = spec.options.tolerances
+    """Analyze every equilibrium of the problem, in one pass over its
+    requested frequencies; failures are collected per equilibrium and never
+    abort the others.  ``stages`` is a subset of ``ALL_STAGES``; any other
+    name is a ValueError."""
+    if isinstance(stages, str) or not ALL_STAGES.issuperset(stages):
+        raise ValueError(f"stages must be a set of names from {sorted(ALL_STAGES)}, got {stages!r}")
+    options = spec.options
+    tol = options.tolerances
     report: dict = {
         "tool": {"name": "hambif", "version": __version__},
-        "tolerances": dataclasses.asdict(tol),
+        "tolerances": _plain(tol),
         "analysis": {
-            "lambda_max": spec.options.lambda_max,
-            "j_max": spec.options.j_max,
+            "lambda_max": options.lambda_max,
+            "j_max": options.j_max,
             "stages": sorted(stages),
         },
         "equilibria": [],
     }
+    # the Hamiltonian whose branches are traced, None when none is
+    H = spec.hamiltonian if "continuation" in stages and options.continuation_enabled else None
 
     for index, eq in enumerate(spec.equilibria):
         entry: dict = {"index": index, "point": [float(v) for v in eq.point], "errors": []}
@@ -118,15 +129,7 @@ def run_analysis(spec: ProblemSpec, stages: frozenset[str] = ALL_STAGES) -> dict
             entry["errors"].append(f"spectral analysis failed: {exc}")
             continue
         entry["imaginary_spectrum"] = [
-            {
-                "beta": ev.beta,
-                "algebraic_mult": ev.algebraic_mult,
-                "geometric_mult": ev.geometric_mult,
-                "jordan_partition": list(ev.jordan_partition),
-                "class": classify_eigenvalue(ev).value,
-                "conditioning": ev.conditioning,
-            }
-            for ev in summary.imaginary
+            {**_plain(ev), "class": classify_eigenvalue(ev).value} for ev in summary.imaginary
         ]
         entry["has_nonimaginary"] = summary.has_nonimaginary
         entry["other_eigenvalues"] = [[z.real, z.imag] for z in summary.other_eigenvalues]
@@ -136,11 +139,11 @@ def run_analysis(spec: ProblemSpec, stages: frozenset[str] = ALL_STAGES) -> dict
         entry["brouwer_provenance"] = provenance
 
         found = list(summary.betas)
-        if spec.options.betas == "all":
+        if options.betas == "all":
             requested = found
         else:
             requested = []  # one entry per named frequency, in first-request order
-            for want in spec.options.betas:
+            for want in options.betas:
                 try:
                     beta = lin.cluster_at(want).beta
                 except EigenvalueNotFoundError:
@@ -149,46 +152,34 @@ def run_analysis(spec: ProblemSpec, stages: frozenset[str] = ALL_STAGES) -> dict
                 if beta not in requested:
                     requested.append(beta)
         try:
-            ls = lambda_set(lin, spec.options.lambda_max, tol)
-            entry["lambda_set"] = {
-                "points": list(ls.points),
-                "lambda_max": ls.lambda_max,
-                "source_betas": [[beta, list(ms)] for beta, ms in ls.source_betas],
-            }
+            entry["lambda_set"] = _plain(lambda_set(lin, options.lambda_max, tol))
         except LevelCountError as exc:
             entry["errors"].append(f"candidate levels unavailable: {exc}")
+        conditions = entry["conditions"] = []
+        indices = entry["bifurcation_indices"] = []
+        branches = entry["branches"] = []
         if not found:
-            entry["conditions"] = []
-            entry["bifurcation_indices"] = []
-            entry["branches"] = []
             entry["note"] = "no candidate frequencies: no purely imaginary spectrum"
             continue
 
-        conditions = []
-        indices = []
-        reports: dict = {}  # beta -> ConditionReport, or None when the check failed
-        if "index" in stages or "normal_form" in stages:
-            for beta in requested:
-                if "normal_form" in stages:
-                    try:
-                        blocks = structural_decomposition(lin, beta, tol)
-                    except DecompositionError as exc:
-                        blocks = None
-                        entry["errors"].append(f"decomposition at beta={beta:.6g} unavailable: {exc}")
-                    if "index" not in stages:
-                        if blocks is not None:
-                            conditions.append({"beta0": beta, "blocks": [[b.half_dim, b.epsilon] for b in blocks]})
-                        continue
+        for beta in requested:
+            pairs = None  # the normal-form stage's [half_dim, epsilon] per block
+            if "normal_form" in stages:
                 try:
-                    reports[beta] = check_main_condition(lin, brouwer, beta, tol)
+                    blocks = structural_decomposition(lin, beta, tol)
+                    pairs = [[b.half_dim, b.epsilon] for b in blocks]
+                except DecompositionError as exc:
+                    entry["errors"].append(f"decomposition at beta={beta:.6g} unavailable: {exc}")
+            if "index" in stages:
+                try:
+                    condition = check_main_condition(lin, brouwer, beta, tol)
                 except DegeneracyError as exc:
-                    reports[beta] = None
                     entry["errors"].append(f"condition check at beta={beta:.6g} failed: {exc}")
                     continue
-                conditions.append(_condition_entry(reports[beta], "normal_form" in stages))
+                conditions.append(_condition_entry(condition, pairs))
                 try:
                     bif = bifurcation_index(
-                        lin, 0 if brouwer is None else brouwer, 1.0 / beta, spec.options.j_max, tol
+                        lin, 0 if brouwer is None else brouwer, 1.0 / beta, options.j_max, tol
                     )
                     indices.append(
                         {
@@ -202,33 +193,15 @@ def run_analysis(spec: ProblemSpec, stages: frozenset[str] = ALL_STAGES) -> dict
                     )
                 except DegeneracyError as exc:
                     entry["errors"].append(f"bifurcation index at beta={beta:.6g} failed: {exc}")
-        entry["conditions"] = conditions
-        entry["bifurcation_indices"] = indices
-
-        if "index" in stages:
-            # every frequency is flagged and counted, one --beta left out too
-            non = nonresonance_and_branch_count(lin, brouwer, tol)
-            entry["nonresonance"] = {
-                "flags": [[beta, flag] for beta, flag in non.flags],
-                "lower_bound": non.lower_bound,
-            }
-
-        if "assumptions" in stages:
-            assumptions = check_classical_assumptions(lin, tol=tol)
-            entry["classical_assumptions"] = {
-                f.name: _assumption_entry(getattr(assumptions, f.name))
-                for f in dataclasses.fields(assumptions)
-            }
-
-        branches = []
-        if "continuation" in stages and spec.hamiltonian is not None and spec.options.continuation_enabled:
-            for beta in requested:
-                if "index" in stages and not (reports[beta] and reports[beta].condition_holds):
-                    continue
+                if not condition.condition_holds:
+                    continue  # no branch is traced where the condition is not known to hold
+            elif pairs is not None:
+                conditions.append({"beta0": beta, "blocks": pairs})
+            if H is not None:
                 seed = seed_from_linearization(
-                    lin, beta, spec.options.continuation.seed_amplitude, eq.point, tol
+                    lin, beta, options.continuation.seed_amplitude, eq.point, tol
                 )
-                branch = continue_branch(spec.hamiltonian, seed, spec.options.continuation, eq.point)
+                branch = continue_branch(H, seed, options.continuation, eq.point)
                 eps = PERIOD_LIMIT_EPSILON_FACTOR * TWO_PI
                 branches.append(
                     {
@@ -243,7 +216,12 @@ def run_analysis(spec: ProblemSpec, stages: frozenset[str] = ALL_STAGES) -> dict
                         "orbits": [_orbit_entry(o) for o in branch.orbits],
                     }
                 )
-        entry["branches"] = branches
+
+        if "index" in stages:
+            # every frequency is flagged and counted, one --beta left out too
+            entry["nonresonance"] = _plain(nonresonance_and_branch_count(lin, brouwer, tol))
+        if "assumptions" in stages:
+            entry["classical_assumptions"] = _plain(check_classical_assumptions(lin, tol=tol))
     return report
 
 

@@ -99,7 +99,11 @@ def _entries(value, dim, path, ndim=1):
     """``value`` as a float array of ``ndim`` axes of ``dim`` finite
     numbers: a point (1) or a Hessian (2), read as rows."""
     if isinstance(value, np.ndarray):
-        value = value.tolist()  # read as the file's lists are
+        if value.dtype.kind in "fiu" and value.shape == (dim,) * ndim:
+            array = value.astype(float)  # a copy, whatever the caller does with its array
+            if np.isfinite(array).all():
+                return array
+        value = value.tolist()  # read as the file's lists are, to name the refused entry
     if ndim == 2:
         _require(isinstance(value, (list, tuple)), "expected a row-major matrix", path)
         _require(len(value) == dim, f"expected {dim} rows, got {len(value)}", path)

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import math
 import time
@@ -28,6 +30,7 @@ from hambif import (
     problem_to_dict,
     run_analysis,
 )
+from hambif.analysis import ALL_STAGES
 from hambif.cli import main as cli_main
 
 from conftest import random_normal_form, squeezed
@@ -212,6 +215,18 @@ class TestParsing:
                      lambda: quartic_problem(hessian=[[1.0, "0"], [0.0, 1.0]]), id="string-hessian-entry"),
         pytest.param(lambda d: d["equilibria"][0].update(point=[False, 0.0]),
                      lambda: quartic_problem(point=[False, 0.0]), id="boolean-point-entry"),
+        pytest.param(lambda d: d["equilibria"][0].update(hessian=[[1.0, 0.0], [math.nan, 1.0]]),
+                     lambda: quartic_problem(hessian=np.array([[1.0, 0.0], [math.nan, 1.0]])),
+                     id="nan-hessian-array"),
+        pytest.param(lambda d: d["equilibria"][0].update(point=[False, False]),
+                     lambda: quartic_problem(point=np.zeros(2, dtype=bool)),
+                     id="boolean-point-array"),
+        pytest.param(lambda d: d["equilibria"][0].update(hessian=[[1.0, "0"], [0, 1]]),
+                     lambda: quartic_problem(hessian=np.array([[1.0, "0"], [0, 1]], dtype=object)),
+                     id="object-hessian-array"),
+        pytest.param(lambda d: d["equilibria"][0].update(hessian=[[1, 0, 0], [0, 1, 0]]),
+                     lambda: quartic_problem(hessian=np.eye(3, dtype=int)[:2]),
+                     id="2x3-int-hessian-array"),
         pytest.param(lambda d: d.update(dim=3), lambda: quartic_problem(dim=3), id="odd-dim"),
         pytest.param(lambda d: d["equilibria"][0].update(point=[0.0, 0.0, 0.0]),
                      lambda: quartic_problem(point=np.zeros(3)), id="point-of-length-3"),
@@ -236,6 +251,24 @@ class TestParsing:
         for array in (eq.point, eq.hessian):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 5.0
+
+    @pytest.mark.parametrize("dtype", [float, int])
+    def test_numeric_arrays_are_checked_in_one_step(self, dtype, monkeypatch):
+        """A float or integer point and Hessian of the right shape are found
+        finite in one step, not entry by entry, and kept as float copies."""
+        import hambif.problem as problem
+
+        spec = parse_problem(quartic_spec())
+        checked = []
+        monkeypatch.setattr(problem, "_is_number", lambda value: checked.append(value) or True)
+        point, hessian = np.zeros(2, dtype=dtype), np.eye(2, dtype=dtype)
+        eq = Equilibrium(point=point, hessian=hessian)
+        spec = ProblemSpec(dim=2, equilibria=(eq,), hamiltonian=spec.hamiltonian,
+                           options=spec.options)
+        assert checked == []
+        assert spec.equilibria[0].point.dtype == spec.equilibria[0].hessian.dtype == np.float64
+        # the kept arrays are read-only copies, not the caller's arrays
+        assert point.flags.writeable and hessian.flags.writeable
 
     @pytest.mark.parametrize("build, file_value, key", [
         pytest.param(lambda: TolerancePolicy(rank_tol=np.float32(1e-10)), {"tolerances": {"rank_tol": "1e-10"}},
@@ -1086,6 +1119,84 @@ class TestOneVerdictPerFrequency:
         assert [c["beta0"] for c in eq["conditions"]] == [1.0]
         assert [[round(b, 9), flag] for b, flag in eq["nonresonance"]["flags"]] == [[2.0, True], [1.0, False]]
         assert eq["nonresonance"]["lower_bound"] == 1
+
+
+# the sha256 of the structured report of two_frequency_quartic_spec() for
+# each subset of the stages, taken before run_analysis read each frequency
+# in one pass
+SUBSET_DIGESTS = {
+    (): "1a9b3805ab834f7f7113bd12ad1c6229fd0af9c36a9e05641aa920467ce89cf6",
+    ("assumptions",): "3445c345952500875d4b83b5ca09ece94af061ba5889420e14ed610636a935b3",
+    ("continuation",): "423bd198c7e431e80c0c6b3c86e3affe1e1a3ba1db2fd06dd72faf91cfbf5c8f",
+    ("index",): "8ccc618490bed6d8d0a56bc5e6d8c067362473ac7b3b260be513b25110491b46",
+    ("normal_form",): "9e5d0e51a8e6397a3b26ce784b5f6e83d7052696aba282cbb5a221993e4fadf3",
+    ("assumptions", "continuation"):
+        "ece3836bf65b02e322325a6ab5d4f462645c434ebb13eae416643ae49394a486",
+    ("assumptions", "index"): "0888ad42454db3244e9a80f8cd2f91a6d3e1b809b39203e0e01682a763f85916",
+    ("assumptions", "normal_form"):
+        "17770b50d0560999477071557f142f82000263bae0a80a14dacebe1fbb688174",
+    ("continuation", "index"): "0a0dcf70498dc653111cf63980d5e69795ac6c6aa2703eda260ae885c3760b99",
+    ("continuation", "normal_form"):
+        "416d5458c77bee594d2a64fc9fea20dbde44167db5ac6ecaa69dabc97decf688",
+    ("index", "normal_form"): "648e3040cbe1e41f68e7b37a6f2f7e11b6d7c0fe44944d9d65796518badb9cbf",
+    ("assumptions", "continuation", "index"):
+        "ab6d776d237a84807e7041975225bff81cb131fc330904dad61001998d28a2c7",
+    ("assumptions", "continuation", "normal_form"):
+        "f123a8f00e5d1e8a00b7b8e54e89f03c354589f0c9b32b250a47692dec365753",
+    ("assumptions", "index", "normal_form"):
+        "b232ac4108364a9288fd94f2279f6fc0ef925ed8004287f3c9faaa314884b237",
+    ("continuation", "index", "normal_form"):
+        "d56c3e82bad0537c9ce82a87d1191170c3c253e8eca1b87b26cf4908f44d65e0",
+    ("assumptions", "continuation", "index", "normal_form"):
+        "be68405e272829b9d52743991c78fb058fc2a26330ad858284fa06e28d5d919e",
+}
+
+
+class TestOnePassReport:
+    """``run_analysis`` reads each frequency once, through every stage it
+    runs, and writes each record's fields under their own names."""
+
+    @pytest.mark.parametrize("stages", [
+        stages for n in range(len(ALL_STAGES) + 1)
+        for stages in itertools.combinations(sorted(ALL_STAGES), n)
+    ], ids="+".join)
+    def test_stage_subset_report_is_unchanged(self, stages):
+        """The report of each subset, byte for byte; without the index stage
+        the normal-form stage still reaches branch tracing.  The structured
+        report reads back as the report itself, so every tuple of a record
+        is written as a list."""
+        report = run_analysis(parse_problem(two_frequency_quartic_spec()), frozenset(stages))
+        text = emit_report(report)
+        assert json.loads(text) == report
+        assert hashlib.sha256(text.encode()).hexdigest() == SUBSET_DIGESTS[stages]
+
+    def test_record_sections_keep_the_record_fields(self):
+        """The key set of each section written from a record, as
+        docs/FORMAT.md lists it: a field added to or renamed in one of
+        these records changes the report."""
+        report = run_analysis(parse_problem(two_frequency_quartic_spec()))
+        eq = report["equilibria"][0]
+        assert set(report["tolerances"]) == {"rank_tol", "eig_zero_tol", "residual_tol"}
+        for cond in eq["conditions"]:
+            assert set(cond["counts"]) == {"o_plus", "o_minus", "e_plus", "e_minus", "kappa"}
+        for ev in eq["imaginary_spectrum"]:
+            assert set(ev) == {"beta", "algebraic_mult", "geometric_mult", "jordan_partition",
+                               "class", "conditioning"}
+        assert set(eq["lambda_set"]) == {"points", "lambda_max", "source_betas"}
+        assert set(eq["nonresonance"]) == {"flags", "lower_bound"}
+        assumptions = eq["classical_assumptions"]
+        assert set(assumptions) == {"nonresonant_pair", "positive_definite", "signature_resonant"}
+        for result in assumptions.values():
+            assert set(result) == {"holds", "certified_betas", "details"}
+
+    @pytest.mark.parametrize("stages", [frozenset({"indices"}), {"index", "branches"}, "index"],
+                             ids=["misspelt", "one-unknown", "bare-string"])
+    def test_unknown_stage_names_are_refused(self, stages):
+        """A name outside ALL_STAGES, or a bare string read as its letters,
+        is refused rather than running no stage."""
+        with pytest.raises(ValueError, match="stages must be a set of names from") as info:
+            run_analysis(parse_problem(oscillator_spec()), stages)
+        assert repr(stages) in str(info.value)
 
 
 class TestTypedAbstentions:
